@@ -212,6 +212,14 @@ def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityRe
     )
 
 
+def _maps_into_itself(t: SelfMap, bits: int) -> bool:
+    """Whether the map sends every member of the set back into the set."""
+    img = 0
+    for p in iter_bits(bits):
+        img |= 1 << t.image[p]
+    return img & ~bits == 0
+
+
 def minimal_invariant_admissible(
     sys: RelationalSystem,
     t: SelfMap,
@@ -228,13 +236,11 @@ def minimal_invariant_admissible(
         raise PreconditionError(
             f"map is not grade-preserving at pair {hom.witness[:2]}", hom.witness
         )
-    invariant = []
-    for adm in enumerate_admissible(sys, mode, max_intermediate):
-        img = 0
-        for p in iter_bits(adm.points.bits):
-            img |= 1 << t.image[p]
-        if img & ~adm.points.bits == 0:
-            invariant.append(adm)
+    invariant = [
+        adm
+        for adm in enumerate_admissible(sys, mode, max_intermediate)
+        if _maps_into_itself(t, adm.points.bits)
+    ]
     minimal = [
         a
         for a in invariant
@@ -261,10 +267,7 @@ def minimal_invariant_balls(
     for x in range(sys.n):
         for lev in sys.window.levels():
             b = ball(sys, x, lev)
-            img = 0
-            for p in iter_bits(b.bits):
-                img |= 1 << t.image[p]
-            if img & ~b.bits:
+            if not _maps_into_itself(t, b.bits):
                 continue
             if all(sys.grades.entries[p][t.image[p]] == lev for p in iter_bits(b.bits)):
                 out.append((x, lev))
@@ -401,10 +404,7 @@ def regular_fixed_point(
     for x in range(sys.n):
         for lev in range(sys.window.below, sys.window.above + 1):
             b = ball(sys, x, lev)
-            img = 0
-            for p in iter_bits(b.bits):
-                img |= 1 << t.image[p]
-            if img & ~b.bits == 0:
+            if _maps_into_itself(t, b.bits):
                 by_bits.setdefault(b.bits, []).append((x, lev))
 
     balls = tuple(

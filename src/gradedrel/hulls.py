@@ -5,6 +5,11 @@ inside the set that contain it; "arbitrary-center" intersects every ball
 containing it regardless of center.  Both are extensive and monotone, the
 arbitrary-center hull is never larger, and their fixed-point families are
 computed from one ball-intersection closure.
+
+Compactness and spherical completeness are decided by the certificates a
+finite ground set gives directly: every admissible set is nonempty, and
+every ball contains its center.  Normal structure is decided per admissible
+set, with grades, distances and level sets cross-checked.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ def _intersection_closure(sys: RelationalSystem, cap: int) -> set[int]:
             work += 1
             if work > cap:
                 raise ResourceLimitError(
-                    f"ball-intersection closure exceeded the cap of {cap} intermediate sets",
+                    f"ball-intersection closure exceeded the cap of {cap} pair intersections",
                     cap,
                 )
             u = s & t
@@ -338,138 +343,37 @@ def check_compact_structure(
 ) -> StructureReport:
     """Finite-intersection property over the admissible family.
 
-    Any subfamily whose finite intersections are nonempty has a nonempty
-    total intersection; on a finite ground set that is automatic, but the
-    walk still verifies it along every maximal descending chain of the
-    family (running intersections stay nonempty and equal the chain's
-    minimum).
+    On a finite ground set every chain of nested nonempty sets meets in its
+    last member, so the property reduces to every admissible set being
+    nonempty.  That is checked in one pass over the family; the witness is
+    the first empty member, as a one-member tuple of bitmasks.  Raises
+    ResourceLimitError exactly when enumerate_admissible does.
     """
-    family = [adm.points for adm in enumerate_admissible(sys, mode, max_intermediate)]
-    chains = _maximal_chains(
-        [p.bits for p in family], _subset_steps([p.bits for p in family]), max_intermediate
-    )
-    for chain in chains:
-        running = (1 << sys.n) - 1
-        for bits in chain:
-            running &= bits
-            if running == 0:  # pragma: no cover - family members are nonempty
-                return StructureReport(
-                    "compact-structure", False, witness=tuple(chain)
-                )
-        if running != chain[-1]:  # pragma: no cover - chains are nested
-            return StructureReport("compact-structure", False, witness=tuple(chain))
+    for adm in enumerate_admissible(sys, mode, max_intermediate):
+        if adm.points.is_empty:
+            return StructureReport(
+                "compact-structure", False, witness=(adm.points.bits,)
+            )
     return StructureReport(
         "compact-structure", True, note="finite ground set: FIP automatic"
     )
 
 
-def _subset_steps(family: list[int]) -> dict[int, list[int]]:
-    """Direct-successor map of the proper-subset order (no intermediate set)."""
-    succ: dict[int, list[int]] = {bits: [] for bits in family}
-    for a in family:
-        for b in family:
-            if b == a or (b & ~a):
-                continue
-            # b is a proper subset of a; keep only immediate ones
-            if any(
-                c != a and c != b and not (c & ~a) and not (b & ~c) for c in family
-            ):
-                continue
-            succ[a].append(b)
-    for lst in succ.values():
-        lst.sort()
-    return succ
-
-
-def _maximal_chains(
-    family: list[int], succ: dict[int, list[int]], cap: int
-) -> list[list[int]]:
-    """Every maximal descending chain of the family, depth first, capped."""
-    supersets = {b for lst in succ.values() for b in lst}
-    tops = sorted(bits for bits in family if bits not in supersets)
-    chains: list[list[int]] = []
-    work = 0
-
-    def walk(prefix: list[int]) -> None:
-        nonlocal work
-        work += 1
-        if work > cap:
-            raise ResourceLimitError(
-                f"chain enumeration exceeded the cap of {cap} steps", cap
-            )
-        nexts = succ.get(prefix[-1], [])
-        if not nexts:
-            chains.append(list(prefix))
-            return
-        for nxt in nexts:
-            prefix.append(nxt)
-            walk(prefix)
-            prefix.pop()
-
-    for top in tops:
-        walk([top])
-    return chains
-
-
-def check_spherical_completeness(
-    sys: RelationalSystem, max_work: int = DEFAULT_SET_CAP
-) -> StructureReport:
+def check_spherical_completeness(sys: RelationalSystem) -> StructureReport:
     """Nested ball chains with nonincreasing radii have nonempty intersection.
 
-    Finite systems satisfy this outright (every chain bottoms out at a ball,
-    which contains its center); the walk enumerates the maximal chains and
-    verifies each intersection anyway.
+    On a finite ground set every nested ball chain is finite and meets in
+    its last ball, so the property reduces to every ball containing its
+    center.  That is checked for every center and window level; the witness
+    is the first offending ball as ((bits, level),).
     """
-    nodes: list[tuple[int, int]] = []  # (bits, level)
-    seen = set()
     for x in range(sys.n):
         for lev in range(sys.window.below, sys.window.above + 1):
-            key = (ball(sys, x, lev).bits, lev)
-            if key not in seen:
-                seen.add(key)
-                nodes.append(key)
-    nodes.sort(key=lambda t: (-t[0].bit_count(), t[1]))
-
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = {nd: [] for nd in nodes}
-    for a_bits, a_lev in nodes:
-        for b_bits, b_lev in nodes:
-            if b_bits == a_bits or (b_bits & ~a_bits):
-                continue
-            if b_lev < a_lev:  # radius must not grow along the chain
-                continue
-            succ[(a_bits, a_lev)].append((b_bits, b_lev))
-
-    supersets = {b for lst in succ.values() for b in lst}
-    tops = [nd for nd in nodes if nd not in supersets]
-    work = 0
-
-    def walk(prefix: list[tuple[int, int]]) -> Optional[tuple]:
-        nonlocal work
-        work += 1
-        if work > max_work:
-            raise ResourceLimitError(
-                f"ball-chain enumeration exceeded the cap of {max_work} steps", max_work
-            )
-        nexts = succ[prefix[-1]]
-        if not nexts:
-            inter = (1 << sys.n) - 1
-            for bits, _ in prefix:
-                inter &= bits
-            if inter == 0:  # pragma: no cover - balls contain their centers
-                return tuple(prefix)
-            return None
-        for nxt in nexts:
-            prefix.append(nxt)
-            bad = walk(prefix)
-            prefix.pop()
-            if bad:
-                return bad
-        return None
-
-    for top in tops:
-        bad = walk([top])
-        if bad:  # pragma: no cover - unreachable on finite ground sets
-            return StructureReport("spherical-completeness", False, witness=bad)
+            bits = ball(sys, x, lev).bits
+            if not bits >> x & 1:
+                return StructureReport(
+                    "spherical-completeness", False, witness=((bits, lev),)
+                )
     return StructureReport(
         "spherical-completeness",
         True,

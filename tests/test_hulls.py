@@ -1,10 +1,12 @@
 """Balls, hulls, admissible families, radii, and the structure checks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
+from gradedrel import hulls
 from gradedrel import (
     ARBITRARY_CENTER,
+    AdmissibleSet,
     DyadicValue,
     PAPER_COV,
     PointSet,
@@ -27,6 +29,23 @@ from gradedrel import (
 from test_relations import small_systems
 
 MODES = (PAPER_COV, ARBITRARY_CENTER)
+
+# Unconstrained 8-point system whose closure family of 172 sets needs
+# 20,304 pair intersections but has over 25,000 steps of maximal chains.
+CHAIN_HEAVY = make_system(
+    [str(i) for i in range(8)],
+    (-2, 0),
+    [
+        [TOP, -2, 0, -2, 0, -1, -3, 0],
+        [-2, TOP, -3, -2, -2, -1, -1, -1],
+        [0, -3, TOP, -1, -2, 0, -1, -1],
+        [-2, -2, -1, TOP, -3, -3, -1, -1],
+        [0, -2, -2, -3, TOP, -1, -1, -1],
+        [-1, -1, 0, -3, -1, TOP, 0, -3],
+        [-3, -1, -1, -1, -1, 0, TOP, -1],
+        [0, -1, -1, -1, -1, -3, -1, TOP],
+    ],
+)
 
 
 def pset(sys, *members):
@@ -294,3 +313,39 @@ class TestCompactAndSpherical:
     def test_always_hold_on_finite_systems(self, sys):
         assert check_compact_structure(sys).holds
         assert check_spherical_completeness(sys).holds
+
+    @given(small_systems(), st.sampled_from(MODES), st.integers(min_value=1, max_value=200))
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER, 20_304)
+    @settings(max_examples=200)
+    def test_compact_cap_is_the_enumeration_cap(self, sys, mode, cap):
+        try:
+            enumerate_admissible(sys, mode, cap)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                check_compact_structure(sys, mode, cap)
+        else:
+            assert check_compact_structure(sys, mode, cap).holds
+
+    def test_compact_fails_on_an_empty_member(self, chain, monkeypatch):
+        empty = AdmissibleSet(PointSet.empty(chain.n), (), PAPER_COV)
+        real = hulls.enumerate_admissible
+        monkeypatch.setattr(
+            hulls, "enumerate_admissible", lambda *args: real(*args) + (empty,)
+        )
+        rep = check_compact_structure(chain)
+        assert not rep.holds
+        assert rep.witness == (0,)
+
+    def test_spherical_fails_when_a_ball_drops_its_center(self, grid, monkeypatch):
+        real = hulls.ball
+
+        def ball_without_center(sys, x, n):
+            b = real(sys, x, n)
+            if (x, n) == (2, 2):
+                return PointSet(sys.n, b.bits & ~(1 << x))
+            return b
+
+        monkeypatch.setattr(hulls, "ball", ball_without_center)
+        rep = check_spherical_completeness(grid)
+        assert not rep.holds
+        assert rep.witness == ((pset(grid, 1, 3).bits, 2),)
