@@ -4,7 +4,9 @@ Two hull operators are provided.  "paper-cov" intersects the balls centered
 inside the set that contain it; "arbitrary-center" intersects every ball
 containing it regardless of center.  Both are extensive and monotone, the
 arbitrary-center hull is never larger, and their fixed-point families are
-computed from one ball-intersection closure.
+computed from one ball-intersection closure.  Balls, covering levels and
+hulls are reads of the system's level table, and each admissible family is
+memoised on the system.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: every admissible set is nonempty, and
@@ -43,25 +45,25 @@ def ball(sys: RelationalSystem, x: int, n: int) -> PointSet:
     """
     if not 0 <= x < sys.n:
         raise IndexError(f"center {x} out of range for {sys.n} points")
-    bits = 0
-    for y in range(sys.n):
-        if sys.grades.entries[x][y] >= n:
-            bits |= 1 << y
-    return PointSet(sys.n, bits)
+    return PointSet(sys.n, sys.level_rows(n)[x])
+
+
+def _cover_index(table: tuple[tuple[int, ...], ...], x: int, bits: int) -> int:
+    """Largest index into the level table whose row at x contains bits."""
+    k = 0
+    while k + 1 < len(table) and bits & ~table[k + 1][x] == 0:
+        k += 1
+    return k
 
 
 def covering_level(sys: RelationalSystem, x: int, points: PointSet) -> Grade:
-    """Largest level whose ball at x still contains the whole set."""
-    level: Grade = TOP
-    for a in iter_bits(points.bits):
-        g = sys.grades.entries[x][a]
-        if g < level:
-            level = g
-    return level
+    """Largest level whose ball at x still contains the whole set.
 
-
-def _clamp_level(sys: RelationalSystem, level: Grade) -> int:
-    return sys.window.above if isinstance(level, Top) else level
+    TOP when the set lies inside {x}: every ball at x contains it.
+    """
+    table = sys.level_table()
+    k = _cover_index(table, x, points.bits)
+    return TOP if k == len(table) - 1 else sys.window.below + k
 
 
 @dataclass(frozen=True)
@@ -86,26 +88,27 @@ def hull(sys: RelationalSystem, points: PointSet, mode: str = PAPER_COV) -> Admi
         )
     if points.is_empty:
         raise StructuralInputError("hull of the empty set is undefined")
-    centers = iter_bits(points.bits) if mode == PAPER_COV else range(sys.n)
+    return _hull(sys, points.bits, mode)
+
+
+def _hull(sys: RelationalSystem, bits: int, mode: str) -> AdmissibleSet:
+    """hull on a raw nonempty mask, in a checked mode."""
+    table = sys.level_table()
+    below = sys.window.below
+    centers = iter_bits(bits) if mode == PAPER_COV else range(sys.n)
     witness = []
-    bits = (1 << sys.n) - 1
+    out = (1 << sys.n) - 1
     for x in centers:
-        level = _clamp_level(sys, covering_level(sys, x, points))
-        witness.append((x, level))
-        bits &= ball(sys, x, level).bits
-    return AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)
+        k = _cover_index(table, x, bits)
+        witness.append((x, below + k))
+        out &= table[k][x]
+    return AdmissibleSet(PointSet(sys.n, out), tuple(witness), mode)
 
 
 def _distinct_ball_bits(sys: RelationalSystem) -> list[int]:
-    seen = set()
-    out = []
-    for x in range(sys.n):
-        for lev in range(sys.window.below, sys.window.above + 1):
-            bits = ball(sys, x, lev).bits
-            if bits not in seen:
-                seen.add(bits)
-                out.append(bits)
-    return out
+    """Every ball, center by center and level by level, first sighting kept."""
+    table = sys.level_table()
+    return list(dict.fromkeys(rows[x] for x in range(sys.n) for rows in table))
 
 
 def _intersection_closure(sys: RelationalSystem, cap: int) -> set[int]:
@@ -136,14 +139,24 @@ def enumerate_admissible(
 
     The arbitrary-center family is exactly the intersection closure of the
     balls; the paper-cov family is its subset of hull fixed points.
-    Singletons and the whole ground set always appear.
+    Singletons and the whole ground set always appear.  The family is
+    memoised on the system per mode and cap, so the structure checks of
+    one report enumerate it once.
     """
     _check_mode(mode)
+    return sys.cached(
+        ("admissible", mode, max_intermediate),
+        lambda s: _enumerate(s, mode, max_intermediate),
+    )
+
+
+def _enumerate(
+    sys: RelationalSystem, mode: str, max_intermediate: int
+) -> tuple[AdmissibleSet, ...]:
     closure = _intersection_closure(sys, max_intermediate)
     out = []
     for bits in closure:
-        candidate = PointSet(sys.n, bits)
-        h = hull(sys, candidate, mode)
+        h = _hull(sys, bits, mode)
         if h.points.bits == bits:
             out.append(h)
         elif mode == ARBITRARY_CENTER:  # pragma: no cover - closure members are fixed

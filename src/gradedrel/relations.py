@@ -11,7 +11,7 @@ diagonal.  A pair related at no stored level gets grade lo - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import StructuralInputError, UsageError
 from .pointset import iter_bits
@@ -71,6 +71,8 @@ class Top:
 TOP = Top()
 
 Grade = Union[int, Top]
+
+_T = TypeVar("_T")
 
 
 def grade_str(g: Grade) -> str:
@@ -235,7 +237,11 @@ class GradeMatrix:
 
 @dataclass(frozen=True)
 class RelationalSystem:
-    """Ground set with labels, a level window, and the grade of every pair."""
+    """Ground set with labels, a level window, and the grade of every pair.
+
+    Grade-side code reads the levels through level_table(), built once
+    per system.
+    """
 
     labels: tuple[str, ...]
     window: Window
@@ -263,6 +269,53 @@ class RelationalSystem:
 
     def grade(self, x: int, y: int) -> Grade:
         return self.grades.grade(x, y)
+
+    def cached(self, key, build: Callable[["RelationalSystem"], _T]) -> _T:
+        """build(self), computed once per system and key.
+
+        The memo is not a dataclass field, so equality, hashing, repr and
+        dataclasses.replace ignore it.  Nothing is stored when build raises.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
+
+    def level_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row bitmasks of every level from window.below to window.above.
+
+        Entry [k - window.below][x] holds the points whose grade against x
+        is at least k: the whole ground set at the floor, just x at the
+        top.  Built once per system.
+        """
+        return self.cached("level-table", _build_level_table)
+
+    def level_rows(self, k: int) -> tuple[int, ...]:
+        """Row bitmasks of the level-k relation, for any integer k.
+
+        Levels at or below the floor give the full relation and levels
+        above the window the diagonal, by the grade conventions alone.
+        """
+        table = self.level_table()
+        return table[min(max(k - self.window.below, 0), len(table) - 1)]
+
+
+def _build_level_table(sys: RelationalSystem) -> tuple[tuple[int, ...], ...]:
+    below = sys.window.below
+    exact = [[0] * sys.n for _ in range(sys.window.above - below + 1)]
+    for x, row in enumerate(sys.grades.entries):
+        for y, g in enumerate(row):
+            if x != y:
+                exact[g - below][x] |= 1 << y
+    acc = [1 << x for x in range(sys.n)]
+    table = []
+    for level in reversed(exact):
+        acc = [a | e for a, e in zip(acc, level)]
+        table.append(tuple(acc))
+    return tuple(reversed(table))
 
 
 def make_system(
@@ -410,16 +463,9 @@ def expand_level(sys: RelationalSystem, n: int) -> Relation:
     """Relation at level n: pairs whose grade is at least n.
 
     Works for any integer level; below the window this is the full relation
-    and above it the diagonal, by the grade conventions alone.
+    and above it the diagonal.  Read from the system's level table.
     """
-    rows = []
-    for x in range(sys.n):
-        row = 0
-        for y in range(sys.n):
-            if sys.grades.entries[x][y] >= n:
-                row |= 1 << y
-        rows.append(row)
-    return Relation(sys.n, tuple(rows))
+    return Relation(sys.n, sys.level_rows(n))
 
 
 def to_level_list(sys: RelationalSystem) -> LevelList:

@@ -1,9 +1,14 @@
 """The dyadic distance induced by grades, and its classification.
 
-Each pair's distance is 2**-grade (zero on the diagonal).  Distance-level
-facts (triangle inequalities, ball membership) are always computed in exact
-dyadic or rational arithmetic, never through the grades, so the two views
-can be played against each other.
+Each pair's distance is 2**-grade (zero on the diagonal).  classify and
+minimal_inframetric_constant are grade-side code: they read the system's
+level table (RelationalSystem.level_table) and settle each pair in mask
+arithmetic.  The exact dyadic and rational routes stay separate from the
+table so the two views can be played against each other:
+reconstruct_level and metric_ball_collapse compare distances directly,
+and the dyadic triple scans _classify_dyadic and
+_minimal_inframetric_constant_dyadic are the oracles for classify and
+minimal_inframetric_constant.
 """
 
 from __future__ import annotations
@@ -115,7 +120,28 @@ def metric_ball_collapse(sys: RelationalSystem, x: int, r: Rational) -> PointSet
 
 
 def minimal_inframetric_constant(sys: RelationalSystem) -> DyadicValue:
-    """Smallest power-of-two C with d(x,y) <= C * max(d(x,z), d(z,y)) everywhere."""
+    """Smallest power-of-two C with d(x,y) <= C * max(d(x,z), d(z,y)) everywhere.
+
+    The exponent is the largest gap k - g over pairs at grade g whose
+    level-k rows still meet (see _meeting_index).
+    """
+    if sys.n < 2:
+        raise StructuralInputError(
+            "inframetric constant undefined on fewer than 2 points"
+        )
+    table = sys.level_table()
+    below = sys.window.below
+    entries = sys.grades.entries
+    worst = 0
+    for x in range(sys.n):
+        for y in range(x + 1, sys.n):
+            i = entries[x][y] - below
+            worst = max(worst, _meeting_index(table, x, y, i) - i)
+    return DyadicValue.pow2(worst)
+
+
+def _minimal_inframetric_constant_dyadic(sys: RelationalSystem) -> DyadicValue:
+    """Oracle for minimal_inframetric_constant: every ordered triple, grades only."""
     if sys.n < 2:
         raise StructuralInputError(
             "inframetric constant undefined on fewer than 2 points"
@@ -161,13 +187,137 @@ class ClassificationReport:
     transitive: AxiomReport
 
 
+def _meeting_index(
+    table: tuple[tuple[int, ...], ...], x: int, y: int, i: int
+) -> int:
+    """Largest level-table index k >= i whose rows at x and y still meet.
+
+    With i the index of the pair's own grade g, max over z of
+    min(grade(x, z), grade(z, y)) is the level at index k: z = x already
+    reaches g, and rows are nested, so the scan stops at the first miss.
+    """
+    k = i
+    while k + 1 < len(table) and table[k + 1][x] & table[k + 1][y]:
+        k += 1
+    return k
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def classify(sys: RelationalSystem) -> ClassificationReport:
-    """Exhaustive exact classification of the induced distance.
+    """Exhaustive exact classification of the induced distance, in level
+    rows.
+
+    For a pair x < y at grade g, with k its meeting level
+    (_meeting_index), the strong-triangle deficit is k - g and its first
+    witness z the lowest point in both level-k rows.  The triangle
+    2**-g <= 2**-a + 2**-b (a, b the grades of z against x and y) fails
+    exactly when min(a, b) > g and not a = b = g + 1, so only pairs whose
+    rows at g + 1 and g + 2 cross search the exact-level rows for the z
+    with the smallest 2**-a + 2**-b.  Witnesses are the first worst triple
+    in (x, y, z) order, as in the dyadic triple scan _classify_dyadic,
+    which is the oracle this is tested against.  Relation-level
+    composition and transitivity checks ride along for cross-reference.
+    """
+    n = sys.n
+    entries = sys.grades.entries
+
+    semi_witness = None
+    for x in range(n):
+        for y in range(n):
+            g = entries[x][y]
+            if isinstance(g, Top) != (x == y):
+                semi_witness = ("separation", x, y)
+                break
+            if g != entries[y][x]:
+                semi_witness = ("symmetry", x, y)
+                break
+        if semi_witness:
+            break
+
+    below, hi = sys.window.below, sys.window.hi
+    table = sys.level_table()
+    rows = table + (table[-1],)  # rows at index g + 2 for g = hi
+    # exact[j][x]: points at grade exactly below + j from x, finite j only
+    exact = [
+        tuple(r & ~s for r, s in zip(table[j], table[j + 1]))
+        for j in range(len(table) - 1)
+    ]
+    # distances scaled by 2**hi: index j weighs 2**(hi - below - j)
+    weight = [1 << (hi - below - j) for j in range(len(exact))]
+    # index pairs a <= b by increasing 2**-a + 2**-b; no two pairs tie
+    by_sum = sorted(
+        ((a, b) for a in range(len(exact)) for b in range(a, len(exact))),
+        key=lambda p: weight[p[0]] + weight[p[1]],
+    )
+
+    # worst (value, x, z, y) so far; the first triple x=0, y=1, z=0 scores 0
+    worst_strong: Optional[tuple] = (0, 0, 0, 1) if n >= 2 else None
+    worst_tri: Optional[tuple] = (0, 0, 0, 1) if n >= 2 else None
+    for x in range(n):
+        for y in range(x + 1, n):
+            i = entries[x][y] - below
+            k = _meeting_index(table, x, y, i)
+            if k - i > worst_strong[0]:
+                z = _lowest(table[k][x] & table[k][y])
+                worst_strong = (k - i, x, z, y)
+            if not (rows[i + 2][x] & rows[i + 1][y]) | (
+                rows[i + 1][x] & rows[i + 2][y]
+            ):
+                continue
+            for a, b in by_sum:
+                zs = (exact[a][x] & exact[b][y]) | (exact[b][x] & exact[a][y])
+                if zs:
+                    break
+            excess = weight[i] - weight[a] - weight[b]
+            if excess > worst_tri[0]:
+                worst_tri = (excess, x, _lowest(zs), y)
+
+    if worst_strong is None:
+        c = DyadicValue.one()
+        strong_holds = True
+        strong_witness = None
+    else:
+        c = DyadicValue.pow2(worst_strong[0])
+        strong_holds = worst_strong[0] == 0
+        strong_witness = _triple(sys, *worst_strong[1:])
+
+    triangle_holds = worst_tri is None or worst_tri[0] == 0
+    tri_witness = None if worst_tri is None else _triple(sys, *worst_tri[1:])
+
+    if semi_witness is not None:
+        label = "semimetric-only"
+    elif strong_holds:
+        label = "ultrametric"
+    elif triangle_holds:
+        label = "metric"
+    else:
+        label = "C-inframetric"
+
+    return ClassificationReport(
+        is_semimetric=semi_witness is None,
+        semimetric_witness=semi_witness,
+        minimal_inframetric_c=c,
+        triangle_holds=triangle_holds,
+        triangle_witness=tri_witness,
+        strong_triangle_holds=strong_holds,
+        strong_triangle_witness=strong_witness,
+        class_label=label,
+        r9=check_axiom(sys, "r9"),
+        r10=check_axiom(sys, "r10"),
+        transitive=check_axiom(sys, "transitive"),
+    )
+
+
+def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
+    """Oracle for classify: the exhaustive O(n**3) triple scan.
 
     Scans every ordered triple once for the strong (max) form in grade
     arithmetic and once for the additive form in dyadic arithmetic, keeping
-    the worst witness of each; relation-level composition and transitivity
-    checks ride along for cross-reference.
+    the worst witness of each, without the level table; relation-level
+    composition and transitivity checks ride along for cross-reference.
     """
     n = sys.n
 

@@ -1,0 +1,156 @@
+"""The per-system cache: the level-row table and memoised admissible families."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, strategies as st
+
+from gradedrel import hulls
+from gradedrel import (
+    ARBITRARY_CENTER,
+    PAPER_COV,
+    PointSet,
+    RelationalSystem,
+    ResourceLimitError,
+    TOP,
+    Window,
+    ball,
+    check_compact_structure,
+    check_normal_structure,
+    covering_level,
+    enumerate_admissible,
+    expand_level,
+    hull,
+    serialize_system,
+)
+from gradedrel.cli import run
+
+from test_relations import small_systems
+
+
+def _scan_row(sys, x, k):
+    """Direct grade-row scan: points whose grade against x is at least k."""
+    return sum(1 << y for y in range(sys.n) if sys.grades.entries[x][y] >= k)
+
+
+def _scan_cover(sys, x, bits):
+    """Direct grade-row scan: the smallest grade from x into the set."""
+    grades = [sys.grades.entries[x][a] for a in range(sys.n) if bits >> a & 1]
+    return min(grades, default=TOP)
+
+
+def _levels_around_window(sys):
+    return range(sys.window.below - 1, sys.window.above + 2)
+
+
+class TestReadsMatchGradeScans:
+    @given(small_systems())
+    def test_ball_and_expand_level(self, sys):
+        for k in _levels_around_window(sys):
+            rows = tuple(_scan_row(sys, x, k) for x in range(sys.n))
+            assert expand_level(sys, k).rows == rows
+            assert sys.level_rows(k) == rows
+            for x in range(sys.n):
+                assert ball(sys, x, k) == PointSet(sys.n, rows[x])
+
+    @given(small_systems(), st.data())
+    def test_covering_level(self, sys, data):
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << sys.n) - 1))
+        points = PointSet(sys.n, bits)
+        for x in range(sys.n):
+            level = covering_level(sys, x, points)
+            assert level == _scan_cover(sys, x, bits)
+            for k in _levels_around_window(sys):
+                assert (bits & ~_scan_row(sys, x, k) == 0) == (k <= level)
+
+    @given(small_systems(), st.sampled_from([PAPER_COV, ARBITRARY_CENTER]), st.data())
+    def test_hull(self, sys, mode, data):
+        bits = data.draw(st.integers(min_value=1, max_value=(1 << sys.n) - 1))
+        centers = [x for x in range(sys.n) if mode == ARBITRARY_CENTER or bits >> x & 1]
+        expected = (1 << sys.n) - 1
+        witness = []
+        for x in centers:
+            level = _scan_cover(sys, x, bits)
+            level = sys.window.above if level is TOP else level
+            expected &= _scan_row(sys, x, level)
+            witness.append((x, level))
+        adm = hull(sys, PointSet(sys.n, bits), mode)
+        assert adm.points.bits == expected
+        assert adm.witness_balls == tuple(witness)
+
+    @given(small_systems())
+    def test_table_spans_the_window_and_nests(self, sys):
+        table = sys.level_table()
+        assert len(table) == sys.window.above - sys.window.below + 1
+        assert table[0] == ((1 << sys.n) - 1,) * sys.n
+        assert table[-1] == tuple(1 << x for x in range(sys.n))
+        for upper, lower in zip(table[1:], table):
+            assert all(u & ~l == 0 for u, l in zip(upper, lower))
+
+
+class TestCacheIsInvisible:
+    @given(small_systems())
+    def test_built_table_keeps_equality_hash_and_repr(self, sys):
+        sys.level_table()
+        enumerate_admissible(sys)
+        fresh = RelationalSystem(sys.labels, sys.window, sys.grades)
+        assert sys == fresh
+        assert hash(sys) == hash(fresh)
+        assert repr(sys) == repr(fresh)
+        assert dataclasses.fields(sys) == dataclasses.fields(fresh)
+
+    def test_replace_gets_a_fresh_table(self, grid):
+        table = grid.level_table()
+        same = dataclasses.replace(grid)
+        assert same == grid
+        assert same.level_table() == table
+        assert same.level_table() is not table
+        wider = dataclasses.replace(grid, window=Window(-1, 4))
+        assert len(wider.level_table()) == len(table) + 2
+        for k in _levels_around_window(wider):
+            assert wider.level_rows(k) == tuple(
+                _scan_row(wider, x, k) for x in range(wider.n)
+            )
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    real = hulls._intersection_closure
+
+    def counted(sys, cap):
+        calls.append(cap)
+        return real(sys, cap)
+
+    monkeypatch.setattr(hulls, "_intersection_closure", counted)
+    return calls
+
+
+class TestAdmissibleMemo:
+    def test_structure_report_enumerates_once(self, grid, tmp_path, monkeypatch):
+        path = tmp_path / "grid.grs"
+        path.write_text(serialize_system(grid), encoding="utf-8")
+        calls = _count_closures(monkeypatch)
+        status, report = run(["structure", str(path)])
+        assert status == 1
+        assert not report["normal_structure"]["holds"]
+        assert report["compact_structure"]["holds"]
+        assert len(calls) == 1
+
+    def test_one_enumeration_per_mode_and_cap(self, grid, monkeypatch):
+        calls = _count_closures(monkeypatch)
+        check_normal_structure(grid)
+        check_compact_structure(grid)
+        assert enumerate_admissible(grid) is enumerate_admissible(grid)
+        assert len(calls) == 1
+        enumerate_admissible(grid, ARBITRARY_CENTER)
+        enumerate_admissible(grid, PAPER_COV, 10_000)
+        assert len(calls) == 3
+
+    def test_failure_is_not_cached(self, grid, monkeypatch):
+        calls = _count_closures(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                check_compact_structure(grid, PAPER_COV, 1)
+        assert len(calls) == 2
+        assert check_compact_structure(grid).holds
+        assert len(calls) == 3

@@ -1,9 +1,10 @@
 """Induced dyadic distance, classification, and matrix ingestion."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradedrel import (
     DyadicValue,
@@ -19,6 +20,11 @@ from gradedrel import (
     minimal_inframetric_constant,
     mu,
     reconstruct_level,
+)
+from gradedrel.harness import GenParams, gen_system
+from gradedrel.semimetric import (
+    _classify_dyadic,
+    _minimal_inframetric_constant_dyadic,
 )
 
 from test_relations import small_systems
@@ -275,3 +281,81 @@ class TestIngest:
         ]
         back = ingest_distance_matrix(rows, (sys.window.lo, sys.window.hi), sys.labels)
         assert back == sys
+
+
+def _assert_same_report(fast, oracle):
+    for f in dataclasses.fields(fast):
+        assert getattr(fast, f.name) == getattr(oracle, f.name), f.name
+    for name in ("triangle_witness", "strong_triangle_witness"):
+        a, b = getattr(fast, name), getattr(oracle, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert (a.x, a.z, a.y) == (b.x, b.z, b.y), name
+
+
+def _assert_matches_oracle(sys):
+    _assert_same_report(classify(sys), _classify_dyadic(sys))
+    if sys.n >= 2:
+        assert minimal_inframetric_constant(
+            sys
+        ) == _minimal_inframetric_constant_dyadic(sys)
+
+
+class TestClassifyAgainstDyadicOracle:
+    """The level-row classify pins the same first worst triples as the
+    dyadic triple scan, field for field."""
+
+    @given(small_systems())
+    @settings(max_examples=300)
+    def test_random_systems(self, sys):
+        _assert_matches_oracle(sys)
+
+    @pytest.mark.parametrize("constraint", ["r9", "transitive"])
+    def test_seeded_constrained_systems(self, constraint):
+        for seed in range(40):
+            params = GenParams(
+                point_count=(2, 14), window_span=(1, 6), constraint=constraint
+            )
+            _assert_matches_oracle(gen_system(seed, params))
+
+    def test_fixtures(self, grid, triple, chain, twins):
+        for sys in (grid, triple, chain, twins):
+            _assert_matches_oracle(sys)
+
+    def test_tied_excess_keeps_the_lowest_z(self):
+        # pair (0, 1) at grade 0 has excess 1/2 through z = 2 and z = 3
+        sys = make_system(
+            ["a", "b", "c", "d"],
+            (0, 2),
+            [
+                [TOP, 0, 2, 2],
+                [0, TOP, 2, 2],
+                [2, 2, TOP, 2],
+                [2, 2, 2, TOP],
+            ],
+        )
+        rep = classify(sys)
+        w = rep.triangle_witness
+        assert (w.x, w.z, w.y) == (0, 2, 1)
+        s = rep.strong_triangle_witness
+        assert (s.x, s.z, s.y) == (0, 2, 1)
+        _assert_matches_oracle(sys)
+
+    def test_tied_pairs_keep_the_first_pair(self):
+        # pairs (0, 1) and (2, 3), both at grade 0, each have excess 1/2
+        sys = make_system(
+            ["a", "b", "c", "d"],
+            (0, 2),
+            [
+                [TOP, 0, 2, 2],
+                [0, TOP, 2, 2],
+                [2, 2, TOP, 0],
+                [2, 2, 0, TOP],
+            ],
+        )
+        rep = classify(sys)
+        w = rep.triangle_witness
+        assert (w.x, w.z, w.y) == (0, 2, 1)
+        s = rep.strong_triangle_witness
+        assert (s.x, s.z, s.y) == (0, 2, 1)
+        _assert_matches_oracle(sys)
