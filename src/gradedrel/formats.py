@@ -8,6 +8,7 @@ text for canonical text, byte for byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -99,19 +100,12 @@ def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
     raise AssertionError  # unreachable
 
 
-def _token_column(line_text: str, index: int) -> int:
-    """1-based column of the index-th whitespace-separated token."""
-    seen = -1
-    in_token = False
-    for i, ch in enumerate(line_text):
-        if ch.isspace():
-            in_token = False
-        elif not in_token:
-            in_token = True
-            seen += 1
-            if seen == index:
-                return i + 1
-    return len(line_text) + 1
+_TOKEN = re.compile(r"\S+")
+
+
+def _cells(line: str) -> list[tuple[int, str]]:
+    """(1-based column, token) for each token that line.split() yields."""
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line)]
 
 
 def parse_system(text: str) -> RelationalSystem:
@@ -155,14 +149,12 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
 
     entries: list[list[Grade]] = []
     for i in range(n):
-        line = lines.take(f"grades row {i}")
+        cells = _cells(lines.take(f"grades row {i}"))
         rowno = lines.lineno - 1
-        toks = line.split()
-        if len(toks) != n:
-            _fail("bad-dimension", rowno, 1, f"row {i} has {len(toks)} entries, expected {n}")
+        if len(cells) != n:
+            _fail("bad-dimension", rowno, 1, f"row {i} has {len(cells)} entries, expected {n}")
         row: list[Grade] = []
-        for j, tok in enumerate(toks):
-            col = _token_column(line, j)
+        for j, (col, tok) in enumerate(cells):
             if tok == "-":
                 if i != j:
                     _fail("bad-diagonal", rowno, col, f"'-' allowed only on the diagonal, found at ({i}, {j})")
@@ -188,7 +180,7 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
                 _fail(
                     "asymmetric",
                     first_row_line + j,
-                    _token_column(lines.raw[first_row_line + j - 1], i),
+                    _cells(lines.raw[first_row_line + j - 1])[i][0],
                     f"grade at ({j}, {i}) is {entries[j][i]} but ({i}, {j}) is {entries[i][j]}",
                 )
 
@@ -270,18 +262,15 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
         _fail("bad-count", lineno, 1, f"point count must be positive, got {n}")
     rows: list[list[Fraction]] = []
     row_linenos: list[int] = []
-    row_texts: list[str] = []
+    row_columns: list[list[int]] = []
     for i in range(n):
-        line = lines.take(f"matrix row {i}")
+        cells = _cells(lines.take(f"matrix row {i}"))
         rowno = lines.lineno - 1
-        toks = line.split()
-        if len(toks) != n:
-            _fail("bad-dimension", rowno, 1, f"row {i} has {len(toks)} entries, expected {n}")
-        rows.append(
-            [_parse_rational(tok, rowno, _token_column(line, j)) for j, tok in enumerate(toks)]
-        )
+        if len(cells) != n:
+            _fail("bad-dimension", rowno, 1, f"row {i} has {len(cells)} entries, expected {n}")
+        rows.append([_parse_rational(tok, rowno, col) for col, tok in cells])
         row_linenos.append(rowno)
-        row_texts.append(line)
+        row_columns.append([col for col, _ in cells])
     if not lines.done():
         _fail("trailing-input", lines.lineno, 1, f"unexpected line {lines.peek()!r}")
 
@@ -290,7 +279,7 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
             _fail(
                 "bad-diagonal",
                 row_linenos[i],
-                _token_column(row_texts[i], i),
+                row_columns[i][i],
                 f"diagonal entry ({i}, {i}) must be zero",
             )
         for j in range(n):
@@ -300,14 +289,14 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
                 _fail(
                     "asymmetric",
                     row_linenos[max(i, j)],
-                    _token_column(row_texts[max(i, j)], min(i, j)),
+                    row_columns[max(i, j)][min(i, j)],
                     f"entry ({i}, {j}) is {rows[i][j]} but ({j}, {i}) is {rows[j][i]}",
                 )
             if rows[i][j] <= 0:
                 _fail(
                     "out-of-range",
                     row_linenos[i],
-                    _token_column(row_texts[i], j),
+                    row_columns[i][j],
                     f"off-diagonal entry ({i}, {j}) must be positive",
                 )
     return rows

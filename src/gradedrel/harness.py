@@ -4,6 +4,10 @@ Generation is reproducible from the seed alone.  Constrained systems are
 produced by monotone repair: grades only ever rise, each rise is forced by
 a violated composition inequality, and every grade is bounded by the
 window top, so the loop terminates and the postcondition is re-verified.
+
+The hull-equivalence claim rebuilds the admissible family from metric
+balls computed from distances, not from the level table, and closes them
+with the same intersection closure as the graded route.
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ from .dynamics import (
 from .errors import UsageError
 from .hulls import (
     ARBITRARY_CENTER,
+    DEFAULT_SET_CAP,
     PAPER_COV,
+    _intersection_closure,
     admissible_family_bits,
     check_normal_structure,
     enumerate_admissible,
     normality_criteria,
 )
-from .pointset import PointSet
+from .pointset import iter_bits
 from .relations import (
     Grade,
     GradeMatrix,
@@ -122,9 +128,6 @@ def _repair(entries: list[list[Grade]], constraint: str) -> None:
                     changed = True
 
 
-_CONSTRAINT_AXIOM = {"r9": "r9", "r10": "r10", "transitive": "transitive"}
-
-
 def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
     """Deterministic random system honoring the requested constraint."""
     rng = random.Random(seed)
@@ -141,11 +144,10 @@ def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
     sys = RelationalSystem(
         default_labels(n), Window(lo, hi), GradeMatrix.from_rows(entries)
     )
-    axiom = _CONSTRAINT_AXIOM.get(params.constraint)
-    if axiom is not None:
-        report = check_axiom(sys, axiom)
+    if params.constraint != "none":
+        report = check_axiom(sys, params.constraint)
         if not report.holds:  # pragma: no cover - repair is exhaustive
-            raise RuntimeError(f"repair left {axiom} violated: {report.witness}")
+            raise RuntimeError(f"repair left {params.constraint} violated: {report.witness}")
     return sys
 
 
@@ -322,35 +324,20 @@ def _breakpoint_radii(sys, rng):
 
 
 def _family_from_metric_balls(sys, radii, mode):
-    """Admissible family rebuilt from metric balls at the sampled radii."""
-    ball_bits = set()
-    for x in range(sys.n):
-        for r in radii:
-            ball_bits.add(metric_ball_collapse(sys, x, r).bits)
-    family = set(ball_bits)
-    queue = list(family)
-    while queue:
-        s = queue.pop()
-        for t in list(family):
-            u = s & t
-            if u and u not in family:
-                family.add(u)
-                queue.append(u)
+    """Admissible family rebuilt from one metric ball per center and radius."""
+    radii = sorted(set(radii))
+    balls = [[metric_ball_collapse(sys, x, r).bits for r in radii] for x in range(sys.n)]
+    family = _intersection_closure([b for row in balls for b in row], DEFAULT_SET_CAP)
     if mode == ARBITRARY_CENTER:
         return frozenset(family)
 
+    full = (1 << sys.n) - 1
     kept = set()
     for bits in family:
-        pts = PointSet(sys.n, bits)
-        cov = (1 << sys.n) - 1
-        for x in pts:
-            best = None
-            for r in sorted(radii):
-                b = metric_ball_collapse(sys, x, r)
-                if bits & ~b.bits == 0:
-                    best = b.bits
-                    break
-            cov &= best if best is not None else (1 << sys.n) - 1
+        cov = full
+        for x in iter_bits(bits):
+            # the smallest sampled ball at x that covers the set
+            cov &= next((b for b in balls[x] if bits & ~b == 0), full)
         if cov == bits:
             kept.add(bits)
     return frozenset(kept)

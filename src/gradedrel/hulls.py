@@ -4,8 +4,10 @@ Two hull operators are provided.  "paper-cov" intersects the balls centered
 inside the set that contain it; "arbitrary-center" intersects every ball
 containing it regardless of center.  Both are extensive and monotone, the
 arbitrary-center hull is never larger, and their fixed-point families are
-computed from one ball-intersection closure.  Balls, covering levels and
-hulls are reads of the system's level table, and each admissible family is
+computed from one ball-intersection closure.  That closure takes generator
+masks, so the metric-ball route of the falsifier closes its own balls with
+it too.  Balls, covering levels, hulls and the level-set normality route
+are reads of the system's level table, and each admissible family is
 memoised on the system.
 
 Compactness and spherical completeness are decided by the certificates a
@@ -17,12 +19,12 @@ set, with grades, distances and level sets cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .dyadic import DyadicValue
 from .errors import ResourceLimitError, StructuralInputError, UsageError
 from .pointset import PointSet, iter_bits
-from .relations import Grade, RelationalSystem, Top, TOP, expand_level
+from .relations import Grade, RelationalSystem, Top, TOP
 from .semimetric import delta
 
 PAPER_COV = "paper-cov"
@@ -111,9 +113,9 @@ def _distinct_ball_bits(sys: RelationalSystem) -> list[int]:
     return list(dict.fromkeys(rows[x] for x in range(sys.n) for rows in table))
 
 
-def _intersection_closure(sys: RelationalSystem, cap: int) -> set[int]:
-    """All nonempty intersections of graded balls, as bitmasks."""
-    family = set(_distinct_ball_bits(sys))
+def _intersection_closure(generators: Iterable[int], cap: int) -> set[int]:
+    """The generator masks and all their nonempty intersections."""
+    family = set(generators)
     queue = list(family)
     work = 0
     while queue:
@@ -153,7 +155,7 @@ def enumerate_admissible(
 def _enumerate(
     sys: RelationalSystem, mode: str, max_intermediate: int
 ) -> tuple[AdmissibleSet, ...]:
-    closure = _intersection_closure(sys, max_intermediate)
+    closure = _intersection_closure(_distinct_ball_bits(sys), max_intermediate)
     out = []
     for bits in closure:
         h = _hull(sys, bits, mode)
@@ -267,10 +269,10 @@ def normality_criteria(sys: RelationalSystem, points: PointSet) -> NormalityCrit
     cover_levels = set()
     diam_levels = set()
     for n in range(sys.window.below, sys.window.above + 1):
-        rel = expand_level(sys, n)
-        if any(points.bits & ~rel.rows[x] == 0 for x in members):
+        rows = sys.level_rows(n)
+        if any(points.bits & ~rows[x] == 0 for x in members):
             cover_levels.add(n)
-        if all(points.bits & ~rel.rows[x] == 0 for x in members):
+        if all(points.bits & ~rows[x] == 0 for x in members):
             diam_levels.add(n)
     relational_proper = diam_levels < cover_levels
 

@@ -185,13 +185,18 @@ class Relation:
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composition: (x, y) related iff some z has r(x,z) and s(z,y)."""
     r._check_same_ground(s)
+    return Relation(r.n, _compose_rows(r.rows, s.rows))
+
+
+def _compose_rows(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
+    """compose on raw row bitmasks of one ground set."""
     rows = []
-    for row in r.rows:
+    for row in r:
         out = 0
         for z in iter_bits(row):
-            out |= s.rows[z]
+            out |= s[z]
         rows.append(out)
-    return Relation(r.n, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -516,41 +521,41 @@ def _check_bounded(sys: RelationalSystem) -> AxiomReport:
 def _check_composition_steps(sys: RelationalSystem, steps: int) -> AxiomReport:
     axiom_id = "r9" if steps == 2 else "r10"
     for n in range(sys.window.lo, sys.window.hi + 2):
-        rel = expand_level(sys, n)
-        power = rel
+        rows = sys.level_rows(n)
+        power = rows
         for _ in range(steps - 1):
-            power = compose(power, rel)
-        prev = expand_level(sys, n - 1)
+            power = _compose_rows(power, rows)
+        prev = sys.level_rows(n - 1)
         for x in range(sys.n):
-            extra = power.rows[x] & ~prev.rows[x]
+            extra = power[x] & ~prev[x]
             if not extra:
                 continue
             y = next(iter_bits(extra))
-            witness = _chain_witness(rel, x, y, steps)
+            witness = _chain_witness(rows, x, y, steps)
             return AxiomReport(axiom_id, False, (n, *witness))
     return AxiomReport(axiom_id, True)
 
 
-def _chain_witness(rel: Relation, x: int, y: int, steps: int) -> tuple:
-    """First chain x .. y of the given length inside rel, endpoints included."""
+def _chain_witness(rows: tuple[int, ...], x: int, y: int, steps: int) -> tuple:
+    """First chain x .. y of the given length inside a level, endpoints included."""
     if steps == 2:
-        for z in iter_bits(rel.rows[x]):
-            if rel.contains(z, y):
+        for z in iter_bits(rows[x]):
+            if rows[z] >> y & 1:
                 return (x, z, y)
     else:
-        for z in iter_bits(rel.rows[x]):
-            for w in iter_bits(rel.rows[z]):
-                if rel.contains(w, y):
+        for z in iter_bits(rows[x]):
+            for w in iter_bits(rows[z]):
+                if rows[w] >> y & 1:
                     return (x, z, w, y)
     raise AssertionError("composition witness vanished")  # pragma: no cover
 
 
 def _check_transitive(sys: RelationalSystem) -> AxiomReport:
     for n in sys.window.levels():
-        rel = expand_level(sys, n)
+        rows = sys.level_rows(n)
         for x in range(sys.n):
-            for z in iter_bits(rel.rows[x]):
-                extra = rel.rows[z] & ~rel.rows[x]
+            for z in iter_bits(rows[x]):
+                extra = rows[z] & ~rows[x]
                 if extra:
                     y = next(iter_bits(extra))
                     return AxiomReport("transitive", False, (n, x, z, y))

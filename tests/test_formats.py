@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gradedrel import (
     CounterexampleBundle,
@@ -36,6 +36,58 @@ def diag(call):
     with pytest.raises(FormatError) as exc:
         call()
     return exc.value.diagnostic
+
+
+def spaced_row(draw, tokens):
+    """Join tokens with random runs of spaces and tabs.
+
+    Returns the line and the 0-based offset of every token in it.
+    """
+    blanks = st.text(alphabet=" \t", max_size=3)
+    line = draw(blanks)
+    offsets = []
+    for k, tok in enumerate(tokens):
+        if k:
+            line += draw(st.text(alphabet=" \t", min_size=1, max_size=4))
+        offsets.append(len(line))
+        line += tok
+    return line + draw(blanks), offsets
+
+
+@st.composite
+def systems_with_one_bad_cell(draw):
+    """System text with random spacing and one faulty grade cell.
+
+    Yields the text and the (code, line, column) the parser must report.
+    """
+    sys = draw(small_systems())
+    n, lo, hi = sys.n, sys.window.lo, sys.window.hi
+    cells = [
+        ["-" if x == y else str(g) for y, g in enumerate(row)]
+        for x, row in enumerate(sys.grades.entries)
+    ]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kinds = ["bad-int", "bad-diagonal"]
+    if i != j:
+        kinds += ["out-of-range", "asymmetric"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bad-int":
+        cells[i][j] = "x"
+    elif kind == "bad-diagonal":
+        cells[i][j] = str(lo) if i == j else "-"
+    elif kind == "out-of-range":
+        cells[i][j] = str(draw(st.sampled_from([lo - 2, hi + 1])))
+    else:
+        g = sys.grades.entries[i][j]
+        cells[i][j] = str(draw(st.integers(lo - 1, hi).filter(lambda v: v != g)))
+    rows = [spaced_row(draw, row) for row in cells]
+    head = serialize_system(sys).split("\n")[:5]
+    text = "\n".join(head + [line for line, _ in rows]) + "\n"
+    if kind == "asymmetric":
+        # pairs are compared upper triangle first; the lower cell is located
+        a, b = min(i, j), max(i, j)
+        return text, (kind, 6 + b, rows[b][1][a] + 1)
+    return text, (kind, 6 + i, rows[i][1][j] + 1)
 
 
 class TestSystemRoundTrip:
@@ -151,6 +203,13 @@ class TestSystemDiagnostics:
         d = diag(lambda: parse_system(TWINS_TEXT + "extra\n"))
         assert (d.code, d.line) == ("trailing-input", 8)
 
+    @given(systems_with_one_bad_cell())
+    @settings(max_examples=150)
+    def test_column_is_the_token_offset(self, case):
+        text, expected = case
+        d = diag(lambda: parse_system(text))
+        assert (d.code, d.line, d.column) == expected
+
     def test_str_form(self):
         d = diag(lambda: parse_system("nonsense\n"))
         assert str(d) == "1:1: bad-header: expected 'gradedsystem v1', got 'nonsense'"
@@ -217,6 +276,38 @@ class TestDistanceMatrix:
         text = "distmatrix v1\npoints: 2\n0 -1\n-1 0\n"
         d = diag(lambda: parse_distance_matrix(text))
         assert (d.code, d.line, d.column) == ("out-of-range", 3, 3)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_column_is_the_token_offset(self, data):
+        draw = data.draw
+        n = draw(st.integers(1, 5))
+        cells = [["0"] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                cells[x][y] = cells[y][x] = draw(st.sampled_from(["1", "1/3", "0.5", "7"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kinds = ["bad-rational"]
+        kinds += ["bad-diagonal"] if i == j else ["asymmetric", "out-of-range"]
+        kind = draw(st.sampled_from(kinds))
+        a, b = min(i, j), max(i, j)
+        if kind == "bad-rational":
+            cells[i][j] = "x"
+            at = (i, j)
+        elif kind == "bad-diagonal":
+            cells[i][i] = "1"
+            at = (i, i)
+        elif kind == "asymmetric":
+            cells[i][j] = "5/2"
+            at = (b, a)
+        else:
+            cells[i][j] = cells[j][i] = "0"
+            at = (a, b)
+        rows = [spaced_row(draw, row) for row in cells]
+        text = f"distmatrix v1\npoints: {n}\n" + "".join(line + "\n" for line, _ in rows)
+        d = diag(lambda: parse_distance_matrix(text))
+        r, c = at
+        assert (d.code, d.line, d.column) == (kind, 3 + r, rows[r][1][c] + 1)
 
 
 class TestBundle:

@@ -1,5 +1,8 @@
 """Balls, hulls, admissible families, radii, and the structure checks."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -163,6 +166,33 @@ class TestEnumerate:
     def test_resource_cap(self, grid):
         with pytest.raises(ResourceLimitError):
             enumerate_admissible(grid, PAPER_COV, max_intermediate=3)
+
+
+def closure_oracle(n, generators):
+    """Nonempty S is in the intersection closure of the generators iff some
+    generator contains S and S is the AND of every generator containing it."""
+    out = set()
+    for s in range(1, 1 << n):
+        covering = [g for g in generators if s & ~g == 0]
+        if covering and reduce(and_, covering) == s:
+            out.add(s)
+    return out
+
+
+@st.composite
+def mask_families(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = st.integers(min_value=1, max_value=(1 << n) - 1)
+    return n, draw(st.lists(masks, min_size=1, max_size=12))
+
+
+class TestIntersectionClosure:
+    @given(mask_families())
+    @settings(max_examples=200)
+    def test_matches_brute_force(self, family):
+        n, generators = family
+        closure = hulls._intersection_closure(generators, hulls.DEFAULT_SET_CAP)
+        assert closure == closure_oracle(n, generators)
 
 
 class TestRadii:

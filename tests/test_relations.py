@@ -1,5 +1,7 @@
 """Relation families, grade matrices, level lists, and the axiom checks."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,9 @@ from gradedrel import (
     to_level_list,
     validate_level_list,
 )
+from gradedrel.harness import GenParams, gen_system
+
+
 def small_systems():
     """Random systems, any grade pattern the data model allows."""
 
@@ -211,6 +216,58 @@ class TestLevelListRoundTrip:
             compact_to_grades(LevelList(w, (full, full)))
 
 
+def lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def reference_witness(sys, axiom):
+    """The witness check_axiom must report, rebuilt from compose and expand_level.
+
+    r9/r10: first level n in [lo, hi + 1], then first x, then the lowest y
+    the power reaches outside level n - 1, then the first chain x .. y in
+    lexicographic order.  transitive: first level in the window, then first
+    x, then the first z related to x, then the lowest y related to z but
+    not to x.
+    """
+    if axiom == "transitive":
+        for n in sys.window.levels():
+            rel = expand_level(sys, n)
+            square = compose(rel, rel)
+            for x in range(sys.n):
+                if not square.rows[x] & ~rel.rows[x]:
+                    continue
+                for z in range(sys.n):
+                    extra = rel.rows[z] & ~rel.rows[x]
+                    if rel.contains(x, z) and extra:
+                        return (n, x, z, lowest(extra))
+        return None
+    steps = 2 if axiom == "r9" else 3
+    for n in range(sys.window.lo, sys.window.hi + 2):
+        rel = expand_level(sys, n)
+        power = rel
+        for _ in range(steps - 1):
+            power = compose(power, rel)
+        prev = expand_level(sys, n - 1)
+        for x in range(sys.n):
+            extra = power.rows[x] & ~prev.rows[x]
+            if not extra:
+                continue
+            y = lowest(extra)
+            for middle in product(range(sys.n), repeat=steps - 1):
+                chain = (x, *middle, y)
+                if all(rel.contains(a, b) for a, b in zip(chain, chain[1:])):
+                    return (n, *chain)
+    return None
+
+
+def assert_reference_witnesses(sys):
+    for axiom in ("r9", "r10", "transitive"):
+        rep = check_axiom(sys, axiom)
+        expected = reference_witness(sys, axiom)
+        assert rep.holds == (expected is None)
+        assert rep.witness == expected
+
+
 class TestAxiomChecks:
     def test_unknown_axiom(self, grid):
         with pytest.raises(UsageError):
@@ -295,6 +352,16 @@ class TestAxiomChecks:
                 for a, b in zip(points, points[1:]):
                     assert r.contains(a, b)
                 assert not lower.contains(points[0], points[-1])
+
+    @given(small_systems())
+    def test_witnesses_match_the_reference(self, sys):
+        assert_reference_witnesses(sys)
+
+    @pytest.mark.parametrize("constraint", ["r9", "transitive"])
+    def test_seeded_witnesses_match_the_reference(self, constraint):
+        params = GenParams(point_count=(3, 9), window_span=(1, 5), constraint=constraint)
+        for seed in range(40):
+            assert_reference_witnesses(gen_system(seed, params))
 
     def test_grid_transitive_witness(self, grid):
         rep = check_axiom(grid, "transitive")
