@@ -4,12 +4,16 @@ Every subcommand builds one report dict; `--json` prints it as JSON and the
 default human view renders the same dict, so the two outputs carry identical
 data.  Exit statuses: 0 success or claim holds, 1 violation or counterexample
 found, 2 usage, parse, precondition, or resource errors.
+
+`run` builds its argument parser on the first call and reuses it for every
+later call in the process; `build_parser()` still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import sys as _sysmod
@@ -481,6 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first `run`, then shared: parsing only reads the parser
+    return build_parser()
+
+
 _DISPATCH = {
     "validate": _cmd_validate,
     "classify": _cmd_classify,
@@ -495,9 +505,8 @@ _DISPATCH = {
 
 def run(argv: Sequence[str]) -> tuple[int, dict]:
     """Execute one command line; returns (exit status, report dict)."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return (code if code else 0), {}

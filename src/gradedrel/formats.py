@@ -82,14 +82,35 @@ def _expect_header(lines: _Lines, header: str) -> None:
         _fail("bad-header", lines.lineno - 1, 1, f"expected {header!r}, got {line!r}")
 
 
-def _keyword_line(lines: _Lines, keyword: str) -> tuple[str, int]:
-    """Consume `keyword: rest`, returning (rest, line number)."""
+def _keyword_line(
+    lines: _Lines, keyword: str
+) -> tuple[str, list[tuple[int, str]], int]:
+    """Consume `keyword: rest`, returning (rest, its cells, line number).
+
+    The cells are `_cells` pairs whose columns count from the start of the
+    raw line, so they locate each token after the colon.
+    """
     line = lines.take(f"{keyword!r} line")
     lineno = lines.lineno - 1
     prefix = keyword + ":"
     if not line.startswith(prefix):
         _fail("missing-section", lineno, 1, f"expected {prefix!r}, got {line!r}")
-    return line[len(prefix) :].strip(), lineno
+    return line[len(prefix) :].strip(), _cells(line, len(prefix)), lineno
+
+
+def _keyword_int(lines: _Lines, keyword: str, what: str) -> tuple[int, int, int]:
+    """Consume `keyword: <int>`, returning (value, line number, column)."""
+    rest, cells, lineno = _keyword_line(lines, keyword)
+    # an empty value is located just after the colon
+    column = cells[0][0] if cells else len(keyword) + 2
+    return _parse_int(rest, lineno, column, what), lineno, column
+
+
+def _point_count(lines: _Lines) -> int:
+    n, lineno, column = _keyword_int(lines, "points", "point count")
+    if n < 1:
+        _fail("bad-count", lineno, column, f"point count must be positive, got {n}")
+    return n
 
 
 def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
@@ -103,9 +124,10 @@ def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
 _TOKEN = re.compile(r"\S+")
 
 
-def _cells(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) for each token that line.split() yields."""
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line)]
+def _cells(line: str, start: int = 0) -> list[tuple[int, str]]:
+    """(1-based column, token) for each token that line[start:].split()
+    yields; columns count from the start of line."""
+    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
 
 
 def parse_system(text: str) -> RelationalSystem:
@@ -118,32 +140,28 @@ def parse_system(text: str) -> RelationalSystem:
 
 def _parse_system_at(lines: _Lines) -> RelationalSystem:
     _expect_header(lines, SYSTEM_HEADER)
-    rest, lineno = _keyword_line(lines, "points")
-    n = _parse_int(rest, lineno, len("points: ") + 1, "point count")
-    if n < 1:
-        _fail("bad-count", lineno, 1, f"point count must be positive, got {n}")
+    n = _point_count(lines)
 
     labels: Optional[tuple[str, ...]] = None
     peeked = lines.peek()
     if peeked is not None and peeked.startswith("labels:"):
-        rest, lineno = _keyword_line(lines, "labels")
-        toks = rest.split()
-        if len(toks) != n:
-            _fail("bad-labels", lineno, 1, f"expected {n} labels, got {len(toks)}")
-        labels = tuple(toks)
+        _, cells, lineno = _keyword_line(lines, "labels")
+        if len(cells) != n:
+            _fail("bad-labels", lineno, 1, f"expected {n} labels, got {len(cells)}")
+        labels = tuple(tok for _, tok in cells)
     else:
         labels = tuple(str(i) for i in range(n))
 
-    rest, lineno = _keyword_line(lines, "window")
-    toks = rest.split()
-    if len(toks) != 2:
+    rest, cells, lineno = _keyword_line(lines, "window")
+    if len(cells) != 2:
         _fail("bad-window", lineno, 1, f"expected 'window: <lo> <hi>', got {rest!r}")
-    lo = _parse_int(toks[0], lineno, 1, "window lo")
-    hi = _parse_int(toks[1], lineno, 1, "window hi")
+    (lo_col, lo_tok), (hi_col, hi_tok) = cells
+    lo = _parse_int(lo_tok, lineno, lo_col, "window lo")
+    hi = _parse_int(hi_tok, lineno, hi_col, "window hi")
     if lo > hi:
         _fail("bad-window", lineno, 1, f"window lo {lo} exceeds hi {hi}")
 
-    rest, lineno = _keyword_line(lines, "grades")
+    rest, _, lineno = _keyword_line(lines, "grades")
     if rest:
         _fail("bad-grades", lineno, 1, "'grades:' line takes no arguments")
 
@@ -217,19 +235,15 @@ def parse_selfmap(text: str) -> SelfMap:
 
 def _parse_selfmap_at(lines: _Lines) -> SelfMap:
     _expect_header(lines, MAP_HEADER)
-    rest, lineno = _keyword_line(lines, "points")
-    n = _parse_int(rest, lineno, 1, "point count")
-    if n < 1:
-        _fail("bad-count", lineno, 1, f"point count must be positive, got {n}")
-    rest, lineno = _keyword_line(lines, "map")
-    toks = rest.split()
-    if len(toks) != n:
-        _fail("bad-dimension", lineno, 1, f"expected {n} image indices, got {len(toks)}")
+    n = _point_count(lines)
+    _, cells, lineno = _keyword_line(lines, "map")
+    if len(cells) != n:
+        _fail("bad-dimension", lineno, 1, f"expected {n} image indices, got {len(cells)}")
     image = []
-    for j, tok in enumerate(toks):
-        v = _parse_int(tok, lineno, 1, f"image of point {j}")
+    for j, (col, tok) in enumerate(cells):
+        v = _parse_int(tok, lineno, col, f"image of point {j}")
         if not (0 <= v < n):
-            _fail("out-of-range", lineno, 1, f"image {v} of point {j} outside [0, {n - 1}]")
+            _fail("out-of-range", lineno, col, f"image {v} of point {j} outside [0, {n - 1}]")
         image.append(v)
     return SelfMap(tuple(image))
 
@@ -256,10 +270,7 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
     """Rows of a symmetric, zero-diagonal, positive off-diagonal matrix."""
     lines = _Lines(text)
     _expect_header(lines, MATRIX_HEADER)
-    rest, lineno = _keyword_line(lines, "points")
-    n = _parse_int(rest, lineno, 1, "point count")
-    if n < 1:
-        _fail("bad-count", lineno, 1, f"point count must be positive, got {n}")
+    n = _point_count(lines)
     rows: list[list[Fraction]] = []
     row_linenos: list[int] = []
     row_columns: list[list[int]] = []
@@ -337,12 +348,10 @@ def serialize_bundle(bundle: CounterexampleBundle) -> str:
 def parse_bundle(text: str) -> CounterexampleBundle:
     lines = _Lines(text)
     _expect_header(lines, BUNDLE_HEADER)
-    claim, _ = _keyword_line(lines, "claim")
-    seed_txt, lineno = _keyword_line(lines, "seed")
-    seed = _parse_int(seed_txt, lineno, 1, "seed")
-    trial_txt, lineno = _keyword_line(lines, "trial")
-    trial = _parse_int(trial_txt, lineno, 1, "trial index")
-    locus, _ = _keyword_line(lines, "locus")
+    claim, _, _ = _keyword_line(lines, "claim")
+    seed, _, _ = _keyword_int(lines, "seed", "seed")
+    trial, _, _ = _keyword_int(lines, "trial", "trial index")
+    locus, _, _ = _keyword_line(lines, "locus")
     system = _parse_system_at(lines)
     selfmap = None
     if not lines.done():

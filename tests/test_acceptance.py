@@ -8,6 +8,7 @@ in the terminal summary.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from gradedrel import (
     DyadicValue,
@@ -237,7 +238,7 @@ def test_criterion_9_cli_contract(tmp_path, grid, triple, chain, twins,
     out = str(tmp_path / "ce.bundle")
     status, _ = run(["falsify", "prop-r10-metric", "--trials", "200", "-o", out])
     assert status == 1
-    bundle_text = open(out, encoding="utf-8").read()
+    bundle_text = Path(out).read_text(encoding="utf-8")
     assert serialize_bundle(parse_bundle(bundle_text)) == bundle_text
 
     matrix = tmp_path / "dist.dm"

@@ -1,6 +1,10 @@
 """End-to-end command coverage for run(), render_human, and main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,8 @@ from gradedrel import (
     serialize_selfmap,
     serialize_system,
 )
-from gradedrel.cli import main, render_human, run
+from gradedrel import cli
+from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
 
 
@@ -243,7 +248,7 @@ class TestFalsify:
         assert "triangle fails" in report["instance"]["locus"]
         assert report["written"] == out
 
-        bundle = parse_bundle(open(out, encoding="utf-8").read())
+        bundle = parse_bundle(Path(out).read_text(encoding="utf-8"))
         assert bundle.claim_id == "prop-r10-metric"
         claim = CLAIMS["prop-r10-metric"]
         assert claim.check(bundle.system, bundle.selfmap) not in (None, VACUOUS)
@@ -287,7 +292,7 @@ class TestIngest:
         assert status == 0
         assert report["written"] == out
         assert "text" not in report
-        sys = parse_system(open(out, encoding="utf-8").read())
+        sys = parse_system(Path(out).read_text(encoding="utf-8"))
         assert sys.labels == ("0", "1", "2")
 
     def test_window_must_have_two_values(self, paths, capsys):
@@ -314,6 +319,82 @@ class TestErrorPaths:
         assert status == 0
         assert report == {}
         capsys.readouterr()
+
+
+def _reuse_argvs(paths):
+    """Command lines covering every subcommand, both flag positions, usage
+    errors and help."""
+    out = str(paths["dir"] / "reuse.bundle")
+    written = str(paths["dir"] / "reuse.grs")
+    return [
+        ["validate", paths["twins"]],
+        ["--json", "classify", paths["chain"]],
+        ["classify", paths["triple"], "--quiet"],
+        ["hulls", paths["chain"], "--mode", "closure", "--json"],
+        ["--quiet", "hulls", paths["chain"]],
+        ["structure", paths["chain"]],
+        ["dynamics", paths["chain"], paths["successor"], "--json"],
+        ["--json", "fixpoint", paths["chain"], paths["successor"], "--quiet"],
+        ["falsify", "eq1-roundtrip", "--trials", "5", "--seed", "3"],
+        ["falsify", "prop-r10-metric", "--trials", "200", "-o", out],
+        ["ingest", paths["matrix"], "--window", "0", "2"],
+        ["--quiet", "ingest", paths["matrix"], "--window", "0", "2", "-o", written],
+        ["frobnicate"],
+        ["hulls", paths["chain"], "--mode", "bogus"],
+        ["--help"],
+        ["falsify", "--help"],
+    ]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = ("namespace", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_cached_parser_matches_a_fresh_one(self, paths, capsys):
+        # each line goes through run first, so the shared parser is compared
+        # after the program's own path has used it
+        for argv in _reuse_argvs(paths) * 2:
+            run(argv)
+            capsys.readouterr()
+            cached = _parse(cli._parser(), argv, capsys)
+            assert cached == _parse(build_parser(), argv, capsys), argv
+
+    def test_run_twice_gives_the_same_reports(self, paths, capsys, monkeypatch):
+        argvs = _reuse_argvs(paths)
+        first = [run(argv) for argv in argvs]
+        second = [run(argv) for argv in argvs]
+        # and the same as with a fresh parser per call
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run(argv) for argv in argvs]
+        capsys.readouterr()
+        assert first == second == fresh
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_built_on_the_first_run_not_at_import(self):
+        code = (
+            "import gradedrel.cli as cli\n"
+            "print(cli._parser.cache_info().currsize)\n"
+            "cli.run(['frobnicate'])\n"
+            "cli.run(['frobnicate'])\n"
+            "info = cli._parser.cache_info()\n"
+            "print(info.misses, info.hits)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert proc.stdout.split("\n")[:2] == ["0", "1 1"]
 
 
 def _walk(value, keys, leaves):

@@ -310,6 +310,87 @@ class TestDistanceMatrix:
         assert (d.code, d.line, d.column) == (kind, 3 + r, rows[r][1][c] + 1)
 
 
+@st.composite
+def keyword_lines_with_one_bad_token(draw):
+    """A file whose keyword line has random spacing after the colon and one
+    bad token.
+
+    Yields the parser, the text and the (code, line, column) it must report.
+    """
+    kind = draw(st.sampled_from(["points", "window", "map", "seed", "trial"]))
+    if kind == "points":
+        parse, header = draw(
+            st.sampled_from(
+                [
+                    (parse_system, "gradedsystem v1"),
+                    (parse_selfmap, "selfmap v1"),
+                    (parse_distance_matrix, "distmatrix v1"),
+                ]
+            )
+        )
+        code, bad = draw(
+            st.sampled_from([("bad-int", "x"), ("bad-count", "0"), ("bad-count", "-3")])
+        )
+        tokens, at, head, lineno = [bad], 0, [header], 2
+    elif kind == "window":
+        parse, head, lineno = parse_system, ["gradedsystem v1", "points: 2"], 3
+        tokens, at, code = ["0", "1"], draw(st.integers(0, 1)), "bad-int"
+        tokens[at] = "x"
+    elif kind == "map":
+        n = draw(st.integers(1, 5))
+        parse, head, lineno = parse_selfmap, ["selfmap v1", f"points: {n}"], 3
+        tokens = [str(draw(st.integers(0, n - 1))) for _ in range(n)]
+        at = draw(st.integers(0, n - 1))
+        code, tokens[at] = draw(
+            st.sampled_from([("bad-int", "x"), ("out-of-range", str(n)), ("out-of-range", "-1")])
+        )
+    else:
+        parse, code, tokens, at = parse_bundle, "bad-int", ["x"], 0
+        head = ["counterexample v1", "claim: c"] + (["seed: 1"] if kind == "trial" else [])
+        lineno = len(head) + 1
+    row, offsets = spaced_row(draw, tokens)
+    prefix = kind + ":"
+    text = "\n".join(head + [prefix + row]) + "\n"
+    return parse, text, (code, lineno, len(prefix) + offsets[at] + 1)
+
+
+class TestKeywordLineColumns:
+    @given(keyword_lines_with_one_bad_token())
+    @settings(max_examples=150)
+    def test_column_is_the_token_offset(self, case):
+        parse, text, expected = case
+        d = diag(lambda: parse(text))
+        assert (d.code, d.line, d.column) == expected
+
+    @pytest.mark.parametrize(
+        "parse, text, expected",
+        [
+            (parse_system, "gradedsystem v1\npoints:   x\n", ("bad-int", 2, 11)),
+            (parse_selfmap, "selfmap v1\npoints: x\n", ("bad-int", 2, 9)),
+            (parse_distance_matrix, "distmatrix v1\npoints: 0\n", ("bad-count", 2, 9)),
+            (parse_system, "gradedsystem v1\npoints: 2\nwindow: 0 x\n", ("bad-int", 3, 11)),
+            (parse_selfmap, "selfmap v1\npoints: 2\nmap: 1 x\n", ("bad-int", 3, 8)),
+            (parse_selfmap, "selfmap v1\npoints: 2\nmap: 0 5\n", ("out-of-range", 3, 8)),
+            (parse_bundle, "counterexample v1\nclaim: c\nseed:\tx\n", ("bad-int", 3, 7)),
+        ],
+    )
+    def test_examples(self, parse, text, expected):
+        d = diag(lambda: parse(text))
+        assert (d.code, d.line, d.column) == expected
+
+    @pytest.mark.parametrize(
+        "parse, text, code",
+        [
+            (parse_system, "gradedsystem v1\npoints: 2\nwindow:  4\n", "bad-window"),
+            (parse_system, "gradedsystem v1\npoints: 2\nwindow:  4  3\n", "bad-window"),
+            (parse_selfmap, "selfmap v1\npoints: 2\nmap:  1\n", "bad-dimension"),
+        ],
+    )
+    def test_line_shape_errors_keep_column_one(self, parse, text, code):
+        d = diag(lambda: parse(text))
+        assert (d.code, d.column) == (code, 1)
+
+
 class TestBundle:
     def test_round_trip_with_map(self, twins, swap):
         bundle = CounterexampleBundle(
