@@ -52,10 +52,9 @@ from .hulls import (
     check_compact_structure,
     check_normal_structure,
     check_spherical_completeness,
-    enumerate_admissible,
     radii,
 )
-from .pointset import PointSet
+from .pointset import PointSet, iter_bits
 from .relations import RelationalSystem, Top, check_axiom
 from .semimetric import TripleWitness, classify, ingest_distance_matrix
 
@@ -179,24 +178,29 @@ def _cmd_classify(ns) -> tuple[int, dict]:
 
 
 def _cmd_hulls(ns) -> tuple[int, dict]:
+    # streamed from the memoised masks: no AdmissibleSet is built, and each
+    # distinct (center, level) witness ball is one shared dict
     sys = _load_system(ns.system)
     mode = MODE_NAMES[ns.mode]
-    family = enumerate_admissible(sys, mode)
+    labels = sys.labels
+    balls: dict[tuple[int, int], dict] = {}
+    family = []
+    for bits, witness in hulls_mod._witnessed_members(sys, mode, hulls_mod.DEFAULT_SET_CAP):
+        entry = []
+        for c, lev in witness:
+            ball = balls.get((c, lev))
+            if ball is None:
+                ball = balls[c, lev] = {"center": labels[c], "level": lev}
+            entry.append(ball)
+        family.append(
+            {"members": [labels[i] for i in iter_bits(bits)], "witness_balls": entry}
+        )
     report = {
         "command": "hulls",
         "file": ns.system,
         "mode": mode,
         "count": len(family),
-        "family": [
-            {
-                "members": _jsonify(adm.points, sys.labels),
-                "witness_balls": [
-                    {"center": sys.labels[c], "level": lev}
-                    for c, lev in adm.witness_balls
-                ],
-            }
-            for adm in family
-        ],
+        "family": family,
     }
     return 0, report
 

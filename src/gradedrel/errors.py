@@ -22,8 +22,10 @@ class PreconditionError(GradedRelError, ValueError):
 
 
 class ResourceLimitError(GradedRelError, RuntimeError):
-    """An enumeration exceeded its configured work cap."""
+    """An enumeration exceeded its configured cap; carries the cap and the
+    count the enumeration had reached when it stopped."""
 
-    def __init__(self, message, cap):
+    def __init__(self, message, cap, reached):
         super().__init__(message)
         self.cap = cap
+        self.reached = reached

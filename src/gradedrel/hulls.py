@@ -2,13 +2,24 @@
 
 Two hull operators are provided.  "paper-cov" intersects the balls centered
 inside the set that contain it; "arbitrary-center" intersects every ball
-containing it regardless of center.  Both are extensive and monotone, the
-arbitrary-center hull is never larger, and their fixed-point families are
-computed from one ball-intersection closure.  That closure takes generator
-masks, so the metric-ball route of the falsifier closes its own balls with
-it too.  Balls, covering levels, hulls and the level-set normality route
-are reads of the system's level table, and each admissible family is
-memoised on the system.
+containing it regardless of center.  Both are extensive and idempotent, and
+the arbitrary-center hull is never larger.  Only arbitrary-center is
+monotone: it is the closure operator of the intersections of balls, the
+admissible sets of the paper.  paper-cov is not monotone in general (on
+gen_system(0, GenParams(point_count=(3, 7))) the hull of {0, 1} is
+{0, ..., 4} but the hull of {0, 1, 2} is {0, ..., 3}), and its fixed
+points need not be closed under intersection.
+
+Both fixed-point families are computed from one ball-intersection closure,
+built incrementally: each distinct ball b adds b and its nonempty
+intersections with the family so far, O(B * F) for B distinct balls and F
+family members.  The cap counts family members.  The closure takes
+generator masks, so the metric-ball route of the falsifier closes its own
+balls with it too.  Each family is memoised on the system as a tuple of
+raw masks in canonical order; enumerate_admissible wraps them into
+AdmissibleSet values, and the hulls command of the CLI reads the masks and
+their witness balls directly.  Balls, covering levels, hulls and the
+level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: every admissible set is nonempty, and
@@ -19,7 +30,7 @@ set, with grades, distances and level sets cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .dyadic import DyadicValue
 from .errors import ResourceLimitError, StructuralInputError, UsageError
@@ -31,6 +42,7 @@ PAPER_COV = "paper-cov"
 ARBITRARY_CENTER = "arbitrary-center"
 _MODES = (PAPER_COV, ARBITRARY_CENTER)
 
+# most members the ball-intersection closure may reach
 DEFAULT_SET_CAP = 2_000_000
 
 
@@ -90,11 +102,15 @@ def hull(sys: RelationalSystem, points: PointSet, mode: str = PAPER_COV) -> Admi
         )
     if points.is_empty:
         raise StructuralInputError("hull of the empty set is undefined")
-    return _hull(sys, points.bits, mode)
+    out, witness = _hull_mask(sys, points.bits, mode)
+    return AdmissibleSet(PointSet(sys.n, out), witness, mode)
 
 
-def _hull(sys: RelationalSystem, bits: int, mode: str) -> AdmissibleSet:
-    """hull on a raw nonempty mask, in a checked mode."""
+def _hull_mask(
+    sys: RelationalSystem, bits: int, mode: str
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """hull on a raw nonempty mask, in a checked mode: the hull mask and
+    its witness balls."""
     table = sys.level_table()
     below = sys.window.below
     centers = iter_bits(bits) if mode == PAPER_COV else range(sys.n)
@@ -104,7 +120,7 @@ def _hull(sys: RelationalSystem, bits: int, mode: str) -> AdmissibleSet:
         k = _cover_index(table, x, bits)
         witness.append((x, below + k))
         out &= table[k][x]
-    return AdmissibleSet(PointSet(sys.n, out), tuple(witness), mode)
+    return out, tuple(witness)
 
 
 def _distinct_ball_bits(sys: RelationalSystem) -> list[int]:
@@ -114,24 +130,72 @@ def _distinct_ball_bits(sys: RelationalSystem) -> list[int]:
 
 
 def _intersection_closure(generators: Iterable[int], cap: int) -> set[int]:
-    """The generator masks and all their nonempty intersections."""
-    family = set(generators)
-    queue = list(family)
-    work = 0
-    while queue:
-        s = queue.pop()
-        for t in list(family):
-            work += 1
-            if work > cap:
-                raise ResourceLimitError(
-                    f"ball-intersection closure exceeded the cap of {cap} pair intersections",
-                    cap,
-                )
-            u = s & t
-            if u and u not in family:
-                family.add(u)
-                queue.append(u)
+    """The generator masks and all their nonempty intersections.
+
+    Incremental: each generator b not yet in the family F adds b and every
+    nonempty b & f for f in F, which keeps F closed, so the cost is one
+    pass over F per distinct generator.  cap bounds the family size; the
+    error carries the size the family had reached.
+    """
+    family: set[int] = set()
+    for b in generators:
+        if b in family:
+            continue
+        new = {b & f for f in family}
+        new.add(b)
+        new.discard(0)
+        family |= new
+        if len(family) > cap:
+            raise ResourceLimitError(
+                f"ball-intersection closure reached {len(family)} family members,"
+                f" over the cap of {cap}",
+                cap,
+                len(family),
+            )
     return family
+
+
+def _canonical_mask_key(n: int) -> Callable[[int], int]:
+    """Integer sort key of an n-point mask, ordered like canonical_key.
+
+    Among sets of one size, the members compare at the lowest point in
+    exactly one of them, and the set holding it comes first; reading the
+    complement with point 0 as the highest bit orders them the same way.
+    """
+    full = (1 << n) - 1
+    fmt = f"0{n}b"
+    return lambda bits: (
+        (bits.bit_count() << n) | int(format(full ^ bits, fmt)[::-1], 2)
+    )
+
+
+def _enumerate(sys: RelationalSystem, mode: str, max_intermediate: int) -> tuple[int, ...]:
+    """The admissible family as raw masks in canonical order."""
+    closure = _intersection_closure(_distinct_ball_bits(sys), max_intermediate)
+    if mode == PAPER_COV:
+        closure = [bits for bits in closure if _hull_mask(sys, bits, mode)[0] == bits]
+    return tuple(sorted(closure, key=_canonical_mask_key(sys.n)))
+
+
+def _witnessed_members(
+    sys: RelationalSystem, mode: str, max_intermediate: int
+) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Each admissible mask, in canonical order, with its witness balls.
+
+    The masks are memoised on the system per mode and cap.  Every member
+    is checked to be a fixed point of the hull as it goes by: the
+    arbitrary-center family is the raw closure, which is fixed by
+    construction, so a member that moved would be a bug.
+    """
+    masks = sys.cached(
+        ("admissible-masks", mode, max_intermediate),
+        lambda s: _enumerate(s, mode, max_intermediate),
+    )
+    for bits in masks:
+        out, witness = _hull_mask(sys, bits, mode)
+        if out != bits:  # pragma: no cover - closure members are fixed
+            raise RuntimeError(f"admissible member moved under the {mode} hull")
+        yield bits, witness
 
 
 def enumerate_admissible(
@@ -140,31 +204,20 @@ def enumerate_admissible(
     """Every nonempty fixed point of the chosen hull, canonically ordered.
 
     The arbitrary-center family is exactly the intersection closure of the
-    balls; the paper-cov family is its subset of hull fixed points.
-    Singletons and the whole ground set always appear.  The family is
-    memoised on the system per mode and cap, so the structure checks of
-    one report enumerate it once.
+    balls; the paper-cov family is its subset of paper-cov hull fixed
+    points.  Singletons and the whole ground set always appear.
+    max_intermediate caps the size of that closure, counted in family
+    members, in both modes.  The family is memoised on the system per mode
+    and cap, so the structure checks of one report enumerate it once.
     """
     _check_mode(mode)
     return sys.cached(
         ("admissible", mode, max_intermediate),
-        lambda s: _enumerate(s, mode, max_intermediate),
+        lambda s: tuple(
+            AdmissibleSet(PointSet(s.n, bits), witness, mode)
+            for bits, witness in _witnessed_members(s, mode, max_intermediate)
+        ),
     )
-
-
-def _enumerate(
-    sys: RelationalSystem, mode: str, max_intermediate: int
-) -> tuple[AdmissibleSet, ...]:
-    closure = _intersection_closure(_distinct_ball_bits(sys), max_intermediate)
-    out = []
-    for bits in closure:
-        h = _hull(sys, bits, mode)
-        if h.points.bits == bits:
-            out.append(h)
-        elif mode == ARBITRARY_CENTER:  # pragma: no cover - closure members are fixed
-            raise RuntimeError("closure member moved under the arbitrary-center hull")
-    out.sort(key=lambda a: a.points.canonical_key())
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from gradedrel import (
     CLAIMS,
+    GenParams,
+    PointSet,
+    ResourceLimitError,
     SelfMap,
+    enumerate_admissible,
+    gen_system,
+    hull,
+    hulls,
     parse_bundle,
     parse_system,
     serialize_selfmap,
@@ -19,6 +28,8 @@ from gradedrel import (
 from gradedrel import cli
 from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
+
+from test_relations import small_systems
 
 
 @pytest.fixture
@@ -129,6 +140,84 @@ class TestHulls:
             {"center": "a", "level": 3},
             {"center": "b", "level": 3},
         ]
+
+
+def _family_entries(sys, family):
+    """Report entries built from AdmissibleSet values, one fresh dict per
+    witness ball, as the hulls command used to build them."""
+    return [
+        {
+            "members": [sys.labels[i] for i in adm.points.members()],
+            "witness_balls": [
+                {"center": sys.labels[c], "level": lev} for c, lev in adm.witness_balls
+            ],
+        }
+        for adm in family
+    ]
+
+
+def _brute_force_family(sys, mode):
+    """Hull fixed points over every nonempty subset, in canonical order."""
+    fixed = []
+    for bits in range(1, 1 << sys.n):
+        adm = hull(sys, PointSet(sys.n, bits), mode)
+        if adm.points.bits == bits:
+            fixed.append(adm)
+    return sorted(fixed, key=lambda a: a.points.canonical_key())
+
+
+def _assert_streamed_report_matches(sys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "system.grs")
+        Path(path).write_text(serialize_system(sys), encoding="utf-8")
+        for flag, mode in cli.MODE_NAMES.items():
+            status, report = run(["hulls", path, "--mode", flag])
+            listed = _family_entries(sys, enumerate_admissible(sys, mode))
+            assert status == 0
+            assert report == {
+                "command": "hulls",
+                "file": path,
+                "mode": mode,
+                "count": len(listed),
+                "family": listed,
+            }
+            assert listed == _family_entries(sys, _brute_force_family(sys, mode))
+
+
+class TestStreamedHullsReport:
+    """The hulls command reads masks and witnesses without AdmissibleSet
+    values; its report must equal the one built from enumerate_admissible,
+    and that one the brute-force family of hull fixed points."""
+
+    @given(small_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems(self, sys):
+        _assert_streamed_report_matches(sys)
+
+    def test_seeded_systems_up_to_11_points(self):
+        for seed in range(24):
+            sys = gen_system(seed, GenParams(point_count=(6, 11)))
+            _assert_streamed_report_matches(sys)
+
+    def test_witness_balls_share_one_dict_per_center_and_level(self, paths):
+        _, report = run(["hulls", paths["grid"], "--mode", "closure"])
+        balls = [b for e in report["family"] for b in e["witness_balls"]]
+        distinct = {(b["center"], b["level"]) for b in balls}
+        assert len({id(b) for b in balls}) == len(distinct) < len(balls)
+
+    def test_cap_error_prints_the_member_count(self, paths, grid, monkeypatch):
+        with pytest.raises(ResourceLimitError) as info:
+            hulls._intersection_closure(hulls._distinct_ball_bits(grid), 3)
+        reached = info.value.reached
+        assert reached > 3
+        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 3)
+        status, report = run(["hulls", paths["grid"]])
+        assert status == 2
+        assert report["error"] == {
+            "kind": "ResourceLimitError",
+            "message": f"ball-intersection closure reached {reached} family members,"
+            " over the cap of 3",
+        }
 
 
 class TestStructure:

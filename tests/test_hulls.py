@@ -1,27 +1,31 @@
 """Balls, hulls, admissible families, radii, and the structure checks."""
 
+import random
 from functools import reduce
 from operator import and_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradedrel import hulls
+from gradedrel import harness, hulls
 from gradedrel import (
     ARBITRARY_CENTER,
     AdmissibleSet,
     DyadicValue,
+    GenParams,
     PAPER_COV,
     PointSet,
     ResourceLimitError,
     StructuralInputError,
     TOP,
+    admissible_family_bits,
     ball,
     check_compact_structure,
     check_normal_structure,
     check_spherical_completeness,
     covering_level,
     enumerate_admissible,
+    gen_system,
     hull,
     make_system,
     min_distance_clique,
@@ -33,8 +37,8 @@ from test_relations import small_systems
 
 MODES = (PAPER_COV, ARBITRARY_CENTER)
 
-# Unconstrained 8-point system whose closure family of 172 sets needs
-# 20,304 pair intersections but has over 25,000 steps of maximal chains.
+# Unconstrained 8-point system whose closure family has 172 members but over
+# 25,000 steps of maximal chains.
 CHAIN_HEAVY = make_system(
     [str(i) for i in range(8)],
     (-2, 0),
@@ -53,6 +57,18 @@ CHAIN_HEAVY = make_system(
 
 def pset(sys, *members):
     return PointSet.of(sys.n, members)
+
+
+def nonempty_sets(sys):
+    return [PointSet(sys.n, bits) for bits in range(1, 1 << sys.n)]
+
+
+def submasks(bits):
+    """Every nonempty submask of bits."""
+    sub = bits
+    while sub:
+        yield sub
+        sub = (sub - 1) & bits
 
 
 class TestBalls:
@@ -93,11 +109,42 @@ class TestHull:
                 again = hull(grid, h.points, mode)
                 assert again.points == h.points
 
-    def test_hull_monotone(self, grid):
-        small = pset(grid, 0, 1)
-        big = pset(grid, 0, 1, 2)
+    @given(small_systems())
+    @settings(max_examples=60)
+    def test_extensive_and_idempotent_on_random_systems(self, sys):
         for mode in MODES:
-            assert hull(grid, small, mode).points.subset_of(hull(grid, big, mode).points)
+            for s in nonempty_sets(sys):
+                h = hull(sys, s, mode).points
+                assert s.subset_of(h)
+                assert hull(sys, h, mode).points == h
+
+    @given(small_systems())
+    @settings(max_examples=60)
+    def test_arbitrary_center_hull_is_monotone(self, sys):
+        hulls_of = {
+            s.bits: hull(sys, s, ARBITRARY_CENTER).points.bits for s in nonempty_sets(sys)
+        }
+        for big, big_hull in hulls_of.items():
+            for small in submasks(big):
+                assert hulls_of[small] & ~big_hull == 0
+
+    @given(small_systems())
+    @settings(max_examples=60)
+    def test_arbitrary_center_hull_within_paper_cov_hull(self, sys):
+        for s in nonempty_sets(sys):
+            closure = hull(sys, s, ARBITRARY_CENTER).points
+            assert closure.subset_of(hull(sys, s, PAPER_COV).points)
+
+    def test_paper_cov_hull_is_not_monotone(self):
+        # S = {0, 1} lies inside T = {0, 1, 2}, yet hull(S) holds point 4
+        # and hull(T) does not: only the arbitrary-center hull is monotone
+        sys = gen_system(0, GenParams(point_count=(3, 7)))
+        small, big = pset(sys, 0, 1), pset(sys, 0, 1, 2)
+        assert hull(sys, small, PAPER_COV).points.members() == (0, 1, 2, 3, 4)
+        assert hull(sys, big, PAPER_COV).points.members() == (0, 1, 2, 3)
+        assert hull(sys, small, ARBITRARY_CENTER).points.subset_of(
+            hull(sys, big, ARBITRARY_CENTER).points
+        )
 
     def test_empty_set_rejected(self, grid):
         with pytest.raises(StructuralInputError):
@@ -167,6 +214,47 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_admissible(grid, PAPER_COV, max_intermediate=3)
 
+    @given(small_systems(), st.sampled_from(MODES))
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER)
+    @example(CHAIN_HEAVY, PAPER_COV)
+    @settings(max_examples=60)
+    def test_cap_counts_closure_members(self, sys, mode):
+        # in both modes the cap bounds the arbitrary-center closure
+        size = len(enumerate_admissible(sys, ARBITRARY_CENTER))
+        assert enumerate_admissible(sys, mode, size) == enumerate_admissible(sys, mode)
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_admissible(sys, mode, size - 1)
+        err = info.value
+        assert err.cap == size - 1
+        assert size - 1 < err.reached <= size
+        assert f"reached {err.reached} family members" in str(err)
+        assert f"cap of {size - 1}" in str(err)
+
+
+class TestCanonicalMaskKey:
+    def test_every_mask_up_to_12_points(self):
+        for n in range(13):
+            key = hulls._canonical_mask_key(n)
+            masks = range(1 << n)
+            assert sorted(masks, key=key) == sorted(
+                masks, key=lambda b: PointSet(n, b).canonical_key()
+            )
+            assert len({key(b) for b in masks}) == 1 << n
+
+    @given(
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True)
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_random_masks_up_to_16_points(self, case):
+        n, masks = case
+        assert sorted(masks, key=hulls._canonical_mask_key(n)) == sorted(
+            masks, key=lambda b: PointSet(n, b).canonical_key()
+        )
+
 
 def closure_oracle(n, generators):
     """Nonempty S is in the intersection closure of the generators iff some
@@ -193,6 +281,53 @@ class TestIntersectionClosure:
         n, generators = family
         closure = hulls._intersection_closure(generators, hulls.DEFAULT_SET_CAP)
         assert closure == closure_oracle(n, generators)
+
+    @given(mask_families(), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_duplicate_generators(self, family, rnd):
+        n, generators = family
+        repeated = generators + [rnd.choice(generators) for _ in generators]
+        rnd.shuffle(repeated)
+        closure = hulls._intersection_closure(repeated, hulls.DEFAULT_SET_CAP)
+        assert closure == closure_oracle(n, generators)
+        # repeats add no members, so the least sufficient cap is unchanged
+        assert hulls._intersection_closure(repeated, len(closure)) == closure
+
+    @given(st.integers(min_value=1, max_value=255), st.integers(min_value=1, max_value=6))
+    def test_all_equal_generators(self, mask, copies):
+        assert hulls._intersection_closure([mask] * copies, 1) == {mask}
+        with pytest.raises(ResourceLimitError) as info:
+            hulls._intersection_closure([mask] * copies, 0)
+        assert (info.value.cap, info.value.reached) == (0, 1)
+
+    @given(mask_families())
+    @settings(max_examples=100)
+    def test_cap_counts_members(self, family):
+        n, generators = family
+        size = len(closure_oracle(n, generators))
+        assert len(hulls._intersection_closure(generators, size)) == size
+        with pytest.raises(ResourceLimitError) as info:
+            hulls._intersection_closure(generators, size - 1)
+        assert info.value.cap == size - 1
+        assert size - 1 < info.value.reached <= size
+
+    @given(small_systems())
+    @settings(max_examples=40)
+    def test_metric_ball_route_closes_with_the_same_routine(self, sys):
+        assert harness._intersection_closure is hulls._intersection_closure
+        caps = []
+
+        def spy(generators, cap):
+            caps.append(cap)
+            return hulls._intersection_closure(generators, cap)
+
+        radii = harness._breakpoint_radii(sys, random.Random(sys.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_intersection_closure", spy)
+            for mode in MODES:
+                metric = harness._family_from_metric_balls(sys, radii, mode)
+                assert metric == admissible_family_bits(sys, mode)
+        assert caps == [hulls.DEFAULT_SET_CAP] * len(MODES)
 
 
 class TestRadii:
