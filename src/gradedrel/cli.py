@@ -225,7 +225,6 @@ def _structure_dict(sys: RelationalSystem, rep) -> dict:
 
 def _cmd_structure(ns) -> tuple[int, dict]:
     sys = _load_system(ns.system)
-    # normal first: compact then reads the paper-cov family it memoised
     normal = check_normal_structure(sys)
     compact = check_compact_structure(sys)
     spherical = check_spherical_completeness(sys)

@@ -12,13 +12,7 @@ from typing import Optional
 
 from .dyadic import DyadicValue
 from .errors import PreconditionError, StructuralInputError, UsageError
-from .hulls import (
-    PAPER_COV,
-    AdmissibleSet,
-    DEFAULT_SET_CAP,
-    ball,
-    enumerate_admissible,
-)
+from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _family, ball, hull
 from .pointset import PointSet, iter_bits
 from .relations import Grade, RelationalSystem, Top, TOP, check_axiom
 from .semimetric import delta
@@ -221,12 +215,10 @@ def _maps_into_itself(t: SelfMap, bits: int) -> bool:
 
 
 def minimal_invariant_admissible(
-    sys: RelationalSystem,
-    t: SelfMap,
-    mode: str = PAPER_COV,
-    max_intermediate: int = DEFAULT_SET_CAP,
+    sys: RelationalSystem, t: SelfMap
 ) -> tuple[AdmissibleSet, ...]:
-    """Inclusion-minimal admissible sets closed under the map.
+    """Inclusion-minimal paper-cov admissible sets closed under the map,
+    canonically ordered.
 
     Requires a grade-preserving map; singleton results are exactly the
     fixed points.
@@ -236,21 +228,13 @@ def minimal_invariant_admissible(
         raise PreconditionError(
             f"map is not grade-preserving at pair {hom.witness[:2]}", hom.witness
         )
-    invariant = [
-        adm
-        for adm in enumerate_admissible(sys, mode, max_intermediate)
-        if _maps_into_itself(t, adm.points.bits)
-    ]
-    minimal = [
-        a
+    family = _family(sys, PAPER_COV, DEFAULT_SET_CAP)
+    invariant = [bits for bits in family if _maps_into_itself(t, bits)]
+    return tuple(
+        hull(sys, PointSet(sys.n, a))
         for a in invariant
-        if not any(
-            b.points.bits != a.points.bits
-            and b.points.bits & ~a.points.bits == 0
-            for b in invariant
-        )
-    ]
-    return tuple(sorted(minimal, key=lambda a: a.points.canonical_key()))
+        if not any(b != a and b & ~a == 0 for b in invariant)
+    )
 
 
 def minimal_invariant_balls(

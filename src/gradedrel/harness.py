@@ -29,13 +29,13 @@ from .hulls import (
     ARBITRARY_CENTER,
     DEFAULT_SET_CAP,
     PAPER_COV,
+    _family,
     _intersection_closure,
     admissible_family_bits,
     check_normal_structure,
-    enumerate_admissible,
     normality_criteria,
 )
-from .pointset import iter_bits
+from .pointset import PointSet, iter_bits
 from .relations import (
     Grade,
     GradeMatrix,
@@ -298,10 +298,11 @@ def _check_hull_equivalence(sys, _t):
 
 
 def _check_radii_translation(sys, _t):
-    for adm in enumerate_admissible(sys, ARBITRARY_CENTER):
-        crit = normality_criteria(sys, adm.points)
+    for bits in _family(sys, ARBITRARY_CENTER, DEFAULT_SET_CAP):
+        points = PointSet(sys.n, bits)
+        crit = normality_criteria(sys, points)
         if not crit.agreed:  # pragma: no cover - agreement is enforced inside
-            return f"criteria disagree on {adm.points.members()}"
+            return f"criteria disagree on {points.members()}"
     return None
 
 

@@ -15,16 +15,19 @@ built incrementally: each distinct ball b adds b and its nonempty
 intersections with the family so far, O(B * F) for B distinct balls and F
 family members.  The cap counts family members.  The closure takes
 generator masks, so the metric-ball route of the falsifier closes its own
-balls with it too.  Each family is memoised on the system as a tuple of
-raw masks in canonical order; enumerate_admissible wraps them into
-AdmissibleSet values, and the hulls command of the CLI reads the masks and
-their witness balls directly.  Balls, covering levels, hulls and the
-level-set normality route are reads of the system's level table.
+balls with it too.  Each family is memoised on the system once per mode and
+cap, as a tuple of raw masks in canonical order, and that tuple is the only
+stored form: the normal-structure check, the falsifier and the
+invariant-set search read it directly.  Witness balls are computed on
+demand, by hull() for a single value handed back and by
+enumerate_admissible, unmemoised, for the whole family.  Balls, covering
+levels, hulls and the level-set normality route are reads of the system's
+level table.
 
 Compactness and spherical completeness are decided by the certificates a
-finite ground set gives directly: every admissible set is nonempty, and
-every ball contains its center.  Normal structure is decided per admissible
-set, with grades, distances and level sets cross-checked.
+finite ground set gives directly: the closure keeps no empty set, and every
+ball contains its center.  Normal structure is decided per admissible set,
+with grades, distances and level sets cross-checked.
 """
 
 from __future__ import annotations
@@ -51,14 +54,25 @@ def _check_mode(mode: str) -> None:
         raise UsageError(f"unknown hull mode {mode!r}; expected one of {_MODES}")
 
 
+def _check_center(sys: RelationalSystem, x: int) -> None:
+    if not 0 <= x < sys.n:
+        raise IndexError(f"center {x} out of range for {sys.n} points")
+
+
+def _check_points(sys: RelationalSystem, points: PointSet) -> None:
+    if points.n != sys.n:
+        raise StructuralInputError(
+            f"point set over {points.n} points against a {sys.n}-point system"
+        )
+
+
 def ball(sys: RelationalSystem, x: int, n: int) -> PointSet:
     """Points whose grade against the center is at least n.
 
     Any integer level is accepted: at or below the window floor the ball is
     everything, above the window it is just the center.
     """
-    if not 0 <= x < sys.n:
-        raise IndexError(f"center {x} out of range for {sys.n} points")
+    _check_center(sys, x)
     return PointSet(sys.n, sys.level_rows(n)[x])
 
 
@@ -75,6 +89,8 @@ def covering_level(sys: RelationalSystem, x: int, points: PointSet) -> Grade:
 
     TOP when the set lies inside {x}: every ball at x contains it.
     """
+    _check_center(sys, x)
+    _check_points(sys, points)
     table = sys.level_table()
     k = _cover_index(table, x, points.bits)
     return TOP if k == len(table) - 1 else sys.window.below + k
@@ -96,10 +112,7 @@ def hull(sys: RelationalSystem, points: PointSet, mode: str = PAPER_COV) -> Admi
     are nested, so the tightest level carries the whole intersection.
     """
     _check_mode(mode)
-    if points.n != sys.n:
-        raise StructuralInputError(
-            f"point set over {points.n} points against a {sys.n}-point system"
-        )
+    _check_points(sys, points)
     if points.is_empty:
         raise StructuralInputError("hull of the empty set is undefined")
     out, witness = _hull_mask(sys, points.bits, mode)
@@ -169,29 +182,30 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
     )
 
 
-def _enumerate(sys: RelationalSystem, mode: str, max_intermediate: int) -> tuple[int, ...]:
-    """The admissible family as raw masks in canonical order."""
-    closure = _intersection_closure(_distinct_ball_bits(sys), max_intermediate)
-    if mode == PAPER_COV:
-        closure = [bits for bits in closure if _hull_mask(sys, bits, mode)[0] == bits]
-    return tuple(sorted(closure, key=_canonical_mask_key(sys.n)))
+def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
+    """The admissible family as raw masks in canonical order, memoised on
+    the system per mode and cap; the only stored form of the family."""
+    _check_mode(mode)
+
+    def build(s: RelationalSystem) -> tuple[int, ...]:
+        closure = _intersection_closure(_distinct_ball_bits(s), cap)
+        if mode == PAPER_COV:
+            closure = [bits for bits in closure if _hull_mask(s, bits, mode)[0] == bits]
+        return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
+
+    return sys.cached(("admissible", mode, cap), build)
 
 
 def _witnessed_members(
-    sys: RelationalSystem, mode: str, max_intermediate: int
+    sys: RelationalSystem, mode: str, cap: int
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Each admissible mask, in canonical order, with its witness balls.
 
-    The masks are memoised on the system per mode and cap.  Every member
-    is checked to be a fixed point of the hull as it goes by: the
-    arbitrary-center family is the raw closure, which is fixed by
+    Every member is checked to be a fixed point of the hull as it goes by:
+    the arbitrary-center family is the raw closure, which is fixed by
     construction, so a member that moved would be a bug.
     """
-    masks = sys.cached(
-        ("admissible-masks", mode, max_intermediate),
-        lambda s: _enumerate(s, mode, max_intermediate),
-    )
-    for bits in masks:
+    for bits in _family(sys, mode, cap):
         out, witness = _hull_mask(sys, bits, mode)
         if out != bits:  # pragma: no cover - closure members are fixed
             raise RuntimeError(f"admissible member moved under the {mode} hull")
@@ -201,22 +215,20 @@ def _witnessed_members(
 def enumerate_admissible(
     sys: RelationalSystem, mode: str = PAPER_COV, max_intermediate: int = DEFAULT_SET_CAP
 ) -> tuple[AdmissibleSet, ...]:
-    """Every nonempty fixed point of the chosen hull, canonically ordered.
+    """Every nonempty fixed point of the chosen hull, canonically ordered,
+    with its witness balls.
 
     The arbitrary-center family is exactly the intersection closure of the
     balls; the paper-cov family is its subset of paper-cov hull fixed
     points.  Singletons and the whole ground set always appear.
     max_intermediate caps the size of that closure, counted in family
-    members, in both modes.  The family is memoised on the system per mode
-    and cap, so the structure checks of one report enumerate it once.
+    members, in both modes; it is the one cap a caller can set.  The masks
+    are memoised on the system per mode and cap, but the AdmissibleSet
+    values and their witness balls are rebuilt on every call.
     """
-    _check_mode(mode)
-    return sys.cached(
-        ("admissible", mode, max_intermediate),
-        lambda s: tuple(
-            AdmissibleSet(PointSet(s.n, bits), witness, mode)
-            for bits, witness in _witnessed_members(s, mode, max_intermediate)
-        ),
+    return tuple(
+        AdmissibleSet(PointSet(sys.n, bits), witness, mode)
+        for bits, witness in _witnessed_members(sys, mode, max_intermediate)
     )
 
 
@@ -239,10 +251,7 @@ def radii(sys: RelationalSystem, points: PointSet) -> RadiiReport:
     set, the Chebyshev grade the best (largest) of the per-point worst
     grades.  Distances are their dyadic shadows.
     """
-    if points.n != sys.n:
-        raise StructuralInputError(
-            f"point set over {points.n} points against a {sys.n}-point system"
-        )
+    _check_points(sys, points)
     if points.is_empty:
         raise StructuralInputError("radii of the empty set are undefined")
     members = points.members()
@@ -343,27 +352,25 @@ class StructureReport:
     note: str = ""
 
 
-def check_normal_structure(
-    sys: RelationalSystem, mode: str = PAPER_COV, max_intermediate: int = DEFAULT_SET_CAP
-) -> StructureReport:
+def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> StructureReport:
     """Does every admissible set with at least two points admit a point
     strictly closer to everyone than the diameter?
 
     Finite families never do: the pairs realizing the largest finite grade
     form a clique whose Chebyshev radius equals its diameter (see
     min_distance_clique).  The witness is the first admissible set, in
-    canonical order, where radius and diameter coincide.
+    canonical order, where radius and diameter coincide, with its hull
+    witness balls.
     """
-    for adm in enumerate_admissible(sys, mode, max_intermediate):
-        if len(adm.points) < 2:
+    for bits in _family(sys, mode, DEFAULT_SET_CAP):
+        if bits.bit_count() < 2:
             continue
-        crit = normality_criteria(sys, adm.points)
-        if not crit.grade_strict:
-            rep = radii(sys, adm.points)
+        points = PointSet(sys.n, bits)
+        if not normality_criteria(sys, points).grade_strict:
             return StructureReport(
                 "normal-structure",
                 False,
-                witness=(adm, rep),
+                witness=(hull(sys, points, mode), radii(sys, points)),
                 note="radius equals diameter on the witness set",
             )
     return StructureReport(
@@ -406,22 +413,14 @@ def min_distance_clique(sys: RelationalSystem) -> PointSet:
     return PointSet.of(sys.n, sorted(members))
 
 
-def check_compact_structure(
-    sys: RelationalSystem, mode: str = PAPER_COV, max_intermediate: int = DEFAULT_SET_CAP
-) -> StructureReport:
+def check_compact_structure(sys: RelationalSystem) -> StructureReport:
     """Finite-intersection property over the admissible family.
 
     On a finite ground set every chain of nested nonempty sets meets in its
     last member, so the property reduces to every admissible set being
-    nonempty.  That is checked in one pass over the family; the witness is
-    the first empty member, as a one-member tuple of bitmasks.  Raises
-    ResourceLimitError exactly when enumerate_admissible does.
+    nonempty.  The ball-intersection closure keeps no empty set, so that
+    holds for every system with no walk over the family and no cap.
     """
-    for adm in enumerate_admissible(sys, mode, max_intermediate):
-        if adm.points.is_empty:
-            return StructureReport(
-                "compact-structure", False, witness=(adm.points.bits,)
-            )
     return StructureReport(
         "compact-structure", True, note="finite ground set: FIP automatic"
     )
@@ -449,10 +448,6 @@ def check_spherical_completeness(sys: RelationalSystem) -> StructureReport:
     )
 
 
-def admissible_family_bits(
-    sys: RelationalSystem, mode: str, max_intermediate: int = DEFAULT_SET_CAP
-) -> frozenset[int]:
+def admissible_family_bits(sys: RelationalSystem, mode: str) -> frozenset[int]:
     """The admissible family as raw bitmasks, for set-level comparisons."""
-    return frozenset(
-        adm.points.bits for adm in enumerate_admissible(sys, mode, max_intermediate)
-    )
+    return frozenset(_family(sys, mode, DEFAULT_SET_CAP))

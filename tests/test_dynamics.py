@@ -11,7 +11,9 @@ from gradedrel import (
     StructuralInputError,
     TOP,
     UsageError,
+    enumerate_admissible,
     fixed_points,
+    gen_self_map,
     identity_map,
     is_homomorphism,
     is_nonexpansive,
@@ -187,6 +189,24 @@ class TestInvariantSets:
         with pytest.raises(PreconditionError) as exc:
             minimal_invariant_admissible(grid, t)
         assert "(2, 4)" in str(exc.value)
+
+    @given(small_systems(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60)
+    def test_minimal_invariant_members_of_the_family(self, sys, seed):
+        # read from the memoised masks, the result must equal the minimal
+        # invariant members of the enumerated paper-cov family
+        t = gen_self_map(seed, sys, "homomorphism")
+        invariant = [
+            adm
+            for adm in enumerate_admissible(sys)
+            if all(t(x) in adm.points for x in adm.points.members())
+        ]
+        minimal = tuple(
+            a
+            for a in invariant
+            if not any(b != a and b.points.subset_of(a.points) for b in invariant)
+        )
+        assert minimal_invariant_admissible(sys, t) == minimal
 
     def test_swap_minimal_balls(self, twins, swap):
         assert minimal_invariant_balls(twins, swap) == ((0, 3), (1, 3))

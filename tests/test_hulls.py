@@ -10,14 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from gradedrel import harness, hulls
 from gradedrel import (
     ARBITRARY_CENTER,
-    AdmissibleSet,
     DyadicValue,
     GenParams,
     PAPER_COV,
     PointSet,
     ResourceLimitError,
     StructuralInputError,
+    StructureReport,
     TOP,
+    UsageError,
     admissible_family_bits,
     ball,
     check_compact_structure,
@@ -86,6 +87,26 @@ class TestBalls:
         assert covering_level(grid, 0, pset(grid, 0, 1)) == 2
         assert covering_level(grid, 0, pset(grid, 0, 1, 2)) == 1
         assert covering_level(grid, 0, pset(grid, 0)) is TOP
+
+    def test_covering_level_rejects_a_bad_center(self, grid):
+        for x in (-1, grid.n):
+            with pytest.raises(IndexError) as expected:
+                ball(grid, x, 0)
+            with pytest.raises(IndexError) as got:
+                covering_level(grid, x, pset(grid, 0))
+            assert str(got.value) == str(expected.value) == (
+                f"center {x} out of range for {grid.n} points"
+            )
+
+    def test_covering_level_rejects_a_point_set_of_another_size(self, grid):
+        wide = PointSet.of(9, [0])
+        with pytest.raises(StructuralInputError) as expected:
+            hull(grid, wide)
+        with pytest.raises(StructuralInputError) as got:
+            covering_level(grid, 0, wide)
+        assert str(got.value) == str(expected.value) == (
+            f"point set over 9 points against a {grid.n}-point system"
+        )
 
     @given(small_systems())
     def test_balls_nest(self, sys):
@@ -164,6 +185,18 @@ class TestHull:
         paper = hull(grid, s, PAPER_COV).points
         closure = hull(grid, s, ARBITRARY_CENTER).points
         assert closure.subset_of(paper)
+
+
+def test_unknown_mode_is_rejected(grid):
+    calls = (
+        lambda: hull(grid, pset(grid, 0), "bogus"),
+        lambda: enumerate_admissible(grid, "bogus"),
+        lambda: admissible_family_bits(grid, "bogus"),
+        lambda: check_normal_structure(grid, "bogus"),
+    )
+    for call in calls:
+        with pytest.raises(UsageError, match="unknown hull mode 'bogus'"):
+            call()
 
 
 class TestEnumerate:
@@ -410,6 +443,26 @@ class TestNormalStructure:
             assert len(adm.points) >= 2
             assert rad.cheb_radius == rad.diameter
 
+    @given(small_systems())
+    @settings(max_examples=40)
+    def test_witness_is_the_first_flat_member_of_the_family(self, sys):
+        # the check reads the memoised masks; its witness must be the
+        # AdmissibleSet that enumerate_admissible lists, balls and mode included
+        for mode in MODES:
+            flat = [
+                (adm, rep)
+                for adm in enumerate_admissible(sys, mode)
+                if len(adm.points) >= 2
+                and (rep := radii(sys, adm.points)).cheb_radius == rep.diameter
+            ]
+            rep = check_normal_structure(sys, mode)
+            if flat:
+                assert rep.witness == flat[0]
+                assert rep.witness[0].mode == mode
+            else:
+                assert sys.n < 2
+                assert rep.holds and rep.witness is None
+
 
 class TestMinDistanceClique:
     def test_chain(self, chain):
@@ -480,26 +533,38 @@ class TestCompactAndSpherical:
         assert check_spherical_completeness(sys).holds
 
     @given(small_systems(), st.sampled_from(MODES), st.integers(min_value=1, max_value=200))
-    @example(CHAIN_HEAVY, ARBITRARY_CENTER, 20_304)
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+    @example(CHAIN_HEAVY, PAPER_COV, hulls.DEFAULT_SET_CAP)
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER, 171)
     @settings(max_examples=200)
-    def test_compact_cap_is_the_enumeration_cap(self, sys, mode, cap):
+    def test_compact_report_matches_the_family_walk(self, sys, mode, cap):
+        # the report needs no family: it makes no closure, so no cap applies,
+        # and wherever the family completes it equals the report of a walk
+        # that fails on the first empty member
+        calls = []
+        real = hulls._intersection_closure
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                hulls,
+                "_intersection_closure",
+                lambda gens, limit: calls.append(limit) or real(gens, limit),
+            )
+            rep = check_compact_structure(sys)
+        assert calls == []
         try:
-            enumerate_admissible(sys, mode, cap)
+            family = enumerate_admissible(sys, mode, cap)
         except ResourceLimitError:
-            with pytest.raises(ResourceLimitError):
-                check_compact_structure(sys, mode, cap)
-        else:
-            assert check_compact_structure(sys, mode, cap).holds
-
-    def test_compact_fails_on_an_empty_member(self, chain, monkeypatch):
-        empty = AdmissibleSet(PointSet.empty(chain.n), (), PAPER_COV)
-        real = hulls.enumerate_admissible
-        monkeypatch.setattr(
-            hulls, "enumerate_admissible", lambda *args: real(*args) + (empty,)
+            assert rep.holds
+            return
+        empty = [adm.points.bits for adm in family if adm.points.is_empty]
+        walked = (
+            StructureReport("compact-structure", False, witness=(empty[0],))
+            if empty
+            else StructureReport(
+                "compact-structure", True, note="finite ground set: FIP automatic"
+            )
         )
-        rep = check_compact_structure(chain)
-        assert not rep.holds
-        assert rep.witness == (0,)
+        assert rep == walked
 
     def test_spherical_fails_when_a_ball_drops_its_center(self, grid, monkeypatch):
         real = hulls.ball

@@ -21,6 +21,9 @@ from gradedrel import (
     enumerate_admissible,
     expand_level,
     hull,
+    identity_map,
+    minimal_invariant_admissible,
+    serialize_selfmap,
     serialize_system,
 )
 from gradedrel.cli import run
@@ -136,11 +139,39 @@ class TestAdmissibleMemo:
         assert report["compact_structure"]["holds"]
         assert len(calls) == 1
 
+    def test_fixpoint_report_enumerates_once(self, chain, successor, tmp_path, monkeypatch):
+        sys_path = tmp_path / "chain.grs"
+        sys_path.write_text(serialize_system(chain), encoding="utf-8")
+        map_path = tmp_path / "successor.map"
+        map_path.write_text(serialize_selfmap(successor), encoding="utf-8")
+        calls = _count_closures(monkeypatch)
+        status, report = run(["fixpoint", str(sys_path), str(map_path)])
+        assert report["minimal_invariant_admissible"]
+        assert len(calls) == 1
+
+    @given(small_systems())
+    def test_memo_holds_masks_only(self, sys):
+        # one stored form of each family: canonical masks, no AdmissibleSet
+        enumerate_admissible(sys, ARBITRARY_CENTER)
+        check_normal_structure(sys)
+        minimal_invariant_admissible(sys, identity_map(sys.n))
+        families = {
+            key: value
+            for key, value in sys.__dict__["_memo"].items()
+            if key[0] == "admissible"
+        }
+        assert set(families) == {
+            ("admissible", mode, hulls.DEFAULT_SET_CAP)
+            for mode in (PAPER_COV, ARBITRARY_CENTER)
+        }
+        for masks in families.values():
+            assert all(type(bits) is int for bits in masks)
+
     def test_one_enumeration_per_mode_and_cap(self, grid, monkeypatch):
         calls = _count_closures(monkeypatch)
         check_normal_structure(grid)
         check_compact_structure(grid)
-        assert enumerate_admissible(grid) is enumerate_admissible(grid)
+        assert enumerate_admissible(grid) == enumerate_admissible(grid)
         assert len(calls) == 1
         enumerate_admissible(grid, ARBITRARY_CENTER)
         enumerate_admissible(grid, PAPER_COV, 10_000)
@@ -150,7 +181,7 @@ class TestAdmissibleMemo:
         calls = _count_closures(monkeypatch)
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
-                check_compact_structure(grid, PAPER_COV, 1)
+                enumerate_admissible(grid, PAPER_COV, 1)
         assert len(calls) == 2
-        assert check_compact_structure(grid).holds
+        assert enumerate_admissible(grid)
         assert len(calls) == 3
