@@ -537,10 +537,9 @@ class TestCompactAndSpherical:
     @example(CHAIN_HEAVY, PAPER_COV, hulls.DEFAULT_SET_CAP)
     @example(CHAIN_HEAVY, ARBITRARY_CENTER, 171)
     @settings(max_examples=200)
-    def test_compact_report_matches_the_family_walk(self, sys, mode, cap):
-        # the report needs no family: it makes no closure, so no cap applies,
-        # and wherever the family completes it equals the report of a walk
-        # that fails on the first empty member
+    def test_compact_cap_is_the_enumeration_cap(self, sys, mode, cap):
+        # the enumeration cap is the only one: the compact report makes no
+        # closure, so it holds wherever enumerate_admissible hits that cap
         calls = []
         real = hulls._intersection_closure
         with pytest.MonkeyPatch.context() as mp:
@@ -552,10 +551,20 @@ class TestCompactAndSpherical:
             rep = check_compact_structure(sys)
         assert calls == []
         try:
-            family = enumerate_admissible(sys, mode, cap)
+            enumerate_admissible(sys, mode, cap)
         except ResourceLimitError:
-            assert rep.holds
-            return
+            assert rep == StructureReport(
+                "compact-structure", True, note="finite ground set: FIP automatic"
+            )
+
+    @given(small_systems(), st.sampled_from(MODES))
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER)
+    @example(CHAIN_HEAVY, PAPER_COV)
+    @settings(max_examples=100)
+    def test_compact_fails_on_an_empty_member(self, sys, mode):
+        # a walk that fails on the first empty member of the family gives
+        # the report check_compact_structure gives without the walk
+        family = enumerate_admissible(sys, mode)
         empty = [adm.points.bits for adm in family if adm.points.is_empty]
         walked = (
             StructureReport("compact-structure", False, witness=(empty[0],))
@@ -564,7 +573,14 @@ class TestCompactAndSpherical:
                 "compact-structure", True, note="finite ground set: FIP automatic"
             )
         )
-        assert rep == walked
+        assert check_compact_structure(sys) == walked
+
+    def test_closure_keeps_no_empty_member(self):
+        # why the walk above can skip its failure branch: disjoint balls
+        # intersect to the empty set, which the closure drops
+        assert hulls._intersection_closure([0b0011, 0b1100, 0b0110], 10) == {
+            0b0011, 0b1100, 0b0110, 0b0010, 0b0100,
+        }
 
     def test_spherical_fails_when_a_ball_drops_its_center(self, grid, monkeypatch):
         real = hulls.ball
