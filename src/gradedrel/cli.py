@@ -7,6 +7,11 @@ found, 2 usage, parse, precondition, or resource errors.
 
 `run` builds its argument parser on the first call and reuses it for every
 later call in the process; `build_parser()` still returns a fresh parser.
+Every call reads its files afresh.  A system text equal to the one the
+previous call parsed reuses that parsed system, with the level table,
+admissible families and axiom reports memoised on it, so the reports on one
+unchanged file share that work.  A file that is not UTF-8 text is an i/o
+error, exit 2.
 """
 
 from __future__ import annotations
@@ -119,14 +124,31 @@ def _system_dict(sys: RelationalSystem) -> dict:
     }
 
 
-def _load_system(path: str) -> RelationalSystem:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # the decode error does not know the file; `run` reports this
+            # as an io error, exit 2
+            raise OSError(
+                f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _parsed(text: str) -> RelationalSystem:
+    # the last text parsed and its system, so consecutive reports on one
+    # unchanged file share its memos; a failed parse stores nothing
+    return parse_system(text)
+
+
+def _load_system(path: str) -> RelationalSystem:
+    return _parsed(_read_text(path))
 
 
 def _load_map(path: str, sys: RelationalSystem) -> SelfMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        t = parse_selfmap(fh.read())
+    t = parse_selfmap(_read_text(path))
     if t.n != sys.n:
         raise UsageError(f"map covers {t.n} points but the system has {sys.n}")
     return t
@@ -400,8 +422,7 @@ def _cmd_falsify(ns) -> tuple[int, dict]:
 
 
 def _cmd_ingest(ns) -> tuple[int, dict]:
-    with open(ns.matrix, "r", encoding="utf-8") as fh:
-        rows = parse_distance_matrix(fh.read())
+    rows = parse_distance_matrix(_read_text(ns.matrix))
     lo, hi = ns.window
     sys = ingest_distance_matrix(rows, (lo, hi))
     text = serialize_system(sys)

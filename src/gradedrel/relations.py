@@ -11,6 +11,7 @@ diagonal.  A pair related at no stored level gets grade lo - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import StructuralInputError, UsageError
@@ -193,8 +194,10 @@ def _compose_rows(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
     rows = []
     for row in r:
         out = 0
-        for z in iter_bits(row):
-            out |= s[z]
+        while row:
+            low = row & -row
+            out |= s[low.bit_length() - 1]
+            row ^= low
         rows.append(out)
     return tuple(rows)
 
@@ -480,29 +483,24 @@ def to_level_list(sys: RelationalSystem) -> LevelList:
     )
 
 
-_CHECKABLE = ("r5", "r9", "r10", "transitive")
-
-
 def check_axiom(sys: RelationalSystem, axiom_id: str) -> AxiomReport:
-    """Check one optional property of a system; see _CHECKABLE for the ids.
+    """Check one optional property of a system; see _CHECKS for the ids.
 
     r5: every pair is related somewhere inside the window (the minimum
         off-diagonal grade, reported as the bound, reaches lo).
     r9/r10: the square/cube of each level's relation fits inside the
         previous level, checked for every level in [lo, hi + 1].
     transitive: every stored level is a transitive relation.
+
+    Each report is computed once per system and axiom id.
     """
-    if axiom_id == "r5":
-        return _check_bounded(sys)
-    if axiom_id == "r9":
-        return _check_composition_steps(sys, 2)
-    if axiom_id == "r10":
-        return _check_composition_steps(sys, 3)
-    if axiom_id == "transitive":
-        return _check_transitive(sys)
-    raise UsageError(
-        f"unknown or uncheckable axiom id {axiom_id!r}; expected one of {_CHECKABLE}"
-    )
+    check = _CHECKS.get(axiom_id)
+    if check is None:
+        raise UsageError(
+            f"unknown or uncheckable axiom id {axiom_id!r}; "
+            f"expected one of {tuple(_CHECKS)}"
+        )
+    return sys.cached(("axiom", axiom_id), check)
 
 
 def _check_bounded(sys: RelationalSystem) -> AxiomReport:
@@ -551,12 +549,23 @@ def _chain_witness(rows: tuple[int, ...], x: int, y: int, steps: int) -> tuple:
 
 
 def _check_transitive(sys: RelationalSystem) -> AxiomReport:
+    # R o R inside R decides each level; the witness is searched only on failure
     for n in sys.window.levels():
         rows = sys.level_rows(n)
-        for x in range(sys.n):
+        for x, sq in enumerate(_compose_rows(rows, rows)):
+            if not sq & ~rows[x]:
+                continue
             for z in iter_bits(rows[x]):
                 extra = rows[z] & ~rows[x]
                 if extra:
                     y = next(iter_bits(extra))
                     return AxiomReport("transitive", False, (n, x, z, y))
     return AxiomReport("transitive", True)
+
+
+_CHECKS: dict[str, Callable[[RelationalSystem], AxiomReport]] = {
+    "r5": _check_bounded,
+    "r9": partial(_check_composition_steps, steps=2),
+    "r10": partial(_check_composition_steps, steps=3),
+    "transitive": _check_transitive,
+}

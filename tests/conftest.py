@@ -1,5 +1,6 @@
 import pytest
 
+from gradedrel import cli
 from gradedrel.fixtures import (
     chain_successor,
     dyadic_grid,
@@ -9,6 +10,13 @@ from gradedrel.fixtures import (
     twin_pair,
     ultrametric_chain,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_parse_memo():
+    """Every test starts with no system left parsed by an earlier test, so
+    work-counting tests see the whole parse whatever the test order."""
+    cli._parsed.cache_clear()
 
 
 @pytest.fixture

@@ -397,6 +397,38 @@ class TestErrorPaths:
         assert status == 2
         assert report["error"]["kind"] == "io"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "BAD"],
+            ["dynamics", "chain", "BAD"],
+            ["fixpoint", "chain", "BAD"],
+            ["ingest", "BAD", "--window", "0", "2"],
+        ],
+    )
+    def test_non_utf8_file_is_an_io_error(self, paths, argv):
+        bad = paths["dir"] / "binary"
+        bad.write_bytes(b"gradedsystem v1\n\xff\n")
+        files = {"BAD": str(bad), "chain": paths["chain"]}
+        status, report = run([files.get(a, a) for a in argv])
+        assert status == 2
+        assert report["error"]["kind"] == "io"
+        assert str(bad) in report["error"]["message"]
+
+    def test_non_utf8_file_from_the_command_line(self, tmp_path):
+        path = tmp_path / "binary.grs"
+        path.write_bytes(b"\xff")
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradedrel.cli", "--json", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"]["kind"] == "io"
+
     def test_unknown_subcommand(self, capsys):
         status, report = run(["frobnicate"])
         assert status == 2

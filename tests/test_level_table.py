@@ -1,11 +1,12 @@
-"""The per-system cache: the level-row table and memoised admissible families."""
+"""The per-system cache: the level-row table, memoised admissible families
+and axiom reports, and the CLI's memo of the last parsed system."""
 
 import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedrel import hulls
+from gradedrel import cli, hulls, relations
 from gradedrel import (
     ARBITRARY_CENTER,
     PAPER_COV,
@@ -15,6 +16,7 @@ from gradedrel import (
     TOP,
     Window,
     ball,
+    check_axiom,
     check_compact_structure,
     check_normal_structure,
     covering_level,
@@ -22,6 +24,7 @@ from gradedrel import (
     expand_level,
     hull,
     identity_map,
+    make_system,
     minimal_invariant_admissible,
     serialize_selfmap,
     serialize_system,
@@ -185,3 +188,109 @@ class TestAdmissibleMemo:
         assert len(calls) == 2
         assert enumerate_admissible(grid)
         assert len(calls) == 3
+
+
+def _analyze_argvs(sys_path, map_path):
+    """The seven analyze reports on one system, both hull modes included."""
+    return [
+        ["validate", sys_path],
+        ["classify", sys_path],
+        ["hulls", sys_path, "--mode", "paper"],
+        ["hulls", sys_path, "--mode", "closure"],
+        ["structure", sys_path],
+        ["dynamics", sys_path, map_path],
+        ["fixpoint", sys_path, map_path],
+    ]
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    real = cli.parse_system
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_system", counted)
+    return calls
+
+
+def _cold_run(argv):
+    cli._parsed.cache_clear()
+    return run(argv)
+
+
+class TestParsedSystemMemo:
+    @pytest.fixture
+    def chain_files(self, chain, successor, tmp_path):
+        sys_path = tmp_path / "chain.grs"
+        sys_path.write_text(serialize_system(chain), encoding="utf-8")
+        map_path = tmp_path / "successor.map"
+        map_path.write_text(serialize_selfmap(successor), encoding="utf-8")
+        return str(sys_path), str(map_path)
+
+    def test_one_file_is_parsed_and_checked_once(self, chain_files, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        closures = _count_closures(monkeypatch)
+        checks = []
+        for axiom_id, check in relations._CHECKS.items():
+            def counted(sys, axiom_id=axiom_id, check=check):
+                checks.append(axiom_id)
+                return check(sys)
+
+            monkeypatch.setitem(relations._CHECKS, axiom_id, counted)
+        reports = [run(argv) for argv in _analyze_argvs(*chain_files)]
+        assert all(status != 2 for status, _ in reports)
+        assert reports[-1][1]["minimal_invariant_admissible"]
+        assert len(parses) == 1
+        assert len(closures) == 2
+        # each check body ran, and only once
+        assert sorted(checks) == sorted(relations._CHECKS)
+
+    def test_warm_reports_equal_cold_ones(self, chain_files):
+        argvs = _analyze_argvs(*chain_files)
+        warm = [run(argv) for argv in argvs]
+        assert warm == [_cold_run(argv) for argv in argvs]
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "pair.grs"
+        before, after = (
+            make_system(["a", "b", "c"], (0, 2), [[TOP, g, 0], [g, TOP, 0], [0, 0, TOP]])
+            for g in (1, 2)
+        )
+        parses = _count_parses(monkeypatch)
+        path.write_text(serialize_system(before), encoding="utf-8")
+        first = run(["validate", str(path)])
+        path.write_text(serialize_system(after), encoding="utf-8")
+        second = run(["validate", str(path)])
+        assert len(parses) == 2
+        assert first[1]["system"]["grades"][0][1] == 1
+        assert second[1]["system"]["grades"][0][1] == 2
+        assert second == _cold_run(["validate", str(path)])
+
+    def test_parse_error_leaves_the_last_system(self, chain_files, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.grs"
+        bad.write_text("gradedsystem v1\npoints: x\n", encoding="utf-8")
+        good = ["classify", chain_files[0]]
+        cold_error = _cold_run(["validate", str(bad)])
+        assert cold_error[0] == 2
+        assert cold_error[1]["error"]["kind"] == "parse"
+        first = _cold_run(good)
+        parses = _count_parses(monkeypatch)
+        assert run(["validate", str(bad)]) == cold_error
+        assert run(good) == first
+        # the failed parse stored nothing, so the valid system is still there
+        assert len(parses) == 1
+
+    @given(small_systems())
+    def test_check_axiom_equals_the_uncached_checks(self, sys):
+        uncached = {
+            "r5": relations._check_bounded,
+            "r9": lambda s: relations._check_composition_steps(s, 2),
+            "r10": lambda s: relations._check_composition_steps(s, 3),
+            "transitive": relations._check_transitive,
+        }
+        for axiom_id, check in uncached.items():
+            rep = check_axiom(sys, axiom_id)
+            assert rep == check(sys)
+            assert check_axiom(sys, axiom_id) is rep

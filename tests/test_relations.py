@@ -260,6 +260,56 @@ def reference_witness(sys, axiom):
     return None
 
 
+def scan_witness(sys, axiom):
+    """check_axiom's witness rebuilt from grades by plain pair scans, with no
+    row masks or composition: the first level, then x, then the lowest y,
+    then the lexicographically first chain (transitive: the first z, then y)."""
+    g = sys.grades.entries
+    pts = range(sys.n)
+    if axiom == "transitive":
+        for n in sys.window.levels():
+            for x in pts:
+                for z in pts:
+                    for y in pts:
+                        if g[x][z] >= n and g[z][y] >= n and not g[x][y] >= n:
+                            return (n, x, z, y)
+        return None
+    steps = 2 if axiom == "r9" else 3
+    for n in range(sys.window.lo, sys.window.hi + 2):
+        for x in pts:
+            for y in pts:
+                if g[x][y] >= n - 1:
+                    continue
+                for middle in product(pts, repeat=steps - 1):
+                    chain = (x, *middle, y)
+                    if all(g[a][b] >= n for a, b in zip(chain, chain[1:])):
+                        return (n, *chain)
+    return None
+
+
+class TestMaskRoutesMatchPairScans:
+    @given(small_systems(), st.integers(min_value=-5, max_value=5), st.integers(-5, 5))
+    def test_compose(self, sys, j, k):
+        g = sys.grades.entries
+        pts = range(sys.n)
+        got = compose(expand_level(sys, j), expand_level(sys, k))
+        expected = {
+            (x, y)
+            for x in pts
+            for y in pts
+            if any(g[x][z] >= j and g[z][y] >= k for z in pts)
+        }
+        assert set(got.pairs()) == expected
+
+    @given(small_systems())
+    def test_axiom_witnesses(self, sys):
+        for axiom in ("r9", "r10", "transitive"):
+            rep = check_axiom(sys, axiom)
+            expected = scan_witness(sys, axiom)
+            assert rep.holds == (expected is None)
+            assert rep.witness == expected
+
+
 def assert_reference_witnesses(sys):
     for axiom in ("r9", "r10", "transitive"):
         rep = check_axiom(sys, axiom)
