@@ -2,7 +2,9 @@
 
 A map is grade-preserving when no pair's grade drops under it, which for
 the induced distance is exactly nonexpansiveness; both predicates are
-implemented against their own arithmetic so they can be compared.
+implemented against their own arithmetic so they can be compared.  The
+ball scans of the dichotomy and the fixed-point theorems read the rows of
+the system's level table directly.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from typing import Optional
 
 from .dyadic import DyadicValue
 from .errors import PreconditionError, StructuralInputError, UsageError
-from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _family, ball, hull
+from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _family, hull
 from .pointset import PointSet, iter_bits
-from .relations import Grade, RelationalSystem, Top, TOP, check_axiom
+from .relations import Grade, RelationalSystem, Top, check_axiom
 from .semimetric import delta
 
 
@@ -153,25 +155,16 @@ class RegularityReport:
 
 
 def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityReport:
-    _check_sizes(sys, t)
+    orb = orbit(sys, t, x)
     if t.image[x] == x:
         return RegularityReport(x, True, True, None, True, None, True, True)
 
-    orb = orbit(sys, t, x)
-    m = sys.grades.entries[x][t.image[x]]
+    trace = orb.grade_trace
+    m = trace[0]
     assert isinstance(m, int)
     tail_len = len(orb.tail)
-    cycle_grades = orb.grade_trace[tail_len:]
-    min_cycle: Grade = TOP
-    for g in cycle_grades:
-        if g < min_cycle:
-            min_cycle = g
+    min_cycle = min(trace[tail_len:])
     cycle_fixed = isinstance(min_cycle, Top)
-
-    def step_grade(k: int) -> Grade:
-        if k < tail_len:
-            return orb.grade_trace[k]
-        return orb.grade_trace[tail_len + (k - tail_len) % len(orb.cycle)]
 
     # Offsets beyond the scan bound cannot work: with a finite cycle grade
     # the requirement m + k <= min_cycle caps k, and with an all-fixed cycle
@@ -179,18 +172,15 @@ def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityRe
     bound = tail_len + max(0, sys.window.hi - m) + 2
     regular_offset = None
     for k in range(1, bound + 1):
-        if min_cycle >= m + k and all(
-            step_grade(i) >= m + k for i in range(k, tail_len)
-        ):
+        if min_cycle >= m + k and all(trace[i] >= m + k for i in range(k, tail_len)):
             regular_offset = k
             break
 
     asymptotic_offset = None
     if cycle_fixed:
-        for k in range(0, tail_len + 1):
-            if all(step_grade(i) >= m + i for i in range(k, tail_len)):
-                asymptotic_offset = k
-                break
+        asymptotic_offset = max(
+            (i + 1 for i in range(tail_len) if trace[i] < m + i), default=0
+        )
 
     weak = min_cycle > m
 
@@ -243,19 +233,32 @@ def minimal_invariant_balls(
     """Balls B(x, n), lo <= n <= hi, mapped into themselves with every
     member's step grade exactly n.
 
+    The center belongs to its ball, so the only level that can qualify at
+    x is its own step grade grade(x, Tx); one ball per center is tested.
     All qualifying (center, level) pairs are returned, even when several
     name the same set.
     """
     _check_sizes(sys, t)
+    steps = [sys.grades.entries[p][t.image[p]] for p in range(sys.n)]
     out = []
-    for x in range(sys.n):
-        for lev in sys.window.levels():
-            b = ball(sys, x, lev)
-            if not _maps_into_itself(t, b.bits):
-                continue
-            if all(sys.grades.entries[p][t.image[p]] == lev for p in iter_bits(b.bits)):
-                out.append((x, lev))
+    for x, lev in enumerate(steps):
+        if not sys.window.lo <= lev <= sys.window.hi:
+            continue
+        bits = sys.level_rows(lev)[x]
+        if _maps_into_itself(t, bits) and all(steps[p] == lev for p in iter_bits(bits)):
+            out.append((x, lev))
     return tuple(out)
+
+
+def _unmet_hypotheses(sys: RelationalSystem, t: SelfMap) -> list[str]:
+    """Which of per-level transitivity and grade preservation fail."""
+    _check_sizes(sys, t)
+    unmet = []
+    if not check_axiom(sys, "transitive").holds:
+        unmet.append("transitive")
+    if not is_homomorphism(sys, t).holds:
+        unmet.append("homomorphism")
+    return unmet
 
 
 OUTCOME_FIXED = "contains-fixed-point"
@@ -297,16 +300,11 @@ def ks_dichotomy(sys: RelationalSystem, t: SelfMap) -> DichotomyReport:
     point moves at grade exactly lo - 1.  The dichotomy test recognizes it
     even though minimal_invariant_balls only enumerates window levels.
     """
-    _check_sizes(sys, t)
-    unmet = []
-    if not check_axiom(sys, "transitive").holds:
-        unmet.append("transitive")
-    if not is_homomorphism(sys, t).holds:
-        unmet.append("homomorphism")
-
+    unmet = _unmet_hypotheses(sys, t)
     fixed = fixed_points(sys, t)
-    mibs = minimal_invariant_balls(sys, t)
-    mib_sets = [(c, lev, ball(sys, c, lev).bits) for c, lev in mibs]
+    mib_sets = [
+        (c, lev, sys.level_rows(lev)[c]) for c, lev in minimal_invariant_balls(sys, t)
+    ]
 
     entries = []
     for x in range(sys.n):
@@ -314,7 +312,7 @@ def ks_dichotomy(sys: RelationalSystem, t: SelfMap) -> DichotomyReport:
             continue
         lev = sys.grades.entries[x][t.image[x]]
         assert isinstance(lev, int)
-        b = ball(sys, x, lev)
+        b = PointSet(sys.n, sys.level_rows(lev)[x])
         if b.bits & fixed.bits:
             w = next(iter_bits(b.bits & fixed.bits))
             entries.append(DichotomyEntry(x, lev, b, OUTCOME_FIXED, (w,)))
@@ -369,12 +367,7 @@ def regular_fixed_point(
     """
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_sizes(sys, t)
-    unmet = []
-    if not check_axiom(sys, "transitive").holds:
-        unmet.append("transitive")
-    if not is_homomorphism(sys, t).holds:
-        unmet.append("homomorphism")
+    unmet = _unmet_hypotheses(sys, t)
     for x in range(sys.n):
         if t.image[x] == x:
             continue
@@ -384,12 +377,12 @@ def regular_fixed_point(
             unmet.append(f"{variant}@{x}")
 
     fixed = fixed_points(sys, t)
+    table = sys.level_table()
     by_bits: dict[int, list[tuple[int, int]]] = {}
     for x in range(sys.n):
-        for lev in range(sys.window.below, sys.window.above + 1):
-            b = ball(sys, x, lev)
-            if _maps_into_itself(t, b.bits):
-                by_bits.setdefault(b.bits, []).append((x, lev))
+        for k, rows in enumerate(table):
+            if _maps_into_itself(t, rows[x]):
+                by_bits.setdefault(rows[x], []).append((x, sys.window.below + k))
 
     balls = tuple(
         InvariantBallReport(

@@ -18,7 +18,8 @@ generator masks, so the metric-ball route of the falsifier closes its own
 balls with it too.  Each family is memoised on the system once per mode and
 cap, as a tuple of raw masks in canonical order, and that tuple is the only
 stored form: the normal-structure check, the falsifier and the
-invariant-set search read it directly.  Witness balls are computed on
+invariant-set search read it directly.  The paper-cov tuple is filtered
+from the arbitrary-center one, so one closure serves both modes.  Witness balls are computed on
 demand, by hull() for a single value handed back and by
 enumerate_admissible, unmemoised, for the whole family.  Balls, covering
 levels, hulls and the level-set normality route are reads of the system's
@@ -184,13 +185,20 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
 
 def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
     """The admissible family as raw masks in canonical order, memoised on
-    the system per mode and cap; the only stored form of the family."""
+    the system per mode and cap; the only stored form of the family.
+
+    The paper-cov family filters the memoised arbitrary-center one, so a
+    system builds one closure per cap and sorts it once."""
     _check_mode(mode)
 
     def build(s: RelationalSystem) -> tuple[int, ...]:
-        closure = _intersection_closure(_distinct_ball_bits(s), cap)
         if mode == PAPER_COV:
-            closure = [bits for bits in closure if _hull_mask(s, bits, mode)[0] == bits]
+            return tuple(
+                bits
+                for bits in _family(s, ARBITRARY_CENTER, cap)
+                if _hull_mask(s, bits, mode)[0] == bits
+            )
+        closure = _intersection_closure(_distinct_ball_bits(s), cap)
         return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
 
     return sys.cached(("admissible", mode, cap), build)

@@ -26,6 +26,7 @@ from gradedrel import (
     regularity_report,
 )
 from gradedrel.dynamics import OUTCOME_FIXED, OUTCOME_MINIMAL_BALL
+from gradedrel.harness import GenParams, gen_system
 
 from test_relations import small_systems
 
@@ -116,6 +117,11 @@ class TestOrbits:
     def test_out_of_range(self, chain, successor):
         with pytest.raises(IndexError):
             orbit(chain, successor, 6)
+
+    @pytest.mark.parametrize("x", [6, -1])
+    def test_regularity_point_out_of_range(self, chain, successor, x):
+        with pytest.raises(IndexError, match=rf"point {x} out of range for 6 points"):
+            regularity_report(chain, successor, x)
 
     @given(systems_with_maps())
     @settings(max_examples=100)
@@ -318,3 +324,137 @@ class TestRegularFixedPoint:
             assert b.fixed_inside.subset_of(b.ball)
             for c, lev in b.names:
                 assert ball(sys, c, lev) == b.ball
+
+
+def _seeded_cases():
+    """Transitive and unconstrained systems, with any and grade-preserving
+    maps, so the invariant-ball branches are reached."""
+    cases = []
+    for constraint in ("none", "transitive"):
+        params = GenParams(point_count=(1, 7), constraint=constraint)
+        for seed in range(40):
+            sys = gen_system(seed, params)
+            for kind in ("any", "homomorphism"):
+                cases.append((sys, gen_self_map(seed, sys, kind)))
+    return cases
+
+
+SEEDED = _seeded_cases()
+
+
+def _brute_minimal_balls(sys, t):
+    """Every center at every window level, through the public ball()."""
+    out = []
+    for c in range(sys.n):
+        for lev in sys.window.levels():
+            b = ball(sys, c, lev)
+            if all(
+                t.image[p] in b and sys.grades.entries[p][t.image[p]] == lev
+                for p in b.members()
+            ):
+                out.append((c, lev))
+    return tuple(out)
+
+
+def _brute_invariant_balls(sys, t):
+    """Map-invariant balls grouped by set, every center at every level from
+    window.below to window.above."""
+    by_set = {}
+    for c in range(sys.n):
+        for lev in range(sys.window.below, sys.window.above + 1):
+            b = ball(sys, c, lev)
+            if all(t.image[p] in b for p in b.members()):
+                by_set.setdefault(b.bits, []).append((c, lev))
+    return sorted((bits, tuple(names)) for bits, names in by_set.items())
+
+
+def _brute_offsets(sys, t, x):
+    """The regular and asymptotic offsets searched straight from the
+    RegularityReport definitions over the step grades of T^i x."""
+    seq = [x]
+    reach = 3 * sys.n + sys.window.span + 4
+    for _ in range(2 * reach):
+        seq.append(t.image[seq[-1]])
+    step = [sys.grades.entries[p][q] for p, q in zip(seq, seq[1:])]
+    m = step[0]
+    # from any index on, the orbit repeats within n steps, so a window of
+    # reach steps sees every later step grade, and either offset, when one
+    # exists, lies below reach
+    regular = next(
+        (
+            k
+            for k in range(1, reach)
+            if all(step[i] >= m + k for i in range(k, k + reach))
+        ),
+        None,
+    )
+    asymptotic = next(
+        (
+            k
+            for k in range(0, reach)
+            if all(step[i] >= m + i for i in range(k, k + reach))
+        ),
+        None,
+    )
+    return regular, asymptotic
+
+
+def _check_minimal_balls(sys, t):
+    assert minimal_invariant_balls(sys, t) == _brute_minimal_balls(sys, t)
+
+
+def _check_invariant_balls(sys, t):
+    rep = regular_fixed_point(sys, t)
+    assert [(b.ball.bits, b.names) for b in rep.balls] == _brute_invariant_balls(sys, t)
+
+
+def _check_offsets(sys, t):
+    for x in range(sys.n):
+        rep = regularity_report(sys, t, x)
+        if t.image[x] == x:
+            assert rep.is_fixed
+            assert (rep.regular_offset, rep.asymptotic_offset) == (None, None)
+            continue
+        regular, asymptotic = _brute_offsets(sys, t, x)
+        assert (rep.regular_offset, rep.asymptotic_offset) == (regular, asymptotic)
+        assert rep.regular == (regular is not None)
+        assert rep.asymptotically_regular == (asymptotic is not None)
+
+
+class TestScansAreComplete:
+    """Each scan equals a brute-force search over every center and level,
+    so a scan that skipped a ball or an offset would fail here."""
+
+    @given(systems_with_maps())
+    @settings(max_examples=150)
+    def test_minimal_balls_random(self, sys_map):
+        _check_minimal_balls(*sys_map)
+
+    @given(systems_with_maps())
+    @settings(max_examples=150)
+    def test_invariant_balls_random(self, sys_map):
+        _check_invariant_balls(*sys_map)
+
+    @given(systems_with_maps())
+    @settings(max_examples=150)
+    def test_regularity_offsets_random(self, sys_map):
+        _check_offsets(*sys_map)
+
+    @pytest.mark.parametrize(
+        "check", [_check_minimal_balls, _check_invariant_balls, _check_offsets]
+    )
+    def test_seeded_transitive_and_grade_preserving(self, check):
+        for sys, t in SEEDED:
+            check(sys, t)
+
+    def test_seeded_cases_reach_every_branch(self):
+        # without qualifying balls or offsets the comparisons show nothing
+        assert sum(bool(minimal_invariant_balls(*c)) for c in SEEDED) >= 10
+        reports = [
+            regularity_report(sys, t, x)
+            for sys, t in SEEDED
+            for x in range(sys.n)
+            if t.image[x] != x
+        ]
+        assert sum(r.regular_offset is not None for r in reports) >= 10
+        assert sum(r.asymptotic_offset is not None for r in reports) >= 10
