@@ -205,18 +205,15 @@ def _cmd_hulls(ns) -> tuple[int, dict]:
     sys = _load_system(ns.system)
     mode = MODE_NAMES[ns.mode]
     labels = sys.labels
-    balls: dict[tuple[int, int], dict] = {}
-    family = []
-    for bits, witness in hulls_mod._witnessed_members(sys, mode, hulls_mod.DEFAULT_SET_CAP):
-        entry = []
-        for c, lev in witness:
-            ball = balls.get((c, lev))
-            if ball is None:
-                ball = balls[c, lev] = {"center": labels[c], "level": lev}
-            entry.append(ball)
-        family.append(
-            {"members": [labels[i] for i in iter_bits(bits)], "witness_balls": entry}
+    family = [
+        {"members": [labels[i] for i in iter_bits(bits)], "witness_balls": witness}
+        for bits, witness in hulls_mod._witnessed_members(
+            sys,
+            mode,
+            hulls_mod.DEFAULT_SET_CAP,
+            lambda pair: {"center": labels[pair[0]], "level": pair[1]},
         )
+    ]
     report = {
         "command": "hulls",
         "file": ns.system,

@@ -18,23 +18,44 @@ generator masks, so the metric-ball route of the falsifier closes its own
 balls with it too.  Each family is memoised on the system once per mode and
 cap, as a tuple of raw masks in canonical order, and that tuple is the only
 stored form: the normal-structure check, the falsifier and the
-invariant-set search read it directly.  The paper-cov tuple is filtered
-from the arbitrary-center one, so one closure serves both modes.  Witness balls are computed on
-demand, by hull() for a single value handed back and by
-enumerate_admissible, unmemoised, for the whole family.  Balls, covering
-levels, hulls and the level-set normality route are reads of the system's
-level table.
+invariant-set search read it directly.
+
+From four members per point on (_COLUMNS_FROM; below that one hull per
+member is cheaper), every member's hull is decided in one bit-sliced pass
+over the closure (_slices), memoised next to it per cap, in the vertical
+layout of frequent-itemset miners (Zaki 2000; MAFIA, Burdick et al. 2001):
+position i is the i-th member in canonical order, and member[y] is the int
+with bit i set when member i holds point y.  Walking the balls at a center
+from the floor up, the positions inside a ball are the complement of the OR
+of member[y] over the points that have left it, so a center costs about n
+ORs.  One pass over the (center, point) pairs then gives every member's
+fixed-point check under both hulls: the paper-cov family is the
+arbitrary-center tuple less the members its hull moves, and an
+arbitrary-center member that moved raises.  The memo keeps member[] and the
+paper-cov filter.  When the whole family's witness balls are asked for, the
+same walk gives, per center, one byte per member counting the times that
+center's balls shrink before they stop containing it, which picks the
+member's witness ball there; zipped across centers, these give each
+member's witnesses one member at a time (past 255 shrinks at one center,
+which takes over 256 points, each member's own hull gives them instead).
+hull() still computes a single set's hull and witness directly and is the
+oracle the pass is tested against.  Balls, covering levels, hulls and the
+level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: the closure keeps no empty set, and every
-ball contains its center.  Normal structure is decided per admissible set,
-with grades, distances and level sets cross-checked.
+level-table row contains its center.  Normal structure fails on the first
+pair the hull fixes, since a pair's Chebyshev radius is its diameter; only
+when no pair is fixed is it decided per admissible set.  Grades, distances
+and level sets are cross-checked on the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import compress
+from operator import getitem
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .dyadic import DyadicValue
 from .errors import ResourceLimitError, StructuralInputError, UsageError
@@ -45,6 +66,8 @@ from .semimetric import delta
 PAPER_COV = "paper-cov"
 ARBITRARY_CENTER = "arbitrary-center"
 _MODES = (PAPER_COV, ARBITRARY_CENTER)
+
+_T = TypeVar("_T")
 
 # most members the ball-intersection closure may reach
 DEFAULT_SET_CAP = 2_000_000
@@ -183,41 +206,177 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
     )
 
 
+# Fewest family members per point at which the column pass of _slices is
+# used.  The pass walks every (center, point) pair whatever the family size,
+# while one _hull_mask call per member costs about n steps.  Measured with
+# both, over the paper-cov filter and both modes' witnesses: on transitive
+# systems of 8 to 48 points (1.4 to 1.9 members per point) the pass took
+# twice as long, near 3 members per point the two broke even, and from 5 on
+# the pass was faster, 5x at 330 members per point (n = 14).
+_COLUMNS_FROM = 4
+
+
 def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
     """The admissible family as raw masks in canonical order, memoised on
     the system per mode and cap; the only stored form of the family.
 
-    The paper-cov family filters the memoised arbitrary-center one, so a
-    system builds one closure per cap and sorts it once."""
+    The paper-cov family is the arbitrary-center one less the members the
+    paper-cov hull moves, found by the column pass of _slices or, for a
+    small family, member by member, so a system builds one closure per cap
+    and sorts it once."""
     _check_mode(mode)
 
     def build(s: RelationalSystem) -> tuple[int, ...]:
         if mode == PAPER_COV:
-            return tuple(
-                bits
-                for bits in _family(s, ARBITRARY_CENTER, cap)
-                if _hull_mask(s, bits, mode)[0] == bits
-            )
+            closure = _family(s, ARBITRARY_CENTER, cap)
+            if len(closure) < _COLUMNS_FROM * s.n:
+                return tuple(bits for bits in closure if _hull_mask(s, bits, mode)[0] == bits)
+            return tuple(compress(closure, _slices(s, cap).paper))
         closure = _intersection_closure(_distinct_ball_bits(s), cap)
         return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
 
     return sys.cached(("admissible", mode, cap), build)
 
 
-def _witnessed_members(
-    sys: RelationalSystem, mode: str, cap: int
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Each admissible mask, in canonical order, with its witness balls.
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
-    Every member is checked to be a fixed point of the hull as it goes by:
-    the arbitrary-center family is the raw closure, which is fixed by
-    construction, so a member that moved would be a bug.
+
+def _bytes01(bits: int, width: int) -> bytes:
+    """A width-bit mask as one 0/1 byte per bit, byte i for bit i."""
+    return format(bits, f"0{width}b")[::-1].encode().translate(_ZERO_ONE)
+
+
+class _Slices(NamedTuple):
+    """The arbitrary-center family in vertical layout: position i is the
+    member at index i of the canonical order."""
+
+    member: tuple[int, ...]  # per point: bit i set when member i holds it
+    paper: bytes  # byte i is 1 when member i is fixed by the paper-cov hull
+
+
+def _slices(sys: RelationalSystem, cap: int) -> _Slices:
+    """Every member's hull decided at once, memoised on the system per cap.
+
+    The positions inside a ball at x are the complement of the members
+    holding a point that ball lacks, so walking x's balls from the floor up
+    costs one OR per point that leaves (_shrinks).  A member's hull drops y
+    exactly when it lies inside the first ball at some center that lacks
+    y, and a member is fixed when its hull drops every point it lacks;
+    counting only the centers inside the member gives the paper-cov hull.
+    Every member of the closure is fixed under the arbitrary-center hull by
+    construction, so a member that moved is a bug and raises.
     """
+
+    def build(s: RelationalSystem) -> _Slices:
+        family = _family(s, ARBITRARY_CENTER, cap)
+        n, every = s.n, (1 << len(family)) - 1
+        # column y of the member-by-point 0/1 text, read from position 0 on
+        text = "".join(map(f"{{:0{n}b}}".format, family))
+        member = tuple(int(text[n - 1 - y :: n][::-1], 2) for y in range(n))
+        drops = [0] * n
+        paper_drops = [0] * n
+        for x in range(n):
+            for _, leaving, inside in _shrinks(s, member, every, x):
+                centered = inside & member[x]
+                for y in leaving:
+                    drops[y] |= inside
+                    paper_drops[y] |= centered
+        moved = unfixed = 0
+        for y in range(n):
+            moved |= every & ~(drops[y] | member[y])
+            unfixed |= every & ~(paper_drops[y] | member[y])
+        if moved:
+            raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
+        return _Slices(member, _bytes01(every ^ unfixed, len(family)))
+
+    return sys.cached(("slices", cap), build)
+
+
+def _shrinks(
+    sys: RelationalSystem, member: tuple[int, ...], every: int, x: int
+) -> Iterator[tuple[int, list[int], int]]:
+    """Each time the balls at x shrink, from the floor up: the level of the
+    last ball before the shrink, the points that leave, and the positions
+    inside the smaller ball."""
+    table = sys.level_table()
+    outside = 0
+    for lev, (lower, upper) in enumerate(zip(table, table[1:]), sys.window.below):
+        if lower[x] != upper[x]:
+            leaving = list(iter_bits(lower[x] & ~upper[x]))
+            for y in leaving:
+                outside |= member[y]
+            yield lev, leaving, every ^ outside
+
+
+def _witnessed_members(
+    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
+) -> Iterator[tuple[int, list[_T]]]:
+    """Each admissible mask, in canonical order, with the list of its
+    witness balls, each one the object ball made from its (center, level)
+    pair; ball is called once per distinct pair, so members that share a
+    witness ball share that object.
+
+    From _COLUMNS_FROM members per point on, the witnesses come from the
+    byte columns of _witness_columns, else, and where those do not fit a
+    byte, from each member's hull, which is checked to be a fixed point.
+    """
+    _check_mode(mode)
+    if len(_family(sys, ARBITRARY_CENTER, cap)) >= _COLUMNS_FROM * sys.n:
+        columns = _witness_columns(sys, mode, cap, ball)
+        if columns is not None:
+            return columns
+    return _hull_witnesses(sys, mode, cap, ball)
+
+
+def _witness_columns(
+    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
+) -> Optional[Iterator[tuple[int, list[_T]]]]:
+    """The witnesses of _witnessed_members read from the column pass.
+
+    A member's witness ball at x is the last one before the shrink that it
+    leaves at, so per center one byte per member, counting the shrinks it
+    stays inside, picks its witness.  The columns are built per call and
+    zipped across centers one member at a time.  None when some center's
+    balls shrink more than 255 times.
+    """
+    family = _family(sys, ARBITRARY_CENTER, cap)
+    member, paper = _slices(sys, cap)
+    m, every = len(family), (1 << len(family)) - 1
+    steps, table = [], []
+    for x in range(sys.n):
+        levels, count = [], 0
+        for lev, _, inside in _shrinks(sys, member, every, x):
+            levels.append(lev)
+            # 0/1 bytes summed as one int: byte i counts member i's shrinks
+            count += int.from_bytes(_bytes01(inside, m), "little")
+        if len(levels) > 255:
+            return None
+        levels.append(sys.window.above)
+        steps.append(count.to_bytes(m, "little"))
+        table.append(tuple(ball((x, lev)) for lev in levels))
+    per_member = zip(*steps)
+    if mode == ARBITRARY_CENTER:
+        return zip(family, (list(map(getitem, table, idx)) for idx in per_member))
+    n = sys.n
+    return (
+        (bits, list(compress(map(getitem, table, idx), _bytes01(bits, n))))
+        for bits, idx in compress(zip(family, per_member), paper)
+    )
+
+
+def _hull_witnesses(
+    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
+) -> Iterator[tuple[int, list[_T]]]:
+    """The witnesses of _witnessed_members from one hull per member."""
+    made: dict[tuple[int, int], _T] = {}
     for bits in _family(sys, mode, cap):
         out, witness = _hull_mask(sys, bits, mode)
-        if out != bits:  # pragma: no cover - closure members are fixed
+        if out != bits:
             raise RuntimeError(f"admissible member moved under the {mode} hull")
-        yield bits, witness
+        for pair in witness:
+            if pair not in made:
+                made[pair] = ball(pair)
+        yield bits, list(map(made.__getitem__, witness))
 
 
 def enumerate_admissible(
@@ -235,8 +394,8 @@ def enumerate_admissible(
     values and their witness balls are rebuilt on every call.
     """
     return tuple(
-        AdmissibleSet(PointSet(sys.n, bits), witness, mode)
-        for bits, witness in _witnessed_members(sys, mode, max_intermediate)
+        AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)
+        for bits, witness in _witnessed_members(sys, mode, max_intermediate, lambda p: p)
     )
 
 
@@ -368,9 +527,14 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     form a clique whose Chebyshev radius equals its diameter (see
     min_distance_clique).  The witness is the first admissible set, in
     canonical order, where radius and diameter coincide, with its hull
-    witness balls.
+    witness balls.  Every pair has radius equal to its diameter, and pairs
+    follow the singletons in that order, so the first pair the hull fixes
+    is the witness; the family is walked only when the hull fixes no pair.
     """
-    for bits in _family(sys, mode, DEFAULT_SET_CAP):
+    _check_mode(mode)
+    pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
+    fixed = next((p for p in pairs if _hull_mask(sys, p, mode)[0] == p), None)
+    for bits in (fixed,) if fixed else _family(sys, mode, DEFAULT_SET_CAP):
         if bits.bit_count() < 2:
             continue
         points = PointSet(sys.n, bits)
@@ -442,12 +606,12 @@ def check_spherical_completeness(sys: RelationalSystem) -> StructureReport:
     center.  That is checked for every center and window level; the witness
     is the first offending ball as ((bits, level),).
     """
+    table = sys.level_table()
     for x in range(sys.n):
-        for lev in range(sys.window.below, sys.window.above + 1):
-            bits = ball(sys, x, lev).bits
-            if not bits >> x & 1:
+        for lev, rows in enumerate(table, sys.window.below):
+            if not rows[x] >> x & 1:
                 return StructureReport(
-                    "spherical-completeness", False, witness=((bits, lev),)
+                    "spherical-completeness", False, witness=((rows[x], lev),)
                 )
     return StructureReport(
         "spherical-completeness",

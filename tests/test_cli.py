@@ -182,6 +182,11 @@ def _assert_streamed_report_matches(sys):
                 "family": listed,
             }
             assert listed == _family_entries(sys, _brute_force_family(sys, mode))
+            # one dict per witness ball, shared by every member it witnesses
+            shared = {}
+            for entry in report["family"]:
+                for b in entry["witness_balls"]:
+                    assert shared.setdefault((b["center"], b["level"]), b) is b
 
 
 class TestStreamedHullsReport:

@@ -1,7 +1,9 @@
 """Balls, hulls, admissible families, radii, and the structure checks."""
 
+import dataclasses
 import random
 from functools import reduce
+from itertools import compress
 from operator import and_
 
 import pytest
@@ -53,6 +55,12 @@ CHAIN_HEAVY = make_system(
         [-3, -1, -1, -1, -1, 0, TOP, -1],
         [0, -1, -1, -1, -1, -3, -1, TOP],
     ],
+)
+
+
+# every pair at one grade: the hull fixes no pair in either mode
+EQUILATERAL = make_system(
+    ["a", "b", "c"], (0, 1), [[TOP, 0, 0], [0, TOP, 0], [0, 0, TOP]]
 )
 
 
@@ -464,6 +472,44 @@ class TestNormalStructure:
                 assert rep.holds and rep.witness is None
 
 
+    @given(small_systems(), st.sampled_from(MODES))
+    @example(CHAIN_HEAVY, ARBITRARY_CENTER)
+    @example(CHAIN_HEAVY, PAPER_COV)
+    @example(EQUILATERAL, ARBITRARY_CENTER)
+    @example(EQUILATERAL, PAPER_COV)
+    @settings(max_examples=100)
+    def test_fixed_pair_agrees_with_the_family_walk(self, sys, mode):
+        # the canonical walk over the family against the pair check, which
+        # builds no closure when the hull fixes some pair
+        family = hulls._family(sys, mode, hulls.DEFAULT_SET_CAP)
+        flat = next(
+            (
+                bits
+                for bits in family
+                if bits.bit_count() >= 2
+                and not normality_criteria(sys, PointSet(sys.n, bits)).grade_strict
+            ),
+            None,
+        )
+        fresh = dataclasses.replace(sys)
+        calls = []
+        real = hulls._intersection_closure
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                hulls,
+                "_intersection_closure",
+                lambda gens, cap: calls.append(cap) or real(gens, cap),
+            )
+            rep = check_normal_structure(fresh, mode)
+        if flat is None:
+            assert rep.holds and rep.witness is None
+        else:
+            points = PointSet(sys.n, flat)
+            assert rep.witness == (hull(sys, points, mode), radii(sys, points))
+        pair_fixed = any(bits.bit_count() == 2 for bits in family)
+        assert calls == ([] if pair_fixed else [hulls.DEFAULT_SET_CAP])
+
+
 class TestMinDistanceClique:
     def test_chain(self, chain):
         assert min_distance_clique(chain).members() == (4, 5)
@@ -583,15 +629,144 @@ class TestCompactAndSpherical:
         }
 
     def test_spherical_fails_when_a_ball_drops_its_center(self, grid, monkeypatch):
-        real = hulls.ball
-
-        def ball_without_center(sys, x, n):
-            b = real(sys, x, n)
-            if (x, n) == (2, 2):
-                return PointSet(sys.n, b.bits & ~(1 << x))
-            return b
-
-        monkeypatch.setattr(hulls, "ball", ball_without_center)
+        # the check reads the memoised level table, so drop point 2 from
+        # its row at (x = 2, level 2)
+        table = [list(rows) for rows in grid.level_table()]
+        table[2 - grid.window.below][2] &= ~(1 << 2)
+        monkeypatch.setitem(grid._memo, "level-table", tuple(map(tuple, table)))
         rep = check_spherical_completeness(grid)
         assert not rep.holds
         assert rep.witness == ((pset(grid, 1, 3).bits, 2),)
+
+
+def seeded_system(seed, n, span):
+    """Unconstrained n-point system, grades uniform over a span-wide window."""
+    rng = random.Random(seed)
+    lo = rng.randint(-2, 2)
+    rows = [[TOP] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            rows[x][y] = rows[y][x] = rng.randint(lo - 1, lo + span)
+    return make_system([str(i) for i in range(n)], (lo, lo + span), rows)
+
+
+# n = 1, n = 8/9/17 around the byte boundaries of a mask, span 0, and the
+# 4-point systems whose families have 7, 8 and 9 members
+SEEDED = [
+    (seed, n, span)
+    for n, spans in ((1, (0, 3)), (8, (0, 3)), (9, (0, 4)), (17, (0, 1)), (4, (1,)))
+    for span in spans
+    for seed in range(6)
+]
+
+
+def star_system(n):
+    """Point 0 meets point j at grade j and every other pair is at the
+    floor, so the balls at 0 shrink n - 1 times."""
+    rows = [
+        [TOP if x == y else max(x, y) if 0 in (x, y) else 0 for y in range(n)]
+        for x in range(n)
+    ]
+    return make_system([str(i) for i in range(n)], (1, n - 1), rows)
+
+
+def hull_oracle(sys, mode):
+    """The family and its witnesses from one _hull_mask call per member:
+    the paper-cov family keeps the closure members its hull fixes."""
+    closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+    assert all(hulls._hull_mask(sys, bits, ARBITRARY_CENTER)[0] == bits for bits in closure)
+    return [
+        (bits, witness)
+        for bits in closure
+        for out, witness in [hulls._hull_mask(sys, bits, mode)]
+        if out == bits
+    ]
+
+
+def assert_sliced_matches_oracle(sys):
+    cap = hulls.DEFAULT_SET_CAP
+    closure = hulls._family(sys, ARBITRARY_CENTER, cap)
+    paper = tuple(compress(closure, hulls._slices(sys, cap).paper))
+    assert paper == tuple(bits for bits, _ in hull_oracle(sys, PAPER_COV))
+    for mode in MODES:
+        want = hull_oracle(sys, mode)
+        assert hulls._family(sys, mode, cap) == tuple(b for b, _ in want)
+        for got in (
+            hulls._witness_columns(sys, mode, cap, lambda p: p),
+            hulls._witnessed_members(sys, mode, cap, lambda p: p),
+        ):
+            assert [(bits, tuple(witness)) for bits, witness in got] == want
+
+
+class TestSlicedFamily:
+    """The column pass over the closure against per-member hulls."""
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    @settings(max_examples=100)
+    def test_random_systems(self, sys):
+        assert_sliced_matches_oracle(sys)
+
+    def test_seeded_systems(self):
+        sizes = set()
+        for seed, n, span in SEEDED:
+            sys = seeded_system(seed, n, span)
+            assert_sliced_matches_oracle(sys)
+            sizes |= {len(hulls._family(sys, mode, hulls.DEFAULT_SET_CAP)) for mode in MODES}
+        assert {1, 7, 8, 9} <= sizes
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_shrinks_past_a_byte(self, n):
+        # 255 shrinks at point 0 fit a byte per member; 256 do not, and
+        # each member's hull gives the witnesses instead
+        sys = star_system(n)
+        columns = hulls._witness_columns(
+            sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP, lambda p: p
+        )
+        want = hull_oracle(sys, ARBITRARY_CENTER)
+        if n > 256:
+            assert columns is None
+            columns = hulls._witnessed_members(
+                sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP, lambda p: p
+            )
+        assert [(bits, tuple(witness)) for bits, witness in columns] == want
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    @example(EQUILATERAL)
+    @settings(max_examples=60)
+    def test_column_pass_from_four_members_per_point(self, sys):
+        # below that the family's hulls are taken one member at a time
+        enumerate_admissible(sys, PAPER_COV)
+        closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+        used = ("slices", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
+        assert used == (len(closure) >= 4 * sys.n)
+
+    @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
+    @example(CHAIN_HEAVY, 86)
+    @settings(max_examples=60)
+    def test_a_member_that_moves_raises(self, sys, pick):
+        # any mask outside the closure moves under its hull; put one into
+        # the memoised family, anywhere: the column pass fails in both
+        # modes, and the arbitrary-center witnesses fail on either path
+        cap = hulls.DEFAULT_SET_CAP
+        closure = hulls._family(sys, ARBITRARY_CENTER, cap)
+        outside = [bits for bits in range(1, 1 << sys.n) if bits not in closure]
+        if not outside:
+            return
+        bad, at = outside[pick % len(outside)], pick % (len(closure) + 1)
+        reads = [
+            lambda s: hulls._slices(s, cap),
+            lambda s: list(hulls._witness_columns(s, PAPER_COV, cap, lambda p: p)),
+            lambda s: enumerate_admissible(s, ARBITRARY_CENTER),
+        ]
+        if len(closure) + 1 >= 4 * sys.n:
+            reads.append(lambda s: hulls._family(s, PAPER_COV, cap))
+        for read in reads:
+            fresh = dataclasses.replace(sys)
+            fresh.cached(
+                ("admissible", ARBITRARY_CENTER, cap),
+                lambda s: closure[:at] + (bad,) + closure[at:],
+            )
+            with pytest.raises(RuntimeError, match="moved under the arbitrary-center hull"):
+                read(fresh)

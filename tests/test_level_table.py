@@ -133,14 +133,18 @@ def _count_closures(monkeypatch):
 
 class TestAdmissibleMemo:
     def test_structure_report_enumerates_once(self, grid, tmp_path, monkeypatch):
-        path = tmp_path / "grid.grs"
-        path.write_text(serialize_system(grid), encoding="utf-8")
+        # a pair fixed by the hull decides normal structure with no closure;
+        # on a system whose hull fixes no pair the family is built once
+        equilateral = make_system("abc", (0, 1), [[TOP, 0, 0], [0, TOP, 0], [0, 0, TOP]])
         calls = _count_closures(monkeypatch)
-        status, report = run(["structure", str(path)])
-        assert status == 1
-        assert not report["normal_structure"]["holds"]
-        assert report["compact_structure"]["holds"]
-        assert len(calls) == 1
+        for sys, closures in ((grid, 0), (equilateral, 1)):
+            path = tmp_path / "system.grs"
+            path.write_text(serialize_system(sys), encoding="utf-8")
+            status, report = run(["structure", str(path)])
+            assert status == 1
+            assert not report["normal_structure"]["holds"]
+            assert report["compact_structure"]["holds"]
+            assert len(calls) == closures
 
     def test_fixpoint_report_enumerates_once(self, chain, successor, tmp_path, monkeypatch):
         sys_path = tmp_path / "chain.grs"
