@@ -23,7 +23,7 @@ import io
 import json
 import sys as _sysmod
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import hulls as hulls_mod
 from .dyadic import DyadicValue
@@ -524,13 +524,24 @@ _DISPATCH = {
 }
 
 
-def run(argv: Sequence[str]) -> tuple[int, dict]:
-    """Execute one command line; returns (exit status, report dict)."""
+def _parse(argv: Sequence[str]) -> Union[argparse.Namespace, int]:
+    """The parsed command line, or the exit status argparse stopped with."""
     try:
-        ns = _parser().parse_args(list(argv))
+        return _parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return (code if code else 0), {}
+        return code if code else 0
+
+
+def run(argv: Sequence[str]) -> tuple[int, dict]:
+    """Execute one command line; returns (exit status, report dict)."""
+    ns = _parse(argv)
+    if isinstance(ns, int):
+        return ns, {}
+    return _execute(ns)
+
+
+def _execute(ns: argparse.Namespace) -> tuple[int, dict]:
     try:
         return _DISPATCH[ns.command](ns)
     except FormatError as exc:
@@ -587,12 +598,13 @@ def render_human(report: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = list(_sysmod.argv[1:] if argv is None else argv)
-    status, report = run(args)
-    quiet = "--quiet" in args
-    as_json = "--json" in args
-    if not quiet and report:
-        if as_json:
+    ns = _parse(_sysmod.argv[1:] if argv is None else argv)
+    if isinstance(ns, int):
+        return ns
+    status, report = _execute(ns)
+    # the flags come from the parse, which also accepts unique prefixes
+    if not getattr(ns, "quiet", False) and report:
+        if getattr(ns, "json", False):
             print(json.dumps(report, indent=2))
         else:
             print(render_human(report), end="")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import StructuralInputError
 
@@ -40,8 +41,8 @@ class DyadicValue:
 
     @classmethod
     def pow2(cls, k: int) -> "DyadicValue":
-        """The value 2**k."""
-        return cls(1, -k)
+        """The value 2**k, one shared frozen value per recently used k."""
+        return _pow2(k)
 
     @property
     def is_zero(self) -> bool:
@@ -87,6 +88,13 @@ class DyadicValue:
         if self.exponent <= 0:
             return str(self.numerator << -self.exponent)
         return f"{self.numerator}/{1 << self.exponent}"
+
+
+# bounded so that wide windows cannot grow it without limit; the levels of
+# any window the corpus or the falsifier uses fit many times over
+@lru_cache(maxsize=256)
+def _pow2(k: int) -> DyadicValue:
+    return DyadicValue(1, -k)
 
 
 def floor_log2(value: Fraction) -> int:

@@ -3,8 +3,10 @@
 A map is grade-preserving when no pair's grade drops under it, which for
 the induced distance is exactly nonexpansiveness; both predicates are
 implemented against their own arithmetic so they can be compared.  The
-ball scans of the dichotomy and the fixed-point theorems read the rows of
-the system's level table directly.
+ball scans of the dichotomy read the rows of the system's level table
+directly.  The invariant-ball scan of the fixed-point theorems tests each
+distinct ball of the system's ball index (hulls._ball_index) once and
+reports it under every (center, level) pair that names it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 
 from .dyadic import DyadicValue
 from .errors import PreconditionError, StructuralInputError, UsageError
-from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _family, hull
+from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _ball_index, _family, hull
 from .pointset import PointSet, iter_bits
 from .relations import Grade, RelationalSystem, Top, check_axiom
 from .semimetric import delta
@@ -377,18 +379,12 @@ def regular_fixed_point(
             unmet.append(f"{variant}@{x}")
 
     fixed = fixed_points(sys, t)
-    table = sys.level_table()
-    by_bits: dict[int, list[tuple[int, int]]] = {}
-    for x in range(sys.n):
-        for k, rows in enumerate(table):
-            if _maps_into_itself(t, rows[x]):
-                by_bits.setdefault(rows[x], []).append((x, sys.window.below + k))
-
     balls = tuple(
         InvariantBallReport(
-            PointSet(sys.n, bits), tuple(names), PointSet(sys.n, bits & fixed.bits)
+            PointSet(sys.n, bits), names, PointSet(sys.n, bits & fixed.bits)
         )
-        for bits, names in sorted(by_bits.items())
+        for bits, names in sorted(_ball_index(sys).items())
+        if _maps_into_itself(t, bits)
     )
     if unmet:
         verdict = "vacuous"

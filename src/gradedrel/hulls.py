@@ -10,10 +10,15 @@ gen_system(0, GenParams(point_count=(3, 7))) the hull of {0, 1} is
 {0, ..., 4} but the hull of {0, 1, 2} is {0, ..., 3}), and its fixed
 points need not be closed under intersection.
 
-Both fixed-point families are computed from one ball-intersection closure,
-built incrementally: each distinct ball b adds b and its nonempty
-intersections with the family so far, O(B * F) for B distinct balls and F
-family members.  The cap counts family members.  The closure takes
+The system's ball index (_ball_index), memoised on it, maps each distinct
+ball mask of the level table to the (center, level) pairs that name it;
+in a transitive system balls are nested or disjoint, so far fewer masks
+than pairs.  Its masks are the generators of the one ball-intersection
+closure both fixed-point families are computed from, and the dynamics
+invariant-ball scan reads the same index.  The closure is built
+incrementally: each distinct ball b adds b and its nonempty intersections
+with the family so far, O(B * F) for B distinct balls and F family
+members.  The cap counts family members.  The closure takes
 generator masks, so the metric-ball route of the falsifier closes its own
 balls with it too.  Each family is memoised on the system once per mode and
 cap, as a tuple of raw masks in canonical order, and that tuple is the only
@@ -160,10 +165,27 @@ def _hull_mask(
     return out, tuple(witness)
 
 
-def _distinct_ball_bits(sys: RelationalSystem) -> list[int]:
-    """Every ball, center by center and level by level, first sighting kept."""
+def _ball_index(sys: RelationalSystem) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Every distinct ball mask with the (center, level) pairs naming it,
+    memoised on the system.
+
+    Masks keep their first sighting, center by center and level by level
+    from window.below to window.above, and so do the names of each mask.
+    """
+    return sys.cached("ball-index", _build_ball_index)
+
+
+def _build_ball_index(sys: RelationalSystem) -> dict[int, tuple[tuple[int, int], ...]]:
+    names: dict[int, list[tuple[int, int]]] = {}
     table = sys.level_table()
-    return list(dict.fromkeys(rows[x] for x in range(sys.n) for rows in table))
+    for x in range(sys.n):
+        for lev, rows in enumerate(table, sys.window.below):
+            pairs = names.get(rows[x])
+            if pairs is None:
+                names[rows[x]] = [(x, lev)]
+            else:
+                pairs.append((x, lev))
+    return {bits: tuple(pairs) for bits, pairs in names.items()}
 
 
 def _intersection_closure(generators: Iterable[int], cap: int) -> set[int]:
@@ -232,7 +254,7 @@ def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
             if len(closure) < _COLUMNS_FROM * s.n:
                 return tuple(bits for bits in closure if _hull_mask(s, bits, mode)[0] == bits)
             return tuple(compress(closure, _slices(s, cap).paper))
-        closure = _intersection_closure(_distinct_ball_bits(s), cap)
+        closure = _intersection_closure(_ball_index(s), cap)
         return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
 
     return sys.cached(("admissible", mode, cap), build)

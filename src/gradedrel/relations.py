@@ -190,16 +190,21 @@ def compose(r: Relation, s: Relation) -> Relation:
 
 
 def _compose_rows(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-    """compose on raw row bitmasks of one ground set."""
-    rows = []
+    """compose on raw row bitmasks of one ground set.
+
+    Each distinct row of r is composed once: the rows of an equivalence
+    relation repeat once per member of their class.
+    """
+    images: dict[int, int] = {}
     for row in r:
-        out = 0
-        while row:
-            low = row & -row
-            out |= s[low.bit_length() - 1]
-            row ^= low
-        rows.append(out)
-    return tuple(rows)
+        if row not in images:
+            out, rest = 0, row
+            while rest:
+                low = rest & -rest
+                out |= s[low.bit_length() - 1]
+                rest ^= low
+            images[row] = out
+    return tuple(map(images.__getitem__, r))
 
 
 @dataclass(frozen=True)

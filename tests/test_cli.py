@@ -212,7 +212,7 @@ class TestStreamedHullsReport:
 
     def test_cap_error_prints_the_member_count(self, paths, grid, monkeypatch):
         with pytest.raises(ResourceLimitError) as info:
-            hulls._intersection_closure(hulls._distinct_ball_bits(grid), 3)
+            hulls._intersection_closure(hulls._ball_index(grid), 3)
         reached = info.value.reached
         assert reached > 3
         monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 3)
@@ -583,4 +583,17 @@ class TestMain:
 
     def test_quiet(self, paths, capsys):
         assert main(["classify", paths["triple"], "--quiet"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_abbreviated_json_flag(self, paths, capsys, before):
+        argv = ["classify", paths["chain"]]
+        assert main(["--js", *argv] if before else [*argv, "--js"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["class_label"] == "ultrametric"
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_abbreviated_quiet_flag(self, paths, capsys, before):
+        argv = ["classify", paths["triple"]]
+        assert main(["--qui", *argv] if before else [*argv, "--qui"]) == 1
         assert capsys.readouterr().out == ""

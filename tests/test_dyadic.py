@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedrel import DyadicValue, centered_cover_level, floor_log2
+from gradedrel import (
+    DyadicValue,
+    centered_cover_level,
+    dyadic,
+    floor_log2,
+    ingest_distance_matrix,
+)
 from gradedrel.errors import StructuralInputError
 
 
@@ -59,6 +65,21 @@ class TestArithmetic:
         assert DyadicValue.pow2(0) == DyadicValue.one()
         assert DyadicValue.pow2(-5).as_fraction() == Fraction(1, 32)
         assert DyadicValue.pow2(3).as_fraction() == 8
+
+    @given(st.integers(min_value=-300, max_value=300))
+    def test_pow2_is_one_shared_canonical_value(self, k):
+        value = DyadicValue.pow2(k)
+        assert DyadicValue.pow2(k) is value
+        fresh = DyadicValue(1, -k)
+        assert value == fresh
+        assert hash(value) == hash(fresh)
+        assert str(value) == str(fresh)
+
+    def test_pow2_cache_stays_bounded(self):
+        # every level of the window is compared against the one distance
+        bound = dyadic._pow2.cache_info().maxsize
+        ingest_distance_matrix([[0, 2**400], [2**400, 0]], (-bound, bound))
+        assert dyadic._pow2.cache_info().currsize <= bound
 
     def test_str_forms(self):
         assert str(DyadicValue.pow2(-5)) == "1/32"

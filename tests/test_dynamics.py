@@ -447,6 +447,14 @@ class TestScansAreComplete:
         for sys, t in SEEDED:
             check(sys, t)
 
+    def test_seeded_large_transitive_invariant_balls(self):
+        # nested or disjoint balls: many (center, level) pairs per distinct ball
+        params = GenParams(point_count=(24, 48), window_span=(3, 6), constraint="transitive")
+        for seed in range(10):
+            sys = gen_system(seed, params)
+            for kind in ("any", "homomorphism"):
+                _check_invariant_balls(sys, gen_self_map(seed, sys, kind))
+
     def test_seeded_cases_reach_every_branch(self):
         # without qualifying balls or offsets the comparisons show nothing
         assert sum(bool(minimal_invariant_balls(*c)) for c in SEEDED) >= 10

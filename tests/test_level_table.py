@@ -4,7 +4,7 @@ and axiom reports, and the CLI's memo of the last parsed system."""
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradedrel import cli, hulls, relations
 from gradedrel import (
@@ -26,11 +26,13 @@ from gradedrel import (
     identity_map,
     make_system,
     minimal_invariant_admissible,
+    regular_fixed_point,
     serialize_selfmap,
     serialize_system,
 )
 from gradedrel.cli import run
 
+from test_hulls import CHAIN_HEAVY
 from test_relations import small_systems
 
 
@@ -196,6 +198,48 @@ class TestAdmissibleMemo:
         assert len(calls) == 3
 
 
+def _count_ball_indexes(monkeypatch):
+    calls = []
+    real = hulls._build_ball_index
+
+    def counted(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(hulls, "_build_ball_index", counted)
+    return calls
+
+
+class TestBallIndex:
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    def test_keys_are_the_distinct_balls_in_first_sighting_order(self, sys):
+        table = sys.level_table()
+        scan = list(dict.fromkeys(rows[x] for x in range(sys.n) for rows in table))
+        index = hulls._ball_index(sys)
+        assert list(index) == scan
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    def test_names_are_every_center_and_level_once(self, sys):
+        index = hulls._ball_index(sys)
+        names = [pair for pairs in index.values() for pair in pairs]
+        levels = range(sys.window.below, sys.window.above + 1)
+        assert sorted(names) == [(x, lev) for x in range(sys.n) for lev in levels]
+        for bits, pairs in index.items():
+            assert pairs == tuple(sorted(pairs))
+            for x, lev in pairs:
+                assert ball(sys, x, lev).bits == bits
+
+    def test_hulls_and_both_variants_build_it_once(self, chain, successor, monkeypatch):
+        calls = _count_ball_indexes(monkeypatch)
+        enumerate_admissible(chain, ARBITRARY_CENTER)
+        enumerate_admissible(chain, PAPER_COV)
+        for variant in ("regular", "asymptotic"):
+            regular_fixed_point(chain, successor, variant)
+        assert calls == [chain]
+
+
 def _analyze_argvs(sys_path, map_path):
     """The seven analyze reports on one system, both hull modes included."""
     return [
@@ -238,6 +282,7 @@ class TestParsedSystemMemo:
     def test_one_file_is_parsed_and_checked_once(self, chain_files, monkeypatch):
         parses = _count_parses(monkeypatch)
         closures = _count_closures(monkeypatch)
+        indexes = _count_ball_indexes(monkeypatch)
         checks = []
         for axiom_id, check in relations._CHECKS.items():
             def counted(sys, axiom_id=axiom_id, check=check):
@@ -250,6 +295,7 @@ class TestParsedSystemMemo:
         assert reports[-1][1]["minimal_invariant_admissible"]
         assert len(parses) == 1
         assert len(closures) == 1
+        assert len(indexes) == 1
         # each check body ran, and only once
         assert sorted(checks) == sorted(relations._CHECKS)
 

@@ -101,7 +101,31 @@ class TestConstruction:
             Window(3, 2)
 
 
+@st.composite
+def relations_with_repeated_rows(draw):
+    """Two relations on one ground set; the first draws its rows from a pool
+    of at most three masks, so rows repeat."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pool = draw(st.lists(masks, min_size=1, max_size=3))
+    r = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    s = draw(st.lists(masks, min_size=n, max_size=n))
+    return Relation(n, tuple(r)), Relation(n, tuple(s))
+
+
 class TestRelationOps:
+    @given(relations_with_repeated_rows())
+    def test_compose_over_repeated_rows(self, rs):
+        r, s = rs
+        pts = range(r.n)
+        expected = {
+            (x, y)
+            for x in pts
+            for y in pts
+            if any(r.contains(x, z) and s.contains(z, y) for z in pts)
+        }
+        assert set(compose(r, s).pairs()) == expected
+
     def test_compose_is_relational_product(self):
         # pairs 0-1 and 1-2 (symmetric), squared adds 0-2 via the middle
         r = Relation.from_pairs(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
