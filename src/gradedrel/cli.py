@@ -8,8 +8,9 @@ found, 2 usage, parse, precondition, or resource errors.
 `run` builds its argument parser on the first call and reuses it for every
 later call in the process; `build_parser()` still returns a fresh parser.
 Every call reads its files afresh.  A system text equal to the one the
-previous call parsed reuses that parsed system, with the level table,
-admissible families and axiom reports memoised on it, so the reports on one
+previous call parsed reuses that parsed system, with the level table, the
+admissible closure, the column pass that decides both hull modes and their
+witnesses, and axiom reports memoised on it, so the reports on one
 unchanged file share that work.  A file that is not UTF-8 text is an i/o
 error, exit 2.
 """

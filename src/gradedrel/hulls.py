@@ -20,29 +20,30 @@ incrementally: each distinct ball b adds b and its nonempty intersections
 with the family so far, O(B * F) for B distinct balls and F family
 members.  The cap counts family members.  The closure takes
 generator masks, so the metric-ball route of the falsifier closes its own
-balls with it too.  Each family is memoised on the system once per mode and
-cap, as a tuple of raw masks in canonical order, and that tuple is the only
-stored form: the normal-structure check, the falsifier and the
-invariant-set search read it directly.
+balls with it too.  The arbitrary-center family is memoised on the system
+once per cap, as a tuple of raw masks in canonical order, and that tuple is
+the only stored list of members: the normal-structure check, the falsifier
+and the invariant-set search read it, and the paper-cov family is filtered
+from it on each call.
 
-From four members per point on (_COLUMNS_FROM; below that one hull per
-member is cheaper), every member's hull is decided in one bit-sliced pass
-over the closure (_slices), memoised next to it per cap, in the vertical
-layout of frequent-itemset miners (Zaki 2000; MAFIA, Burdick et al. 2001):
-position i is the i-th member in canonical order, and member[y] is the int
-with bit i set when member i holds point y.  Walking the balls at a center
-from the floor up, the positions inside a ball are the complement of the OR
-of member[y] over the points that have left it, so a center costs about n
+Every member's hulls are decided in one bit-sliced pass over the closure
+(_slices), memoised next to it per cap, in the vertical layout of
+frequent-itemset miners (Zaki 2000; MAFIA, Burdick et al. 2001): position
+i is the i-th member in canonical order, and member[y] is the int with bit
+i set when member i holds point y.  Walking the balls at a center from the
+floor up, the positions inside a ball are the complement of the OR of
+member[y] over the points that have left it, so a center costs about n
 ORs.  One pass over the (center, point) pairs then gives every member's
 fixed-point check under both hulls: the paper-cov family is the
 arbitrary-center tuple less the members its hull moves, and an
-arbitrary-center member that moved raises.  The memo keeps member[] and the
-paper-cov filter.  When the whole family's witness balls are asked for, the
-same walk gives, per center, one byte per member counting the times that
-center's balls shrink before they stop containing it, which picks the
-member's witness ball there; zipped across centers, these give each
-member's witnesses one member at a time (past 255 shrinks at one center,
-which takes over 256 points, each member's own hull gives them instead).
+arbitrary-center member that moved raises.  The same walk gives, per
+center, one byte per member counting the times that center's balls shrink
+before they stop containing it, which picks the member's witness ball
+there; zipped across centers, these give each member's witnesses one
+member at a time.  The memo keeps the paper-cov filter, the levels at
+each center and those step bytes, and member[] is dropped after the walk.
+Past 255 shrinks at one center, which takes over 256 points, the steps do
+not fit a byte and each member's own hull gives its witnesses instead.
 hull() still computes a single set's hull and witness directly and is the
 oracle the pass is tested against.  Balls, covering levels, hulls and the
 level-set normality route are reads of the system's level table.
@@ -228,36 +229,24 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
     )
 
 
-# Fewest family members per point at which the column pass of _slices is
-# used.  The pass walks every (center, point) pair whatever the family size,
-# while one _hull_mask call per member costs about n steps.  Measured with
-# both, over the paper-cov filter and both modes' witnesses: on transitive
-# systems of 8 to 48 points (1.4 to 1.9 members per point) the pass took
-# twice as long, near 3 members per point the two broke even, and from 5 on
-# the pass was faster, 5x at 330 members per point (n = 14).
-_COLUMNS_FROM = 4
-
-
 def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
-    """The admissible family as raw masks in canonical order, memoised on
-    the system per mode and cap; the only stored form of the family.
+    """The admissible family as raw masks in canonical order.
 
-    The paper-cov family is the arbitrary-center one less the members the
-    paper-cov hull moves, found by the column pass of _slices or, for a
-    small family, member by member, so a system builds one closure per cap
-    and sorts it once."""
+    The arbitrary-center family is the ball-intersection closure, memoised
+    on the system per cap as the only stored form of the family.  The
+    paper-cov family is built from it on each call, as the members the
+    paper-cov filter of _slices keeps, so a system builds one closure per
+    cap and sorts it once.
+    """
     _check_mode(mode)
+    if mode == PAPER_COV:
+        return tuple(compress(_family(sys, ARBITRARY_CENTER, cap), _slices(sys, cap).paper))
 
     def build(s: RelationalSystem) -> tuple[int, ...]:
-        if mode == PAPER_COV:
-            closure = _family(s, ARBITRARY_CENTER, cap)
-            if len(closure) < _COLUMNS_FROM * s.n:
-                return tuple(bits for bits in closure if _hull_mask(s, bits, mode)[0] == bits)
-            return tuple(compress(closure, _slices(s, cap).paper))
         closure = _intersection_closure(_ball_index(s), cap)
         return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
 
-    return sys.cached(("admissible", mode, cap), build)
+    return sys.cached(("admissible", ARBITRARY_CENTER, cap), build)
 
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
@@ -269,65 +258,86 @@ def _bytes01(bits: int, width: int) -> bytes:
 
 
 class _Slices(NamedTuple):
-    """The arbitrary-center family in vertical layout: position i is the
-    member at index i of the canonical order."""
+    """Every member's hulls from one column pass over the arbitrary-center
+    family: position i is the member at index i of the canonical order."""
 
-    member: tuple[int, ...]  # per point: bit i set when member i holds it
     paper: bytes  # byte i is 1 when member i is fixed by the paper-cov hull
+    # per center: the level of each ball before a shrink, then window.above
+    levels: tuple[tuple[int, ...], ...]
+    # per center: byte i counts the shrinks member i stays inside; None when
+    # some center's balls shrink more than 255 times
+    steps: Optional[tuple[bytes, ...]]
 
 
 def _slices(sys: RelationalSystem, cap: int) -> _Slices:
-    """Every member's hull decided at once, memoised on the system per cap.
+    """Every member's hulls and witnesses decided at once, memoised on the
+    system per cap.
 
-    The positions inside a ball at x are the complement of the members
-    holding a point that ball lacks, so walking x's balls from the floor up
-    costs one OR per point that leaves (_shrinks).  A member's hull drops y
-    exactly when it lies inside the first ball at some center that lacks
-    y, and a member is fixed when its hull drops every point it lacks;
-    counting only the centers inside the member gives the paper-cov hull.
-    Every member of the closure is fixed under the arbitrary-center hull by
-    construction, so a member that moved is a bug and raises.
+    member[y] is the int with bit i set when member i holds point y.  The
+    positions inside a ball at x are the complement of the members holding
+    a point that ball lacks, so walking x's balls from the floor up costs
+    one OR per point that leaves.  A member's hull drops y exactly when it
+    lies inside the first ball at some center that lacks y, and a member is
+    fixed when its hull drops every point it lacks; counting only the
+    centers inside the member gives the paper-cov hull.  Every member of
+    the closure is fixed under the arbitrary-center hull by construction,
+    so a member that moved is a bug and raises.
+
+    A member's witness ball at x is the last one before the shrink that it
+    leaves at, so the same walk sums, per center, the 0/1 bytes of the
+    positions inside each smaller ball: byte i of the sum counts the
+    shrinks member i stays inside and picks its witness level.  Past 255
+    shrinks at one center, which takes over 256 points, a byte cannot hold
+    the count and steps is None.
     """
 
     def build(s: RelationalSystem) -> _Slices:
         family = _family(s, ARBITRARY_CENTER, cap)
-        n, every = s.n, (1 << len(family)) - 1
+        table = s.level_table()
+        n, m, every = s.n, len(family), (1 << len(family)) - 1
         # column y of the member-by-point 0/1 text, read from position 0 on
         text = "".join(map(f"{{:0{n}b}}".format, family))
         member = tuple(int(text[n - 1 - y :: n][::-1], 2) for y in range(n))
         drops = [0] * n
         paper_drops = [0] * n
+        levels = []
+        steps: Optional[list[bytes]] = []
         for x in range(n):
-            for _, leaving, inside in _shrinks(s, member, every, x):
+            at, outside, count = [], 0, 0
+            for lev, (lower, upper) in enumerate(zip(table, table[1:]), s.window.below):
+                if lower[x] == upper[x]:
+                    continue
+                leaving = list(iter_bits(lower[x] & ~upper[x]))
+                for y in leaving:
+                    outside |= member[y]
+                inside = every ^ outside
                 centered = inside & member[x]
                 for y in leaving:
                     drops[y] |= inside
                     paper_drops[y] |= centered
+                at.append(lev)
+                if steps is not None:
+                    # 0/1 bytes summed as one int: byte i counts member i's shrinks
+                    count += int.from_bytes(_bytes01(inside, m), "little")
+            at.append(s.window.above)
+            levels.append(tuple(at))
+            if steps is not None and len(at) <= 256:
+                steps.append(count.to_bytes(m, "little"))
+            else:
+                steps = None
         moved = unfixed = 0
         for y in range(n):
             moved |= every & ~(drops[y] | member[y])
             unfixed |= every & ~(paper_drops[y] | member[y])
         if moved:
             raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
-        return _Slices(member, _bytes01(every ^ unfixed, len(family)))
+        return _Slices(
+            _bytes01(every ^ unfixed, m),
+            tuple(levels),
+            None if steps is None else tuple(steps),
+        )
 
     return sys.cached(("slices", cap), build)
-
-
-def _shrinks(
-    sys: RelationalSystem, member: tuple[int, ...], every: int, x: int
-) -> Iterator[tuple[int, list[int], int]]:
-    """Each time the balls at x shrink, from the floor up: the level of the
-    last ball before the shrink, the points that leave, and the positions
-    inside the smaller ball."""
-    table = sys.level_table()
-    outside = 0
-    for lev, (lower, upper) in enumerate(zip(table, table[1:]), sys.window.below):
-        if lower[x] != upper[x]:
-            leaving = list(iter_bits(lower[x] & ~upper[x]))
-            for y in leaving:
-                outside |= member[y]
-            yield lev, leaving, every ^ outside
 
 
 def _witnessed_members(
@@ -338,44 +348,16 @@ def _witnessed_members(
     pair; ball is called once per distinct pair, so members that share a
     witness ball share that object.
 
-    From _COLUMNS_FROM members per point on, the witnesses come from the
-    byte columns of _witness_columns, else, and where those do not fit a
-    byte, from each member's hull, which is checked to be a fixed point.
+    The witness levels are the step bytes of _slices, zipped across centers
+    one member at a time; only where those are None do they come from each
+    member's own hull (_hull_witnesses).
     """
     _check_mode(mode)
-    if len(_family(sys, ARBITRARY_CENTER, cap)) >= _COLUMNS_FROM * sys.n:
-        columns = _witness_columns(sys, mode, cap, ball)
-        if columns is not None:
-            return columns
-    return _hull_witnesses(sys, mode, cap, ball)
-
-
-def _witness_columns(
-    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
-) -> Optional[Iterator[tuple[int, list[_T]]]]:
-    """The witnesses of _witnessed_members read from the column pass.
-
-    A member's witness ball at x is the last one before the shrink that it
-    leaves at, so per center one byte per member, counting the shrinks it
-    stays inside, picks its witness.  The columns are built per call and
-    zipped across centers one member at a time.  None when some center's
-    balls shrink more than 255 times.
-    """
+    paper, levels, steps = _slices(sys, cap)
+    if steps is None:
+        return _hull_witnesses(sys, mode, cap, ball)
     family = _family(sys, ARBITRARY_CENTER, cap)
-    member, paper = _slices(sys, cap)
-    m, every = len(family), (1 << len(family)) - 1
-    steps, table = [], []
-    for x in range(sys.n):
-        levels, count = [], 0
-        for lev, _, inside in _shrinks(sys, member, every, x):
-            levels.append(lev)
-            # 0/1 bytes summed as one int: byte i counts member i's shrinks
-            count += int.from_bytes(_bytes01(inside, m), "little")
-        if len(levels) > 255:
-            return None
-        levels.append(sys.window.above)
-        steps.append(count.to_bytes(m, "little"))
-        table.append(tuple(ball((x, lev)) for lev in levels))
+    table = [tuple(ball((x, lev)) for lev in at) for x, at in enumerate(levels)]
     per_member = zip(*steps)
     if mode == ARBITRARY_CENTER:
         return zip(family, (list(map(getitem, table, idx)) for idx in per_member))
@@ -389,7 +371,8 @@ def _witness_columns(
 def _hull_witnesses(
     sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
 ) -> Iterator[tuple[int, list[_T]]]:
-    """The witnesses of _witnessed_members from one hull per member."""
+    """The witnesses of _witnessed_members from one hull per member, for
+    a system whose shrink counts do not fit a byte."""
     made: dict[tuple[int, int], _T] = {}
     for bits in _family(sys, mode, cap):
         out, witness = _hull_mask(sys, bits, mode)
@@ -411,9 +394,10 @@ def enumerate_admissible(
     balls; the paper-cov family is its subset of paper-cov hull fixed
     points.  Singletons and the whole ground set always appear.
     max_intermediate caps the size of that closure, counted in family
-    members, in both modes; it is the one cap a caller can set.  The masks
-    are memoised on the system per mode and cap, but the AdmissibleSet
-    values and their witness balls are rebuilt on every call.
+    members, in both modes; it is the one cap a caller can set.  The
+    closure and its column pass are memoised on the system per cap, but
+    the AdmissibleSet values and their witness balls are rebuilt on every
+    call.
     """
     return tuple(
         AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)

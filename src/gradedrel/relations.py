@@ -267,6 +267,12 @@ class RelationalSystem:
             )
         if len(set(self.labels)) != len(self.labels):
             raise StructuralInputError("labels must be distinct")
+        for label in self.labels:
+            # the token rule of the text format, so every system serializes
+            if label.split() != [label]:
+                raise StructuralInputError(
+                    f"label {label!r} must be nonempty with no whitespace"
+                )
         lo, hi = self.window.lo, self.window.hi
         for x in range(self.grades.n):
             for y in range(x + 1, self.grades.n):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .dyadic import DyadicValue
+from .dyadic import DyadicValue, floor_log2
 from .errors import StructuralInputError
 from .pointset import PointSet
 from .relations import (
@@ -438,12 +438,8 @@ def ingest_distance_matrix(
             if i == j:
                 row_g.append(TOP)
                 continue
-            g = win.below
-            for cand in range(win.hi, win.below - 1, -1):
-                if rows[i][j] <= DyadicValue.pow2(-cand).as_fraction():
-                    g = cand
-                    break
-            row_g.append(g)
+            # d <= 2**-g  iff  g <= floor_log2(1 / d)
+            row_g.append(max(win.below, min(win.hi, floor_log2(1 / rows[i][j]))))
         entries.append(row_g)
 
     lbls = tuple(labels) if labels is not None else default_labels(n)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedrel import (
+    TOP,
     DyadicValue,
     centered_cover_level,
     dyadic,
     floor_log2,
-    ingest_distance_matrix,
+    make_system,
+    metric_ball_collapse,
 )
 from gradedrel.errors import StructuralInputError
 
@@ -76,10 +78,16 @@ class TestArithmetic:
         assert str(value) == str(fresh)
 
     def test_pow2_cache_stays_bounded(self):
-        # every level of the window is compared against the one distance
+        # a radius below 2**-hi makes the graded route of the metric ball
+        # try every level of the window, over twice as many exponents as
+        # the cache holds
         bound = dyadic._pow2.cache_info().maxsize
-        ingest_distance_matrix([[0, 2**400], [2**400, 0]], (-bound, bound))
-        assert dyadic._pow2.cache_info().currsize <= bound
+        sys = make_system("ab", (-bound, bound), [[TOP, 0], [0, TOP]])
+        before = dyadic._pow2.cache_info()
+        metric_ball_collapse(sys, 0, Fraction(1, 2 ** (bound + 2)))
+        after = dyadic._pow2.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) > bound
+        assert after.currsize <= bound
 
     def test_str_forms(self):
         assert str(DyadicValue.pow2(-5)) == "1/32"

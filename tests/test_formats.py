@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedrel import (
+    TOP,
     CounterexampleBundle,
     FormatError,
     SelfMap,
+    StructuralInputError,
+    make_system,
     parse_bundle,
     parse_distance_matrix,
     parse_selfmap,
@@ -105,6 +108,32 @@ class TestSystemRoundTrip:
         text = serialize_system(sys)
         assert parse_system(text) == sys
         assert serialize_system(parse_system(text)) == text
+
+    @given(
+        st.lists(
+            st.text(
+                st.one_of(
+                    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000ab"),
+                    st.characters(),
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example(["a b", "c"])
+    @example(["", "c"])
+    def test_labels_construct_only_if_they_round_trip(self, labels):
+        # a system is either refused or written as text that reads back
+        n = len(labels)
+        rows = [[TOP if x == y else 0 for y in range(n)] for x in range(n)]
+        try:
+            sys = make_system(labels, (0, 1), rows)
+        except StructuralInputError:
+            assert len(set(labels)) < n or any(label.split() != [label] for label in labels)
+            return
+        assert parse_system(serialize_system(sys)) == sys
 
     def test_labels_default_to_indices(self):
         text = (

@@ -691,11 +691,9 @@ def assert_sliced_matches_oracle(sys):
     for mode in MODES:
         want = hull_oracle(sys, mode)
         assert hulls._family(sys, mode, cap) == tuple(b for b, _ in want)
-        for got in (
-            hulls._witness_columns(sys, mode, cap, lambda p: p),
-            hulls._witnessed_members(sys, mode, cap, lambda p: p),
-        ):
-            assert [(bits, tuple(witness)) for bits, witness in got] == want
+        got = hulls._witnessed_members(sys, mode, cap, lambda p: p)
+        assert [(bits, tuple(witness)) for bits, witness in got] == want
+    assert hulls._slices(sys, cap).steps is not None
 
 
 class TestSlicedFamily:
@@ -715,40 +713,56 @@ class TestSlicedFamily:
             sizes |= {len(hulls._family(sys, mode, hulls.DEFAULT_SET_CAP)) for mode in MODES}
         assert {1, 7, 8, 9} <= sizes
 
+    def test_sparse_transitive_systems(self):
+        # 24 to 48 ultrametric points give under two members per point:
+        # the pass decides sparse families as well as dense ones
+        params = GenParams(point_count=(24, 48), window_span=(3, 6), constraint="transitive")
+        per_point = []
+        for seed in range(10):
+            sys = gen_system(seed, params)
+            assert_sliced_matches_oracle(sys)
+            closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+            per_point.append(len(closure) / sys.n)
+        assert max(per_point) < 2
+
     @pytest.mark.parametrize("n", [256, 257])
-    def test_shrinks_past_a_byte(self, n):
+    def test_shrinks_past_a_byte(self, n, monkeypatch):
         # 255 shrinks at point 0 fit a byte per member; 256 do not, and
-        # each member's hull gives the witnesses instead
+        # only then does each member's hull give the witnesses
         sys = star_system(n)
-        columns = hulls._witness_columns(
-            sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP, lambda p: p
+        steps = hulls._slices(sys, hulls.DEFAULT_SET_CAP).steps
+        assert (steps is None) == (n > 256)
+        real, per_member = hulls._hull_witnesses, []
+        monkeypatch.setattr(
+            hulls, "_hull_witnesses", lambda *a: per_member.append(a) or real(*a)
         )
-        want = hull_oracle(sys, ARBITRARY_CENTER)
-        if n > 256:
-            assert columns is None
-            columns = hulls._witnessed_members(
-                sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP, lambda p: p
-            )
-        assert [(bits, tuple(witness)) for bits, witness in columns] == want
+        for mode in MODES:
+            got = hulls._witnessed_members(sys, mode, hulls.DEFAULT_SET_CAP, lambda p: p)
+            assert [(bits, tuple(witness)) for bits, witness in got] == hull_oracle(sys, mode)
+        assert len(per_member) == (2 if n > 256 else 0)
 
     @given(small_systems())
     @example(CHAIN_HEAVY)
     @example(EQUILATERAL)
     @settings(max_examples=60)
-    def test_column_pass_from_four_members_per_point(self, sys):
-        # below that the family's hulls are taken one member at a time
-        enumerate_admissible(sys, PAPER_COV)
-        closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
-        used = ("slices", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
-        assert used == (len(closure) >= 4 * sys.n)
+    def test_column_pass_decides_every_family(self, sys):
+        # whatever the family's size, no member's hull is taken on its own
+        hull_masks = []
+        real = hulls._hull_mask
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "_hull_mask", lambda *a: hull_masks.append(a) or real(*a))
+            for mode in MODES:
+                enumerate_admissible(sys, mode)
+        assert ("slices", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
+        assert hull_masks == []
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)
     @settings(max_examples=60)
     def test_a_member_that_moves_raises(self, sys, pick):
         # any mask outside the closure moves under its hull; put one into
-        # the memoised family, anywhere: the column pass fails in both
-        # modes, and the arbitrary-center witnesses fail on either path
+        # the memoised family, anywhere: the column pass fails, and so does
+        # every read of either mode's family or witnesses that runs it
         cap = hulls.DEFAULT_SET_CAP
         closure = hulls._family(sys, ARBITRARY_CENTER, cap)
         outside = [bits for bits in range(1, 1 << sys.n) if bits not in closure]
@@ -757,11 +771,10 @@ class TestSlicedFamily:
         bad, at = outside[pick % len(outside)], pick % (len(closure) + 1)
         reads = [
             lambda s: hulls._slices(s, cap),
-            lambda s: list(hulls._witness_columns(s, PAPER_COV, cap, lambda p: p)),
+            lambda s: list(hulls._witnessed_members(s, PAPER_COV, cap, lambda p: p)),
             lambda s: enumerate_admissible(s, ARBITRARY_CENTER),
+            lambda s: hulls._family(s, PAPER_COV, cap),
         ]
-        if len(closure) + 1 >= 4 * sys.n:
-            reads.append(lambda s: hulls._family(s, PAPER_COV, cap))
         for read in reads:
             fresh = dataclasses.replace(sys)
             fresh.cached(

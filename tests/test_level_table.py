@@ -160,7 +160,9 @@ class TestAdmissibleMemo:
 
     @given(small_systems())
     def test_memo_holds_masks_only(self, sys):
-        # one stored form of each family: canonical masks, no AdmissibleSet
+        # one stored form of the family: the arbitrary-center canonical
+        # masks, no AdmissibleSet and no paper-cov tuple
+        enumerate_admissible(sys, PAPER_COV)
         enumerate_admissible(sys, ARBITRARY_CENTER)
         check_normal_structure(sys)
         minimal_invariant_admissible(sys, identity_map(sys.n))
@@ -169,12 +171,33 @@ class TestAdmissibleMemo:
             for key, value in sys.__dict__["_memo"].items()
             if key[0] == "admissible"
         }
-        assert set(families) == {
-            ("admissible", mode, hulls.DEFAULT_SET_CAP)
-            for mode in (PAPER_COV, ARBITRARY_CENTER)
-        }
+        assert set(families) == {("admissible", ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)}
         for masks in families.values():
             assert all(type(bits) is int for bits in masks)
+
+    def test_one_column_pass_per_parsed_system(self, tmp_path, monkeypatch):
+        # both hulls reports, structure and fixpoint on one unchanged file
+        # share its closure and the one walk that decides every member's
+        # hulls and witnesses; the hull fixes no pair of this system, so
+        # structure reads the family too
+        sys = make_system("abc", (0, 1), [[TOP, 0, 0], [0, TOP, 0], [0, 0, TOP]])
+        sys_path = tmp_path / "equilateral.grs"
+        sys_path.write_text(serialize_system(sys), encoding="utf-8")
+        map_path = tmp_path / "identity.map"
+        map_path.write_text(serialize_selfmap(identity_map(sys.n)), encoding="utf-8")
+        made = []
+        real = hulls._Slices
+        monkeypatch.setattr(hulls, "_Slices", lambda *a: made.append(a) or real(*a))
+        calls = _count_closures(monkeypatch)
+        for argv in (
+            ["hulls", str(sys_path), "--mode", "paper"],
+            ["hulls", str(sys_path), "--mode", "closure"],
+            ["structure", str(sys_path)],
+            ["fixpoint", str(sys_path), str(map_path)],
+        ):
+            assert run(argv)[0] in (0, 1)
+        assert len(made) == 1
+        assert len(calls) == 1
 
     def test_one_enumeration_per_mode_and_cap(self, grid, monkeypatch):
         calls = _count_closures(monkeypatch)

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedrel import (
     DyadicValue,
@@ -225,6 +225,15 @@ class TestClassify:
                     assert excess <= worst
 
 
+def _scan_grade(d, lo, hi):
+    """The largest level in [lo - 1, hi] with d <= 2**-level, found by
+    trying every level from the top down; the oracle for the ingest grade."""
+    for cand in range(hi, lo - 2, -1):
+        if d <= Fraction(2) ** -cand:
+            return cand
+    return lo - 1
+
+
 class TestIngest:
     def test_known_matrix(self):
         rows = [
@@ -271,6 +280,42 @@ class TestIngest:
         ]
         back = ingest_distance_matrix(rows, (grid.window.lo, grid.window.hi), grid.labels)
         assert back == grid
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-40, max_value=40).map(lambda e: Fraction(2) ** e),
+            st.builds(
+                Fraction,
+                st.integers(min_value=1, max_value=10**6),
+                st.integers(min_value=1, max_value=10**6),
+            ),
+            # just above or just below a power of two
+            st.builds(
+                lambda e, side: Fraction(2) ** e * (1 + Fraction(side, 10**9)),
+                st.integers(min_value=-40, max_value=40),
+                st.sampled_from([-1, 1]),
+            ),
+        ),
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=0, max_value=20),
+    )
+    @example(Fraction(1, 2**5), 2, 3)  # 2**-hi: the top of the window
+    @example(Fraction(1, 2**6), 2, 3)  # below 2**-hi: clamped to hi
+    @example(Fraction(1, 2**2), 2, 3)  # 2**-lo: the bottom of the window
+    @example(Fraction(1, 2), 2, 3)  # above 2**-lo: falls to lo - 1
+    @example(Fraction(2**30), -20, 0)
+    def test_grade_matches_level_scan(self, d, lo, span):
+        sys = ingest_distance_matrix([[0, d], [d, 0]], (lo, lo + span))
+        assert sys.grades.entries[0][1] == _scan_grade(d, lo, lo + span)
+
+    def test_wide_window(self):
+        rows = [
+            [0, 1, Fraction(1, 3)],
+            [1, 0, 2**70],
+            [Fraction(1, 3), 2**70, 0],
+        ]
+        sys = ingest_distance_matrix(rows, (-(10**6), 10**6))
+        assert sys.grades.entries == ((TOP, 0, 1), (0, TOP, -70), (1, -70, TOP))
 
     @given(small_systems())
     def test_idempotent_generally(self, sys):
