@@ -6,11 +6,12 @@ structural equality is value equality.  No floats anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import StructuralInputError
+from .errors import ResourceLimitError, StructuralInputError
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,28 @@ class DyadicValue:
 
     def __str__(self) -> str:
         if self.exponent <= 0:
-            return str(self.numerator << -self.exponent)
-        return f"{self.numerator}/{1 << self.exponent}"
+            return _decimal(self.numerator << -self.exponent)
+        return f"{_decimal(self.numerator)}/{_decimal(1 << self.exponent)}"
+
+
+def _decimal(value: int) -> str:
+    """Decimal digits of a nonnegative int, or ResourceLimitError past the
+    interpreter's limit on int-to-str conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    # 30102/100000 < log10(2), so this undercounts by at most a few digits
+    digits = (value.bit_length() - 1) * 30102 // 100000 + 1
+    while 10**digits <= value:
+        digits += 1
+    cap = sys.get_int_max_str_digits()
+    raise ResourceLimitError(
+        f"exact value has {digits} decimal digits, over the limit of {cap}"
+        " on int-to-str conversion",
+        cap,
+        digits,
+    )
 
 
 # bounded so that wide windows cannot grow it without limit; the levels of

@@ -168,12 +168,8 @@ def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityRe
     min_cycle = min(trace[tail_len:])
     cycle_fixed = isinstance(min_cycle, Top)
 
-    # Offsets beyond the scan bound cannot work: with a finite cycle grade
-    # the requirement m + k <= min_cycle caps k, and with an all-fixed cycle
-    # the tail length already suffices.
-    bound = tail_len + max(0, sys.window.hi - m) + 2
     regular_offset = None
-    for k in range(1, bound + 1):
+    for k in range(1, max(1, tail_len) + 1):
         if min_cycle >= m + k and all(trace[i] >= m + k for i in range(k, tail_len)):
             regular_offset = k
             break

@@ -2,11 +2,12 @@
 
 Each pair's distance is 2**-grade (zero on the diagonal).  classify and
 minimal_inframetric_constant are grade-side code: they read the system's
-level table (RelationalSystem.level_table) and settle each pair in mask
-arithmetic.  The exact dyadic and rational routes stay separate from the
-table so the two views can be played against each other:
-reconstruct_level and metric_ball_collapse compare distances directly,
-and the dyadic triple scans _classify_dyadic and
+level table (RelationalSystem.level_table) and settle each pair from the
+highest level at which its two rows still meet, in mask arithmetic, with
+no table over pairs of levels.  The exact dyadic and rational routes stay
+separate from the table so the two views can be played against each
+other: reconstruct_level and metric_ball_collapse compare distances
+directly, and the dyadic triple scans _classify_dyadic and
 _minimal_inframetric_constant_dyadic are the oracles for classify and
 minimal_inframetric_constant.
 """
@@ -212,46 +213,24 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
 
     For a pair x < y at grade g, with k its meeting level
     (_meeting_index), the strong-triangle deficit is k - g and its first
-    witness z the lowest point in both level-k rows.  The triangle
-    2**-g <= 2**-a + 2**-b (a, b the grades of z against x and y) fails
-    exactly when min(a, b) > g and not a = b = g + 1, so only pairs whose
-    rows at g + 1 and g + 2 cross search the exact-level rows for the z
-    with the smallest 2**-a + 2**-b.  Witnesses are the first worst triple
-    in (x, y, z) order, as in the dyadic triple scan _classify_dyadic,
-    which is the oracle this is tested against.  Relation-level
-    composition and transitivity checks ride along for cross-reference.
+    witness z the lowest point in both level-k rows.  The same k settles
+    the triangle 2**-g <= 2**-a + 2**-b, with a and b the grades of z
+    against x and y: the smallest sum has min(a, b) = k, since any z with
+    a smaller minimum already gives 2**-(k - 1).  Among those z the best
+    has the largest max(a, b), found by scanning up from k while some
+    point at grade exactly k from one end still reaches the next level
+    from the other.  A pair with k = g cannot break the triangle.
+    Witnesses are the first worst triple in (x, y, z) order, as in the
+    dyadic triple scan _classify_dyadic, which is the oracle this is
+    tested against.  GradeMatrix already guarantees separation and
+    symmetry.  Relation-level composition and transitivity checks ride
+    along for cross-reference.
     """
     n = sys.n
     entries = sys.grades.entries
-
-    semi_witness = None
-    for x in range(n):
-        for y in range(n):
-            g = entries[x][y]
-            if isinstance(g, Top) != (x == y):
-                semi_witness = ("separation", x, y)
-                break
-            if g != entries[y][x]:
-                semi_witness = ("symmetry", x, y)
-                break
-        if semi_witness:
-            break
-
-    below, hi = sys.window.below, sys.window.hi
+    below = sys.window.below
     table = sys.level_table()
-    rows = table + (table[-1],)  # rows at index g + 2 for g = hi
-    # exact[j][x]: points at grade exactly below + j from x, finite j only
-    exact = [
-        tuple(r & ~s for r, s in zip(table[j], table[j + 1]))
-        for j in range(len(table) - 1)
-    ]
-    # distances scaled by 2**hi: index j weighs 2**(hi - below - j)
-    weight = [1 << (hi - below - j) for j in range(len(exact))]
-    # index pairs a <= b by increasing 2**-a + 2**-b; no two pairs tie
-    by_sum = sorted(
-        ((a, b) for a in range(len(exact)) for b in range(a, len(exact))),
-        key=lambda p: weight[p[0]] + weight[p[1]],
-    )
+    top = len(table) - 1
 
     # worst (value, x, z, y) so far; the first triple x=0, y=1, z=0 scores 0
     worst_strong: Optional[tuple] = (0, 0, 0, 1) if n >= 2 else None
@@ -260,20 +239,22 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
         for y in range(x + 1, n):
             i = entries[x][y] - below
             k = _meeting_index(table, x, y, i)
+            if k == i:
+                continue
             if k - i > worst_strong[0]:
                 z = _lowest(table[k][x] & table[k][y])
                 worst_strong = (k - i, x, z, y)
-            if not (rows[i + 2][x] & rows[i + 1][y]) | (
-                rows[i + 1][x] & rows[i + 2][y]
-            ):
-                continue
-            for a, b in by_sum:
-                zs = (exact[a][x] & exact[b][y]) | (exact[b][x] & exact[a][y])
-                if zs:
-                    break
-            excess = weight[i] - weight[a] - weight[b]
+            # points at grade exactly k from x, and from y
+            ex = table[k][x] & ~table[k + 1][x]
+            ey = table[k][y] & ~table[k + 1][y]
+            j = k
+            while (ex & table[j + 1][y]) | (table[j + 1][x] & ey):
+                j += 1
+            # 2**-g - 2**-k - 2**-j, scaled by 2**top
+            excess = (1 << (top - i)) - (1 << (top - k)) - (1 << (top - j))
             if excess > worst_tri[0]:
-                worst_tri = (excess, x, _lowest(zs), y)
+                z = _lowest((ex & table[j][y]) | (table[j][x] & ey))
+                worst_tri = (excess, x, z, y)
 
     if worst_strong is None:
         c = DyadicValue.one()
@@ -287,9 +268,7 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
     triangle_holds = worst_tri is None or worst_tri[0] == 0
     tri_witness = None if worst_tri is None else _triple(sys, *worst_tri[1:])
 
-    if semi_witness is not None:
-        label = "semimetric-only"
-    elif strong_holds:
+    if strong_holds:
         label = "ultrametric"
     elif triangle_holds:
         label = "metric"
@@ -297,8 +276,8 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
         label = "C-inframetric"
 
     return ClassificationReport(
-        is_semimetric=semi_witness is None,
-        semimetric_witness=semi_witness,
+        is_semimetric=True,
+        semimetric_witness=None,
         minimal_inframetric_c=c,
         triangle_holds=triangle_holds,
         triangle_witness=tri_witness,

@@ -16,10 +16,12 @@ from gradedrel import (
     PointSet,
     ResourceLimitError,
     SelfMap,
+    TOP,
     enumerate_admissible,
     gen_system,
     hull,
     hulls,
+    make_system,
     parse_bundle,
     parse_system,
     serialize_selfmap,
@@ -28,6 +30,7 @@ from gradedrel import (
 from gradedrel import cli
 from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
+from gradedrel.semimetric import _classify_dyadic
 
 from test_relations import small_systems
 
@@ -115,6 +118,25 @@ class TestClassify:
         assert status == 1
         assert report["class_label"] == "C-inframetric"
         assert report["minimal_inframetric_c"] == "2"
+
+    def test_wide_window(self, tmp_path):
+        sys_ = make_system(
+            ["a", "b", "c"], (0, 200000), [[TOP, 5, 7], [5, TOP, 9], [7, 9, TOP]]
+        )
+        path = tmp_path / "wide.grs"
+        path.write_text(serialize_system(sys_), encoding="utf-8")
+        status, report = run(["classify", str(path)])
+        assert status == 1
+        assert report["class_label"] == "C-inframetric"
+        w = _classify_dyadic(sys_).triangle_witness
+        assert report["triangle"]["witness"] == {
+            "x": sys_.labels[w.x],
+            "z": sys_.labels[w.z],
+            "y": sys_.labels[w.y],
+            "d_xy": str(w.d_xy),
+            "d_xz": str(w.d_xz),
+            "d_zy": str(w.d_zy),
+        }
 
 
 class TestHulls:
@@ -433,6 +455,32 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["kind"] == "io"
+
+    @pytest.mark.parametrize(
+        "command, status",
+        [("validate", 0), ("classify", 2), ("structure", 2), ("dynamics", 2)],
+    )
+    def test_values_past_the_digit_limit(self, tmp_path, command, status):
+        # 2**-15000 is a distance here, and 2**15000 the inframetric
+        # constant; either has more decimal digits than str() may print
+        sys_ = make_system(
+            ["a", "b", "c"],
+            (0, 20000),
+            [[TOP, 0, 15000], [0, TOP, 15000], [15000, 15000, TOP]],
+        )
+        path = tmp_path / "big.grs"
+        path.write_text(serialize_system(sys_), encoding="utf-8")
+        argv = [command, str(path)]
+        if command == "dynamics":
+            # the map shrinks the pair (c, a) from grade 15000 to 0
+            t = tmp_path / "t.map"
+            t.write_text(serialize_selfmap(SelfMap((1, 0, 0))), encoding="utf-8")
+            argv.append(str(t))
+        got, report = run(argv)
+        assert got == status
+        if status == 2:
+            assert report["error"]["kind"] == "ResourceLimitError"
+            assert "decimal digits" in report["error"]["message"]
 
     def test_unknown_subcommand(self, capsys):
         status, report = run(["frobnicate"])

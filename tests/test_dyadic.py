@@ -14,7 +14,7 @@ from gradedrel import (
     make_system,
     metric_ball_collapse,
 )
-from gradedrel.errors import StructuralInputError
+from gradedrel.errors import ResourceLimitError, StructuralInputError
 
 
 def dyadics(max_num=1000, exp_range=40):
@@ -94,6 +94,14 @@ class TestArithmetic:
         assert str(DyadicValue.pow2(3)) == "8"
         assert str(DyadicValue.zero()) == "0"
         assert str(DyadicValue(17, 5)) == "17/32"
+
+    def test_str_up_to_the_digit_limit(self):
+        # 2**14284 has 4300 decimal digits, the interpreter's default limit
+        assert str(DyadicValue.pow2(-14284)) == "1/" + str(1 << 14284)
+        for k in (14285, -14285):
+            with pytest.raises(ResourceLimitError, match="4301 decimal digits") as exc:
+                str(DyadicValue.pow2(k))
+            assert (exc.value.cap, exc.value.reached) == (4300, 4301)
 
 
 class TestFloorLog2:

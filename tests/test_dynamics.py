@@ -167,6 +167,31 @@ class TestRegularity:
         assert not rep.asymptotically_regular
         assert not rep.weak_regular
 
+    @pytest.mark.parametrize(
+        "image, offsets",
+        [
+            # 0 and 1 swap at grade 5; 2 enters the swap at grade 3, and 3
+            # steps to 2 at grade 10**8, far above every later step
+            ((1, 0, 0, 2), [(None, None), (None, None), (1, None), (None, None)]),
+            # the chain 0 -> 1 -> 2 -> 3 ends at the fixed point 3
+            ((1, 2, 3, 3), [(2, 2), (1, 0), (1, 0), (None, None)]),
+        ],
+    )
+    def test_offsets_in_a_wide_window(self, image, offsets):
+        sys = make_system(
+            ["a", "b", "c", "d"],
+            (0, 10**9),
+            [
+                [TOP, 5, 3, 1],
+                [5, TOP, 2, 2],
+                [3, 2, TOP, 10**8],
+                [1, 2, 10**8, TOP],
+            ],
+        )
+        t = SelfMap(image)
+        got = [regularity_report(sys, t, x) for x in range(sys.n)]
+        assert [(r.regular_offset, r.asymptotic_offset) for r in got] == offsets
+
     @given(systems_with_maps())
     @settings(max_examples=150)
     def test_hierarchy(self, sys_map):

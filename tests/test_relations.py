@@ -45,6 +45,29 @@ def small_systems():
     return build()
 
 
+def wide_sparse_systems():
+    """Systems in windows up to 1000 levels wide whose grades come from
+    three random levels and the two just above each, so that both wide
+    gaps and near ties between grades occur."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=1, max_value=6))
+        lo = draw(st.integers(min_value=-1000, max_value=1000))
+        hi = lo + draw(st.integers(min_value=1, max_value=1000))
+        bases = draw(st.lists(st.integers(lo - 1, hi), min_size=3, max_size=3))
+        levels = sorted({min(hi, b + d) for b in bases for d in (0, 1, 2)})
+        rows = [[TOP] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                g = draw(st.sampled_from(levels))
+                rows[x][y] = g
+                rows[y][x] = g
+        return make_system([str(i) for i in range(n)], (lo, hi), rows)
+
+    return build()
+
+
 class TestTop:
     def test_ordering_absorbs_integers(self):
         assert TOP > 10**9

@@ -27,7 +27,7 @@ from gradedrel.semimetric import (
     _minimal_inframetric_constant_dyadic,
 )
 
-from test_relations import small_systems
+from test_relations import small_systems, wide_sparse_systems
 
 
 class TestInducedDistance:
@@ -353,6 +353,10 @@ class TestClassifyAgainstDyadicOracle:
     @given(small_systems())
     @settings(max_examples=300)
     def test_random_systems(self, sys):
+        _assert_matches_oracle(sys)
+
+    @given(wide_sparse_systems())
+    def test_wide_sparse_windows(self, sys):
         _assert_matches_oracle(sys)
 
     @pytest.mark.parametrize("constraint", ["r9", "transitive"])
