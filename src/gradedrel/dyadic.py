@@ -93,18 +93,19 @@ class DyadicValue:
 
 def _decimal(value: int) -> str:
     """Decimal digits of a nonnegative int, or ResourceLimitError past the
-    interpreter's limit on int-to-str conversion."""
+    interpreter's limit on int-to-str conversion, carrying a lower bound on
+    the digit count as `reached`."""
     try:
         return str(value)
     except ValueError:
         pass
-    # 30102/100000 < log10(2), so this undercounts by at most a few digits
-    digits = (value.bit_length() - 1) * 30102 // 100000 + 1
-    while 10**digits <= value:
-        digits += 1
+    # digits of 2**(bit_length - 1) from a 20-digit lower bound on log10(2):
+    # the value has this many digits or one more, and no big-int power is
+    # computed, so this stays fast however large the value
+    digits = (value.bit_length() - 1) * 30102999566398119521 // 10**20 + 1
     cap = sys.get_int_max_str_digits()
     raise ResourceLimitError(
-        f"exact value has {digits} decimal digits, over the limit of {cap}"
+        f"exact value has at least {digits} decimal digits, over the limit of {cap}"
         " on int-to-str conversion",
         cap,
         digits,

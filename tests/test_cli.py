@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -456,27 +457,44 @@ class TestErrorPaths:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"]["kind"] == "io"
 
-    @pytest.mark.parametrize(
-        "command, status",
-        [("validate", 0), ("classify", 2), ("structure", 2), ("dynamics", 2)],
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter has no int-to-str digit limit",
     )
-    def test_values_past_the_digit_limit(self, tmp_path, command, status):
-        # 2**-15000 is a distance here, and 2**15000 the inframetric
-        # constant; either has more decimal digits than str() may print
+    @pytest.mark.parametrize(
+        "command, status, grade",
+        [
+            ("validate", 0, None),
+            ("classify", 2, None),
+            ("structure", 2, None),
+            ("dynamics", 2, None),
+            ("dynamics", 2, 10**7),
+        ],
+        ids=["validate", "classify", "structure", "dynamics", "dynamics-grade-1e7"],
+    )
+    def test_values_past_the_digit_limit(self, tmp_path, command, status, grade):
+        # 2**-grade is a distance here, and 2**grade the inframetric
+        # constant; either has more decimal digits than str() may print.
+        # By default grade is the least with 2**grade past the limit.
+        if grade is None:
+            grade = (10 ** sys.get_int_max_str_digits()).bit_length()
         sys_ = make_system(
             ["a", "b", "c"],
-            (0, 20000),
-            [[TOP, 0, 15000], [0, TOP, 15000], [15000, 15000, TOP]],
+            (0, grade + 5000),
+            [[TOP, 0, grade], [0, TOP, grade], [grade, grade, TOP]],
         )
         path = tmp_path / "big.grs"
         path.write_text(serialize_system(sys_), encoding="utf-8")
         argv = [command, str(path)]
         if command == "dynamics":
-            # the map shrinks the pair (c, a) from grade 15000 to 0
+            # the map shrinks the pair (c, a) from the grade to 0
             t = tmp_path / "t.map"
             t.write_text(serialize_selfmap(SelfMap((1, 0, 0))), encoding="utf-8")
             argv.append(str(t))
+        t0 = time.monotonic()
         got, report = run(argv)
+        # counting the digits of a value this long costs no big-int power
+        assert time.monotonic() - t0 < 5
         assert got == status
         if status == 2:
             assert report["error"]["kind"] == "ResourceLimitError"

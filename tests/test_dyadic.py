@@ -1,5 +1,7 @@
 """Exact dyadic arithmetic against a Fraction oracle."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,21 @@ from gradedrel import (
     metric_ball_collapse,
 )
 from gradedrel.errors import ResourceLimitError, StructuralInputError
+
+# Python 3.10.0-3.10.6 have no int-to-str digit limit, and 0 switches it off
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter has no int-to-str digit limit",
+)
+
+
+def _str_unlimited(value):
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def dyadics(max_num=1000, exp_range=40):
@@ -95,13 +112,38 @@ class TestArithmetic:
         assert str(DyadicValue.zero()) == "0"
         assert str(DyadicValue(17, 5)) == "17/32"
 
+    @needs_digit_limit
     def test_str_up_to_the_digit_limit(self):
-        # 2**14284 has 4300 decimal digits, the interpreter's default limit
-        assert str(DyadicValue.pow2(-14284)) == "1/" + str(1 << 14284)
-        for k in (14285, -14285):
-            with pytest.raises(ResourceLimitError, match="4301 decimal digits") as exc:
-                str(DyadicValue.pow2(k))
-            assert (exc.value.cap, exc.value.reached) == (4300, 4301)
+        # 2**k is the largest power of two below 10**cap, so it has cap
+        # decimal digits and 2**(k+1) has cap + 1
+        cap = sys.get_int_max_str_digits()
+        k = (10**cap).bit_length() - 1
+        assert str(DyadicValue.pow2(-k)) == "1/" + str(1 << k)
+        for e in (k + 1, -(k + 1)):
+            with pytest.raises(ResourceLimitError, match=f"{cap + 1} decimal digits") as exc:
+                str(DyadicValue.pow2(e))
+            assert (exc.value.cap, exc.value.reached) == (cap, cap + 1)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("k, digits", [(10**7, 3010300), (10**8, 30103000)])
+    def test_str_past_the_digit_limit_is_fast(self, k, digits):
+        # counting the digits must cost no big-int power of ten, which on
+        # values this long takes seconds each
+        t0 = time.monotonic()
+        with pytest.raises(ResourceLimitError) as exc:
+            str(DyadicValue.pow2(-k))
+        assert time.monotonic() - t0 < 5
+        assert exc.value.reached == digits
+
+    @needs_digit_limit
+    def test_digit_count_is_a_lower_bound_within_one(self):
+        cap = sys.get_int_max_str_digits()
+        k = (10**cap).bit_length() - 1
+        for value in (10 ** (cap + 1) - 1, 10 ** (cap + 1), (3 << k) + 1):
+            with pytest.raises(ResourceLimitError) as exc:
+                str(DyadicValue(value, 0))
+            digits = len(_str_unlimited(value))
+            assert exc.value.reached in (digits - 1, digits)
 
 
 class TestFloorLog2:
