@@ -10,9 +10,9 @@ later call in the process; `build_parser()` still returns a fresh parser.
 Every call reads its files afresh.  A system text equal to the one the
 previous call parsed reuses that parsed system, with the level table, the
 admissible closure, the column pass that decides both hull modes and their
-witnesses, and axiom reports memoised on it, so the reports on one
-unchanged file share that work.  A file that is not UTF-8 text is an i/o
-error, exit 2.
+witnesses, axiom reports and the analysis of the last map read memoised on
+it, so the reports on one unchanged file share that work.  A file that is
+not UTF-8 text is an i/o error, exit 2.
 """
 
 from __future__ import annotations
@@ -30,15 +30,10 @@ from . import hulls as hulls_mod
 from .dyadic import DyadicValue
 from .dynamics import (
     SelfMap,
-    fixed_points,
-    is_homomorphism,
+    _analysis,
     is_nonexpansive,
     ks_dichotomy,
-    minimal_invariant_admissible,
-    minimal_invariant_balls,
-    orbit,
     regular_fixed_point,
-    regularity_report,
     VARIANTS,
 )
 from .errors import GradedRelError, UsageError
@@ -88,6 +83,11 @@ def _jsonify(obj, labels: Optional[Sequence[str]] = None):
             for f in dataclasses.fields(obj)
         }
     return str(obj)
+
+
+def _members(sys: RelationalSystem, bits: int) -> list[str]:
+    """The labels of a mask's members, lowest point first."""
+    return [sys.labels[i] for i in iter_bits(bits)]
 
 
 def _axiom_dict(sys: RelationalSystem, axiom_id: str) -> dict:
@@ -277,12 +277,10 @@ def _map_check_dict(sys: RelationalSystem, rep, value_key: str) -> dict:
 def _cmd_dynamics(ns) -> tuple[int, dict]:
     sys = _load_system(ns.system)
     t = _load_map(ns.map, sys)
-    hom = is_homomorphism(sys, t)
+    a = _analysis(sys, t)
     non = is_nonexpansive(sys, t)
     per_point = []
-    for x in range(sys.n):
-        orb = orbit(sys, t, x)
-        reg = regularity_report(sys, t, x)
+    for x, (orb, reg) in enumerate(zip(a.orbits, a.regularity)):
         per_point.append(
             {
                 "point": sys.labels[x],
@@ -307,50 +305,57 @@ def _cmd_dynamics(ns) -> tuple[int, dict]:
         "command": "dynamics",
         "system": ns.system,
         "map": ns.map,
-        "homomorphism": _map_check_dict(sys, hom, "grade"),
+        "homomorphism": _map_check_dict(sys, a.hom, "grade"),
         "nonexpansive": _map_check_dict(sys, non, "distance"),
-        "fixed_points": _jsonify(fixed_points(sys, t), sys.labels),
+        "fixed_points": _members(sys, a.fixed),
         "per_point": per_point,
     }
-    return (0 if hom.holds else 1), report
+    return (0 if a.hom.holds else 1), report
 
 
 def _cmd_fixpoint(ns) -> tuple[int, dict]:
+    # the invariant balls are listed once, and both variants share the list
     sys = _load_system(ns.system)
     t = _load_map(ns.map, sys)
-    hom = is_homomorphism(sys, t)
+    a = _analysis(sys, t)
     dich = ks_dichotomy(sys, t)
-    balls = minimal_invariant_balls(sys, t)
+    labels = sys.labels
+    balls = [
+        {
+            "members": _members(sys, b.ball.bits),
+            "names": [[labels[c], lev] for c, lev in b.names],
+            "fixed_inside": _members(sys, b.fixed_inside.bits),
+        }
+        for b in a.invariant_balls
+    ]
     report = {
         "command": "fixpoint",
         "system": ns.system,
         "map": ns.map,
-        "fixed_points": _jsonify(fixed_points(sys, t), sys.labels),
+        "fixed_points": _members(sys, a.fixed),
         "hypotheses": {
             "transitive": check_axiom(sys, "transitive").holds,
-            "homomorphism": hom.holds,
+            "homomorphism": a.hom.holds,
         },
         "minimal_invariant_admissible": (
-            [_jsonify(a.points, sys.labels) for a in minimal_invariant_admissible(sys, t)]
-            if hom.holds
-            else None
+            [_members(sys, bits) for bits in a.min_admissible] if a.hom.holds else None
         ),
         "minimal_invariant_balls": [
             {
-                "center": sys.labels[c],
+                "center": labels[c],
                 "level": lev,
-                "members": _jsonify(hulls_mod.ball(sys, c, lev), sys.labels),
+                "members": _members(sys, sys.level_rows(lev)[c]),
             }
-            for c, lev in balls
+            for c, lev in a.min_balls
         ],
         "dichotomy": {
             "hypotheses_met": dich.hypotheses_met,
             "unmet": list(dich.unmet),
             "entries": [
                 {
-                    "point": sys.labels[e.point],
+                    "point": labels[e.point],
                     "level": e.level,
-                    "ball": _jsonify(e.ball, sys.labels),
+                    "ball": _members(sys, e.ball.bits),
                     "outcome": e.outcome,
                     "witness": _jsonify(e.witness),
                 }
@@ -365,16 +370,7 @@ def _cmd_fixpoint(ns) -> tuple[int, dict]:
             "hypotheses_met": rep.hypotheses_met,
             "unmet": list(rep.unmet),
             "verdict": rep.verdict,
-            "balls": [
-                {
-                    "members": _jsonify(b.ball, sys.labels),
-                    "names": _jsonify(
-                        [(sys.labels[c], lev) for c, lev in b.names]
-                    ),
-                    "fixed_inside": _jsonify(b.fixed_inside, sys.labels),
-                }
-                for b in rep.balls
-            ],
+            "balls": balls,
         }
     report["regular_fixed_point"] = rfp
     violated = (dich.hypotheses_met and dich.has_neither) or any(

@@ -2,21 +2,53 @@
 
 A map is grade-preserving when no pair's grade drops under it, which for
 the induced distance is exactly nonexpansiveness; both predicates are
-implemented against their own arithmetic so they can be compared.  The
-ball scans of the dichotomy read the rows of the system's level table
-directly.  The invariant-ball scan of the fixed-point theorems tests each
-distinct ball of the system's ball index (hulls._ball_index) once and
-reports it under every (center, level) pair that names it.
+implemented against their own arithmetic so they can be compared.
+
+The dichotomy, the fixed-point theorems, the invariant-set search and the
+CLI's dynamics and fixpoint reports read one analysis of the map on the
+system (_MapAnalysis), memoised on the system for the last map read and
+replaced when a map with another image is read.  Each of its fields is
+computed on its first read: the step grades and fixed points, the
+grade-preservation check, every orbit and regularity report, the
+map-invariant distinct balls of the system's ball index
+(hulls._ball_index), the minimal invariant balls and the minimal invariant
+admissible sets.  A caller pays only for what it reads: the dichotomy walks
+no orbit, and orbits and regularity build no level table.  Invariance of a
+mask is one image-mask kernel: the OR of the image bits of its members.
+
+The minimal invariant admissible sets are found without the admissible
+family.  Every invariant set contains a cycle C of the map, and every
+paper-cov fixed set is an intersection of balls, so it is fixed by the
+monotone arbitrary-center hull too.  An invariant paper-cov set holding C
+therefore holds L_C, the least fixed point above C of
+X -> hull_ac(X | T(X)) (Tarski 1955), which is itself invariant.  When
+the paper-cov hull fixes L_C it is the only candidate from C; otherwise
+the candidates are the invariant paper-cov members of the intersection
+closure of the distinct balls that contain L_C.  The answer is the
+minimal candidates over all cycles: the minimal invariant admissible sets
+of Kirk's fixed-point argument (Kirk 1965).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional
 
 from .dyadic import DyadicValue
 from .errors import PreconditionError, StructuralInputError, UsageError
-from .hulls import PAPER_COV, AdmissibleSet, DEFAULT_SET_CAP, _ball_index, _family, hull
+from .hulls import (
+    ARBITRARY_CENTER,
+    PAPER_COV,
+    AdmissibleSet,
+    DEFAULT_SET_CAP,
+    _ball_index,
+    _canonical_mask_key,
+    _hull_mask,
+    _intersection_closure,
+    hull,
+)
 from .pointset import PointSet, iter_bits
 from .relations import Grade, RelationalSystem, Top, check_axiom
 from .semimetric import delta
@@ -157,7 +189,12 @@ class RegularityReport:
 
 
 def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityReport:
-    orb = orbit(sys, t, x)
+    return _regularity(orbit(sys, t, x), t)
+
+
+def _regularity(orb: Orbit, t: SelfMap) -> RegularityReport:
+    """regularity_report from the point's orbit."""
+    x = orb.start
     if t.image[x] == x:
         return RegularityReport(x, True, True, None, True, None, True, True)
 
@@ -194,12 +231,174 @@ def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityRe
     )
 
 
-def _maps_into_itself(t: SelfMap, bits: int) -> bool:
-    """Whether the map sends every member of the set back into the set."""
-    img = 0
-    for p in iter_bits(bits):
-        img |= 1 << t.image[p]
-    return img & ~bits == 0
+class _field:
+    """functools.cached_property as it is from Python 3.12 on: the value is
+    built on the first read and kept in the instance dict.  Before 3.12
+    cached_property takes a lock on every first read, which costs about
+    0.8 us, several times per falsifier trial."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
+class _MapAnalysis:
+    """One map on one system, as the dynamics and fixpoint reports read it.
+
+    Every field is computed on its first read and kept; see the module
+    docstring for what reads which.
+    """
+
+    def __init__(self, sys: RelationalSystem, t: SelfMap):
+        # weak: the system keeps its analysis, and a strong reference back
+        # would leave every analysed system to the cyclic collector
+        self._sys = weakref.ref(sys)
+        self.t = t
+
+    @property
+    def sys(self) -> RelationalSystem:
+        return self._sys()
+
+    @_field
+    def steps(self) -> tuple[Grade, ...]:
+        """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
+        return tuple(map(getitem, self.sys.grades.entries, self.t.image))
+
+    @_field
+    def fixed(self) -> int:
+        """Mask of the fixed points."""
+        return sum(1 << p for p, q in enumerate(self.t.image) if p == q)
+
+    @_field
+    def hom(self) -> MapCheck:
+        return is_homomorphism(self.sys, self.t)
+
+    def unmet(self) -> list[str]:
+        """Which of per-level transitivity and grade preservation fail."""
+        unmet = [] if check_axiom(self.sys, "transitive").holds else ["transitive"]
+        if not self.hom.holds:
+            unmet.append("homomorphism")
+        return unmet
+
+    @_field
+    def orbits(self) -> tuple[Orbit, ...]:
+        return tuple(orbit(self.sys, self.t, x) for x in range(self.sys.n))
+
+    @_field
+    def regularity(self) -> tuple[RegularityReport, ...]:
+        return tuple(_regularity(orb, self.t) for orb in self.orbits)
+
+    @_field
+    def _image_bits(self) -> tuple[int, ...]:
+        return tuple(1 << q for q in self.t.image)
+
+    def image(self, bits: int) -> int:
+        """The image of a mask: the OR of its members' image bits."""
+        image_bits, out = self._image_bits, 0
+        while bits:
+            low = bits & -bits
+            out |= image_bits[low.bit_length() - 1]
+            bits ^= low
+        return out
+
+    def invariant(self, bits: int) -> bool:
+        """Whether the map sends every member of the mask back into it."""
+        return self.image(bits) & ~bits == 0
+
+    @_field
+    def invariant_balls(self) -> tuple[InvariantBallReport, ...]:
+        """The map-invariant distinct balls with every (center, level) pair
+        naming each, in mask order."""
+        n, fixed = self.sys.n, self.fixed
+        return tuple(
+            InvariantBallReport(PointSet(n, bits), names, PointSet(n, bits & fixed))
+            for bits, names in sorted(_ball_index(self.sys).items())
+            if self.invariant(bits)
+        )
+
+    @_field
+    def min_balls(self) -> tuple[tuple[int, int], ...]:
+        sys, steps = self.sys, self.steps
+        out = []
+        for x, lev in enumerate(steps):
+            if not sys.window.lo <= lev <= sys.window.hi:
+                continue
+            bits = sys.level_rows(lev)[x]
+            if self.invariant(bits) and all(steps[p] == lev for p in iter_bits(bits)):
+                out.append((x, lev))
+        return tuple(out)
+
+    @_field
+    def min_admissible(self) -> tuple[int, ...]:
+        """Masks of the inclusion-minimal invariant paper-cov sets, in
+        canonical order, found from the least invariant closed set above
+        each cycle (module docstring)."""
+        sys = self.sys
+        candidates = set()
+        for cycle in _cycles(self.t):
+            least = self._least_invariant_closed(cycle)
+            if _hull_mask(sys, least, PAPER_COV)[0] == least:
+                candidates.add(least)
+                continue
+            balls = [bits for bits in _ball_index(sys) if least & ~bits == 0]
+            candidates.update(
+                bits
+                for bits in _intersection_closure(balls, DEFAULT_SET_CAP)
+                if self.invariant(bits) and _hull_mask(sys, bits, PAPER_COV)[0] == bits
+            )
+        minimal = [
+            a for a in candidates if not any(b != a and b & ~a == 0 for b in candidates)
+        ]
+        return tuple(sorted(minimal, key=_canonical_mask_key(sys.n)))
+
+    def _least_invariant_closed(self, bits: int) -> int:
+        """L_C for the cycle C: iterate X -> hull_ac(X | T(X)) from C up to
+        its fixed point, at most n steps since each one grows X."""
+        while True:
+            grown = _hull_mask(self.sys, bits | self.image(bits), ARBITRARY_CENTER)[0]
+            if grown == bits:
+                return bits
+            bits = grown
+
+
+def _cycles(t: SelfMap) -> list[int]:
+    """The mask of each cycle of the map, in order of its least point."""
+    image, seen, out = t.image, 0, []
+    for x in range(t.n):
+        if seen >> x & 1:
+            continue
+        walk = 0
+        while not (seen | walk) >> x & 1:
+            walk |= 1 << x
+            x = image[x]
+        if walk >> x & 1:
+            # the walk closed on itself at x: x lies on a new cycle
+            cycle, p = 1 << x, image[x]
+            while p != x:
+                cycle |= 1 << p
+                p = image[p]
+            out.append(cycle)
+        seen |= walk
+    return out
+
+
+def _analysis(sys: RelationalSystem, t: SelfMap) -> _MapAnalysis:
+    """The analysis of t on sys.  The system keeps one, for the last map
+    read; a map with another image replaces it."""
+    _check_sizes(sys, t)
+    held = sys.cached("map-analysis", lambda s: [None])
+    if held[0] is None or held[0].t.image != t.image:
+        held[0] = _MapAnalysis(sys, t)
+    return held[0]
 
 
 def minimal_invariant_admissible(
@@ -209,20 +408,21 @@ def minimal_invariant_admissible(
     canonically ordered.
 
     Requires a grade-preserving map; singleton results are exactly the
-    fixed points.
+    fixed points.  The admissible family is not built: each cycle C of the
+    map gives L_C, the least invariant arbitrary-center-closed set above
+    it, which every invariant admissible set holding C contains.  L_C is
+    the candidate when the paper-cov hull fixes it; otherwise the
+    candidates are the invariant paper-cov members of the intersection
+    closure of the distinct balls containing L_C, which raises
+    ResourceLimitError past DEFAULT_SET_CAP members.  The minimal
+    candidates over all cycles are returned.
     """
-    hom = is_homomorphism(sys, t)
-    if not hom.holds:
+    a = _analysis(sys, t)
+    if not a.hom.holds:
         raise PreconditionError(
-            f"map is not grade-preserving at pair {hom.witness[:2]}", hom.witness
+            f"map is not grade-preserving at pair {a.hom.witness[:2]}", a.hom.witness
         )
-    family = _family(sys, PAPER_COV, DEFAULT_SET_CAP)
-    invariant = [bits for bits in family if _maps_into_itself(t, bits)]
-    return tuple(
-        hull(sys, PointSet(sys.n, a))
-        for a in invariant
-        if not any(b != a and b & ~a == 0 for b in invariant)
-    )
+    return tuple(hull(sys, PointSet(sys.n, bits)) for bits in a.min_admissible)
 
 
 def minimal_invariant_balls(
@@ -236,27 +436,7 @@ def minimal_invariant_balls(
     All qualifying (center, level) pairs are returned, even when several
     name the same set.
     """
-    _check_sizes(sys, t)
-    steps = [sys.grades.entries[p][t.image[p]] for p in range(sys.n)]
-    out = []
-    for x, lev in enumerate(steps):
-        if not sys.window.lo <= lev <= sys.window.hi:
-            continue
-        bits = sys.level_rows(lev)[x]
-        if _maps_into_itself(t, bits) and all(steps[p] == lev for p in iter_bits(bits)):
-            out.append((x, lev))
-    return tuple(out)
-
-
-def _unmet_hypotheses(sys: RelationalSystem, t: SelfMap) -> list[str]:
-    """Which of per-level transitivity and grade preservation fail."""
-    _check_sizes(sys, t)
-    unmet = []
-    if not check_axiom(sys, "transitive").holds:
-        unmet.append("transitive")
-    if not is_homomorphism(sys, t).holds:
-        unmet.append("homomorphism")
-    return unmet
+    return _analysis(sys, t).min_balls
 
 
 OUTCOME_FIXED = "contains-fixed-point"
@@ -298,30 +478,25 @@ def ks_dichotomy(sys: RelationalSystem, t: SelfMap) -> DichotomyReport:
     point moves at grade exactly lo - 1.  The dichotomy test recognizes it
     even though minimal_invariant_balls only enumerates window levels.
     """
-    unmet = _unmet_hypotheses(sys, t)
-    fixed = fixed_points(sys, t)
-    mib_sets = [
-        (c, lev, sys.level_rows(lev)[c]) for c, lev in minimal_invariant_balls(sys, t)
-    ]
+    a = _analysis(sys, t)
+    unmet = a.unmet()
+    mib_sets = [(c, lev, sys.level_rows(lev)[c]) for c, lev in a.min_balls]
 
     entries = []
-    for x in range(sys.n):
+    for x, lev in enumerate(a.steps):
         if t.image[x] == x:
             continue
-        lev = sys.grades.entries[x][t.image[x]]
         assert isinstance(lev, int)
         b = PointSet(sys.n, sys.level_rows(lev)[x])
-        if b.bits & fixed.bits:
-            w = next(iter_bits(b.bits & fixed.bits))
+        if b.bits & a.fixed:
+            w = next(iter_bits(b.bits & a.fixed))
             entries.append(DichotomyEntry(x, lev, b, OUTCOME_FIXED, (w,)))
             continue
         hit = next(
             ((c, ml) for c, ml, bits in mib_sets if bits & ~b.bits == 0), None
         )
         if hit is None and lev == sys.window.below:
-            if all(
-                sys.grades.entries[p][t.image[p]] == lev for p in range(sys.n)
-            ):
+            if all(step == lev for step in a.steps):
                 hit = (x, lev)
         if hit is not None:
             entries.append(DichotomyEntry(x, lev, b, OUTCOME_MINIMAL_BALL, hit))
@@ -361,27 +536,21 @@ def regular_fixed_point(
     property at every non-fixed point.
 
     Unmet hypotheses turn the verdict vacuous; the balls are scanned and
-    reported regardless.
+    reported regardless.  Both variants share the analysis's orbits and
+    invariant balls.
     """
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    unmet = _unmet_hypotheses(sys, t)
-    for x in range(sys.n):
-        if t.image[x] == x:
+    a = _analysis(sys, t)
+    unmet = a.unmet()
+    for rep in a.regularity:
+        if rep.is_fixed:
             continue
-        rep = regularity_report(sys, t, x)
         ok = rep.regular if variant == "regular" else rep.asymptotically_regular
         if not ok:
-            unmet.append(f"{variant}@{x}")
+            unmet.append(f"{variant}@{rep.point}")
 
-    fixed = fixed_points(sys, t)
-    balls = tuple(
-        InvariantBallReport(
-            PointSet(sys.n, bits), names, PointSet(sys.n, bits & fixed.bits)
-        )
-        for bits, names in sorted(_ball_index(sys).items())
-        if _maps_into_itself(t, bits)
-    )
+    balls = a.invariant_balls
     if unmet:
         verdict = "vacuous"
     elif all(b.contains_fixed for b in balls):

@@ -22,9 +22,11 @@ members.  The cap counts family members.  The closure takes
 generator masks, so the metric-ball route of the falsifier closes its own
 balls with it too.  The arbitrary-center family is memoised on the system
 once per cap, as a tuple of raw masks in canonical order, and that tuple is
-the only stored list of members: the normal-structure check, the falsifier
-and the invariant-set search read it, and the paper-cov family is filtered
-from it on each call.
+the only stored list of members: the normal-structure check and the
+falsifier read it, and the paper-cov family is filtered from it on each
+call.  The dynamics invariant-set search builds no family: it closes only
+the balls around one set per cycle of the map, with the same closure
+routine.
 
 Every member's hulls are decided in one bit-sliced pass over the closure
 (_slices), memoised next to it per cap, in the vertical layout of

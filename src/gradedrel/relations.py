@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .errors import StructuralInputError, UsageError
+from .errors import ResourceLimitError, StructuralInputError, UsageError
 from .pointset import iter_bits
 
 
@@ -308,7 +308,9 @@ class RelationalSystem:
 
         Entry [k - window.below][x] holds the points whose grade against x
         is at least k: the whole ground set at the floor, just x at the
-        top.  Built once per system.
+        top.  Built once per system; a table of more than LEVEL_TABLE_CAP
+        entries (levels times points) raises ResourceLimitError before
+        anything is allocated.
         """
         return self.cached("level-table", _build_level_table)
 
@@ -322,9 +324,23 @@ class RelationalSystem:
         return table[min(max(k - self.window.below, 0), len(table) - 1)]
 
 
+# most level-table entries (levels times points) a system may build; a
+# 3-point system in a 200,000-level window needs about 600,000
+LEVEL_TABLE_CAP = 1_000_000
+
+
 def _build_level_table(sys: RelationalSystem) -> tuple[tuple[int, ...], ...]:
     below = sys.window.below
-    exact = [[0] * sys.n for _ in range(sys.window.above - below + 1)]
+    levels = sys.window.above - below + 1
+    entries = levels * sys.n
+    if entries > LEVEL_TABLE_CAP:
+        raise ResourceLimitError(
+            f"level table of {levels} levels x {sys.n} points needs {entries}"
+            f" level-table entries, over the cap of {LEVEL_TABLE_CAP}",
+            LEVEL_TABLE_CAP,
+            entries,
+        )
+    exact = [[0] * sys.n for _ in range(levels)]
     for x, row in enumerate(sys.grades.entries):
         for y, g in enumerate(row):
             if x != y:

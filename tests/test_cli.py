@@ -28,7 +28,7 @@ from gradedrel import (
     serialize_selfmap,
     serialize_system,
 )
-from gradedrel import cli
+from gradedrel import cli, relations
 from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
 from gradedrel.semimetric import _classify_dyadic
@@ -138,6 +138,40 @@ class TestClassify:
             "d_xz": str(w.d_xz),
             "d_zy": str(w.d_zy),
         }
+
+
+class TestLevelTableCap:
+    """A window too wide for the level table exits 2 with a count of its
+    entries, before any of the table is allocated."""
+
+    @pytest.fixture
+    def widest(self, tmp_path):
+        sys_ = make_system(
+            ["a", "b", "c"], (0, 10**8), [[TOP, 5, 7], [5, TOP, 9], [7, 9, TOP]]
+        )
+        path = tmp_path / "widest.grs"
+        path.write_text(serialize_system(sys_), encoding="utf-8")
+        return sys_, str(path)
+
+    def test_the_table_is_counted(self, widest):
+        sys_, _ = widest
+        with pytest.raises(ResourceLimitError) as info:
+            sys_.level_table()
+        # levels lo - 1 to hi + 1, three points each
+        assert info.value.reached == (10**8 + 3) * 3
+        assert info.value.cap == relations.LEVEL_TABLE_CAP
+        assert "level-table" not in sys_.__dict__["_memo"]
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "hulls", "structure"])
+    def test_reports_exit_2(self, widest, command):
+        t0 = time.monotonic()
+        status, report = run([command, widest[1]])
+        assert time.monotonic() - t0 < 5
+        assert status == 2
+        assert report["error"]["kind"] == "ResourceLimitError"
+        message = report["error"]["message"]
+        assert f"needs {(10**8 + 3) * 3} level-table entries" in message
+        assert f"cap of {relations.LEVEL_TABLE_CAP}" in message
 
 
 class TestHulls:

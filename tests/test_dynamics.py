@@ -1,11 +1,16 @@
 """Self-maps: orbits, regularity, invariant structure, and the dichotomy."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedrel import (
+    ARBITRARY_CENTER,
     DyadicValue,
+    PAPER_COV,
     PreconditionError,
+    ResourceLimitError,
     ball,
     SelfMap,
     StructuralInputError,
@@ -25,9 +30,13 @@ from gradedrel import (
     regular_fixed_point,
     regularity_report,
 )
-from gradedrel.dynamics import OUTCOME_FIXED, OUTCOME_MINIMAL_BALL
+from gradedrel import dynamics
+from gradedrel.dynamics import OUTCOME_FIXED, OUTCOME_MINIMAL_BALL, _analysis
 from gradedrel.harness import GenParams, gen_system
+from gradedrel.hulls import DEFAULT_SET_CAP, _ball_index, _family, _hull_mask
+from gradedrel.pointset import iter_bits
 
+from test_hulls import CHAIN_HEAVY
 from test_relations import small_systems
 
 
@@ -222,7 +231,8 @@ class TestInvariantSets:
         assert "(2, 4)" in str(exc.value)
 
     @given(small_systems(), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60)
+    @example(CHAIN_HEAVY, 5)
+    @settings(max_examples=150)
     def test_minimal_invariant_members_of_the_family(self, sys, seed):
         # read from the memoised masks, the result must equal the minimal
         # invariant members of the enumerated paper-cov family
@@ -491,3 +501,278 @@ class TestScansAreComplete:
         ]
         assert sum(r.regular_offset is not None for r in reports) >= 10
         assert sum(r.asymptotic_offset is not None for r in reports) >= 10
+
+
+# ---------------------------------------------------------------------------
+# the per-(system, map) analysis against the standalone functions
+
+
+def _maps_into_itself(t, bits):
+    return all(bits >> t.image[p] & 1 for p in iter_bits(bits))
+
+
+def _ball_index_scan(sys, t):
+    """The invariant-ball scan each regular_fixed_point call ran before the
+    analysis: every distinct ball of the index in mask order, tested one
+    member at a time."""
+    return [
+        (bits, names)
+        for bits, names in sorted(_ball_index(sys).items())
+        if _maps_into_itself(t, bits)
+    ]
+
+
+def _check_analysis(sys, t, order):
+    """Read the analysis fields in the given order, then compare each with
+    its standalone function on a fresh copy of the system."""
+    a = _analysis(sys, t)
+    for field in order:
+        getattr(a, field)
+    assert _analysis(sys, t) is a
+    cold = dataclasses.replace(sys)
+    assert a.hom == is_homomorphism(cold, t)
+    assert a.fixed == fixed_points(cold, t).bits
+    assert a.steps == tuple(sys.grades.entries[x][t.image[x]] for x in range(sys.n))
+    assert a.orbits == tuple(orbit(cold, t, x) for x in range(sys.n))
+    assert a.regularity == tuple(regularity_report(cold, t, x) for x in range(sys.n))
+    assert a.min_balls == minimal_invariant_balls(cold, t)
+    assert a.min_balls == _brute_minimal_balls(sys, t)
+    assert [(b.ball.bits, b.names) for b in a.invariant_balls] == _ball_index_scan(sys, t)
+    for b in a.invariant_balls:
+        assert b.fixed_inside.bits == b.ball.bits & a.fixed
+
+
+FIELDS = ("steps", "fixed", "hom", "orbits", "regularity", "invariant_balls", "min_balls")
+
+
+class TestMapAnalysis:
+    @given(
+        small_systems(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["any", "homomorphism"]),
+        st.permutations(FIELDS),
+    )
+    @settings(max_examples=150)
+    def test_fields_equal_the_standalone_functions(self, sys, seed, kind, order):
+        _check_analysis(sys, gen_self_map(seed, sys, kind), order)
+
+    def test_seeded_fields_equal_the_standalone_functions(self):
+        for sys, t in SEEDED:
+            _check_analysis(sys, t, FIELDS)
+
+    def test_one_map_per_system(self, chain, successor):
+        a = _analysis(chain, successor)
+        assert _analysis(chain, SelfMap(successor.image)) is a
+        other = _analysis(chain, identity_map(chain.n))
+        assert other is not a
+        assert other.fixed == (1 << chain.n) - 1
+        # the new map replaced the old one, so reading it again starts afresh
+        again = _analysis(chain, successor)
+        assert again is not a
+        assert again.orbits == a.orbits
+
+    def test_size_mismatch_rejected(self, twins, reflection):
+        with pytest.raises(StructuralInputError):
+            _analysis(twins, reflection)
+
+    def test_dichotomy_walks_no_orbit(self, chain, successor, monkeypatch):
+        walked = []
+        real = dynamics.orbit
+        monkeypatch.setattr(dynamics, "orbit", lambda *a: walked.append(a) or real(*a))
+        ks_dichotomy(chain, successor)
+        assert walked == []
+        assert "orbits" not in vars(_analysis(chain, successor))
+
+    def test_orbits_build_no_level_table(self):
+        # a window far too wide for a level table
+        sys = make_system(
+            ["a", "b", "c"], (0, 10**8), [[TOP, 5, 7], [5, TOP, 9], [7, 9, TOP]]
+        )
+        a = _analysis(sys, SelfMap((1, 0, 0)))
+        assert len(a.regularity) == 3
+        assert not a.hom.holds
+        assert "level-table" not in sys.__dict__["_memo"]
+
+
+# ---------------------------------------------------------------------------
+# minimal invariant admissible sets against the walk over the whole family
+
+
+def _family_walk(sys, t):
+    """The minimal map-invariant members of the whole paper-cov family, as
+    masks in canonical order: what minimal_invariant_admissible computed
+    before it stopped building the family."""
+    invariant = [
+        bits
+        for bits in _family(sys, PAPER_COV, DEFAULT_SET_CAP)
+        if _maps_into_itself(t, bits)
+    ]
+    return tuple(
+        a for a in invariant if not any(b != a and b & ~a == 0 for b in invariant)
+    )
+
+
+def _cycle_masks(t):
+    cycles = set()
+    for x in range(t.n):
+        for _ in range(t.n):
+            x = t.image[x]
+        bits, p = 0, x
+        while not bits >> p & 1:
+            bits |= 1 << p
+            p = t.image[p]
+        cycles.add(bits)
+    return cycles
+
+
+def _least_closed_above(sys, t, cycle):
+    """L_C read off the family: the intersection of the map-invariant
+    members of the arbitrary-center family that hold the cycle."""
+    out = (1 << sys.n) - 1
+    for bits in _family(sys, ARBITRARY_CENTER, DEFAULT_SET_CAP):
+        if cycle & ~bits == 0 and _maps_into_itself(t, bits):
+            out &= bits
+    return out
+
+
+def _restricted_cycles(sys, t):
+    """(C, L_C) for each cycle C whose L_C the paper-cov hull does not fix."""
+    out = []
+    for cycle in _cycle_masks(t):
+        least = _least_closed_above(sys, t, cycle)
+        if _hull_mask(sys, least, PAPER_COV)[0] != least:
+            out.append((cycle, least))
+    return out
+
+
+def _ring(n):
+    """n points on a circle, the grade falling with the circular distance:
+    every rotation preserves grades, and adjacent points sit at the top of
+    the window."""
+    top = n // 2
+    rows = [
+        [TOP if x == y else top + 1 - min((x - y) % n, (y - x) % n) for y in range(n)]
+        for x in range(n)
+    ]
+    return make_system([str(i) for i in range(n)], (0, top), rows)
+
+
+def _clusters(sizes, inner, outer):
+    """Clusters of points at grade inner within and outer across, so any
+    map that permutes the clusters and the points inside them preserves
+    grades."""
+    labels = [f"{c}.{i}" for c, k in enumerate(sizes) for i in range(k)]
+    owner = [c for c, k in enumerate(sizes) for _ in range(k)]
+    n = len(labels)
+    rows = [
+        [TOP if x == y else inner if owner[x] == owner[y] else outer for y in range(n)]
+        for x in range(n)
+    ]
+    return make_system(labels, (outer, inner), rows)
+
+
+def _admissible_cases():
+    """Grade-preserving maps on seeded systems of every constraint,
+    CHAIN_HEAVY, and structured systems with long cycles and merged pairs
+    (pairs the map sends to one point, whose image grade is TOP)."""
+    cases = []
+    for constraint in ("none", "r9", "transitive"):
+        for point_count in ((1, 7), (5, 9)):
+            params = GenParams(point_count=point_count, constraint=constraint)
+            for seed in range(80):
+                sys = gen_system(seed, params)
+                cases.append((sys, gen_self_map(seed, sys, "homomorphism")))
+    for seed in range(60):
+        cases.append((CHAIN_HEAVY, gen_self_map(seed, CHAIN_HEAVY, "homomorphism")))
+    for n in (5, 6, 7, 8, 9, 10, 12):
+        ring = _ring(n)
+        for k in range(n):
+            cases.append((ring, SelfMap(tuple((x + k) % n for x in range(n)))))
+            # a reflection composed with the rotation
+            cases.append((ring, SelfMap(tuple((k - x) % n for x in range(n)))))
+        for seed in range(20):
+            cases.append((ring, gen_self_map(seed, ring, "homomorphism")))
+    # cycles whose hull is not yet invariant, so that L_C grows past it and
+    # the paper-cov hull moves L_C: rare, 20 of 48,453 cycles of two or
+    # more points over seeds 0-19,999 of this and narrower constraints
+    params = GenParams(point_count=(6, 10), window_span=(1, 6))
+    for seed in (957, 5828, 6222, 7972, 10883):
+        sys = gen_system(seed, params)
+        cases.append((sys, gen_self_map(seed, sys, "homomorphism")))
+    blocks = _clusters((3, 3, 2), 2, 0)
+    # 0.0 -> 1.0 -> 0.1 -> 1.1 -> 0.2 -> 1.2 -> 0.0: one 6-cycle over two
+    # clusters; the 2-cluster is swapped and merged
+    cases.append((blocks, SelfMap((3, 4, 5, 1, 2, 0, 7, 7))))
+    cases.append((blocks, SelfMap((3, 4, 5, 1, 2, 0, 7, 6))))
+    for seed in range(20):
+        cases.append((blocks, gen_self_map(seed, blocks, "homomorphism")))
+    return cases
+
+
+ADMISSIBLE_CASES = _admissible_cases()
+
+
+def _merges(t):
+    return len(set(t.image)) < t.n
+
+
+class TestMinimalInvariantAdmissible:
+    """The cycle-by-cycle search against the walk over the whole family."""
+
+    def test_seeded_and_structured_systems(self):
+        for sys, t in ADMISSIBLE_CASES:
+            got = minimal_invariant_admissible(sys, t)
+            assert tuple(a.points.bits for a in got) == _family_walk(sys, t), (sys, t)
+
+    def test_cases_reach_every_branch(self):
+        # without restricted closures, long cycles and merged pairs the
+        # comparison above would not reach them
+        restricted = [(sys, t) for sys, t in ADMISSIBLE_CASES if _restricted_cycles(sys, t)]
+        assert len(restricted) >= 50
+        assert sum(_merges(t) for _, t in restricted) >= 20
+        long_cycles = [
+            (sys, t) for sys, t in ADMISSIBLE_CASES
+            if max(c.bit_count() for c in _cycle_masks(t)) >= 4
+        ]
+        assert len(long_cycles) >= 40
+        assert sum(_merges(t) for _, t in long_cycles) >= 3
+        assert sum((sys, t) in restricted for sys, t in long_cycles) >= 5
+        # L_C past the cycle's own hull, so some ball around C misses L_C
+        grown = [
+            (sys, t) for sys, t in restricted
+            if any(
+                least != _hull_mask(sys, cycle, ARBITRARY_CENTER)[0]
+                for cycle, least in _restricted_cycles(sys, t)
+            )
+        ]
+        assert len(grown) >= 5
+
+    def test_restricted_closure_closes_the_balls_around_each_least_set(
+        self, monkeypatch
+    ):
+        # each cycle whose L_C the paper-cov hull moves closes exactly the
+        # distinct balls that contain L_C, and no other cycle closes any
+        calls = []
+        real = dynamics._intersection_closure
+
+        def recorded(generators, cap):
+            generators = list(generators)
+            calls.append(frozenset(generators))
+            assert cap == DEFAULT_SET_CAP
+            return real(generators, cap)
+
+        monkeypatch.setattr(dynamics, "_intersection_closure", recorded)
+        for sys, t in ADMISSIBLE_CASES:
+            calls.clear()
+            minimal_invariant_admissible(dataclasses.replace(sys), t)
+            expected = [
+                frozenset(b for b in _ball_index(sys) if least & ~b == 0)
+                for _, least in _restricted_cycles(sys, t)
+            ]
+            assert sorted(calls, key=sorted) == sorted(expected, key=sorted)
+
+    def test_restricted_closure_keeps_the_cap(self, monkeypatch):
+        sys, t = next(c for c in ADMISSIBLE_CASES if _restricted_cycles(*c))
+        monkeypatch.setattr(dynamics, "DEFAULT_SET_CAP", 1)
+        with pytest.raises(ResourceLimitError):
+            minimal_invariant_admissible(dataclasses.replace(sys), t)

@@ -6,13 +6,14 @@ import dataclasses
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gradedrel import cli, hulls, relations
+from gradedrel import cli, dynamics, hulls, relations
 from gradedrel import (
     ARBITRARY_CENTER,
     PAPER_COV,
     PointSet,
     RelationalSystem,
     ResourceLimitError,
+    SelfMap,
     TOP,
     Window,
     ball,
@@ -130,6 +131,7 @@ def _count_closures(monkeypatch):
         return real(sys, cap)
 
     monkeypatch.setattr(hulls, "_intersection_closure", counted)
+    monkeypatch.setattr(dynamics, "_intersection_closure", counted)
     return calls
 
 
@@ -148,15 +150,33 @@ class TestAdmissibleMemo:
             assert report["compact_structure"]["holds"]
             assert len(calls) == closures
 
-    def test_fixpoint_report_enumerates_once(self, chain, successor, tmp_path, monkeypatch):
-        sys_path = tmp_path / "chain.grs"
-        sys_path.write_text(serialize_system(chain), encoding="utf-8")
-        map_path = tmp_path / "successor.map"
-        map_path.write_text(serialize_selfmap(successor), encoding="utf-8")
+    @pytest.mark.parametrize(
+        "system, selfmap",
+        [("chain", "successor"), ("twins", "swap")],
+        ids=["fixed-point", "two-cycle"],
+    )
+    def test_fixpoint_report_builds_no_family(
+        self, system, selfmap, request, tmp_path, monkeypatch
+    ):
+        # the paper-cov hull fixes L_C for every cycle of these maps, so
+        # fixpoint alone builds no closure and no column pass
+        sys = request.getfixturevalue(system)
+        t = request.getfixturevalue(selfmap)
+        sys_path = tmp_path / "system.grs"
+        sys_path.write_text(serialize_system(sys), encoding="utf-8")
+        map_path = tmp_path / "selfmap.map"
+        map_path.write_text(serialize_selfmap(t), encoding="utf-8")
         calls = _count_closures(monkeypatch)
         status, report = run(["fixpoint", str(sys_path), str(map_path)])
+        assert status == 0
         assert report["minimal_invariant_admissible"]
-        assert len(calls) == 1
+        assert calls == []
+        memo = cli._load_system(str(sys_path)).__dict__["_memo"]
+        assert not [
+            key
+            for key in memo
+            if isinstance(key, tuple) and key[0] in ("admissible", "slices")
+        ]
 
     @given(small_systems())
     def test_memo_holds_masks_only(self, sys):
@@ -326,6 +346,40 @@ class TestParsedSystemMemo:
         argvs = _analyze_argvs(*chain_files)
         warm = [run(argv) for argv in argvs]
         assert warm == [_cold_run(argv) for argv in argvs]
+
+    def test_dynamics_then_fixpoint_analyse_the_map_once(self, chain_files, monkeypatch):
+        made, checked, walked = [], [], []
+        for name, log in (
+            ("_MapAnalysis", made),
+            ("is_homomorphism", checked),
+            ("orbit", walked),
+        ):
+            real = getattr(dynamics, name)
+            monkeypatch.setattr(
+                dynamics, name, lambda *a, real=real, log=log: log.append(a) or real(*a)
+            )
+        for command in ("dynamics", "fixpoint"):
+            assert run([command, *chain_files])[0] == 0
+        assert len(made) == 1
+        assert len(checked) == 1
+        assert len(walked) == 6  # one orbit per point of the chain
+
+    def test_another_map_on_the_parsed_system(self, chain_files, tmp_path):
+        # each map replaces the analysis of the last; the reports equal
+        # cold runs whichever map came before
+        sys_path, successor_path = chain_files
+        shift_path = tmp_path / "shift.map"
+        shift_path.write_text(serialize_selfmap(SelfMap((1, 0, 3, 2, 5, 4))), encoding="utf-8")
+        identity_path = tmp_path / "identity.map"
+        identity_path.write_text(serialize_selfmap(identity_map(6)), encoding="utf-8")
+        argvs = [
+            [command, sys_path, str(map_path)]
+            for map_path in (successor_path, shift_path, identity_path, successor_path)
+            for command in ("dynamics", "fixpoint")
+        ]
+        warm = [run(argv) for argv in argvs]
+        assert warm == [_cold_run(argv) for argv in argvs]
+        assert warm[0] != warm[2] and warm[1] != warm[3]
 
     def test_rewritten_file_is_parsed_again(self, tmp_path, monkeypatch):
         path = tmp_path / "pair.grs"
