@@ -9,21 +9,20 @@ found, 2 usage, parse, precondition, or resource errors.
 later call in the process; `build_parser()` still returns a fresh parser.
 Every call reads its files afresh.  A system text equal to the one the
 previous call parsed reuses that parsed system, with the level table, the
-admissible closure, the column pass that decides both hull modes and their
-witnesses, axiom reports and the analysis of the last map read memoised on
-it, so the reports on one unchanged file share that work.  A file that is
+admissible family record (the closure and the column pass that decides
+both hull modes and their witnesses), axiom reports and the analysis of the
+last map read memoised on it, so the reports on one unchanged file share
+that work.  A file that is
 not UTF-8 text is an i/o error, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
 import sys as _sysmod
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import hulls as hulls_mod
@@ -68,20 +67,13 @@ def _jsonify(obj, labels: Optional[Sequence[str]] = None):
         return obj
     if isinstance(obj, Top):
         return "TOP"
-    if isinstance(obj, (DyadicValue, Fraction)):
+    if isinstance(obj, DyadicValue):
         return str(obj)
     if isinstance(obj, PointSet):
         members = obj.members()
         return [labels[i] for i in members] if labels else list(members)
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v, labels) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v, labels) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return {
-            f.name: _jsonify(getattr(obj, f.name), labels)
-            for f in dataclasses.fields(obj)
-        }
     return str(obj)
 
 
@@ -211,7 +203,6 @@ def _cmd_hulls(ns) -> tuple[int, dict]:
         for bits, witness in hulls_mod._witnessed_members(
             sys,
             mode,
-            hulls_mod.DEFAULT_SET_CAP,
             lambda pair: {"center": labels[pair[0]], "level": pair[1]},
         )
     ]

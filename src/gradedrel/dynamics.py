@@ -42,7 +42,6 @@ from .hulls import (
     ARBITRARY_CENTER,
     PAPER_COV,
     AdmissibleSet,
-    DEFAULT_SET_CAP,
     _ball_index,
     _canonical_mask_key,
     _hull_mask,
@@ -352,7 +351,7 @@ class _MapAnalysis:
             balls = [bits for bits in _ball_index(sys) if least & ~bits == 0]
             candidates.update(
                 bits
-                for bits in _intersection_closure(balls, DEFAULT_SET_CAP)
+                for bits in _intersection_closure(balls)
                 if self.invariant(bits) and _hull_mask(sys, bits, PAPER_COV)[0] == bits
             )
         minimal = [

@@ -27,9 +27,8 @@ from .dynamics import (
 from .errors import UsageError
 from .hulls import (
     ARBITRARY_CENTER,
-    DEFAULT_SET_CAP,
     PAPER_COV,
-    _family,
+    _ball_index,
     _intersection_closure,
     admissible_family_bits,
     check_normal_structure,
@@ -155,8 +154,10 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     """Deterministic random self-map; grade-preserving kind by greedy search.
 
     Images are assigned in a random point order, each drawn from the
-    candidates compatible with all already-assigned pairs; dead ends
-    restart with fresh randomness, and after 64 failed attempts the
+    candidates compatible with all already-assigned pairs, so a completed
+    map keeps every pair's grade (the matrix is symmetric, so checking
+    each pair once, when its second point is assigned, covers it); dead
+    ends restart with fresh randomness, and after 64 failed attempts the
     identity (always grade-preserving) is returned.
     """
     if map_kind not in MAP_KINDS:
@@ -170,7 +171,6 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
         order = list(range(n))
         rng.shuffle(order)
         image: dict[int, int] = {}
-        ok = True
         for x in order:
             candidates = []
             for c in range(n):
@@ -180,13 +180,10 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
                 ):
                     candidates.append(c)
             if not candidates:
-                ok = False
                 break
             image[x] = rng.choice(candidates)
-        if ok:
-            t = SelfMap(tuple(image[x] for x in range(n)))
-            if is_homomorphism(sys, t).holds:
-                return t
+        else:
+            return SelfMap(tuple(image[x] for x in range(n)))
     return identity_map(n)
 
 
@@ -298,7 +295,8 @@ def _check_hull_equivalence(sys, _t):
 
 
 def _check_radii_translation(sys, _t):
-    for bits in _family(sys, ARBITRARY_CENTER, DEFAULT_SET_CAP):
+    # the arbitrary-center family is the closure itself: no column pass needed
+    for bits in _intersection_closure(_ball_index(sys)):
         points = PointSet(sys.n, bits)
         crit = normality_criteria(sys, points)
         if not crit.agreed:  # pragma: no cover - agreement is enforced inside
@@ -328,7 +326,7 @@ def _family_from_metric_balls(sys, radii, mode):
     """Admissible family rebuilt from one metric ball per center and radius."""
     radii = sorted(set(radii))
     balls = [[metric_ball_collapse(sys, x, r).bits for r in radii] for x in range(sys.n)]
-    family = _intersection_closure([b for row in balls for b in row], DEFAULT_SET_CAP)
+    family = _intersection_closure([b for row in balls for b in row])
     if mode == ARBITRARY_CENTER:
         return frozenset(family)
 

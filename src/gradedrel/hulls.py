@@ -18,37 +18,35 @@ closure both fixed-point families are computed from, and the dynamics
 invariant-ball scan reads the same index.  The closure is built
 incrementally: each distinct ball b adds b and its nonempty intersections
 with the family so far, O(B * F) for B distinct balls and F family
-members.  The cap counts family members.  The closure takes
-generator masks, so the metric-ball route of the falsifier closes its own
-balls with it too.  The arbitrary-center family is memoised on the system
-once per cap, as a tuple of raw masks in canonical order, and that tuple is
-the only stored list of members: the normal-structure check and the
-falsifier read it, and the paper-cov family is filtered from it on each
-call.  The dynamics invariant-set search builds no family: it closes only
-the balls around one set per cycle of the map, with the same closure
-routine.
+members.  The cap, DEFAULT_SET_CAP, counts family members and is read
+when the closure runs.  The closure takes generator masks, so the
+metric-ball route of the falsifier closes its own balls with it too, and
+the dynamics invariant-set search closes only the balls around one set
+per cycle of the map.
 
-Every member's hulls are decided in one bit-sliced pass over the closure
-(_slices), memoised next to it per cap, in the vertical layout of
-frequent-itemset miners (Zaki 2000; MAFIA, Burdick et al. 2001): position
-i is the i-th member in canonical order, and member[y] is the int with bit
-i set when member i holds point y.  Walking the balls at a center from the
-floor up, the positions inside a ball are the complement of the OR of
-member[y] over the points that have left it, so a center costs about n
-ORs.  One pass over the (center, point) pairs then gives every member's
-fixed-point check under both hulls: the paper-cov family is the
-arbitrary-center tuple less the members its hull moves, and an
-arbitrary-center member that moved raises.  The same walk gives, per
-center, one byte per member counting the times that center's balls shrink
-before they stop containing it, which picks the member's witness ball
-there; zipped across centers, these give each member's witnesses one
-member at a time.  The memo keeps the paper-cov filter, the levels at
-each center and those step bytes, and member[] is dropped after the walk.
-Past 255 shrinks at one center, which takes over 256 points, the steps do
-not fit a byte and each member's own hull gives its witnesses instead.
-hull() still computes a single set's hull and witness directly and is the
-oracle the pass is tested against.  Balls, covering levels, hulls and the
-level-set normality route are reads of the system's level table.
+Each system memoises one family record (_family_record), keyed by the cap
+it was built under: the closure masks in canonical order, the paper-cov
+filter, and per center the levels where its balls shrink and each
+member's witness step count.  The normal-structure check, the
+hull-equivalence claim of the falsifier and both hulls reports read it;
+the paper-cov family is filtered from it on each call.  Every member's hulls are decided in one bit-sliced pass
+over the closure, in the vertical layout of frequent-itemset miners
+(Zaki 2000; MAFIA, Burdick et al. 2001): position i is the i-th member in
+canonical order, and member[y] is the int with bit i set when member i
+holds point y.  Walking the balls at a center from the floor up, the
+positions inside a ball are the complement of the OR of member[y] over
+the points that have left it, so a center costs about n ORs.  One pass
+over the (center, point) pairs then gives every member's fixed-point
+check under both hulls: the paper-cov family is the arbitrary-center
+tuple less the members its hull moves, and an arbitrary-center member
+that moved raises.  The same walk counts, per center and member, the
+times that center's balls shrink before they stop containing it, which
+picks the member's witness ball there; zipped across centers, these give
+each member's witnesses one member at a time.  A count is at most n - 1,
+so it takes one byte up to 256 points and the fewest wider bytes past
+that.  hull() still computes a single set's hull and witness directly and
+is the oracle the pass is tested against.  Balls, covering levels, hulls
+and the level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: the closure keeps no empty set, and every
@@ -63,7 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import getitem
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from array import array
+from sys import byteorder
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .dyadic import DyadicValue
 from .errors import ResourceLimitError, StructuralInputError, UsageError
@@ -191,14 +191,16 @@ def _build_ball_index(sys: RelationalSystem) -> dict[int, tuple[tuple[int, int],
     return {bits: tuple(pairs) for bits, pairs in names.items()}
 
 
-def _intersection_closure(generators: Iterable[int], cap: int) -> set[int]:
+def _intersection_closure(generators: Iterable[int]) -> set[int]:
     """The generator masks and all their nonempty intersections.
 
     Incremental: each generator b not yet in the family F adds b and every
     nonempty b & f for f in F, which keeps F closed, so the cost is one
-    pass over F per distinct generator.  cap bounds the family size; the
-    error carries the size the family had reached.
+    pass over F per distinct generator.  DEFAULT_SET_CAP, read on each
+    call, bounds the family size; the error carries the size the family
+    had reached.
     """
+    cap = DEFAULT_SET_CAP
     family: set[int] = set()
     for b in generators:
         if b in family:
@@ -231,49 +233,56 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
     )
 
 
-def _family(sys: RelationalSystem, mode: str, cap: int) -> tuple[int, ...]:
-    """The admissible family as raw masks in canonical order.
-
-    The arbitrary-center family is the ball-intersection closure, memoised
-    on the system per cap as the only stored form of the family.  The
-    paper-cov family is built from it on each call, as the members the
-    paper-cov filter of _slices keeps, so a system builds one closure per
-    cap and sorts it once.
-    """
+def _family(sys: RelationalSystem, mode: str) -> tuple[int, ...]:
+    """The admissible family as raw masks in canonical order, read from
+    the system's family record: the closure itself, or the members the
+    paper-cov filter keeps."""
     _check_mode(mode)
+    record = _family_record(sys)
     if mode == PAPER_COV:
-        return tuple(compress(_family(sys, ARBITRARY_CENTER, cap), _slices(sys, cap).paper))
-
-    def build(s: RelationalSystem) -> tuple[int, ...]:
-        closure = _intersection_closure(_ball_index(s), cap)
-        return tuple(sorted(closure, key=_canonical_mask_key(s.n)))
-
-    return sys.cached(("admissible", ARBITRARY_CENTER, cap), build)
+        return tuple(compress(record.masks, record.paper))
+    return record.masks
 
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
-
-def _bytes01(bits: int, width: int) -> bytes:
-    """A width-bit mask as one 0/1 byte per bit, byte i for bit i."""
-    return format(bits, f"0{width}b")[::-1].encode().translate(_ZERO_ONE)
+# array typecode of an unsigned count by its width in bytes
+_COUNT_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-class _Slices(NamedTuple):
-    """Every member's hulls from one column pass over the arbitrary-center
-    family: position i is the member at index i of the canonical order."""
+def _bytes01(bits: int, size: int, width: int = 1) -> bytes:
+    """A size-bit mask as one little-endian 0/1 item of width bytes per
+    bit, item i for bit i."""
+    ones = format(bits, f"0{size}b")[::-1].encode().translate(_ZERO_ONE)
+    if width == 1:
+        return ones
+    items = bytearray(size * width)
+    items[::width] = ones
+    return items
 
+
+class _Family(NamedTuple):
+    """The admissible family of a system and every member's hulls, from
+    one column pass: position i is the member at index i of masks."""
+
+    masks: tuple[int, ...]  # the arbitrary-center family in canonical order
     paper: bytes  # byte i is 1 when member i is fixed by the paper-cov hull
     # per center: the level of each ball before a shrink, then window.above
     levels: tuple[tuple[int, ...], ...]
-    # per center: byte i counts the shrinks member i stays inside; None when
-    # some center's balls shrink more than 255 times
-    steps: Optional[tuple[bytes, ...]]
+    # per center: item i counts the shrinks member i stays inside; bytes up
+    # to 256 points, an array of wider items past that
+    steps: tuple[Sequence[int], ...]
 
 
-def _slices(sys: RelationalSystem, cap: int) -> _Slices:
-    """Every member's hulls and witnesses decided at once, memoised on the
-    system per cap.
+def _family_record(sys: RelationalSystem) -> _Family:
+    """The system's family record, memoised on it under the cap it was
+    built with."""
+    return sys.cached(("family", DEFAULT_SET_CAP), _build_family)
+
+
+def _build_family(sys: RelationalSystem) -> _Family:
+    """Close the distinct balls, sort the closure canonically, and decide
+    every member's hulls and witnesses at once.
 
     member[y] is the int with bit i set when member i holds point y.  The
     positions inside a ball at x are the complement of the members holding
@@ -286,124 +295,99 @@ def _slices(sys: RelationalSystem, cap: int) -> _Slices:
     so a member that moved is a bug and raises.
 
     A member's witness ball at x is the last one before the shrink that it
-    leaves at, so the same walk sums, per center, the 0/1 bytes of the
-    positions inside each smaller ball: byte i of the sum counts the
-    shrinks member i stays inside and picks its witness level.  Past 255
-    shrinks at one center, which takes over 256 points, a byte cannot hold
-    the count and steps is None.
+    leaves at, so the same walk sums, per center, the 0/1 items of the
+    positions inside each smaller ball: item i of the sum counts the
+    shrinks member i stays inside and picks its witness level.  A center's
+    balls shrink at most n - 1 times, so each item takes the fewest bytes
+    that hold n - 1.
     """
-
-    def build(s: RelationalSystem) -> _Slices:
-        family = _family(s, ARBITRARY_CENTER, cap)
-        table = s.level_table()
-        n, m, every = s.n, len(family), (1 << len(family)) - 1
-        # column y of the member-by-point 0/1 text, read from position 0 on
-        text = "".join(map(f"{{:0{n}b}}".format, family))
-        member = tuple(int(text[n - 1 - y :: n][::-1], 2) for y in range(n))
-        drops = [0] * n
-        paper_drops = [0] * n
-        levels = []
-        steps: Optional[list[bytes]] = []
-        for x in range(n):
-            at, outside, count = [], 0, 0
-            for lev, (lower, upper) in enumerate(zip(table, table[1:]), s.window.below):
-                if lower[x] == upper[x]:
-                    continue
-                leaving = list(iter_bits(lower[x] & ~upper[x]))
-                for y in leaving:
-                    outside |= member[y]
-                inside = every ^ outside
-                centered = inside & member[x]
-                for y in leaving:
-                    drops[y] |= inside
-                    paper_drops[y] |= centered
-                at.append(lev)
-                if steps is not None:
-                    # 0/1 bytes summed as one int: byte i counts member i's shrinks
-                    count += int.from_bytes(_bytes01(inside, m), "little")
-            at.append(s.window.above)
-            levels.append(tuple(at))
-            if steps is not None and len(at) <= 256:
-                steps.append(count.to_bytes(m, "little"))
-            else:
-                steps = None
-        moved = unfixed = 0
-        for y in range(n):
-            moved |= every & ~(drops[y] | member[y])
-            unfixed |= every & ~(paper_drops[y] | member[y])
-        if moved:
-            raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
-        return _Slices(
-            _bytes01(every ^ unfixed, m),
-            tuple(levels),
-            None if steps is None else tuple(steps),
-        )
-
-    return sys.cached(("slices", cap), build)
+    n = sys.n
+    closure = _intersection_closure(_ball_index(sys))
+    family = tuple(sorted(closure, key=_canonical_mask_key(n)))
+    table = sys.level_table()
+    m, every = len(family), (1 << len(family)) - 1
+    width = next(w for w in _COUNT_TYPECODES if n <= 1 << 8 * w)
+    # column y of the member-by-point 0/1 text, read from position 0 on
+    text = "".join(map(f"{{:0{n}b}}".format, family))
+    member = tuple(int(text[n - 1 - y :: n][::-1], 2) for y in range(n))
+    drops = [0] * n
+    paper_drops = [0] * n
+    levels = []
+    steps = []
+    for x in range(n):
+        at, outside, count = [], 0, 0
+        for lev, (lower, upper) in enumerate(zip(table, table[1:]), sys.window.below):
+            if lower[x] == upper[x]:
+                continue
+            leaving = list(iter_bits(lower[x] & ~upper[x]))
+            for y in leaving:
+                outside |= member[y]
+            inside = every ^ outside
+            centered = inside & member[x]
+            for y in leaving:
+                drops[y] |= inside
+                paper_drops[y] |= centered
+            at.append(lev)
+            # 0/1 items summed as one int: item i counts member i's shrinks
+            count += int.from_bytes(_bytes01(inside, m, width), "little")
+        at.append(sys.window.above)
+        levels.append(tuple(at))
+        counts = count.to_bytes(m * width, "little")
+        if width > 1:
+            counts = array(_COUNT_TYPECODES[width], counts)
+            if byteorder == "big":
+                counts.byteswap()
+        steps.append(counts)
+    moved = unfixed = 0
+    for y in range(n):
+        moved |= every & ~(drops[y] | member[y])
+        unfixed |= every & ~(paper_drops[y] | member[y])
+    if moved:
+        raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
+    return _Family(family, _bytes01(every ^ unfixed, m), tuple(levels), tuple(steps))
 
 
 def _witnessed_members(
-    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
+    sys: RelationalSystem, mode: str, ball: Callable[[tuple[int, int]], _T]
 ) -> Iterator[tuple[int, list[_T]]]:
     """Each admissible mask, in canonical order, with the list of its
     witness balls, each one the object ball made from its (center, level)
     pair; ball is called once per distinct pair, so members that share a
     witness ball share that object.
 
-    The witness levels are the step bytes of _slices, zipped across centers
-    one member at a time; only where those are None do they come from each
-    member's own hull (_hull_witnesses).
+    The witness levels are the step counts of the family record, zipped
+    across centers one member at a time.
     """
     _check_mode(mode)
-    paper, levels, steps = _slices(sys, cap)
-    if steps is None:
-        return _hull_witnesses(sys, mode, cap, ball)
-    family = _family(sys, ARBITRARY_CENTER, cap)
+    masks, paper, levels, steps = _family_record(sys)
     table = [tuple(ball((x, lev)) for lev in at) for x, at in enumerate(levels)]
     per_member = zip(*steps)
     if mode == ARBITRARY_CENTER:
-        return zip(family, (list(map(getitem, table, idx)) for idx in per_member))
+        return zip(masks, (list(map(getitem, table, idx)) for idx in per_member))
     n = sys.n
     return (
         (bits, list(compress(map(getitem, table, idx), _bytes01(bits, n))))
-        for bits, idx in compress(zip(family, per_member), paper)
+        for bits, idx in compress(zip(masks, per_member), paper)
     )
 
 
-def _hull_witnesses(
-    sys: RelationalSystem, mode: str, cap: int, ball: Callable[[tuple[int, int]], _T]
-) -> Iterator[tuple[int, list[_T]]]:
-    """The witnesses of _witnessed_members from one hull per member, for
-    a system whose shrink counts do not fit a byte."""
-    made: dict[tuple[int, int], _T] = {}
-    for bits in _family(sys, mode, cap):
-        out, witness = _hull_mask(sys, bits, mode)
-        if out != bits:
-            raise RuntimeError(f"admissible member moved under the {mode} hull")
-        for pair in witness:
-            if pair not in made:
-                made[pair] = ball(pair)
-        yield bits, list(map(made.__getitem__, witness))
-
-
 def enumerate_admissible(
-    sys: RelationalSystem, mode: str = PAPER_COV, max_intermediate: int = DEFAULT_SET_CAP
+    sys: RelationalSystem, mode: str = PAPER_COV
 ) -> tuple[AdmissibleSet, ...]:
     """Every nonempty fixed point of the chosen hull, canonically ordered,
     with its witness balls.
 
     The arbitrary-center family is exactly the intersection closure of the
     balls; the paper-cov family is its subset of paper-cov hull fixed
-    points.  Singletons and the whole ground set always appear.
-    max_intermediate caps the size of that closure, counted in family
-    members, in both modes; it is the one cap a caller can set.  The
-    closure and its column pass are memoised on the system per cap, but
-    the AdmissibleSet values and their witness balls are rebuilt on every
+    points.  Singletons and the whole ground set always appear.  The
+    closure raises ResourceLimitError past DEFAULT_SET_CAP members, in
+    both modes.  The family record is memoised on the system, but the
+    AdmissibleSet values and their witness balls are rebuilt on every
     call.
     """
     return tuple(
         AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)
-        for bits, witness in _witnessed_members(sys, mode, max_intermediate, lambda p: p)
+        for bits, witness in _witnessed_members(sys, mode, lambda p: p)
     )
 
 
@@ -542,7 +526,7 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     _check_mode(mode)
     pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
     fixed = next((p for p in pairs if _hull_mask(sys, p, mode)[0] == p), None)
-    for bits in (fixed,) if fixed else _family(sys, mode, DEFAULT_SET_CAP):
+    for bits in (fixed,) if fixed else _family(sys, mode):
         if bits.bit_count() < 2:
             continue
         points = PointSet(sys.n, bits)
@@ -630,4 +614,4 @@ def check_spherical_completeness(sys: RelationalSystem) -> StructureReport:
 
 def admissible_family_bits(sys: RelationalSystem, mode: str) -> frozenset[int]:
     """The admissible family as raw bitmasks, for set-level comparisons."""
-    return frozenset(_family(sys, mode, DEFAULT_SET_CAP))
+    return frozenset(_family(sys, mode))

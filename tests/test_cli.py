@@ -33,6 +33,7 @@ from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
 from gradedrel.semimetric import _classify_dyadic
 
+from test_hulls import star_system
 from test_relations import small_systems
 
 
@@ -261,6 +262,33 @@ class TestStreamedHullsReport:
             sys = gen_system(seed, GenParams(point_count=(6, 11)))
             _assert_streamed_report_matches(sys)
 
+    def test_star_system_past_256_points(self, tmp_path):
+        # point 0's balls shrink 256 times, so the witness counts take two
+        # bytes each; the report must equal one built from hull() per member
+        sys = star_system(257)
+        path = tmp_path / "star.grs"
+        path.write_text(serialize_system(sys), encoding="utf-8")
+        closure = sorted(
+            hulls._intersection_closure(hulls._ball_index(sys)),
+            key=lambda bits: PointSet(sys.n, bits).canonical_key(),
+        )
+        for flag, mode in cli.MODE_NAMES.items():
+            status, report = run(["hulls", str(path), "--mode", flag])
+            family = [
+                adm
+                for bits in closure
+                for adm in [hull(sys, PointSet(sys.n, bits), mode)]
+                if adm.points.bits == bits
+            ]
+            assert status == 0
+            assert report == {
+                "command": "hulls",
+                "file": str(path),
+                "mode": mode,
+                "count": len(family),
+                "family": _family_entries(sys, family),
+            }
+
     def test_witness_balls_share_one_dict_per_center_and_level(self, paths):
         _, report = run(["hulls", paths["grid"], "--mode", "closure"])
         balls = [b for e in report["family"] for b in e["witness_balls"]]
@@ -268,11 +296,11 @@ class TestStreamedHullsReport:
         assert len({id(b) for b in balls}) == len(distinct) < len(balls)
 
     def test_cap_error_prints_the_member_count(self, paths, grid, monkeypatch):
+        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 3)
         with pytest.raises(ResourceLimitError) as info:
-            hulls._intersection_closure(hulls._ball_index(grid), 3)
+            hulls._intersection_closure(hulls._ball_index(grid))
         reached = info.value.reached
         assert reached > 3
-        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 3)
         status, report = run(["hulls", paths["grid"]])
         assert status == 2
         assert report["error"] == {

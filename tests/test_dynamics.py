@@ -30,10 +30,10 @@ from gradedrel import (
     regular_fixed_point,
     regularity_report,
 )
-from gradedrel import dynamics
+from gradedrel import dynamics, hulls
 from gradedrel.dynamics import OUTCOME_FIXED, OUTCOME_MINIMAL_BALL, _analysis
 from gradedrel.harness import GenParams, gen_system
-from gradedrel.hulls import DEFAULT_SET_CAP, _ball_index, _family, _hull_mask
+from gradedrel.hulls import _ball_index, _family, _hull_mask
 from gradedrel.pointset import iter_bits
 
 from test_hulls import CHAIN_HEAVY
@@ -604,7 +604,7 @@ def _family_walk(sys, t):
     before it stopped building the family."""
     invariant = [
         bits
-        for bits in _family(sys, PAPER_COV, DEFAULT_SET_CAP)
+        for bits in _family(sys, PAPER_COV)
         if _maps_into_itself(t, bits)
     ]
     return tuple(
@@ -629,7 +629,7 @@ def _least_closed_above(sys, t, cycle):
     """L_C read off the family: the intersection of the map-invariant
     members of the arbitrary-center family that hold the cycle."""
     out = (1 << sys.n) - 1
-    for bits in _family(sys, ARBITRARY_CENTER, DEFAULT_SET_CAP):
+    for bits in _family(sys, ARBITRARY_CENTER):
         if cycle & ~bits == 0 and _maps_into_itself(t, bits):
             out &= bits
     return out
@@ -755,11 +755,10 @@ class TestMinimalInvariantAdmissible:
         calls = []
         real = dynamics._intersection_closure
 
-        def recorded(generators, cap):
+        def recorded(generators):
             generators = list(generators)
             calls.append(frozenset(generators))
-            assert cap == DEFAULT_SET_CAP
-            return real(generators, cap)
+            return real(generators)
 
         monkeypatch.setattr(dynamics, "_intersection_closure", recorded)
         for sys, t in ADMISSIBLE_CASES:
@@ -773,6 +772,8 @@ class TestMinimalInvariantAdmissible:
 
     def test_restricted_closure_keeps_the_cap(self, monkeypatch):
         sys, t = next(c for c in ADMISSIBLE_CASES if _restricted_cycles(*c))
-        monkeypatch.setattr(dynamics, "DEFAULT_SET_CAP", 1)
-        with pytest.raises(ResourceLimitError):
+        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 1)
+        with pytest.raises(ResourceLimitError) as info:
             minimal_invariant_admissible(dataclasses.replace(sys), t)
+        assert info.value.cap == 1
+        assert info.value.reached == 2

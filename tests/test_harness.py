@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedrel import harness, hulls
 from gradedrel import (
+    ARBITRARY_CENTER,
     CLAIMS,
     GenParams,
     UsageError,
+    admissible_family_bits,
     check_axiom,
     falsify,
     gen_self_map,
@@ -17,7 +20,7 @@ from gradedrel import (
     serialize_selfmap,
     serialize_system,
 )
-from gradedrel.harness import VACUOUS, _trial_seed, shrink
+from gradedrel.harness import CONSTRAINTS, VACUOUS, _trial_seed, shrink
 
 CLAIM_IDS = (
     "eq1-roundtrip",
@@ -82,14 +85,18 @@ class TestGeneration:
         assert 0 <= sys.window.lo <= 1
         assert 1 <= sys.window.hi - sys.window.lo <= 2
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40)
-    def test_map_generation(self, seed):
-        sys = gen_system(seed)
+    @given(st.integers(0, 10_000), st.sampled_from(CONSTRAINTS))
+    @settings(max_examples=200)
+    def test_map_generation(self, seed, constraint):
+        # the greedy search alone makes the map grade-preserving: nothing
+        # after it checks the map, so every constraint is checked here
+        sys = gen_system(seed, GenParams(constraint=constraint))
         t_any = gen_self_map(seed, sys, "any")
         assert t_any.n == sys.n
         assert gen_self_map(seed, sys, "any").image == t_any.image
         t_hom = gen_self_map(seed, sys, "homomorphism")
+        assert t_hom.n == sys.n
+        assert gen_self_map(seed, sys, "homomorphism").image == t_hom.image
         assert is_homomorphism(sys, t_hom).holds
 
     def test_unknown_map_kind(self, grid):
@@ -111,6 +118,23 @@ class TestCatalog:
             assert isinstance(claim.params, GenParams)
             if claim.needs_map:
                 assert claim.params.map_kind in ("any", "homomorphism")
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_radii_translation_reads_every_admissible_set(self, seed):
+        # once each, from the closure alone: the claim builds no family record
+        claim = CLAIMS["radii-translation"]
+        sys = gen_system(seed, claim.params)
+        seen = []
+        real = harness.normality_criteria
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                harness, "normality_criteria", lambda s, p: seen.append(p.bits) or real(s, p)
+            )
+            assert claim.check(sys, None) is None
+        memo = sys.__dict__.get("_memo", {})
+        assert not [value for value in memo.values() if isinstance(value, hulls._Family)]
+        assert sorted(seen) == sorted(admissible_family_bits(sys, ARBITRARY_CENTER))
 
     def test_unknown_claim(self):
         with pytest.raises(UsageError) as exc:

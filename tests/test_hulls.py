@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+from array import array
+from contextlib import contextmanager
 from functools import reduce
 from itertools import compress
 from operator import and_
@@ -62,6 +64,14 @@ CHAIN_HEAVY = make_system(
 EQUILATERAL = make_system(
     ["a", "b", "c"], (0, 1), [[TOP, 0, 0], [0, TOP, 0], [0, 0, TOP]]
 )
+
+
+@contextmanager
+def closure_cap(cap):
+    """hulls.DEFAULT_SET_CAP set to cap inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hulls, "DEFAULT_SET_CAP", cap)
+        yield
 
 
 def pset(sys, *members):
@@ -252,8 +262,9 @@ class TestEnumerate:
                 assert (1 << x) in fam
 
     def test_resource_cap(self, grid):
-        with pytest.raises(ResourceLimitError):
-            enumerate_admissible(grid, PAPER_COV, max_intermediate=3)
+        with closure_cap(3), pytest.raises(ResourceLimitError) as info:
+            enumerate_admissible(grid, PAPER_COV)
+        assert info.value.cap == 3
 
     @given(small_systems(), st.sampled_from(MODES))
     @example(CHAIN_HEAVY, ARBITRARY_CENTER)
@@ -262,9 +273,11 @@ class TestEnumerate:
     def test_cap_counts_closure_members(self, sys, mode):
         # in both modes the cap bounds the arbitrary-center closure
         size = len(enumerate_admissible(sys, ARBITRARY_CENTER))
-        assert enumerate_admissible(sys, mode, size) == enumerate_admissible(sys, mode)
-        with pytest.raises(ResourceLimitError) as info:
-            enumerate_admissible(sys, mode, size - 1)
+        uncapped = enumerate_admissible(sys, mode)
+        with closure_cap(size):
+            assert enumerate_admissible(sys, mode) == uncapped
+        with closure_cap(size - 1), pytest.raises(ResourceLimitError) as info:
+            enumerate_admissible(sys, mode)
         err = info.value
         assert err.cap == size - 1
         assert size - 1 < err.reached <= size
@@ -320,7 +333,7 @@ class TestIntersectionClosure:
     @settings(max_examples=200)
     def test_matches_brute_force(self, family):
         n, generators = family
-        closure = hulls._intersection_closure(generators, hulls.DEFAULT_SET_CAP)
+        closure = hulls._intersection_closure(generators)
         assert closure == closure_oracle(n, generators)
 
     @given(mask_families(), st.randoms(use_true_random=False))
@@ -329,16 +342,18 @@ class TestIntersectionClosure:
         n, generators = family
         repeated = generators + [rnd.choice(generators) for _ in generators]
         rnd.shuffle(repeated)
-        closure = hulls._intersection_closure(repeated, hulls.DEFAULT_SET_CAP)
+        closure = hulls._intersection_closure(repeated)
         assert closure == closure_oracle(n, generators)
         # repeats add no members, so the least sufficient cap is unchanged
-        assert hulls._intersection_closure(repeated, len(closure)) == closure
+        with closure_cap(len(closure)):
+            assert hulls._intersection_closure(repeated) == closure
 
     @given(st.integers(min_value=1, max_value=255), st.integers(min_value=1, max_value=6))
     def test_all_equal_generators(self, mask, copies):
-        assert hulls._intersection_closure([mask] * copies, 1) == {mask}
-        with pytest.raises(ResourceLimitError) as info:
-            hulls._intersection_closure([mask] * copies, 0)
+        with closure_cap(1):
+            assert hulls._intersection_closure([mask] * copies) == {mask}
+        with closure_cap(0), pytest.raises(ResourceLimitError) as info:
+            hulls._intersection_closure([mask] * copies)
         assert (info.value.cap, info.value.reached) == (0, 1)
 
     @given(mask_families())
@@ -346,9 +361,10 @@ class TestIntersectionClosure:
     def test_cap_counts_members(self, family):
         n, generators = family
         size = len(closure_oracle(n, generators))
-        assert len(hulls._intersection_closure(generators, size)) == size
-        with pytest.raises(ResourceLimitError) as info:
-            hulls._intersection_closure(generators, size - 1)
+        with closure_cap(size):
+            assert len(hulls._intersection_closure(generators)) == size
+        with closure_cap(size - 1), pytest.raises(ResourceLimitError) as info:
+            hulls._intersection_closure(generators)
         assert info.value.cap == size - 1
         assert size - 1 < info.value.reached <= size
 
@@ -358,9 +374,9 @@ class TestIntersectionClosure:
         assert harness._intersection_closure is hulls._intersection_closure
         caps = []
 
-        def spy(generators, cap):
-            caps.append(cap)
-            return hulls._intersection_closure(generators, cap)
+        def spy(generators):
+            caps.append(hulls.DEFAULT_SET_CAP)
+            return hulls._intersection_closure(generators)
 
         radii = harness._breakpoint_radii(sys, random.Random(sys.n))
         with pytest.MonkeyPatch.context() as mp:
@@ -369,6 +385,12 @@ class TestIntersectionClosure:
                 metric = harness._family_from_metric_balls(sys, radii, mode)
                 assert metric == admissible_family_bits(sys, mode)
         assert caps == [hulls.DEFAULT_SET_CAP] * len(MODES)
+        # and it closes under the same cap, read when it runs
+        size = len(admissible_family_bits(sys, ARBITRARY_CENTER))
+        with closure_cap(size - 1), pytest.raises(ResourceLimitError) as info:
+            harness._family_from_metric_balls(sys, radii, ARBITRARY_CENTER)
+        assert info.value.cap == size - 1
+        assert size - 1 < info.value.reached <= size
 
 
 class TestRadii:
@@ -481,7 +503,7 @@ class TestNormalStructure:
     def test_fixed_pair_agrees_with_the_family_walk(self, sys, mode):
         # the canonical walk over the family against the pair check, which
         # builds no closure when the hull fixes some pair
-        family = hulls._family(sys, mode, hulls.DEFAULT_SET_CAP)
+        family = hulls._family(sys, mode)
         flat = next(
             (
                 bits
@@ -498,7 +520,7 @@ class TestNormalStructure:
             mp.setattr(
                 hulls,
                 "_intersection_closure",
-                lambda gens, cap: calls.append(cap) or real(gens, cap),
+                lambda gens: calls.append(hulls.DEFAULT_SET_CAP) or real(gens),
             )
             rep = check_normal_structure(fresh, mode)
         if flat is None:
@@ -592,12 +614,13 @@ class TestCompactAndSpherical:
             mp.setattr(
                 hulls,
                 "_intersection_closure",
-                lambda gens, limit: calls.append(limit) or real(gens, limit),
+                lambda gens: calls.append(gens) or real(gens),
             )
             rep = check_compact_structure(sys)
         assert calls == []
         try:
-            enumerate_admissible(sys, mode, cap)
+            with closure_cap(cap):
+                enumerate_admissible(sys, mode)
         except ResourceLimitError:
             assert rep == StructureReport(
                 "compact-structure", True, note="finite ground set: FIP automatic"
@@ -624,7 +647,7 @@ class TestCompactAndSpherical:
     def test_closure_keeps_no_empty_member(self):
         # why the walk above can skip its failure branch: disjoint balls
         # intersect to the empty set, which the closure drops
-        assert hulls._intersection_closure([0b0011, 0b1100, 0b0110], 10) == {
+        assert hulls._intersection_closure([0b0011, 0b1100, 0b0110]) == {
             0b0011, 0b1100, 0b0110, 0b0010, 0b0100,
         }
 
@@ -673,7 +696,10 @@ def star_system(n):
 def hull_oracle(sys, mode):
     """The family and its witnesses from one _hull_mask call per member:
     the paper-cov family keeps the closure members its hull fixes."""
-    closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+    closure = sorted(
+        hulls._intersection_closure(hulls._ball_index(sys)),
+        key=lambda bits: PointSet(sys.n, bits).canonical_key(),
+    )
     assert all(hulls._hull_mask(sys, bits, ARBITRARY_CENTER)[0] == bits for bits in closure)
     return [
         (bits, witness)
@@ -684,16 +710,29 @@ def hull_oracle(sys, mode):
 
 
 def assert_sliced_matches_oracle(sys):
-    cap = hulls.DEFAULT_SET_CAP
-    closure = hulls._family(sys, ARBITRARY_CENTER, cap)
-    paper = tuple(compress(closure, hulls._slices(sys, cap).paper))
-    assert paper == tuple(bits for bits, _ in hull_oracle(sys, PAPER_COV))
+    """The family record's masks, filter and witnesses against hull_oracle,
+    read with no _hull_mask call."""
+    want = {mode: hull_oracle(sys, mode) for mode in MODES}
+    hull_masks = []
+    real = hulls._hull_mask
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hulls, "_hull_mask", lambda *a: hull_masks.append(a) or real(*a))
+        record = hulls._family_record(sys)
+        paper = tuple(compress(record.masks, record.paper))
+        got = {
+            mode: [
+                (bits, tuple(witness))
+                for bits, witness in hulls._witnessed_members(sys, mode, lambda p: p)
+            ]
+            for mode in MODES
+        }
+        families = {mode: hulls._family(sys, mode) for mode in MODES}
+    assert hull_masks == []
+    assert paper == tuple(bits for bits, _ in want[PAPER_COV])
     for mode in MODES:
-        want = hull_oracle(sys, mode)
-        assert hulls._family(sys, mode, cap) == tuple(b for b, _ in want)
-        got = hulls._witnessed_members(sys, mode, cap, lambda p: p)
-        assert [(bits, tuple(witness)) for bits, witness in got] == want
-    assert hulls._slices(sys, cap).steps is not None
+        assert families[mode] == tuple(b for b, _ in want[mode])
+        assert got[mode] == want[mode]
+    return record
 
 
 class TestSlicedFamily:
@@ -709,8 +748,9 @@ class TestSlicedFamily:
         sizes = set()
         for seed, n, span in SEEDED:
             sys = seeded_system(seed, n, span)
-            assert_sliced_matches_oracle(sys)
-            sizes |= {len(hulls._family(sys, mode, hulls.DEFAULT_SET_CAP)) for mode in MODES}
+            record = assert_sliced_matches_oracle(sys)
+            assert all(type(steps) is bytes for steps in record.steps)
+            sizes |= {len(hulls._family(sys, mode)) for mode in MODES}
         assert {1, 7, 8, 9} <= sizes
 
     def test_sparse_transitive_systems(self):
@@ -721,25 +761,24 @@ class TestSlicedFamily:
         for seed in range(10):
             sys = gen_system(seed, params)
             assert_sliced_matches_oracle(sys)
-            closure = hulls._family(sys, ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)
+            closure = hulls._family(sys, ARBITRARY_CENTER)
             per_point.append(len(closure) / sys.n)
         assert max(per_point) < 2
 
-    @pytest.mark.parametrize("n", [256, 257])
-    def test_shrinks_past_a_byte(self, n, monkeypatch):
-        # 255 shrinks at point 0 fit a byte per member; 256 do not, and
-        # only then does each member's hull give the witnesses
+    @pytest.mark.parametrize("n", [256, 257, 300])
+    def test_shrinks_past_a_byte(self, n):
+        # point 0's balls shrink n - 1 times: 255 fit a byte per member,
+        # and past that each count takes two bytes, read by the same pass
         sys = star_system(n)
-        steps = hulls._slices(sys, hulls.DEFAULT_SET_CAP).steps
-        assert (steps is None) == (n > 256)
-        real, per_member = hulls._hull_witnesses, []
-        monkeypatch.setattr(
-            hulls, "_hull_witnesses", lambda *a: per_member.append(a) or real(*a)
-        )
-        for mode in MODES:
-            got = hulls._witnessed_members(sys, mode, hulls.DEFAULT_SET_CAP, lambda p: p)
-            assert [(bits, tuple(witness)) for bits, witness in got] == hull_oracle(sys, mode)
-        assert len(per_member) == (2 if n > 256 else 0)
+        width = 1 if n <= 256 else 2
+        record = assert_sliced_matches_oracle(sys)
+        assert len(record.levels[0]) == n
+        for steps in record.steps:
+            assert type(steps) is (bytes if width == 1 else array)
+            assert len(steps) == len(record.masks)
+            assert memoryview(steps).itemsize == width
+        # a count past 255 is read whole: {0} stays inside every ball at 0
+        assert record.steps[0][record.masks.index(1)] == n - 1
 
     @given(small_systems())
     @example(CHAIN_HEAVY)
@@ -753,33 +792,32 @@ class TestSlicedFamily:
             mp.setattr(hulls, "_hull_mask", lambda *a: hull_masks.append(a) or real(*a))
             for mode in MODES:
                 enumerate_admissible(sys, mode)
-        assert ("slices", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
+        assert ("family", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
         assert hull_masks == []
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)
     @settings(max_examples=60)
     def test_a_member_that_moves_raises(self, sys, pick):
-        # any mask outside the closure moves under its hull; put one into
-        # the memoised family, anywhere: the column pass fails, and so does
-        # every read of either mode's family or witnesses that runs it
-        cap = hulls.DEFAULT_SET_CAP
-        closure = hulls._family(sys, ARBITRARY_CENTER, cap)
+        # any mask outside the closure moves under its hull; add one to the
+        # closure the family record is built from: the column pass fails,
+        # and so does every read of either mode's family or witnesses
+        closure = hulls._family(sys, ARBITRARY_CENTER)
         outside = [bits for bits in range(1, 1 << sys.n) if bits not in closure]
         if not outside:
             return
-        bad, at = outside[pick % len(outside)], pick % (len(closure) + 1)
+        bad = outside[pick % len(outside)]
+        real = hulls._intersection_closure
         reads = [
-            lambda s: hulls._slices(s, cap),
-            lambda s: list(hulls._witnessed_members(s, PAPER_COV, cap, lambda p: p)),
+            hulls._family_record,
+            lambda s: list(hulls._witnessed_members(s, PAPER_COV, lambda p: p)),
             lambda s: enumerate_admissible(s, ARBITRARY_CENTER),
-            lambda s: hulls._family(s, PAPER_COV, cap),
+            lambda s: hulls._family(s, PAPER_COV),
         ]
-        for read in reads:
-            fresh = dataclasses.replace(sys)
-            fresh.cached(
-                ("admissible", ARBITRARY_CENTER, cap),
-                lambda s: closure[:at] + (bad,) + closure[at:],
-            )
-            with pytest.raises(RuntimeError, match="moved under the arbitrary-center hull"):
-                read(fresh)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "_intersection_closure", lambda gens: real(gens) | {bad})
+            for read in reads:
+                with pytest.raises(
+                    RuntimeError, match="moved under the arbitrary-center hull"
+                ):
+                    read(dataclasses.replace(sys))

@@ -126,9 +126,9 @@ def _count_closures(monkeypatch):
     calls = []
     real = hulls._intersection_closure
 
-    def counted(sys, cap):
-        calls.append(cap)
-        return real(sys, cap)
+    def counted(generators):
+        calls.append(hulls.DEFAULT_SET_CAP)
+        return real(generators)
 
     monkeypatch.setattr(hulls, "_intersection_closure", counted)
     monkeypatch.setattr(dynamics, "_intersection_closure", counted)
@@ -172,28 +172,30 @@ class TestAdmissibleMemo:
         assert report["minimal_invariant_admissible"]
         assert calls == []
         memo = cli._load_system(str(sys_path)).__dict__["_memo"]
-        assert not [
-            key
-            for key in memo
-            if isinstance(key, tuple) and key[0] in ("admissible", "slices")
-        ]
+        assert not [value for value in memo.values() if isinstance(value, hulls._Family)]
 
     @given(small_systems())
     def test_memo_holds_masks_only(self, sys):
-        # one stored form of the family: the arbitrary-center canonical
-        # masks, no AdmissibleSet and no paper-cov tuple
+        # one stored form of the family: one record under the cap, holding
+        # the arbitrary-center canonical masks, and no AdmissibleSet or
+        # paper-cov tuple anywhere in the memo
         enumerate_admissible(sys, PAPER_COV)
         enumerate_admissible(sys, ARBITRARY_CENTER)
         check_normal_structure(sys)
         minimal_invariant_admissible(sys, identity_map(sys.n))
-        families = {
-            key: value
-            for key, value in sys.__dict__["_memo"].items()
-            if key[0] == "admissible"
+        memo = sys.__dict__["_memo"]
+        records = {
+            key: value for key, value in memo.items() if isinstance(value, hulls._Family)
         }
-        assert set(families) == {("admissible", ARBITRARY_CENTER, hulls.DEFAULT_SET_CAP)}
-        for masks in families.values():
-            assert all(type(bits) is int for bits in masks)
+        assert set(records) == {("family", hulls.DEFAULT_SET_CAP)}
+        (record,) = records.values()
+        assert all(type(bits) is int for bits in record.masks)
+        paper = hulls._family(sys, PAPER_COV)
+        assert not [
+            value
+            for value in memo.values()
+            if isinstance(value, hulls.AdmissibleSet) or value == paper
+        ]
 
     def test_one_column_pass_per_parsed_system(self, tmp_path, monkeypatch):
         # both hulls reports, structure and fixpoint on one unchanged file
@@ -206,8 +208,8 @@ class TestAdmissibleMemo:
         map_path = tmp_path / "identity.map"
         map_path.write_text(serialize_selfmap(identity_map(sys.n)), encoding="utf-8")
         made = []
-        real = hulls._Slices
-        monkeypatch.setattr(hulls, "_Slices", lambda *a: made.append(a) or real(*a))
+        real = hulls._Family
+        monkeypatch.setattr(hulls, "_Family", lambda *a: made.append(a) or real(*a))
         calls = _count_closures(monkeypatch)
         for argv in (
             ["hulls", str(sys_path), "--mode", "paper"],
@@ -228,14 +230,21 @@ class TestAdmissibleMemo:
         # the paper-cov family filters the arbitrary-center closure
         enumerate_admissible(grid, ARBITRARY_CENTER)
         assert len(calls) == 1
-        enumerate_admissible(grid, PAPER_COV, 10_000)
+        # a family built under one cap is never read under another
+        cap = hulls.DEFAULT_SET_CAP
+        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 10_000)
+        enumerate_admissible(grid, PAPER_COV)
+        assert calls == [cap, 10_000]
+        enumerate_admissible(grid, ARBITRARY_CENTER)
         assert len(calls) == 2
 
     def test_failure_is_not_cached(self, grid, monkeypatch):
         calls = _count_closures(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(ResourceLimitError):
-                enumerate_admissible(grid, PAPER_COV, 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(hulls, "DEFAULT_SET_CAP", 1)
+            for _ in range(2):
+                with pytest.raises(ResourceLimitError):
+                    enumerate_admissible(grid, PAPER_COV)
         assert len(calls) == 2
         assert enumerate_admissible(grid)
         assert len(calls) == 3
