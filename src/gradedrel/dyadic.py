@@ -25,12 +25,12 @@ class DyadicValue:
         if self.numerator == 0:
             object.__setattr__(self, "exponent", 0)
             return
-        num, exp = self.numerator, self.exponent
-        while num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+        # one shift by the trailing-zero count: a loop step per bit is
+        # quadratic in the numerator's length
+        zeros = (self.numerator & -self.numerator).bit_length() - 1
+        if zeros:
+            object.__setattr__(self, "numerator", self.numerator >> zeros)
+            object.__setattr__(self, "exponent", self.exponent - zeros)
 
     @classmethod
     def zero(cls) -> "DyadicValue":

@@ -343,7 +343,10 @@ class _MapAnalysis:
         each cycle (module docstring)."""
         sys = self.sys
         candidates = set()
-        for cycle in _cycles(self.t):
+        # each cycle once, in the order of the least point whose orbit ends
+        # in it; the order decides which closure meets a cap first
+        cycles = dict.fromkeys(sum(1 << p for p in orb.cycle) for orb in self.orbits)
+        for cycle in cycles:
             least = self._least_invariant_closed(cycle)
             if _hull_mask(sys, least, PAPER_COV)[0] == least:
                 candidates.add(least)
@@ -367,27 +370,6 @@ class _MapAnalysis:
             if grown == bits:
                 return bits
             bits = grown
-
-
-def _cycles(t: SelfMap) -> list[int]:
-    """The mask of each cycle of the map, in order of its least point."""
-    image, seen, out = t.image, 0, []
-    for x in range(t.n):
-        if seen >> x & 1:
-            continue
-        walk = 0
-        while not (seen | walk) >> x & 1:
-            walk |= 1 << x
-            x = image[x]
-        if walk >> x & 1:
-            # the walk closed on itself at x: x lies on a new cycle
-            cycle, p = 1 << x, image[x]
-            while p != x:
-                cycle |= 1 << p
-                p = image[p]
-            out.append(cycle)
-        seen |= walk
-    return out
 
 
 def _analysis(sys: RelationalSystem, t: SelfMap) -> _MapAnalysis:

@@ -4,6 +4,10 @@ counterexample bundles.
 Canonical form: single spaces between tokens, labels line always present,
 trailing newline.  parse(serialize(x)) == x and serialize(parse(text)) ==
 text for canonical text, byte for byte.
+
+Parsers read each line as str.split() tokens and track no columns.  When a
+parse fails, `_column` finds the failing token's column on its line, so
+every diagnostic still names an exact line and column.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .dynamics import SelfMap
 from .errors import GradedRelError
@@ -46,7 +50,7 @@ class FormatError(GradedRelError, ValueError):
         self.diagnostic = diagnostic
 
 
-def _fail(code: str, line: int, column: int, message: str) -> None:
+def _fail(code: str, line: int, column: int, message: str) -> NoReturn:
     raise FormatError(Diagnostic(code, line, column, message))
 
 
@@ -75,6 +79,27 @@ class _Lines:
         self.pos += 1
         return line
 
+    def finish(self) -> None:
+        """Fail on the first line left unread."""
+        if not self.done():
+            _fail("trailing-input", self.lineno, 1, f"unexpected line {self.peek()!r}")
+
+    def fail_at(self, code: str, lineno: int, index: int, message: str, start: int = 0) -> NoReturn:
+        """Fail at token `index` of line `lineno`, located by `_column`."""
+        _fail(code, lineno, _column(self.raw[lineno - 1], index, start), message)
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _column(line: str, index: int, start: int = 0) -> int:
+    """1-based column in line of token `index` of line[start:].split(), or
+    start + 1 if there is none.  `\\S+` and split share str.isspace()."""
+    for k, m in enumerate(_TOKEN.finditer(line, start)):
+        if k == index:
+            return m.start() + 1
+    return start + 1
+
 
 def _expect_header(lines: _Lines, header: str) -> None:
     line = lines.take(f"header {header!r}")
@@ -82,59 +107,49 @@ def _expect_header(lines: _Lines, header: str) -> None:
         _fail("bad-header", lines.lineno - 1, 1, f"expected {header!r}, got {line!r}")
 
 
-def _keyword_line(
-    lines: _Lines, keyword: str
-) -> tuple[str, list[tuple[int, str]], int]:
-    """Consume `keyword: rest`, returning (rest, its cells, line number).
-
-    The cells are `_cells` pairs whose columns count from the start of the
-    raw line, so they locate each token after the colon.
-    """
+def _keyword_line(lines: _Lines, keyword: str) -> tuple[str, int]:
+    """Consume `keyword: rest`, returning (rest stripped, line number)."""
     line = lines.take(f"{keyword!r} line")
     lineno = lines.lineno - 1
     prefix = keyword + ":"
     if not line.startswith(prefix):
         _fail("missing-section", lineno, 1, f"expected {prefix!r}, got {line!r}")
-    return line[len(prefix) :].strip(), _cells(line, len(prefix)), lineno
+    return line[len(prefix) :].strip(), lineno
 
 
-def _keyword_int(lines: _Lines, keyword: str, what: str) -> tuple[int, int, int]:
-    """Consume `keyword: <int>`, returning (value, line number, column)."""
-    rest, cells, lineno = _keyword_line(lines, keyword)
-    # an empty value is located just after the colon
-    column = cells[0][0] if cells else len(keyword) + 2
-    return _parse_int(rest, lineno, column, what), lineno, column
+def _keyword_int(lines: _Lines, keyword: str, what: str) -> int:
+    """Consume `keyword: <int>`; a bad value is located at its first token,
+    or just after the colon when there is none."""
+    rest, lineno = _keyword_line(lines, keyword)
+    return _parse_int(lines, rest, what, lineno, 0, len(keyword) + 1)
 
 
 def _point_count(lines: _Lines) -> int:
-    n, lineno, column = _keyword_int(lines, "points", "point count")
+    n = _keyword_int(lines, "points", "point count")
     if n < 1:
-        _fail("bad-count", lineno, column, f"point count must be positive, got {n}")
+        message = f"point count must be positive, got {n}"
+        lines.fail_at("bad-count", lines.lineno - 1, 0, message, len("points:"))
     return n
 
 
-def _parse_int(token: str, lineno: int, column: int, what: str) -> int:
+def _parse_int(lines: _Lines, tok: str, what: str, lineno: int, index: int, start: int = 0) -> int:
+    """int(tok); else fail at token `index` of line `lineno`."""
     try:
-        return int(token, 10)
+        return int(tok, 10)
     except ValueError:
-        _fail("bad-int", lineno, column, f"{what} must be an integer, got {token!r}")
-    raise AssertionError  # unreachable
+        _bad_int(lines, tok, what, lineno, index, start)
 
 
-_TOKEN = re.compile(r"\S+")
-
-
-def _cells(line: str, start: int = 0) -> list[tuple[int, str]]:
-    """(1-based column, token) for each token that line[start:].split()
-    yields; columns count from the start of line."""
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line, start)]
+def _bad_int(
+    lines: _Lines, tok: str, what: str, lineno: int, index: int, start: int = 0
+) -> NoReturn:
+    lines.fail_at("bad-int", lineno, index, f"{what} must be an integer, got {tok!r}", start)
 
 
 def parse_system(text: str) -> RelationalSystem:
     lines = _Lines(text)
     sys = _parse_system_at(lines)
-    if not lines.done():
-        _fail("trailing-input", lines.lineno, 1, f"unexpected line {lines.peek()!r}")
+    lines.finish()
     return sys
 
 
@@ -142,73 +157,70 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
     _expect_header(lines, SYSTEM_HEADER)
     n = _point_count(lines)
 
-    labels: Optional[tuple[str, ...]] = None
     peeked = lines.peek()
     if peeked is not None and peeked.startswith("labels:"):
-        _, cells, lineno = _keyword_line(lines, "labels")
-        if len(cells) != n:
-            _fail("bad-labels", lineno, 1, f"expected {n} labels, got {len(cells)}")
-        labels = tuple(tok for _, tok in cells)
+        rest, lineno = _keyword_line(lines, "labels")
+        labels = tuple(rest.split())
+        if len(labels) != n:
+            _fail("bad-labels", lineno, 1, f"expected {n} labels, got {len(labels)}")
     else:
         labels = tuple(str(i) for i in range(n))
 
-    rest, cells, lineno = _keyword_line(lines, "window")
-    if len(cells) != 2:
+    rest, lineno = _keyword_line(lines, "window")
+    bounds = rest.split()
+    if len(bounds) != 2:
         _fail("bad-window", lineno, 1, f"expected 'window: <lo> <hi>', got {rest!r}")
-    (lo_col, lo_tok), (hi_col, hi_tok) = cells
-    lo = _parse_int(lo_tok, lineno, lo_col, "window lo")
-    hi = _parse_int(hi_tok, lineno, hi_col, "window hi")
+    lo = _parse_int(lines, bounds[0], "window lo", lineno, 0, len("window:"))
+    hi = _parse_int(lines, bounds[1], "window hi", lineno, 1, len("window:"))
     if lo > hi:
         _fail("bad-window", lineno, 1, f"window lo {lo} exceeds hi {hi}")
 
-    rest, _, lineno = _keyword_line(lines, "grades")
+    rest, lineno = _keyword_line(lines, "grades")
     if rest:
         _fail("bad-grades", lineno, 1, "'grades:' line takes no arguments")
 
-    entries: list[list[Grade]] = []
+    # the grade loop inlines _parse_int: a call per cell is most of its time
+    first, floor = lines.lineno, lo - 1
+    entries: list[tuple[Grade, ...]] = []
     for i in range(n):
-        cells = _cells(lines.take(f"grades row {i}"))
-        rowno = lines.lineno - 1
-        if len(cells) != n:
-            _fail("bad-dimension", rowno, 1, f"row {i} has {len(cells)} entries, expected {n}")
+        tokens = lines.take(f"grades row {i}").split()
+        rowno = first + i
+        if len(tokens) != n:
+            _fail("bad-dimension", rowno, 1, f"row {i} has {len(tokens)} entries, expected {n}")
         row: list[Grade] = []
-        for j, (col, tok) in enumerate(cells):
+        for j, tok in enumerate(tokens):
             if tok == "-":
                 if i != j:
-                    _fail("bad-diagonal", rowno, col, f"'-' allowed only on the diagonal, found at ({i}, {j})")
+                    message = f"'-' allowed only on the diagonal, found at ({i}, {j})"
+                    lines.fail_at("bad-diagonal", rowno, j, message)
                 row.append(TOP)
-            else:
-                g = _parse_int(tok, rowno, col, f"grade ({i}, {j})")
-                if i == j:
-                    _fail("bad-diagonal", rowno, col, f"diagonal entry ({i}, {i}) must be '-'")
-                if not (lo - 1 <= g <= hi):
-                    _fail(
-                        "out-of-range",
-                        rowno,
-                        col,
-                        f"grade {g} at ({i}, {j}) outside [{lo - 1}, {hi}]",
-                    )
-                row.append(g)
-        entries.append(row)
+                continue
+            try:
+                g = int(tok, 10)
+            except ValueError:
+                _bad_int(lines, tok, f"grade ({i}, {j})", rowno, j)
+            if i == j:
+                lines.fail_at("bad-diagonal", rowno, j, f"diagonal entry ({i}, {i}) must be '-'")
+            if not floor <= g <= hi:
+                message = f"grade {g} at ({i}, {j}) outside [{floor}, {hi}]"
+                lines.fail_at("out-of-range", rowno, j, message)
+            row.append(g)
+        entries.append(tuple(row))
 
-    first_row_line = lines.pos - n + 1
     for i in range(n):
         for j in range(i + 1, n):
             if entries[i][j] != entries[j][i]:
-                _fail(
+                lines.fail_at(
                     "asymmetric",
-                    first_row_line + j,
-                    _cells(lines.raw[first_row_line + j - 1])[i][0],
+                    first + j,
+                    i,
                     f"grade at ({j}, {i}) is {entries[j][i]} but ({i}, {j}) is {entries[i][j]}",
                 )
 
     try:
-        return RelationalSystem(
-            labels, Window(lo, hi), GradeMatrix(n, tuple(tuple(r) for r in entries))
-        )
+        return RelationalSystem(labels, Window(lo, hi), GradeMatrix(n, tuple(entries)))
     except (ValueError, TypeError) as exc:
         _fail("invalid-system", lines.lineno - 1, 1, str(exc))
-    raise AssertionError  # unreachable
 
 
 def serialize_system(sys: RelationalSystem) -> str:
@@ -228,22 +240,23 @@ def serialize_system(sys: RelationalSystem) -> str:
 def parse_selfmap(text: str) -> SelfMap:
     lines = _Lines(text)
     t = _parse_selfmap_at(lines)
-    if not lines.done():
-        _fail("trailing-input", lines.lineno, 1, f"unexpected line {lines.peek()!r}")
+    lines.finish()
     return t
 
 
 def _parse_selfmap_at(lines: _Lines) -> SelfMap:
     _expect_header(lines, MAP_HEADER)
     n = _point_count(lines)
-    _, cells, lineno = _keyword_line(lines, "map")
-    if len(cells) != n:
-        _fail("bad-dimension", lineno, 1, f"expected {n} image indices, got {len(cells)}")
+    rest, lineno = _keyword_line(lines, "map")
+    tokens = rest.split()
+    if len(tokens) != n:
+        _fail("bad-dimension", lineno, 1, f"expected {n} image indices, got {len(tokens)}")
     image = []
-    for j, (col, tok) in enumerate(cells):
-        v = _parse_int(tok, lineno, col, f"image of point {j}")
+    for j, tok in enumerate(tokens):
+        v = _parse_int(lines, tok, f"image of point {j}", lineno, j, len("map:"))
         if not (0 <= v < n):
-            _fail("out-of-range", lineno, col, f"image {v} of point {j} outside [0, {n - 1}]")
+            message = f"image {v} of point {j} outside [0, {n - 1}]"
+            lines.fail_at("out-of-range", lineno, j, message, len("map:"))
         image.append(v)
     return SelfMap(tuple(image))
 
@@ -252,7 +265,7 @@ def serialize_selfmap(t: SelfMap) -> str:
     return f"{MAP_HEADER}\npoints: {t.n}\nmap: " + " ".join(map(str, t.image)) + "\n"
 
 
-def _parse_rational(tok: str, lineno: int, column: int) -> Fraction:
+def _parse_rational(lines: _Lines, tok: str, lineno: int, index: int) -> Fraction:
     """Exact rational from `p/q` or a decimal literal; floats never appear."""
     try:
         if "/" in tok:
@@ -262,8 +275,7 @@ def _parse_rational(tok: str, lineno: int, column: int) -> Fraction:
             return Fraction(tok)  # exact decimal reading
         return Fraction(int(tok, 10))
     except (ValueError, ZeroDivisionError):
-        _fail("bad-rational", lineno, column, f"cannot read rational {tok!r}")
-    raise AssertionError  # unreachable
+        lines.fail_at("bad-rational", lineno, index, f"cannot read rational {tok!r}")
 
 
 def parse_distance_matrix(text: str) -> list[list[Fraction]]:
@@ -271,44 +283,31 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
     lines = _Lines(text)
     _expect_header(lines, MATRIX_HEADER)
     n = _point_count(lines)
+    first = lines.lineno
     rows: list[list[Fraction]] = []
-    row_linenos: list[int] = []
-    row_columns: list[list[int]] = []
     for i in range(n):
-        cells = _cells(lines.take(f"matrix row {i}"))
-        rowno = lines.lineno - 1
-        if len(cells) != n:
-            _fail("bad-dimension", rowno, 1, f"row {i} has {len(cells)} entries, expected {n}")
-        rows.append([_parse_rational(tok, rowno, col) for col, tok in cells])
-        row_linenos.append(rowno)
-        row_columns.append([col for col, _ in cells])
-    if not lines.done():
-        _fail("trailing-input", lines.lineno, 1, f"unexpected line {lines.peek()!r}")
+        tokens = lines.take(f"matrix row {i}").split()
+        if len(tokens) != n:
+            _fail("bad-dimension", first + i, 1, f"row {i} has {len(tokens)} entries, expected {n}")
+        rows.append([_parse_rational(lines, tok, first + i, j) for j, tok in enumerate(tokens)])
+    lines.finish()
 
     for i in range(n):
         if rows[i][i] != 0:
-            _fail(
-                "bad-diagonal",
-                row_linenos[i],
-                row_columns[i][i],
-                f"diagonal entry ({i}, {i}) must be zero",
-            )
+            lines.fail_at("bad-diagonal", first + i, i, f"diagonal entry ({i}, {i}) must be zero")
         for j in range(n):
             if i == j:
                 continue
             if rows[i][j] != rows[j][i]:
-                _fail(
+                lines.fail_at(
                     "asymmetric",
-                    row_linenos[max(i, j)],
-                    row_columns[max(i, j)][min(i, j)],
+                    first + max(i, j),
+                    min(i, j),
                     f"entry ({i}, {j}) is {rows[i][j]} but ({j}, {i}) is {rows[j][i]}",
                 )
             if rows[i][j] <= 0:
-                _fail(
-                    "out-of-range",
-                    row_linenos[i],
-                    row_columns[i][j],
-                    f"off-diagonal entry ({i}, {j}) must be positive",
+                lines.fail_at(
+                    "out-of-range", first + i, j, f"off-diagonal entry ({i}, {j}) must be positive"
                 )
     return rows
 
@@ -348,14 +347,13 @@ def serialize_bundle(bundle: CounterexampleBundle) -> str:
 def parse_bundle(text: str) -> CounterexampleBundle:
     lines = _Lines(text)
     _expect_header(lines, BUNDLE_HEADER)
-    claim, _, _ = _keyword_line(lines, "claim")
-    seed, _, _ = _keyword_int(lines, "seed", "seed")
-    trial, _, _ = _keyword_int(lines, "trial", "trial index")
-    locus, _, _ = _keyword_line(lines, "locus")
+    claim, _ = _keyword_line(lines, "claim")
+    seed = _keyword_int(lines, "seed", "seed")
+    trial = _keyword_int(lines, "trial", "trial index")
+    locus, _ = _keyword_line(lines, "locus")
     system = _parse_system_at(lines)
     selfmap = None
     if not lines.done():
         selfmap = _parse_selfmap_at(lines)
-    if not lines.done():
-        _fail("trailing-input", lines.lineno, 1, f"unexpected line {lines.peek()!r}")
+    lines.finish()
     return CounterexampleBundle(claim, seed, trial, locus, system, selfmap)

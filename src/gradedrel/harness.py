@@ -158,7 +158,10 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     map keeps every pair's grade (the matrix is symmetric, so checking
     each pair once, when its second point is assigned, covers it); dead
     ends restart with fresh randomness, and after 64 failed attempts the
-    identity (always grade-preserving) is returned.
+    identity (always grade-preserving) is returned.  The candidates for x
+    are the AND over assigned y of level_rows(g(x, y))[T(y)], read from the
+    system's level table, so a system whose table would pass
+    LEVEL_TABLE_CAP raises ResourceLimitError.
     """
     if map_kind not in MAP_KINDS:
         raise UsageError(f"unknown map kind {map_kind!r}")
@@ -167,21 +170,18 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     if map_kind == "any":
         return SelfMap(tuple(rng.randrange(n) for _ in range(n)))
 
+    everyone = (1 << n) - 1
     for _ in range(64):
         order = list(range(n))
         rng.shuffle(order)
         image: dict[int, int] = {}
         for x in order:
-            candidates = []
-            for c in range(n):
-                if all(
-                    sys.grades.entries[c][image[y]] >= sys.grades.entries[x][y]
-                    for y in image
-                ):
-                    candidates.append(c)
-            if not candidates:
+            grades, mask = sys.grades.entries[x], everyone
+            for y, ty in image.items():
+                mask &= sys.level_rows(grades[y])[ty]
+            if not mask:
                 break
-            image[x] = rng.choice(candidates)
+            image[x] = rng.choice([c for c in range(n) if mask >> c & 1])
         else:
             return SelfMap(tuple(image[x] for x in range(n)))
     return identity_map(n)

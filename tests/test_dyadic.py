@@ -51,6 +51,13 @@ class TestCanonicalForm:
     def test_even_numerator_folds_into_exponent(self):
         assert DyadicValue(12, 3) == DyadicValue(3, 1)  # 12/8 == 3/2
 
+    def test_long_even_numerator_normalizes_fast(self):
+        # one shift by the trailing zeros, not a loop step per bit
+        t0 = time.monotonic()
+        assert DyadicValue(1 << 10**6, 0) == DyadicValue.pow2(10**6)
+        assert DyadicValue(3 << 10**6, 5) == DyadicValue(3, 5 - 10**6)
+        assert time.monotonic() - t0 < 1
+
     def test_rejects_negative(self):
         with pytest.raises(StructuralInputError):
             DyadicValue(-1, 3)

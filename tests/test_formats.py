@@ -1,5 +1,7 @@
 """Text formats: canonical round trips and located diagnostics."""
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from gradedrel import (
     serialize_selfmap,
     serialize_system,
 )
+from gradedrel.formats import _column
 
 from test_relations import small_systems
 
@@ -35,6 +38,12 @@ TWINS_TEXT = (
 )
 
 
+# every character str.split() breaks tokens at; a row may use any of them
+# but the newline, which ends the row
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+SEPARATORS = SPACES.replace("\n", "")
+
+
 def diag(call):
     with pytest.raises(FormatError) as exc:
         call()
@@ -42,16 +51,17 @@ def diag(call):
 
 
 def spaced_row(draw, tokens):
-    """Join tokens with random runs of spaces and tabs.
+    """Join tokens with random runs of SEPARATORS, mostly spaces and tabs.
 
     Returns the line and the 0-based offset of every token in it.
     """
-    blanks = st.text(alphabet=" \t", max_size=3)
+    chars = st.one_of(st.sampled_from(" \t"), st.sampled_from(SEPARATORS))
+    blanks = st.text(alphabet=chars, max_size=3)
     line = draw(blanks)
     offsets = []
     for k, tok in enumerate(tokens):
         if k:
-            line += draw(st.text(alphabet=" \t", min_size=1, max_size=4))
+            line += draw(st.text(alphabet=chars, min_size=1, max_size=4))
         offsets.append(len(line))
         line += tok
     return line + draw(blanks), offsets
@@ -91,6 +101,17 @@ def systems_with_one_bad_cell(draw):
         a, b = min(i, j), max(i, j)
         return text, (kind, 6 + b, rows[b][1][a] + 1)
     return text, (kind, 6 + i, rows[i][1][j] + 1)
+
+
+def test_split_and_column_agree_on_whitespace():
+    # parsers take tokens from str.split() and columns from the \S+ regex,
+    # so both must read exactly the str.isspace() characters as whitespace
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", everything)) == SPACES
+    for c in SPACES:
+        line = f"ab{c}c{c}{c}d"
+        assert line.split() == ["ab", "c", "d"]
+        assert [_column(line, k) for k in range(4)] == [1, 4, 7, 1]
 
 
 class TestSystemRoundTrip:
