@@ -2,6 +2,14 @@
 
 Canonical form keeps the numerator odd (or zero, with exponent zero), so
 structural equality is value equality.  No floats anywhere.
+
+DyadicValue is the kernel under every distance oracle, so it is kept
+cheap without giving up exactness: a frozen slots class; each order
+operator compares in one frame with one shift by the exponent gap; zero()
+and pow2() hand out shared values; and as_fraction reads a bounded cache
+that holds only values whose numerator and exponent fit in
+_FRACTION_CACHE_BITS bits, so it never pins a big integer.  Comparing a
+DyadicValue with anything else raises TypeError, and == is False.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from functools import lru_cache
 from .errors import ResourceLimitError, StructuralInputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicValue:
     numerator: int
     exponent: int
@@ -34,7 +42,8 @@ class DyadicValue:
 
     @classmethod
     def zero(cls) -> "DyadicValue":
-        return cls(0, 0)
+        """The value 0, one shared frozen value."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "DyadicValue":
@@ -49,41 +58,62 @@ class DyadicValue:
     def is_zero(self) -> bool:
         return self.numerator == 0
 
-    def _aligned(self, other: "DyadicValue") -> tuple[int, int, int]:
-        exp = max(self.exponent, other.exponent)
-        return (
-            self.numerator << (exp - self.exponent),
-            other.numerator << (exp - other.exponent),
-            exp,
-        )
-
     def __add__(self, other: "DyadicValue") -> "DyadicValue":
-        a, b, exp = self._aligned(other)
-        return DyadicValue(a + b, exp)
+        if not isinstance(other, DyadicValue):
+            return NotImplemented
+        gap = self.exponent - other.exponent
+        if gap >= 0:
+            return DyadicValue(self.numerator + (other.numerator << gap), self.exponent)
+        return DyadicValue((self.numerator << -gap) + other.numerator, other.exponent)
 
     def times_pow2(self, k: int) -> "DyadicValue":
         if self.is_zero:
             return self
         return DyadicValue(self.numerator, self.exponent - k)
 
+    # each order operator aligns the two numerators with one shift by the
+    # exponent gap, in its own frame: the oracles compare distances in
+    # their innermost loops
+
     def __lt__(self, other: "DyadicValue") -> bool:
-        a, b, _ = self._aligned(other)
-        return a < b
+        if not isinstance(other, DyadicValue):
+            return NotImplemented
+        gap = self.exponent - other.exponent
+        if gap >= 0:
+            return self.numerator < other.numerator << gap
+        return self.numerator << -gap < other.numerator
 
     def __le__(self, other: "DyadicValue") -> bool:
-        a, b, _ = self._aligned(other)
-        return a <= b
+        if not isinstance(other, DyadicValue):
+            return NotImplemented
+        gap = self.exponent - other.exponent
+        if gap >= 0:
+            return self.numerator <= other.numerator << gap
+        return self.numerator << -gap <= other.numerator
 
     def __gt__(self, other: "DyadicValue") -> bool:
-        return other < self
+        if not isinstance(other, DyadicValue):
+            return NotImplemented
+        gap = self.exponent - other.exponent
+        if gap >= 0:
+            return self.numerator > other.numerator << gap
+        return self.numerator << -gap > other.numerator
 
     def __ge__(self, other: "DyadicValue") -> bool:
-        return other <= self
+        if not isinstance(other, DyadicValue):
+            return NotImplemented
+        gap = self.exponent - other.exponent
+        if gap >= 0:
+            return self.numerator >= other.numerator << gap
+        return self.numerator << -gap >= other.numerator
 
     def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.numerator, 1 << self.exponent)
-        return Fraction(self.numerator << -self.exponent, 1)
+        numerator, exponent = self.numerator, self.exponent
+        if -_FRACTION_CACHE_BITS <= exponent <= _FRACTION_CACHE_BITS and (
+            numerator.bit_length() <= _FRACTION_CACHE_BITS
+        ):
+            return _small_fraction(numerator, exponent)
+        return _fraction(numerator, exponent)
 
     def __str__(self) -> str:
         if self.exponent <= 0:
@@ -117,6 +147,22 @@ def _decimal(value: int) -> str:
 @lru_cache(maxsize=256)
 def _pow2(k: int) -> DyadicValue:
     return DyadicValue(1, -k)
+
+
+_ZERO = DyadicValue(0, 0)
+
+
+def _fraction(numerator: int, exponent: int) -> Fraction:
+    if exponent >= 0:
+        return Fraction(numerator, 1 << exponent)
+    return Fraction(numerator << -exponent, 1)
+
+
+# as_fraction caches only values whose numerator and exponent both fit in
+# this many bits, so each entry holds integers of a few dozen bytes: one
+# Fraction(1, 2**10**6) alone would hold 125 KB
+_FRACTION_CACHE_BITS = 256
+_small_fraction = lru_cache(maxsize=256)(_fraction)
 
 
 def floor_log2(value: Fraction) -> int:

@@ -8,6 +8,11 @@ text for canonical text, byte for byte.
 Parsers read each line as str.split() tokens and track no columns.  When a
 parse fails, `_column` finds the failing token's column on its line, so
 every diagnostic still names an exact line and column.
+
+An integer token is an optional '-' and ASCII digits; leading zeros and
+-0 are accepted.  int() also takes '+', '_' and non-ASCII digits, so a
+text that holds any of them has each integer token matched against
+_PLAIN_INT as well; other texts skip that test.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ class _Lines:
         if self.raw and self.raw[-1] == "":
             self.raw.pop()
         self.pos = 0
+        # only such a text can hold an integer token int() reads but the
+        # format does not allow
+        self.check_ints = not text.isascii() or "+" in text or "_" in text
 
     @property
     def lineno(self) -> int:
@@ -132,18 +140,30 @@ def _point_count(lines: _Lines) -> int:
     return n
 
 
+_PLAIN_INT = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(lines: _Lines, tok: str, what: str, lineno: int, index: int, start: int = 0) -> int:
-    """int(tok); else fail at token `index` of line `lineno`."""
+    """int(tok) of a plain integer token; else fail at token `index` of
+    line `lineno`."""
     try:
-        return int(tok, 10)
+        value = int(tok, 10)
     except ValueError:
         _bad_int(lines, tok, what, lineno, index, start)
+    if lines.check_ints and not _PLAIN_INT.fullmatch(tok):
+        _bad_int(lines, tok, what, lineno, index, start)
+    return value
 
 
 def _bad_int(
     lines: _Lines, tok: str, what: str, lineno: int, index: int, start: int = 0
 ) -> NoReturn:
-    lines.fail_at("bad-int", lineno, index, f"{what} must be an integer, got {tok!r}", start)
+    try:
+        int(tok, 10)
+        message = f"{what} must be written as ASCII digits after an optional '-', got {tok!r}"
+    except ValueError:
+        message = f"{what} must be an integer, got {tok!r}"
+    lines.fail_at("bad-int", lineno, index, message, start)
 
 
 def parse_system(text: str) -> RelationalSystem:
@@ -180,7 +200,7 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
         _fail("bad-grades", lineno, 1, "'grades:' line takes no arguments")
 
     # the grade loop inlines _parse_int: a call per cell is most of its time
-    first, floor = lines.lineno, lo - 1
+    first, floor, check_ints = lines.lineno, lo - 1, lines.check_ints
     entries: list[tuple[Grade, ...]] = []
     for i in range(n):
         tokens = lines.take(f"grades row {i}").split()
@@ -198,6 +218,8 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
             try:
                 g = int(tok, 10)
             except ValueError:
+                _bad_int(lines, tok, f"grade ({i}, {j})", rowno, j)
+            if check_ints and not _PLAIN_INT.fullmatch(tok):
                 _bad_int(lines, tok, f"grade ({i}, {j})", rowno, j)
             if i == j:
                 lines.fail_at("bad-diagonal", rowno, j, f"diagonal entry ({i}, {i}) must be '-'")

@@ -10,6 +10,12 @@ other: reconstruct_level and metric_ball_collapse compare distances
 directly, and the dyadic triple scans _classify_dyadic and
 _minimal_inframetric_constant_dyadic are the oracles for classify and
 minimal_inframetric_constant.
+
+delta, the entry point of every distance oracle, tests both indexes with
+one range check and returns the shared zero or a shared power of two from
+the dyadic kernel, so an oracle's loop allocates nothing and re-validates
+nothing per pair; the oracles get their speed from that kernel alone and
+keep their own loops and exact comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .dyadic import DyadicValue, floor_log2
+from .dyadic import _ZERO, DyadicValue, _pow2, floor_log2
 from .errors import StructuralInputError
 from .pointset import PointSet
 from .relations import (
@@ -27,7 +33,6 @@ from .relations import (
     GradeMatrix,
     Relation,
     RelationalSystem,
-    Top,
     TOP,
     Window,
     check_axiom,
@@ -50,11 +55,20 @@ def mu(sys: RelationalSystem, x: int, y: int) -> Grade:
 
 
 def delta(sys: RelationalSystem, x: int, y: int) -> DyadicValue:
-    """Induced distance 2**-grade; zero exactly on the diagonal."""
-    g = mu(sys, x, y)
-    if isinstance(g, Top):
-        return DyadicValue.zero()
-    return DyadicValue.pow2(-g)
+    """Induced distance 2**-grade; zero exactly on the diagonal.
+
+    One range test covers both indexes; _check_index runs only to raise
+    mu's IndexError for the first bad one.  The values are the shared
+    zero and the shared powers of two.
+    """
+    grades = sys.grades
+    if not (0 <= x < grades.n and 0 <= y < grades.n):
+        _check_index(sys, x)
+        _check_index(sys, y)
+    g = grades.entries[x][y]
+    if g is TOP:
+        return _ZERO
+    return _pow2(-g)
 
 
 def reconstruct_level(sys: RelationalSystem, n: int) -> Relation:

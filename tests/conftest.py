@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from gradedrel import cli
+
+# a longer search for CI runs of the exact-arithmetic kernel tests
+# (HYPOTHESIS_PROFILE=deep); tier-1 keeps hypothesis's default profile
+settings.register_profile("deep", max_examples=2000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 from gradedrel.fixtures import (
     chain_successor,
     dyadic_grid,

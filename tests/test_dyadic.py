@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradedrel import (
     TOP,
@@ -41,6 +41,33 @@ def dyadics(max_num=1000, exp_range=40):
         st.integers(min_value=0, max_value=max_num),
         st.integers(min_value=-exp_range, max_value=exp_range),
     )
+
+
+def exact(d):
+    """The value of d in Fraction arithmetic, without as_fraction."""
+    return Fraction(d.numerator) / Fraction(2) ** d.exponent
+
+
+@st.composite
+def ordered_pairs(draw):
+    # exponent gaps up to 10**4 either way, zero, and equal values built
+    # from different numerators
+    a = draw(st.one_of(st.just(DyadicValue.zero()), dyadics(max_num=10**6, exp_range=10**4)))
+    kind = draw(st.sampled_from(["free", "same", "equal", "gap"]))
+    if kind == "free":
+        b = draw(st.one_of(st.just(DyadicValue.zero()), dyadics(max_num=10**6, exp_range=10**4)))
+    elif kind == "same":
+        b = a
+    elif kind == "equal":
+        k = draw(st.integers(min_value=0, max_value=64))
+        b = DyadicValue(a.numerator << k, a.exponent + k)
+    else:
+        gap = draw(st.integers(min_value=-(10**4), max_value=10**4))
+        num = draw(st.integers(min_value=0, max_value=10**6))
+        b = DyadicValue(num, a.exponent + gap)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
 
 
 class TestCanonicalForm:
@@ -80,12 +107,63 @@ class TestArithmetic:
     def test_times_pow2_matches_fractions(self, a, k):
         assert a.times_pow2(k).as_fraction() == a.as_fraction() * Fraction(2) ** k
 
-    @given(dyadics(), dyadics())
-    def test_order_matches_fractions(self, a, b):
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a <= b) == (a.as_fraction() <= b.as_fraction())
-        assert (a > b) == (a.as_fraction() > b.as_fraction())
-        assert (a >= b) == (a.as_fraction() >= b.as_fraction())
+    @given(ordered_pairs())
+    @example((DyadicValue.zero(), DyadicValue.zero()))
+    @example((DyadicValue.zero(), DyadicValue.pow2(-10**4)))
+    @example((DyadicValue.pow2(10**4), DyadicValue(3, 10**4)))
+    def test_order_matches_fractions(self, pair):
+        a, b = pair
+        fa, fb = exact(a), exact(b)
+        assert (a < b) == (fa < fb)
+        assert (a <= b) == (fa <= fb)
+        assert (a > b) == (fa > fb)
+        assert (a >= b) == (fa >= fb)
+        assert (a == b) == (fa == fb)
+
+    @pytest.mark.parametrize("other", [1, 0, Fraction(1, 2), None])
+    def test_order_against_other_types_raises_type_error(self, other):
+        value = DyadicValue.pow2(-1)
+        for compare in (
+            lambda: value < other,
+            lambda: value <= other,
+            lambda: value > other,
+            lambda: value >= other,
+            lambda: other < value,
+            lambda: other >= value,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        with pytest.raises(TypeError):
+            value + other
+        assert (value == other) is False
+        assert (value != other) is True
+
+    def test_zero_is_one_shared_value(self):
+        assert DyadicValue.zero() is DyadicValue.zero()
+        assert DyadicValue(0, 5) == DyadicValue.zero()
+        assert DyadicValue.zero().as_fraction() == 0
+
+    @given(dyadics(max_num=10**6, exp_range=300))
+    def test_as_fraction_cached_or_not(self, d):
+        want = exact(d)
+        first = d.as_fraction()
+        again = DyadicValue(d.numerator, d.exponent).as_fraction()
+        assert first == again == want
+        assert isinstance(first, Fraction)
+
+    def test_as_fraction_cache_pins_no_big_integer(self):
+        small = DyadicValue(5, 7)
+        assert small.as_fraction() is small.as_fraction()
+        before = dyadic._small_fraction.cache_info()
+        for value in (
+            DyadicValue.pow2(-(10**6)),
+            DyadicValue.pow2(10**6),
+            DyadicValue((1 << 300) + 1, 3),
+        ):
+            assert value.as_fraction() == exact(value)
+        after = dyadic._small_fraction.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after.currsize <= after.maxsize
 
     def test_pow2(self):
         assert DyadicValue.pow2(0) == DyadicValue.one()

@@ -441,6 +441,69 @@ class TestKeywordLineColumns:
         assert (d.code, d.column) == (code, 1)
 
 
+SYSTEM_TAIL = "window: 3 4\ngrades:\n- 3\n3 -\n"
+
+# (parse, text with {} for the token, line, column) for each kind of line
+# that holds an integer
+INT_LINES = [
+    (parse_system, "gradedsystem v1\npoints: {}\n", 2, 9),
+    (parse_selfmap, "selfmap v1\npoints: {}\n", 2, 9),
+    (parse_distance_matrix, "distmatrix v1\npoints: {}\n", 2, 9),
+    (parse_system, "gradedsystem v1\npoints: 2\nwindow: {} 40\ngrades:\n", 3, 9),
+    (parse_system, "gradedsystem v1\npoints: 2\nwindow: 3  {}\ngrades:\n", 3, 12),
+    (parse_system, "gradedsystem v1\npoints: 2\nwindow: 3 4\ngrades:\n- {}\n3 -\n", 5, 3),
+    (parse_system, "gradedsystem v1\npoints: 2\nwindow: 3 4\ngrades:\n- 3\n{} -\n", 6, 1),
+    (parse_selfmap, "selfmap v1\npoints: 2\nmap: 0 {}\n", 3, 8),
+    (parse_bundle, "counterexample v1\nclaim: c\nseed: {}\n", 3, 7),
+    (parse_bundle, "counterexample v1\nclaim: c\nseed: 1\ntrial:  {}\n", 4, 9),
+    (
+        parse_bundle,
+        "counterexample v1\nclaim: c\nseed: 1\ntrial: 0\nlocus: x\n"
+        "gradedsystem v1\npoints: 2\nwindow: 3 4\ngrades:\n- {}\n3 -\n",
+        10,
+        3,
+    ),
+]
+
+
+class TestIntegerTokens:
+    """int() also reads '+3', '3_0' and non-ASCII digits; the formats do not."""
+
+    @pytest.mark.parametrize("token", ["+3", "3_0", "+0", "\u0663", "\uff13", "1\u0660"])
+    @pytest.mark.parametrize("parse, template, line, column", INT_LINES)
+    def test_rejected_where_int_would_read_them(self, parse, template, line, column, token):
+        assert int(token, 10) >= 0  # each form is one int() accepts
+        d = diag(lambda: parse(template.format(token)))
+        assert (d.code, d.line, d.column) == ("bad-int", line, column)
+        assert d.message.endswith(
+            f"must be written as ASCII digits after an optional '-', got {token!r}"
+        )
+
+    @pytest.mark.parametrize("parse, template, line, column", INT_LINES)
+    def test_other_bad_tokens_keep_their_message(self, parse, template, line, column):
+        d = diag(lambda: parse(template.format("3x")))
+        assert (d.code, d.line, d.column) == ("bad-int", line, column)
+        assert d.message.endswith("must be an integer, got '3x'")
+
+    def test_leading_zeros_and_minus_zero_stay_accepted(self):
+        text = "gradedsystem v1\npoints: 02\nwindow: -0 04\ngrades:\n- 03\n3 -\n"
+        sys = parse_system(text)
+        assert sys.window.lo == 0 and sys.window.hi == 4
+        assert sys.grades.entries == ((TOP, 3), (3, TOP))
+        assert parse_selfmap("selfmap v1\npoints: 2\nmap: 00 -0\n").image == (0, 0)
+        bundle = "counterexample v1\nclaim: c\nseed: 007\ntrial: -0\nlocus: x\n"
+        assert parse_bundle(bundle + TWINS_TEXT).seed == 7
+
+    @pytest.mark.parametrize("labels", ["a+b c_d", "\u00e9 \u0663", "+1 _"])
+    def test_labels_may_hold_what_integers_may_not(self, labels):
+        # such labels switch on the per-token test, which then passes
+        text = f"gradedsystem v1\npoints: 2\nlabels: {labels}\n" + SYSTEM_TAIL
+        sys = parse_system(text)
+        assert sys.labels == tuple(labels.split())
+        assert sys.grades.entries == ((TOP, 3), (3, TOP))
+        assert serialize_system(sys) == text
+
+
 class TestBundle:
     def test_round_trip_with_map(self, twins, swap):
         bundle = CounterexampleBundle(

@@ -124,6 +124,133 @@ class TestConstruction:
             Window(3, 2)
 
 
+def walk_grade_matrix(n, entries):
+    """The first failure of a cell-by-cell walk in row order, as GradeMatrix
+    words it, or None."""
+    for x in range(n):
+        if entries[x][x] is not TOP:
+            return f"diagonal entry ({x}, {x}) must be TOP"
+        for y in range(n):
+            if x == y:
+                continue
+            g = entries[x][y]
+            if not isinstance(g, int):
+                return f"off-diagonal entry ({x}, {y}) must be an integer, got {g!r}"
+            if entries[y][x] != g:
+                return f"grade matrix asymmetric at ({x}, {y}) vs ({y}, {x})"
+    return None
+
+
+def walk_window(lo, hi, entries):
+    n = len(entries)
+    for x in range(n):
+        for y in range(x + 1, n):
+            g = entries[x][y]
+            if not lo - 1 <= g <= hi:
+                return f"grade {g} at ({x}, {y}) outside [{lo - 1}, {hi}]"
+    return None
+
+
+def construction_error(build):
+    try:
+        build()
+    except StructuralInputError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationMessages:
+    """GradeMatrix and RelationalSystem test a valid matrix as a whole and
+    walk the cells only to word the first failure."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a non-integer at (0, 2) comes before the bad diagonal of row 1
+            (
+                [[TOP, 1, "a"], [1, 0, 1], ["a", 1, TOP]],
+                "off-diagonal entry (0, 2) must be an integer, got 'a'",
+            ),
+            # the diagonal of row 1 comes before the asymmetry at (1, 2)
+            (
+                [[TOP, 1, 1], [1, 5, 2], [1, 3, TOP]],
+                "diagonal entry (1, 1) must be TOP",
+            ),
+            # (0, 1) against a non-integer (1, 0) is an asymmetry, found
+            # before (1, 0) itself is read
+            (
+                [[TOP, 1, 1], [1.5, TOP, 2], [1, 2, TOP]],
+                "grade matrix asymmetric at (0, 1) vs (1, 0)",
+            ),
+            # TOP off the diagonal, in both halves
+            (
+                [[TOP, TOP, 1], [TOP, TOP, 1], [1, 1, TOP]],
+                "off-diagonal entry (0, 1) must be an integer, got TOP",
+            ),
+            # two asymmetries: the first in row order is named
+            (
+                [[TOP, 1, 2], [1, TOP, 3], [0, 4, TOP]],
+                "grade matrix asymmetric at (0, 2) vs (2, 0)",
+            ),
+            # a float equal to the integer it mirrors
+            (
+                [[TOP, 1, 1], [1, TOP, 2.0], [1, 2, TOP]],
+                "off-diagonal entry (1, 2) must be an integer, got 2.0",
+            ),
+        ],
+    )
+    def test_grade_matrix_first_failure(self, rows, message):
+        entries = tuple(tuple(r) for r in rows)
+        assert walk_grade_matrix(3, entries) == message
+        assert construction_error(lambda: GradeMatrix(3, entries)) == message
+
+    def test_integer_subclasses_stay_accepted(self):
+        entries = ((TOP, True), (True, TOP))
+        assert GradeMatrix(2, entries).entries == entries
+        assert make_system(["a", "b"], (1, 2), entries).grades.entries == entries
+
+    def test_rows_given_as_lists_stay_accepted(self):
+        rows = [[TOP, 1], [1, TOP]]
+        assert GradeMatrix(2, rows).entries is rows
+
+    @pytest.mark.parametrize(
+        "window, rows, message",
+        [
+            ((0, 2), [[TOP, 3, -5], [3, TOP, 1], [-5, 1, TOP]], "grade 3 at (0, 1) outside [-1, 2]"),
+            ((0, 2), [[TOP, 1, -5], [1, TOP, 9], [-5, 9, TOP]], "grade -5 at (0, 2) outside [-1, 2]"),
+            ((0, 2), [[TOP, 1, 0], [1, TOP, 3], [0, 3, TOP]], "grade 3 at (1, 2) outside [-1, 2]"),
+        ],
+    )
+    def test_window_first_failure(self, window, rows, message):
+        assert walk_window(*window, rows) == message
+        assert construction_error(lambda: make_system("abc", window, rows)) == message
+
+    @given(st.data())
+    def test_first_failure_matches_the_walk(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        lo = data.draw(st.integers(min_value=-2, max_value=2))
+        hi = lo + data.draw(st.integers(min_value=0, max_value=3))
+        cell = st.one_of(
+            st.integers(min_value=lo - 2, max_value=hi + 1),
+            st.sampled_from([TOP, 1.0, "1", None]),
+        )
+        rows = [[TOP] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                rows[x][y] = rows[y][x] = data.draw(st.integers(lo - 1, hi))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            x = data.draw(st.integers(0, n - 1))
+            y = data.draw(st.integers(0, n - 1))
+            rows[x][y] = data.draw(cell)
+        entries = tuple(tuple(r) for r in rows)
+        want = walk_grade_matrix(n, entries)
+        assert construction_error(lambda: GradeMatrix(n, entries)) == want
+        if want is None:
+            labels = [str(i) for i in range(n)]
+            want = walk_window(lo, hi, entries)
+            assert construction_error(lambda: make_system(labels, (lo, hi), entries)) == want
+
+
 @st.composite
 def relations_with_repeated_rows(draw):
     """Two relations on one ground set; the first draws its rows from a pool
