@@ -10,10 +10,10 @@ later call in the process; `build_parser()` still returns a fresh parser.
 Every call reads its files afresh.  A system text equal to the one the
 previous call parsed reuses that parsed system, with the level table, the
 admissible family record (the closure and the column pass that decides
-both hull modes and their witnesses), axiom reports and the analysis of the
-last map read memoised on it, so the reports on one unchanged file share
-that work.  A file that is
-not UTF-8 text is an i/o error, exit 2.
+both hull modes and their witnesses), axiom reports, the analysis of the
+last map read and the labeler that turns masks into label lists memoised
+on it, so the reports on one unchanged file share that work.  A file that
+is not UTF-8 text is an i/o error, exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import functools
 import io
 import json
 import sys as _sysmod
-from typing import Optional, Sequence, Union
+from operator import getitem
+from typing import Callable, Optional, Sequence, Union
 
 from . import hulls as hulls_mod
 from .dyadic import DyadicValue
@@ -54,7 +55,7 @@ from .hulls import (
     check_spherical_completeness,
     radii,
 )
-from .pointset import PointSet, iter_bits
+from .pointset import PointSet
 from .relations import RelationalSystem, Top, check_axiom
 from .semimetric import TripleWitness, classify, ingest_distance_matrix
 
@@ -77,9 +78,38 @@ def _jsonify(obj, labels: Optional[Sequence[str]] = None):
     return str(obj)
 
 
+class _ByteLabels(dict):
+    """The labels of the points a byte holds at one byte position of a
+    mask, lowest point first, by byte value.  An entry is filled on first
+    use, from the entry without its lowest bit."""
+
+    def __init__(self, labels: Sequence[str]):
+        super().__init__({0: ()})
+        self.labels = labels  # of the up to eight points at this position
+
+    def __missing__(self, byte: int) -> tuple[str, ...]:
+        low = byte & -byte
+        entry = self[byte] = (self.labels[low.bit_length() - 1], *self[byte ^ low])
+        return entry
+
+
+def _labeler(sys: RelationalSystem) -> Callable[[int], list[str]]:
+    """The labels of a mask's members, lowest point first, memoised on the
+    system: one _ByteLabels table per byte position, read with the mask's
+    little-endian bytes."""
+    return sys.cached("labeler", _build_labeler)
+
+
+def _build_labeler(sys: RelationalSystem) -> Callable[[int], list[str]]:
+    labels = sys.labels
+    size = (sys.n + 7) // 8
+    tables = [_ByteLabels(labels[i : i + 8]) for i in range(0, sys.n, 8)]
+    return lambda bits: list(sum(map(getitem, tables, bits.to_bytes(size, "little")), ()))
+
+
 def _members(sys: RelationalSystem, bits: int) -> list[str]:
     """The labels of a mask's members, lowest point first."""
-    return [sys.labels[i] for i in iter_bits(bits)]
+    return _labeler(sys)(bits)
 
 
 def _axiom_dict(sys: RelationalSystem, axiom_id: str) -> dict:
@@ -198,8 +228,9 @@ def _cmd_hulls(ns) -> tuple[int, dict]:
     sys = _load_system(ns.system)
     mode = MODE_NAMES[ns.mode]
     labels = sys.labels
+    members = _labeler(sys)
     family = [
-        {"members": [labels[i] for i in iter_bits(bits)], "witness_balls": witness}
+        {"members": members(bits), "witness_balls": witness}
         for bits, witness in hulls_mod._witnessed_members(
             sys,
             mode,

@@ -12,7 +12,9 @@ every diagnostic still names an exact line and column.
 An integer token is an optional '-' and ASCII digits; leading zeros and
 -0 are accepted.  int() also takes '+', '_' and non-ASCII digits, so a
 text that holds any of them has each integer token matched against
-_PLAIN_INT as well; other texts skip that test.
+_PLAIN_INT as well; other texts skip that test.  The rationals of a
+distance matrix follow the same rule through _PLAIN_RATIONAL, which
+allows '+' only in a decimal's exponent.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class _Lines:
         if self.raw and self.raw[-1] == "":
             self.raw.pop()
         self.pos = 0
-        # only such a text can hold an integer token int() reads but the
-        # format does not allow
+        # only such a text can hold an integer or rational token that int()
+        # or Fraction() reads but the format does not allow
         self.check_ints = not text.isascii() or "+" in text or "_" in text
 
     @property
@@ -287,8 +289,30 @@ def serialize_selfmap(t: SelfMap) -> str:
     return f"{MAP_HEADER}\npoints: {t.n}\nmap: " + " ".join(map(str, t.image)) + "\n"
 
 
+# `p/q`, an integer or a decimal literal, with ASCII digits and '-' the
+# only sign; only a decimal's exponent may carry '+'
+_PLAIN_RATIONAL = re.compile(
+    r"-?[0-9]+(?:/-?[0-9]+)?|-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+)
+# the same shapes with any sign, any decimal digits and single '_' between
+# digits: what int() and Fraction() read on some Python version, so such a
+# token is told why it is refused whether or not this version reads it
+_LOOSE_DIGITS = r"\d+(?:_\d+)*"
+_LOOSE_RATIONAL = re.compile(
+    rf"[-+]?{_LOOSE_DIGITS}(?:/[-+]?{_LOOSE_DIGITS})?"
+    rf"|[-+]?(?:{_LOOSE_DIGITS}(?:\.(?:{_LOOSE_DIGITS})?)?|\.{_LOOSE_DIGITS})"
+    rf"(?:[eE][-+]?{_LOOSE_DIGITS})?"
+)
+
+
 def _parse_rational(lines: _Lines, tok: str, lineno: int, index: int) -> Fraction:
-    """Exact rational from `p/q` or a decimal literal; floats never appear."""
+    """Exact rational from `p/q`, an integer or a decimal literal; floats
+    never appear."""
+    if lines.check_ints and not _PLAIN_RATIONAL.fullmatch(tok):
+        if _LOOSE_RATIONAL.fullmatch(tok):
+            message = f"rational must be written in ASCII digits with no '+' sign or '_', got {tok!r}"
+            lines.fail_at("bad-rational", lineno, index, message)
+        lines.fail_at("bad-rational", lineno, index, f"cannot read rational {tok!r}")
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)

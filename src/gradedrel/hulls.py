@@ -219,17 +219,25 @@ def _intersection_closure(generators: Iterable[int]) -> set[int]:
     return family
 
 
+# byte i is i with its eight bits in reverse order
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _canonical_mask_key(n: int) -> Callable[[int], int]:
     """Integer sort key of an n-point mask, ordered like canonical_key.
 
     Among sets of one size, the members compare at the lowest point in
     exactly one of them, and the set holding it comes first; reading the
     complement with point 0 as the highest bit orders them the same way.
+    The mask is reversed a byte at a time: its little-endian bytes, each
+    bit-reversed through _REVERSED, read big-endian put point i at bit
+    8 * size - 1 - i, and the shift brings it to n - 1 - i.
     """
     full = (1 << n) - 1
-    fmt = f"0{n}b"
-    return lambda bits: (
-        (bits.bit_count() << n) | int(format(full ^ bits, fmt)[::-1], 2)
+    size = (n + 7) // 8
+    shift = 8 * size - n
+    return lambda bits: (bits.bit_count() << n) | full ^ (
+        int.from_bytes(bits.to_bytes(size, "little").translate(_REVERSED), "big") >> shift
     )
 
 

@@ -112,14 +112,22 @@ def metric_ball_collapse(sys: RelationalSystem, x: int, r: Rational) -> PointSet
     if radius <= 0:
         raise StructuralInputError(f"radius must be positive, got {radius}")
 
+    p, q = radius.numerator, radius.denominator
+
+    def within(d: DyadicValue) -> bool:
+        # d = m / 2**e is at most p / q exactly when m * q <= p * 2**e, a
+        # comparison of integers, so no Fraction is compared
+        m, e = d.numerator, d.exponent
+        return m * q <= p << e if e >= 0 else (m << -e) * q <= p
+
     direct = 0
     for y in range(sys.n):
-        if delta(sys, x, y).as_fraction() <= radius:
+        if within(delta(sys, x, y)):
             direct |= 1 << y
 
     level = sys.window.above
     for g in range(sys.window.below, sys.window.above + 1):
-        if DyadicValue.pow2(-g).as_fraction() <= radius:
+        if within(DyadicValue.pow2(-g)):
             level = g
             break
     graded = 0

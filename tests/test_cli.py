@@ -2,14 +2,16 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gradedrel import (
     CLAIMS,
@@ -31,6 +33,7 @@ from gradedrel import (
 from gradedrel import cli, relations
 from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
+from gradedrel.pointset import iter_bits
 from gradedrel.semimetric import _classify_dyadic
 
 from test_hulls import star_system
@@ -245,6 +248,89 @@ def _assert_streamed_report_matches(sys):
             for entry in report["family"]:
                 for b in entry["witness_balls"]:
                     assert shared.setdefault((b["center"], b["level"]), b) is b
+
+
+def _marked(n, marks):
+    """n labels: marks cycled, each followed by its index."""
+    return [marks[i % len(marks)] + str(i) for i in range(n)]
+
+
+def _labelled(n, marks):
+    """What a fresh labeler reads of a system, its size and labels, without
+    the n x n grades."""
+    return SimpleNamespace(n=n, labels=_marked(n, marks))
+
+
+def _labelled_system(n, marks):
+    """n points, all at one grade, labelled as _labelled; for the memo."""
+    rows = [[TOP if x == y else 0 for y in range(n)] for x in range(n)]
+    return make_system(_marked(n, marks), (0, 1), rows)
+
+
+# labels that JSON must escape, and plain ones
+ESCAPED = ('"', "\\", "é", "☃", "\U0001d11e", "'", "q")
+PLAIN = ("p", "r")
+
+
+def assert_labels_match_iter_bits(labeler, labels, masks):
+    for bits in masks:
+        assert labeler(bits) == [labels[i] for i in iter_bits(bits)], (len(labels), bits)
+
+
+class TestLabeler:
+    """The byte-table labeler against the label of each set bit in turn;
+    each test but the memo test reads a freshly built labeler, so its
+    tables fill in the order the masks come."""
+
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20)
+            )
+        )
+    )
+    def test_random_masks_up_to_300_points(self, case):
+        n, masks = case
+        sys = _labelled(n, ESCAPED)
+        assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, masks)
+
+    # n = 0, 1 and 7 (mod 8) around every byte count up to 300 points
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 263, 264, 265, 300]
+    )
+    def test_every_byte_value_at_every_position(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        sys = _labelled(n, ESCAPED)
+        # every byte value alone at each position, then over random bytes at
+        # the lowest and the highest position
+        alone = [b << k & full for k in range(0, n, 8) for b in range(256)]
+        ends = {0, (n - 1) // 8 * 8}
+        mixed = [(b << k | rng.getrandbits(n)) & full for k in ends for b in range(256)]
+        edges = [0, full, 1, 1 << (n - 1), full >> 1, full ^ 1]
+        for masks in (alone, mixed, edges):
+            assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, masks)
+
+    def test_every_mask_up_to_10_points(self):
+        for n in range(1, 11):
+            sys = _labelled(n, ESCAPED)
+            assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, range(1 << n))
+
+    def test_memoised_per_system(self):
+        # two systems with different labels read the same masks; each keeps
+        # its own labeler, and the tables filled for one never answer the other
+        a, b = _labelled_system(20, ESCAPED), _labelled_system(20, PLAIN)
+        rng = random.Random(1)
+        masks = [rng.getrandbits(20) for _ in range(200)]
+        for sys in (a, b, a):
+            assert_labels_match_iter_bits(cli._labeler(sys), sys.labels, masks)
+            assert [cli._members(sys, bits) for bits in masks] == [
+                [sys.labels[i] for i in iter_bits(bits)] for bits in masks
+            ]
+        assert cli._labeler(a) is cli._labeler(a)
+        assert cli._labeler(a) is not cli._labeler(b)
+        assert cli._labeler(a)(0b101) == ['"0', "é2"]
+        assert cli._labeler(b)(0b101) == ["p0", "p2"]
 
 
 class TestStreamedHullsReport:

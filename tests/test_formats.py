@@ -23,6 +23,7 @@ from gradedrel import (
     serialize_selfmap,
     serialize_system,
 )
+from gradedrel import formats
 from gradedrel.formats import _column
 
 from test_relations import small_systems
@@ -502,6 +503,71 @@ class TestIntegerTokens:
         assert sys.labels == tuple(labels.split())
         assert sys.grades.entries == ((TOP, 3), (3, TOP))
         assert serialize_system(sys) == text
+
+
+class TestRationalTokens:
+    """int() and Fraction() also read '+1/2', '1_0' and non-ASCII digits in
+    every token shape; the distance-matrix format does not."""
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            # p/q
+            "+1/2", "1/+2", "1_0/3", "1/1_0", "٣/4", "1/٤", "１/2",
+            # integer
+            "+3", "+0", "1_0", "٣", "３", "1٠",
+            # decimal
+            "+1.5", "+.5", "1_0.5", "1.5_0", "٣.5", "1.٥", "1e٣", "1.5e1_0", "+1e3",
+        ],
+    )
+    @pytest.mark.parametrize("row, column", [(0, 3), (1, 1)])
+    def test_rejected_where_int_or_fraction_would_read_them(self, token, row, column):
+        cells = [["0", "1"], ["1", "0"]]
+        cells[row][1 - row] = token
+        text = "distmatrix v1\npoints: 2\n" + "".join(" ".join(r) + "\n" for r in cells)
+        d = diag(lambda: parse_distance_matrix(text))
+        assert (d.code, d.line, d.column) == ("bad-rational", 3 + row, column)
+        assert d.message.endswith(
+            f"must be written in ASCII digits with no '+' sign or '_', got {token!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [
+            ("3/6", Fraction(1, 2)), ("-1/-2", Fraction(1, 2)), ("007", Fraction(7)),
+            ("1.5", Fraction(3, 2)), (".5", Fraction(1, 2)), ("5.", Fraction(5)),
+            ("1e3", Fraction(1000)), ("1.5e+3", Fraction(1500)), ("25E-2", Fraction(1, 4)),
+        ],
+    )
+    def test_plain_forms_stay_accepted(self, token, value):
+        text = f"distmatrix v1\npoints: 2\n0 {token}\n{token} 0\n"
+        rows = parse_distance_matrix(text)
+        assert rows == [[0, value], [value, 0]]
+        assert parse_distance_matrix(serialize_distance_matrix(rows)) == rows
+        # a trailing non-ASCII line switches on the per-token test, which
+        # the rows pass before the line is read
+        d = diag(lambda: parse_distance_matrix(text + "\u00e9\n"))
+        assert (d.code, d.line) == ("trailing-input", 5)
+
+    @pytest.mark.parametrize("token", ["1_0.5", "1.5_0", "1.5e1_0", "+1/2", "٣"])
+    def test_message_does_not_depend_on_what_fraction_reads(self, token, monkeypatch):
+        # Fraction() reads '_' only from Python 3.11 on; a token is refused
+        # with the same words where Fraction() reads nothing
+        def unreadable(*args):
+            raise ValueError("unreadable")
+
+        monkeypatch.setattr(formats, "Fraction", unreadable)
+        text = f"distmatrix v1\npoints: 1\n{token}\n"
+        d = diag(lambda: parse_distance_matrix(text))
+        assert (d.code, d.line, d.column) == ("bad-rational", 3, 1)
+        assert d.message.endswith(f"with no '+' sign or '_', got {token!r}")
+
+    def test_other_bad_tokens_keep_their_message(self):
+        for token in ["x", "1/0", "1.5.5", "1/2/3", "٣x"]:
+            text = f"distmatrix v1\npoints: 1\n{token}\n"
+            d = diag(lambda: parse_distance_matrix(text))
+            assert (d.code, d.line) == ("bad-rational", 3)
+            assert d.message.startswith("cannot read rational")
 
 
 class TestBundle:

@@ -286,6 +286,11 @@ class TestEnumerate:
 
 
 class TestCanonicalMaskKey:
+    def test_reversal_table(self):
+        assert len(hulls._REVERSED) == 256
+        for i in range(256):
+            assert hulls._REVERSED[i] == sum(1 << (7 - k) for k in range(8) if i >> k & 1)
+
     def test_every_mask_up_to_12_points(self):
         for n in range(13):
             key = hulls._canonical_mask_key(n)
@@ -308,6 +313,45 @@ class TestCanonicalMaskKey:
         assert sorted(masks, key=hulls._canonical_mask_key(n)) == sorted(
             masks, key=lambda b: PointSet(n, b).canonical_key()
         )
+
+    @staticmethod
+    def assert_matches_the_string_reversal(n, masks):
+        # the key read as text: the complement's n binary digits reversed
+        full = (1 << n) - 1
+        key = hulls._canonical_mask_key(n)
+        for bits in masks:
+            want = (bits.bit_count() << n) | int(format(full ^ bits, f"0{n}b")[::-1], 2)
+            assert key(bits) == want, (n, bits)
+        assert sorted(masks, key=key) == sorted(
+            masks, key=lambda b: PointSet(n, b).canonical_key()
+        )
+
+    # n = 0, 1 and 7 (mod 8) around every byte count up to 300 points
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 255, 256, 257, 263, 264, 265, 300]
+    )
+    def test_byte_boundaries(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        masks = {0, full, 1, 1 << (n - 1), full >> 1, full ^ 1}
+        masks.update(1 << x for x in range(n))
+        masks.update(full ^ (1 << x) for x in range(n))
+        masks.update(rng.getrandbits(n) for _ in range(200))
+        # one low byte, so masks of one size are ordered by a higher byte
+        masks.update((rng.getrandbits(n) & ~0xFF | 0x0F) & full for _ in range(50))
+        self.assert_matches_the_string_reversal(n, sorted(masks))
+
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True)
+            )
+        )
+    )
+    @example((264, [(1 << 264) - 1, 1 << 263, 1]))
+    @example((257, [1 << 256, (1 << 256) - 1, 0]))
+    def test_random_masks_up_to_300_points(self, case):
+        self.assert_matches_the_string_reversal(*case)
 
 
 def closure_oracle(n, generators):

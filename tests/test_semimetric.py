@@ -94,6 +94,19 @@ class TestMetricBallCollapse:
             want = {y for y in range(sys.n) if delta(sys, x, y).as_fraction() <= r}
             assert set(got.members()) == want
 
+    @given(wide_sparse_systems(), st.data())
+    def test_collapse_matches_brute_force_at_breakpoints(self, sys, data):
+        # radii at a level's distance and a hair either side of it, with
+        # distances above and below 1, where the integer cross products
+        # must settle every tie exactly
+        g = data.draw(st.integers(sys.window.below, sys.window.above + 1))
+        hair = Fraction(1, 2 ** data.draw(st.integers(1, 80)))
+        r = Fraction(1, 2) ** g * data.draw(st.sampled_from([1, 1 - hair, 1 + hair]))
+        for x in range(sys.n):
+            got = metric_ball_collapse(sys, x, r)
+            want = {y for y in range(sys.n) if delta(sys, x, y).as_fraction() <= r}
+            assert set(got.members()) == want
+
 
 class TestInframetricConstant:
     def test_grid_and_triple_are_two(self, grid, triple):
