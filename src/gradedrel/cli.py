@@ -136,14 +136,14 @@ def _triple_dict(sys: RelationalSystem, w: Optional[TripleWitness]) -> Optional[
 
 
 def _system_dict(sys: RelationalSystem) -> dict:
+    grades = list(map(list, sys.grades.entries))
+    for i, row in enumerate(grades):
+        row[i] = "-"
     return {
         "points": sys.n,
         "labels": list(sys.labels),
         "window": [sys.window.lo, sys.window.hi],
-        "grades": [
-            ["-" if i == j else sys.grades.entries[i][j] for j in range(sys.n)]
-            for i in range(sys.n)
-        ],
+        "grades": grades,
     }
 
 

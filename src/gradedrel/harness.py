@@ -1,9 +1,14 @@
 """Seeded generation of systems and maps, plus a claim falsifier.
 
 Generation is reproducible from the seed alone.  Constrained systems are
-produced by monotone repair: grades only ever rise, each rise is forced by
-a violated composition inequality, and every grade is bounded by the
-window top, so the loop terminates and the postcondition is re-verified.
+repaired in one pass over the level relations, from the window top down:
+level k keeps its drawn pairs and takes in the square (r9) or cube (r10)
+of the repaired level k + 1, or the transitive closure of both
+(transitive), and each pair's grade becomes the highest level it first
+appears in.  Grades only rise, and the result is the least repair above
+the drawn grades: any system obeying the constraint with grades at least
+the drawn ones holds, by induction from the top, every repaired level
+inside its own.  The postcondition is still re-verified.
 
 The hull-equivalence claim rebuilds the admissible family from metric
 balls computed from distances, not from the level table, and closes them
@@ -41,6 +46,7 @@ from .relations import (
     RelationalSystem,
     TOP,
     Window,
+    _compose_rows,
     check_axiom,
     default_labels,
     expand_level,
@@ -85,46 +91,50 @@ class GenParams:
             raise UsageError("window span must be at least 1")
 
 
-def _forced_grade(entries: list[list[Grade]], x: int, y: int, constraint: str) -> Grade:
-    """Lowest grade the constraint forces on the pair, given the others."""
-    n = len(entries)
-    need: Grade = entries[x][y]
-    if constraint == "transitive":
-        for z in range(n):
-            m = min(entries[x][z], entries[z][y])
-            if m > need:
-                need = m
-    elif constraint == "r9":
-        for z in range(n):
-            m = min(entries[x][z], entries[z][y]) - 1
-            if m > need:
-                need = m
-    elif constraint == "r10":
-        for z in range(n):
-            g_xz = entries[x][z]
-            for w in range(n):
-                m = min(g_xz, entries[z][w], entries[w][y]) - 1
-                if m > need:
-                    need = m
-    return need
+def _repair(entries: list[list[Grade]], window: Window, constraint: str) -> None:
+    """Raise grades to the least ones whose level relations obey the constraint.
 
-
-def _repair(entries: list[list[Grade]], constraint: str) -> None:
-    """Raise grades until the constraint's composition inequalities hold."""
+    One pass from the window top down: with R_k the drawn level-k relation
+    and R'_{hi+1} the diagonal, the repaired level k is R_k together with
+    R'_{k+1} squared (r9), cubed (r10) or closed transitively (transitive),
+    and each pair takes the highest level it first appears in.
+    """
     if constraint == "none":
         return
     n = len(entries)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(x + 1, n):
-                need = _forced_grade(entries, x, y, constraint)
-                if need > entries[x][y]:
-                    assert isinstance(need, int)
-                    entries[x][y] = need
-                    entries[y][x] = need
-                    changed = True
+    below = window.below
+    # exact[k - below][x]: the points drawn at grade exactly k against x;
+    # a reflexive R'_{k+1} holds every pair drawn above k, so R_k adds only these
+    exact = [[0] * n for _ in range(window.above - below)]
+    for x, row in enumerate(entries):
+        bit = 1 << x
+        for y in range(x + 1, n):
+            drawn = exact[row[y] - below]
+            drawn[x] |= 1 << y
+            drawn[y] |= bit
+    level = [1 << x for x in range(n)]
+    for k in range(window.hi, below, -1):
+        if constraint == "transitive":
+            # Warshall's closure
+            rows = [r | e for r, e in zip(level, exact[k - below])]
+            for z in range(n):
+                row_z, bit = rows[z], 1 << z
+                for x in range(n):
+                    if rows[x] & bit:
+                        rows[x] |= row_z
+        else:
+            power = _compose_rows(level, level)
+            if constraint == "r10":
+                power = _compose_rows(power, level)
+            rows = [p | e for p, e in zip(power, exact[k - below])]
+        # pairs first met at level k get grade k
+        for x, (new, old) in enumerate(zip(rows, level)):
+            first, row = new & ~old, entries[x]
+            while first:
+                low = first & -first
+                row[low.bit_length() - 1] = k
+                first ^= low
+        level = rows
 
 
 def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
@@ -133,16 +143,15 @@ def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
     n = rng.randint(*params.point_count)
     lo = rng.randint(*params.window_lo)
     hi = lo + rng.randint(*params.window_span)
+    window = Window(lo, hi)
     entries: list[list[Grade]] = [[TOP] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
             g = rng.randint(lo - 1, hi)
             entries[x][y] = g
             entries[y][x] = g
-    _repair(entries, params.constraint)
-    sys = RelationalSystem(
-        default_labels(n), Window(lo, hi), GradeMatrix.from_rows(entries)
-    )
+    _repair(entries, window, params.constraint)
+    sys = RelationalSystem(default_labels(n), window, GradeMatrix.from_rows(entries))
     if params.constraint != "none":
         report = check_axiom(sys, params.constraint)
         if not report.holds:  # pragma: no cover - repair is exhaustive
@@ -159,9 +168,9 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     each pair once, when its second point is assigned, covers it); dead
     ends restart with fresh randomness, and after 64 failed attempts the
     identity (always grade-preserving) is returned.  The candidates for x
-    are the AND over assigned y of level_rows(g(x, y))[T(y)], read from the
-    system's level table, so a system whose table would pass
-    LEVEL_TABLE_CAP raises ResourceLimitError.
+    are the AND over assigned y of the level-g(x, y) row of T(y), read
+    straight from the system's level table, so a system whose table would
+    pass LEVEL_TABLE_CAP raises ResourceLimitError.
     """
     if map_kind not in MAP_KINDS:
         raise UsageError(f"unknown map kind {map_kind!r}")
@@ -170,6 +179,8 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     if map_kind == "any":
         return SelfMap(tuple(rng.randrange(n) for _ in range(n)))
 
+    # off-diagonal grades lie in [below, hi], inside the table
+    table, below = sys.level_table(), sys.window.below
     everyone = (1 << n) - 1
     for _ in range(64):
         order = list(range(n))
@@ -178,7 +189,7 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
         for x in order:
             grades, mask = sys.grades.entries[x], everyone
             for y, ty in image.items():
-                mask &= sys.level_rows(grades[y])[ty]
+                mask &= table[grades[y] - below][ty]
             if not mask:
                 break
             image[x] = rng.choice([c for c in range(n) if mask >> c & 1])

@@ -258,6 +258,12 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 _COUNT_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+# entry b is the byte value b as eight 0/1 bytes, item i for bit i: the
+# bits of a point mask, a byte at a time (_bytes01 is faster on the long
+# member masks of a family)
+_BYTE01 = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
+
+
 def _bytes01(bits: int, size: int, width: int = 1) -> bytes:
     """A size-bit mask as one little-endian 0/1 item of width bytes per
     bit, item i for bit i."""
@@ -372,9 +378,20 @@ def _witnessed_members(
     per_member = zip(*steps)
     if mode == ARBITRARY_CENTER:
         return zip(masks, (list(map(getitem, table, idx)) for idx in per_member))
-    n = sys.n
+    # the centers inside a member: one 0/1 selector item per point, eight
+    # per byte of the mask; compress stops at the last center
+    size = (sys.n + 7) // 8
+    byte01 = _BYTE01.__getitem__
     return (
-        (bits, list(compress(map(getitem, table, idx), _bytes01(bits, n))))
+        (
+            bits,
+            list(
+                compress(
+                    map(getitem, table, idx),
+                    b"".join(map(byte01, bits.to_bytes(size, "little"))),
+                )
+            ),
+        )
         for bits, idx in compress(zip(masks, per_member), paper)
     )
 

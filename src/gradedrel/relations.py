@@ -11,7 +11,7 @@ diagonal.  A pair related at no stored level gets grade lo - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -315,13 +315,13 @@ class RelationalSystem:
         The memo is not a dataclass field, so equality, hashing, repr and
         dataclasses.replace ignore it.  Nothing is stored when build raises.
         """
-        memo = self.__dict__.get("_memo")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_memo", memo)
-        if key not in memo:
-            memo[key] = build(self)
-        return memo[key]
+        try:
+            return self.__dict__["_memo"][key]
+        except KeyError:
+            pass
+        memo = self.__dict__.setdefault("_memo", {})
+        memo[key] = value = build(self)
+        return value
 
     def level_table(self) -> tuple[tuple[int, ...], ...]:
         """Row bitmasks of every level from window.below to window.above.
@@ -341,7 +341,10 @@ class RelationalSystem:
         above the window the diagonal, by the grade conventions alone.
         """
         table = self.level_table()
-        return table[min(max(k - self.window.below, 0), len(table) - 1)]
+        i = k - self.window.below
+        if 0 <= i < len(table):
+            return table[i]
+        return table[0] if i < 0 else table[-1]
 
 
 # most level-table entries (levels times points) a system may build; a
@@ -382,6 +385,7 @@ def make_system(
     )
 
 
+@lru_cache(maxsize=256)
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
@@ -565,12 +569,12 @@ def _check_bounded(sys: RelationalSystem) -> AxiomReport:
 
 def _check_composition_steps(sys: RelationalSystem, steps: int) -> AxiomReport:
     axiom_id = "r9" if steps == 2 else "r10"
-    for n in range(sys.window.lo, sys.window.hi + 2):
-        rows = sys.level_rows(n)
+    # table[i] is level below + i: each level in [lo, hi + 1] with the one under it
+    table = sys.level_table()
+    for n, (prev, rows) in enumerate(zip(table, table[1:]), sys.window.lo):
         power = rows
         for _ in range(steps - 1):
             power = _compose_rows(power, rows)
-        prev = sys.level_rows(n - 1)
         for x in range(sys.n):
             extra = power[x] & ~prev[x]
             if not extra:
@@ -597,8 +601,7 @@ def _chain_witness(rows: tuple[int, ...], x: int, y: int, steps: int) -> tuple:
 
 def _check_transitive(sys: RelationalSystem) -> AxiomReport:
     # R o R inside R decides each level; the witness is searched only on failure
-    for n in sys.window.levels():
-        rows = sys.level_rows(n)
+    for n, rows in enumerate(sys.level_table()[1:-1], sys.window.lo):
         for x, sq in enumerate(_compose_rows(rows, rows)):
             if not sq & ~rows[x]:
                 continue

@@ -80,6 +80,17 @@ class TestValidate:
         assert report["system"]["window"] == [3, 4]
         assert set(report["axioms"]) == {"r5", "r9", "r10", "transitive"}
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_system_grades_cell_by_cell(self, tmp_path, n):
+        # "-" exactly on the diagonal and each grade elsewhere, in JSON
+        sys_ = gen_system(n, GenParams(point_count=(n, n)))
+        path = tmp_path / "s.grs"
+        path.write_text(serialize_system(sys_), encoding="utf-8")
+        status, report = run(["validate", str(path)])
+        assert status == 0
+        want = [["-" if i == j else sys_.grade(i, j) for j in range(n)] for i in range(n)]
+        assert json.dumps(report["system"]["grades"]) == json.dumps(want)
+
     def test_parse_error_is_located(self, tmp_path):
         bad = tmp_path / "bad.grs"
         bad.write_text("gradedsystem v1\npoints: x\n", encoding="utf-8")

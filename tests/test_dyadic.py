@@ -11,10 +11,10 @@ from gradedrel import (
     TOP,
     DyadicValue,
     centered_cover_level,
+    delta,
     dyadic,
     floor_log2,
     make_system,
-    metric_ball_collapse,
 )
 from gradedrel.errors import ResourceLimitError, StructuralInputError
 
@@ -180,13 +180,14 @@ class TestArithmetic:
         assert str(value) == str(fresh)
 
     def test_pow2_cache_stays_bounded(self):
-        # a radius below 2**-hi makes the graded route of the metric ball
-        # try every level of the window, over twice as many exponents as
-        # the cache holds
+        # the kernel itself over a window of exponents more than twice the
+        # cache size: each power as DyadicValue.pow2 hands it out and as
+        # delta reads it from a grade
         bound = dyadic._pow2.cache_info().maxsize
-        sys = make_system("ab", (-bound, bound), [[TOP, 0], [0, TOP]])
         before = dyadic._pow2.cache_info()
-        metric_ball_collapse(sys, 0, Fraction(1, 2 ** (bound + 2)))
+        for g in range(-bound - 1, bound + 1):
+            pair = make_system("ab", (g, g), [[TOP, g], [g, TOP]])
+            assert delta(pair, 0, 1) == DyadicValue.pow2(-g) == DyadicValue(1, g)
         after = dyadic._pow2.cache_info()
         assert (after.hits + after.misses) - (before.hits + before.misses) > bound
         assert after.currsize <= bound

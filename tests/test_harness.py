@@ -1,5 +1,7 @@
 """Seeded generation, the claim catalog, falsification, and shrinking."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from gradedrel import harness, hulls
 from gradedrel import (
     ARBITRARY_CENTER,
     CLAIMS,
+    TOP,
     GenParams,
     UsageError,
     admissible_family_bits,
@@ -15,12 +18,14 @@ from gradedrel import (
     gen_self_map,
     gen_system,
     is_homomorphism,
+    make_system,
     parse_selfmap,
     parse_system,
     serialize_selfmap,
     serialize_system,
 )
-from gradedrel.harness import CONSTRAINTS, VACUOUS, _trial_seed, shrink
+from gradedrel.harness import CONSTRAINTS, VACUOUS, _repair, _trial_seed, shrink
+from gradedrel.relations import Window
 
 CLAIM_IDS = (
     "eq1-roundtrip",
@@ -106,6 +111,103 @@ class TestGeneration:
     def test_trial_seeds_spread(self):
         seeds = {_trial_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+REPAIRED = ("r9", "r10", "transitive")
+
+
+def _forced_grade(entries, x, y, constraint):
+    """Lowest grade the constraint forces on the pair, given the others."""
+    n = len(entries)
+    need = entries[x][y]
+    for z in range(n):
+        if constraint == "transitive":
+            need = max(need, min(entries[x][z], entries[z][y]))
+        elif constraint == "r9":
+            need = max(need, min(entries[x][z], entries[z][y]) - 1)
+        else:
+            for w in range(n):
+                need = max(need, min(entries[x][z], entries[z][w], entries[w][y]) - 1)
+    return need
+
+
+def sweep_repair(entries, constraint):
+    """Oracle for the level pass: the fixpoint sweep it replaced, which raises
+    any pair to the grade its composition inequalities force from the
+    others until nothing changes."""
+    n = len(entries)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in range(x + 1, n):
+                need = _forced_grade(entries, x, y, constraint)
+                if need > entries[x][y]:
+                    entries[x][y] = entries[y][x] = need
+                    changed = True
+
+
+@st.composite
+def drawn_grades(draw):
+    """A grade matrix as gen_system draws it, over a wider scope than any
+    claim's: n 1-12, window bottom -2..2, span 1-8."""
+    n = draw(st.integers(1, 12))
+    lo = draw(st.integers(-2, 2))
+    window = Window(lo, lo + draw(st.integers(1, 8)))
+    entries = [[TOP] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            entries[x][y] = entries[y][x] = draw(st.integers(window.below, window.hi))
+    return entries, window
+
+
+class TestRepair:
+    @pytest.mark.parametrize("constraint", REPAIRED)
+    @pytest.mark.parametrize("claim_id", CLAIM_IDS)
+    def test_matches_sweep_on_claim_params(self, claim_id, constraint, monkeypatch):
+        # through gen_system itself, so the draws are the generator's own
+        outcomes = []
+
+        def checked(entries, window, kind):
+            want = [row[:] for row in entries]
+            sweep_repair(want, kind)
+            _repair(entries, window, kind)
+            outcomes.append(entries == want)
+
+        monkeypatch.setattr(harness, "_repair", checked)
+        params = replace(CLAIMS[claim_id].params, constraint=constraint)
+        for seed in range(20):
+            gen_system(seed, params)
+        assert outcomes == [True] * 20
+
+    @given(drawn_grades(), st.sampled_from(REPAIRED))
+    @settings(deadline=None)
+    def test_matches_sweep(self, drawn, constraint):
+        entries, window = drawn
+        want = [row[:] for row in entries]
+        sweep_repair(want, constraint)
+        _repair(entries, window, constraint)
+        assert entries == want
+
+    @given(drawn_grades(), st.sampled_from(REPAIRED))
+    @settings(deadline=None)
+    def test_least_repair(self, drawn, constraint):
+        # no grade drops, and lowering any raised pair by one, alone,
+        # breaks the constraint again
+        entries, window = drawn
+        got = [row[:] for row in entries]
+        _repair(got, window, constraint)
+        labels = [str(i) for i in range(len(got))]
+        span = (window.lo, window.hi)
+        assert check_axiom(make_system(labels, span, got), constraint).holds
+        for x, (row, drawn_row) in enumerate(zip(got, entries)):
+            for y in range(x + 1, len(row)):
+                assert row[y] >= drawn_row[y]
+                if row[y] > drawn_row[y]:
+                    lowered = [r[:] for r in got]
+                    lowered[x][y] = lowered[y][x] = row[y] - 1
+                    system = make_system(labels, span, lowered)
+                    assert not check_axiom(system, constraint).holds
 
 
 class TestCatalog:

@@ -121,6 +121,36 @@ class TestCacheIsInvisible:
                 _scan_row(wider, x, k) for x in range(wider.n)
             )
 
+    def test_cached_builds_once_and_stores_no_failure(self, grid):
+        fresh = dataclasses.replace(grid)
+        calls = []
+
+        def failing(sys):
+            calls.append("fail")
+            raise ValueError("build failed")
+
+        def nested(sys):
+            # a build may fill other keys of the same memo first
+            calls.append("nested")
+            return len(sys.level_table())
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fresh.cached("key", failing)
+        assert "key" not in fresh.__dict__["_memo"]
+        for _ in range(2):
+            assert fresh.cached("key", nested) == len(grid.level_table())
+        assert calls == ["fail", "fail", "nested"]
+        assert set(fresh.__dict__["_memo"]) == {"key", "level-table"}
+
+    def test_default_labels_shared_and_bounded(self):
+        assert relations.default_labels(5) is relations.default_labels(5)
+        assert relations.default_labels(3) == ("0", "1", "2")
+        for n in range(600):
+            relations.default_labels(n)
+        info = relations.default_labels.cache_info()
+        assert info.currsize <= info.maxsize
+
 
 def _count_closures(monkeypatch):
     calls = []
