@@ -53,28 +53,23 @@ from .hulls import (
     check_compact_structure,
     check_normal_structure,
     check_spherical_completeness,
-    radii,
 )
-from .pointset import PointSet
 from .relations import RelationalSystem, Top, check_axiom
 from .semimetric import TripleWitness, classify, ingest_distance_matrix
 
 MODE_NAMES = {"paper": PAPER_COV, "closure": ARBITRARY_CENTER}
 
 
-def _jsonify(obj, labels: Optional[Sequence[str]] = None):
-    """Plain-data view of report values; point sets become label lists."""
+def _jsonify(obj):
+    """Plain-data view of report values."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Top):
         return "TOP"
     if isinstance(obj, DyadicValue):
         return str(obj)
-    if isinstance(obj, PointSet):
-        members = obj.members()
-        return [labels[i] for i in members] if labels else list(members)
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v, labels) for v in obj]
+        return [_jsonify(v) for v in obj]
     return str(obj)
 
 
@@ -253,7 +248,7 @@ def _structure_dict(sys: RelationalSystem, rep) -> dict:
         if rep.property_name == "normal-structure":
             adm, rad = rep.witness
             out["witness"] = {
-                "set": _jsonify(adm.points, sys.labels),
+                "set": _members(sys, adm.points.bits),
                 "mode": adm.mode,
                 "cheb_radius": str(rad.cheb_radius),
                 "diameter": str(rad.diameter),
@@ -261,7 +256,7 @@ def _structure_dict(sys: RelationalSystem, rep) -> dict:
                 "diam_grade": _jsonify(rad.diam_grade),
             }
         else:
-            out["witness"] = _jsonify(rep.witness, sys.labels)
+            out["witness"] = _jsonify(rep.witness)
     return out
 
 

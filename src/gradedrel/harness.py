@@ -47,6 +47,7 @@ from .relations import (
     TOP,
     Window,
     _compose_rows,
+    _exact_grade_rows,
     check_axiom,
     default_labels,
     expand_level,
@@ -105,13 +106,7 @@ def _repair(entries: list[list[Grade]], window: Window, constraint: str) -> None
     below = window.below
     # exact[k - below][x]: the points drawn at grade exactly k against x;
     # a reflexive R'_{k+1} holds every pair drawn above k, so R_k adds only these
-    exact = [[0] * n for _ in range(window.above - below)]
-    for x, row in enumerate(entries):
-        bit = 1 << x
-        for y in range(x + 1, n):
-            drawn = exact[row[y] - below]
-            drawn[x] |= 1 << y
-            drawn[y] |= bit
+    exact = _exact_grade_rows(entries, below, window.above - below)
     level = [1 << x for x in range(n)]
     for k in range(window.hi, below, -1):
         if constraint == "transitive":

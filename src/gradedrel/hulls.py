@@ -52,8 +52,9 @@ Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: the closure keeps no empty set, and every
 level-table row contains its center.  Normal structure fails on the first
 pair the hull fixes, since a pair's Chebyshev radius is its diameter; only
-when no pair is fixed is it decided per admissible set.  Grades, distances
-and level sets are cross-checked on the witness.
+when no pair is fixed is it decided per admissible set.  Each candidate is
+decided on grades by one radii walk, and only the witness is cross-checked
+by grades, distances and level sets (normality_criteria).
 """
 
 from __future__ import annotations
@@ -431,9 +432,10 @@ class RadiiReport:
 def radii(sys: RelationalSystem, points: PointSet) -> RadiiReport:
     """Per-point reach, Chebyshev radius, and diameter of a nonempty set.
 
-    Grade forms: the diameter grade is the smallest pair grade inside the
-    set, the Chebyshev grade the best (largest) of the per-point worst
-    grades.  Distances are their dyadic shadows.
+    Grade forms, from one walk: each point's worst grade against the
+    others gives its reach; the Chebyshev grade is the largest worst grade
+    and the diameter grade, the smallest pair grade, the smallest one.
+    Distances are their dyadic shadows.
     """
     _check_points(sys, points)
     if points.is_empty:
@@ -441,6 +443,7 @@ def radii(sys: RelationalSystem, points: PointSet) -> RadiiReport:
     members = points.members()
     per_point = []
     cheb_grade: Grade = None  # type: ignore[assignment]
+    diam_grade: Grade = TOP
     for x in members:
         worst: Grade = TOP
         for y in members:
@@ -452,12 +455,8 @@ def radii(sys: RelationalSystem, points: PointSet) -> RadiiReport:
         per_point.append((x, _grade_distance(worst)))
         if cheb_grade is None or worst > cheb_grade:
             cheb_grade = worst
-    diam_grade: Grade = TOP
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            g = sys.grades.entries[x][y]
-            if g < diam_grade:
-                diam_grade = g
+        if worst < diam_grade:
+            diam_grade = worst
     return RadiiReport(
         points=points,
         per_point=tuple(per_point),
@@ -494,22 +493,20 @@ def normality_criteria(sys: RelationalSystem, points: PointSet) -> NormalityCrit
     rep = radii(sys, points)
     grade_strict = rep.cheb_grade > rep.diam_grade
 
+    # the radius is the smallest per-point supremum, the diameter the largest
     members = points.members()
-    per_point_sup = []
+    cheb: Optional[DyadicValue] = None
+    diam = DyadicValue.zero()
     for x in members:
         sup = DyadicValue.zero()
         for y in members:
             d = delta(sys, x, y)
             if d > sup:
                 sup = d
-        per_point_sup.append(sup)
-    cheb = min(per_point_sup) if per_point_sup else DyadicValue.zero()
-    diam = DyadicValue.zero()
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            d = delta(sys, x, y)
-            if d > diam:
-                diam = d
+        if cheb is None or sup < cheb:
+            cheb = sup
+        if sup > diam:
+            diam = sup
     distance_strict = cheb < diam
 
     cover_levels = set()
@@ -547,6 +544,9 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     witness balls.  Every pair has radius equal to its diameter, and pairs
     follow the singletons in that order, so the first pair the hull fixes
     is the witness; the family is walked only when the hull fixes no pair.
+    One radii walk decides each candidate (Chebyshev grade at most the
+    diameter grade); normality_criteria cross-checks the witness alone,
+    which carries that walk's RadiiReport.
     """
     _check_mode(mode)
     pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
@@ -555,11 +555,13 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
         if bits.bit_count() < 2:
             continue
         points = PointSet(sys.n, bits)
-        if not normality_criteria(sys, points).grade_strict:
+        rep = radii(sys, points)
+        if rep.cheb_grade <= rep.diam_grade:
+            normality_criteria(sys, points)  # raises if the routes disagree
             return StructureReport(
                 "normal-structure",
                 False,
-                witness=(hull(sys, points, mode), radii(sys, points)),
+                witness=(hull(sys, points, mode), rep),
                 note="radius equals diameter on the witness set",
             )
     return StructureReport(
@@ -578,22 +580,15 @@ def min_distance_clique(sys: RelationalSystem) -> PointSet:
     """
     if sys.n < 2:
         raise StructuralInputError("need at least two points for a pair clique")
-    best = sys.window.below
+    # the first pair of the largest grade, starting from the pair (0, 1)
+    best = sys.grades.entries[0][1]
+    members = [0, 1]
     for x in range(sys.n):
         for y in range(x + 1, sys.n):
             g = sys.grades.entries[x][y]
             if g > best:
                 best = g
-    seed: Optional[tuple[int, int]] = None
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            if sys.grades.entries[x][y] == best:
-                seed = (x, y)
-                break
-        if seed:
-            break
-    assert seed is not None  # n >= 2 guarantees an off-diagonal pair
-    members = [seed[0], seed[1]]
+                members = [x, y]
     for x in range(sys.n):
         if x in members:
             continue

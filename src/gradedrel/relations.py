@@ -363,17 +363,33 @@ def _build_level_table(sys: RelationalSystem) -> tuple[tuple[int, ...], ...]:
             LEVEL_TABLE_CAP,
             entries,
         )
-    exact = [[0] * sys.n for _ in range(levels)]
-    for x, row in enumerate(sys.grades.entries):
-        for y, g in enumerate(row):
-            if x != y:
-                exact[g - below][x] |= 1 << y
+    exact = _exact_grade_rows(sys.grades.entries, below, levels)
     acc = [1 << x for x in range(sys.n)]
     table = []
     for level in reversed(exact):
         acc = [a | e for a, e in zip(acc, level)]
         table.append(tuple(acc))
     return tuple(reversed(table))
+
+
+def _exact_grade_rows(
+    entries: Sequence[Sequence[Grade]], below: int, levels: int
+) -> list[list[int]]:
+    """Row bitmasks of the pairs at each exact grade of a symmetric matrix:
+    entry [k - below][x] holds the points y != x with grade exactly k
+    against x.  The rows run over the given number of levels from below,
+    which must take in every off-diagonal grade.  Filled from the upper
+    triangle, both bits per pair, with no diagonal test.
+    """
+    n = len(entries)
+    exact = [[0] * n for _ in range(levels)]
+    for x, row in enumerate(entries):
+        bit = 1 << x
+        for y in range(x + 1, n):
+            drawn = exact[row[y] - below]
+            drawn[x] |= 1 << y
+            drawn[y] |= bit
+    return exact
 
 
 def make_system(

@@ -421,6 +421,19 @@ class TestStructure:
         assert normal["witness"]["diameter"] == "1/16"
         assert normal["witness"]["cheb_grade"] == 4
 
+    def test_failing_spherical_witness(self, grid, monkeypatch):
+        # the check reads the memoised level table, so drop point 2 from
+        # its row at (x = 2, level 2); the witness is that ball's mask
+        table = [list(rows) for rows in grid.level_table()]
+        table[2 - grid.window.below][2] &= ~(1 << 2)
+        monkeypatch.setitem(grid._memo, "level-table", tuple(map(tuple, table)))
+        rep = hulls.check_spherical_completeness(grid)
+        assert cli._structure_dict(grid, rep) == {
+            "holds": False,
+            "note": "",
+            "witness": [[0b1010, 2]],
+        }
+
 
 class TestDynamics:
     def test_grid_reflection(self, paths):

@@ -11,6 +11,7 @@ from gradedrel import (
     CLAIMS,
     TOP,
     GenParams,
+    SelfMap,
     UsageError,
     admissible_family_bits,
     check_axiom,
@@ -290,6 +291,55 @@ class TestFalsify:
         verdict = falsify("prop-r10-metric", 50, seed=0, params=params)
         # one-point systems never violate the triangle inequality
         assert verdict.outcome == "no-counterexample"
+
+
+def _pinned(sys, t):
+    """A shrunk system and map as plain values."""
+    return sys.labels, sys.window, sys.grades.entries, t
+
+
+class TestShrinkBranches:
+    """shrink with synthetic predicates, one rarely reached branch each."""
+
+    def test_the_last_point_stays(self):
+        # every step fails, so points go down to one and the window to one
+        # level, where neither can shrink further
+        sys = make_system(["a", "b"], (0, 1), [[TOP, 1], [1, TOP]])
+        assert _pinned(*shrink(sys, None, lambda s, m: True)) == (
+            ("b",), Window(1, 1), ((TOP,),), None
+        )
+
+    def test_a_point_that_is_an_image_stays(self):
+        # after "a" goes, "b" is the image of "c" and only "c" may leave
+        sys = make_system(
+            ["a", "b", "c"], (0, 2), [[TOP, 2, 1], [2, TOP, 0], [1, 0, TOP]]
+        )
+        same_window = lambda s, m: s.window == sys.window
+        assert _pinned(*shrink(sys, SelfMap((1, 1, 1)), same_window)) == (
+            ("b",), Window(0, 2), ((TOP,),), SelfMap((0,))
+        )
+
+    def test_the_window_narrows_to_one_level(self):
+        sys = make_system(["a", "b"], (0, 2), [[TOP, 2], [2, TOP]])
+        pair_at_2 = lambda s, m: s.n == 2 and s.grade(0, 1) == 2
+        assert _pinned(*shrink(sys, SelfMap((1, 0)), pair_at_2)) == (
+            ("a", "b"), Window(2, 2), ((TOP, 2), (2, TOP)), SelfMap((1, 0))
+        )
+
+    def test_a_lowered_grade_is_kept_and_reopens_point_removal(self):
+        # points may leave only once no grade is above 0, which the grade
+        # steps of the first round reach; the second round removes them
+        sys = make_system(
+            ["a", "b", "c"], (0, 2), [[TOP, 2, 1], [2, TOP, 2], [1, 2, TOP]]
+        )
+
+        def still_fails(s, m):
+            grades = [g for row in s.grades.entries for g in row if g is not TOP]
+            return s.window == sys.window and (s.n == 3 or max(grades, default=0) <= 0)
+
+        assert _pinned(*shrink(sys, None, still_fails)) == (
+            ("c",), Window(0, 2), ((TOP,),), None
+        )
 
 
 class TestShrink:

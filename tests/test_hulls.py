@@ -38,6 +38,8 @@ from gradedrel import (
     radii,
 )
 
+from gradedrel.semimetric import delta
+
 from test_relations import small_systems
 
 MODES = (PAPER_COV, ARBITRARY_CENTER)
@@ -625,6 +627,192 @@ class TestMinDistanceClique:
             if z in clique:
                 continue
             assert not all(sys.grades.entries[z][m] == best for m in members)
+
+
+# The normal-structure routines as they were before each took one walk per
+# set: radii and the distance route walked their pairs twice, the clique
+# seed took a second pass, and every candidate of the check went through
+# all three routes.  The one-walk versions must give the same reports.
+
+
+def radii_oracle(sys, points):
+    members = points.members()
+    per_point = []
+    cheb_grade = None
+    for x in members:
+        worst = TOP
+        for y in members:
+            if y == x:
+                continue
+            g = sys.grades.entries[x][y]
+            if g < worst:
+                worst = g
+        per_point.append((x, hulls._grade_distance(worst)))
+        if cheb_grade is None or worst > cheb_grade:
+            cheb_grade = worst
+    diam_grade = TOP
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            g = sys.grades.entries[x][y]
+            if g < diam_grade:
+                diam_grade = g
+    return hulls.RadiiReport(
+        points=points,
+        per_point=tuple(per_point),
+        cheb_radius=hulls._grade_distance(cheb_grade),
+        diameter=hulls._grade_distance(diam_grade),
+        cheb_grade=cheb_grade,
+        diam_grade=diam_grade,
+    )
+
+
+def normality_criteria_oracle(sys, points):
+    rep = radii_oracle(sys, points)
+    grade_strict = rep.cheb_grade > rep.diam_grade
+
+    members = points.members()
+    per_point_sup = []
+    for x in members:
+        sup = DyadicValue.zero()
+        for y in members:
+            d = delta(sys, x, y)
+            if d > sup:
+                sup = d
+        per_point_sup.append(sup)
+    cheb = min(per_point_sup) if per_point_sup else DyadicValue.zero()
+    diam = DyadicValue.zero()
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            d = delta(sys, x, y)
+            if d > diam:
+                diam = d
+    distance_strict = cheb < diam
+
+    cover_levels = set()
+    diam_levels = set()
+    for n in range(sys.window.below, sys.window.above + 1):
+        rows = sys.level_rows(n)
+        if any(points.bits & ~rows[x] == 0 for x in members):
+            cover_levels.add(n)
+        if all(points.bits & ~rows[x] == 0 for x in members):
+            diam_levels.add(n)
+    relational_proper = diam_levels < cover_levels
+    return hulls.NormalityCriteria(grade_strict, distance_strict, relational_proper)
+
+
+def min_distance_clique_oracle(sys):
+    best = sys.window.below
+    for x in range(sys.n):
+        for y in range(x + 1, sys.n):
+            g = sys.grades.entries[x][y]
+            if g > best:
+                best = g
+    seed = None
+    for x in range(sys.n):
+        for y in range(x + 1, sys.n):
+            if sys.grades.entries[x][y] == best:
+                seed = (x, y)
+                break
+        if seed:
+            break
+    members = [seed[0], seed[1]]
+    for x in range(sys.n):
+        if x in members:
+            continue
+        if all(sys.grades.entries[x][m] == best for m in members):
+            members.append(x)
+    return PointSet.of(sys.n, sorted(members))
+
+
+def check_normal_structure_oracle(sys, mode):
+    pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
+    fixed = next((p for p in pairs if hulls._hull_mask(sys, p, mode)[0] == p), None)
+    for bits in (fixed,) if fixed else hulls._family(sys, mode):
+        if bits.bit_count() < 2:
+            continue
+        points = PointSet(sys.n, bits)
+        if not normality_criteria_oracle(sys, points).grade_strict:
+            return StructureReport(
+                "normal-structure",
+                False,
+                witness=(hull(sys, points, mode), radii_oracle(sys, points)),
+                note="radius equals diameter on the witness set",
+            )
+    return StructureReport(
+        "normal-structure",
+        True,
+        note="no admissible set with two or more points" if sys.n < 2 else "",
+    )
+
+
+# two pairs at the top grade, (0, 1) first: the clique grows from the first
+TWO_TOP_PAIRS = make_system(
+    ["a", "b", "c", "d"],
+    (0, 2),
+    [[TOP, 2, 0, 1], [2, TOP, 1, 0], [0, 1, TOP, 2], [1, 0, 2, TOP]],
+)
+ONE_POINT = make_system(["a"], (0, 1), [[TOP]])
+TWO_POINTS = make_system(["a", "b"], (0, 1), [[TOP, 1], [1, TOP]])
+
+
+class TestNormalStructureOracle:
+    """The one-walk routines against the two-walk oracles above."""
+
+    @given(small_systems())
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(TWO_TOP_PAIRS)
+    @example(ONE_POINT)
+    @example(TWO_POINTS)
+    def test_radii_and_criteria_on_every_set(self, sys):
+        for points in nonempty_sets(sys):
+            assert radii(sys, points) == radii_oracle(sys, points)
+            assert normality_criteria(sys, points) == normality_criteria_oracle(
+                sys, points
+            )
+
+    @given(small_systems())
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(TWO_TOP_PAIRS)
+    @example(ONE_POINT)
+    @example(TWO_POINTS)
+    def test_check_and_clique(self, sys):
+        for mode in MODES:
+            assert check_normal_structure(sys, mode) == check_normal_structure_oracle(
+                sys, mode
+            )
+        if sys.n >= 2:
+            assert min_distance_clique(sys) == min_distance_clique_oracle(sys)
+
+    @given(small_systems())
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(ONE_POINT)
+    def test_criteria_run_once_on_the_witness(self, sys):
+        for mode in MODES:
+            seen = []
+            real = hulls.normality_criteria
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    hulls,
+                    "normality_criteria",
+                    lambda s, p: seen.append(p.bits) or real(s, p),
+                )
+                rep = check_normal_structure(sys, mode)
+            if rep.witness is None:
+                assert seen == []
+            else:
+                assert seen == [rep.witness[0].points.bits]
+
+    def test_equilateral_takes_the_family_fallback(self):
+        # no pair is admissible, so the witness is the whole three-point set
+        for mode in MODES:
+            assert not any(
+                bits.bit_count() == 2 for bits in hulls._family(EQUILATERAL, mode)
+            )
+            rep = check_normal_structure(EQUILATERAL, mode)
+            assert rep.witness[0].points.bits == 0b111
 
 
 class TestCompactAndSpherical:
