@@ -7,6 +7,11 @@ found, 2 usage, parse, precondition, or resource errors.
 
 `run` builds its argument parser on the first call and reuses it for every
 later call in the process; `build_parser()` still returns a fresh parser.
+Each distinct command line is parsed once per process: the parsed
+arguments of up to 16 command lines, least recently used dropped first,
+are kept and shared by later calls with the same arguments.  A failed
+parse, `--help` included, is never kept, so it prints and exits the same
+every time.
 Every call reads its files afresh.  A system text equal to the one the
 previous call parsed reuses that parsed system, with the level table, the
 admissible family record (the closure and the column pass that decides
@@ -538,10 +543,18 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=16)
+def _parsed_args(argv: tuple[str, ...]) -> argparse.Namespace:
+    # one parse per distinct command line, shared by every later call, so
+    # the commands only read the namespace; a SystemExit (a usage error or
+    # help) propagates and stores nothing
+    return _parser().parse_args(list(argv))
+
+
 def _parse(argv: Sequence[str]) -> Union[argparse.Namespace, int]:
     """The parsed command line, or the exit status argparse stopped with."""
     try:
-        return _parser().parse_args(list(argv))
+        return _parsed_args(tuple(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code if code else 0

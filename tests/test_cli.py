@@ -761,6 +761,85 @@ class TestParserReuse:
         assert proc.stdout.split("\n")[:2] == ["0", "1 1"]
 
 
+class TestParseMemo:
+    def test_a_repeated_command_line_is_not_parsed_again(self, paths, monkeypatch):
+        parser = cli._parser()
+        calls = []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda args: calls.append(args) or real(args))
+        argv = ["--json", "classify", paths["chain"]]
+        first = run(argv)
+        assert len(calls) == 1
+        assert run(argv) == first
+        assert len(calls) == 1
+        assert cli._parse(argv) is cli._parse(list(argv))
+
+    def test_no_command_writes_into_the_shared_namespace(self, paths, capsys):
+        argvs = _reuse_argvs(paths)
+        for argv in argvs * 2:
+            run(argv)
+        capsys.readouterr()
+        for argv in argvs:
+            hits = cli._parsed_args.cache_info().hits
+            cached = cli._parse(argv)
+            if isinstance(cached, int):
+                capsys.readouterr()
+                continue
+            assert cli._parsed_args.cache_info().hits == hits + 1, argv
+            assert vars(cached) == vars(build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["hulls", "chain", "--mode", "bogus"],
+            ["--help"],
+            ["falsify", "--help"],
+        ],
+        ids=["unknown-command", "bad-choice", "help", "falsify-help"],
+    )
+    def test_failed_parses_and_help_are_not_kept(self, paths, capsys, argv):
+        argv = [paths.get(a, a) for a in argv]
+        size = cli._parsed_args.cache_info().currsize
+        seen = []
+        for _ in range(3):
+            status, report = run(argv)
+            out, err = capsys.readouterr()
+            seen.append((status, report, out, err))
+            assert cli._parsed_args.cache_info().currsize == size
+        assert seen[0][0] == (0 if "--help" in argv else 2)
+        assert seen[0][2] or seen[0][3]
+        assert seen == [seen[0]] * 3
+
+    def test_an_edited_file_is_read_again(self, paths, tmp_path):
+        system, selfmap = tmp_path / "edited.grs", tmp_path / "edited.map"
+        argvs = [
+            ["validate", str(system)],
+            ["classify", str(system)],
+            ["hulls", str(system), "--mode", "closure"],
+            ["structure", str(system)],
+            ["dynamics", str(system), str(selfmap)],
+            ["fixpoint", str(system), str(selfmap)],
+        ]
+        reports = []
+        for sys_name, map_name in (("chain", "successor"), ("twins", "swap")):
+            system.write_text(Path(paths[sys_name]).read_text("utf-8"), "utf-8")
+            selfmap.write_text(Path(paths[map_name]).read_text("utf-8"), "utf-8")
+            got = [run(argv) for argv in argvs]
+            assert got == [cli._execute(build_parser().parse_args(argv)) for argv in argvs]
+            assert all(status != 2 for status, _ in got), got
+            reports.append(got)
+        assert all(a != b for a, b in zip(*reports))
+
+    def test_the_callers_list_is_not_kept(self, paths):
+        expected = run(["classify", paths["chain"]])
+        argv = ["classify", paths["chain"]]
+        assert run(argv) == expected
+        argv[1] = paths["triple"]
+        assert run(["classify", paths["chain"]]) == expected
+        assert run(argv)[1]["file"] == paths["triple"]
+
+
 def _walk(value, keys, leaves):
     if isinstance(value, dict):
         for k, v in value.items():

@@ -1,5 +1,6 @@
 """Seeded generation, the claim catalog, falsification, and shrinking."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,9 @@ from gradedrel import harness, hulls
 from gradedrel import (
     ARBITRARY_CENTER,
     CLAIMS,
+    PAPER_COV,
     TOP,
+    DyadicValue,
     GenParams,
     SelfMap,
     UsageError,
@@ -22,8 +25,10 @@ from gradedrel import (
     make_system,
     parse_selfmap,
     parse_system,
+    PointSet,
     serialize_selfmap,
     serialize_system,
+    TripleWitness,
 )
 from gradedrel.harness import CONSTRAINTS, VACUOUS, _repair, _trial_seed, shrink
 from gradedrel.relations import Window
@@ -291,6 +296,173 @@ class TestFalsify:
         verdict = falsify("prop-r10-metric", 50, seed=0, params=params)
         # one-point systems never violate the triangle inequality
         assert verdict.outcome == "no-counterexample"
+
+
+def _flip_nonexpansive(real):
+    def broken(sys, t):
+        rep = real(sys, t)
+        return replace(rep, holds=not rep.holds, witness=None)
+
+    return broken
+
+
+def _swap_nonexpansive_witness(real):
+    def broken(sys, t):
+        rep = real(sys, t)
+        if rep.holds:
+            return rep
+        x, y, *rest = rep.witness
+        return replace(rep, witness=(y, x, *rest))
+
+    return broken
+
+
+def _no_strong_triangle(real):
+    zero = DyadicValue.zero()
+    return lambda sys: replace(
+        real(sys),
+        strong_triangle_holds=False,
+        strong_triangle_witness=TripleWitness(0, 0, 0, zero, zero, zero),
+    )
+
+
+def _every_ball_neither(real):
+    def broken(sys, t):
+        rep = real(sys, t)
+        return replace(rep, entries=tuple(replace(e, outcome="NEITHER") for e in rep.entries))
+
+    return broken
+
+
+def _no_fixed_point_inside(real):
+    def broken(sys, t, variant):
+        rep = real(sys, t, variant)
+        if not (rep.hypotheses_met and rep.balls):
+            return rep
+        empty = PointSet(sys.n, 0)
+        balls = tuple(replace(b, fixed_inside=empty) for b in rep.balls)
+        return replace(rep, balls=balls, verdict="falsified")
+
+    return broken
+
+
+def _normal_in(mode):
+    def breaker(real):
+        def broken(sys, m):
+            rep = real(sys, m)
+            return replace(rep, holds=True) if m == mode else rep
+
+        return broken
+
+    return breaker
+
+
+def _empty_family_in(mode):
+    def breaker(real):
+        return lambda sys, m: frozenset() if m == mode else real(sys, m)
+
+    return breaker
+
+
+class TestFailureMessages:
+    """Each catalog check, broken through one name it calls, reports a
+    counterexample whose locus is that check's message."""
+
+    @pytest.mark.parametrize(
+        "claim_id, name, breaker, locus",
+        [
+            pytest.param(
+                "eq1-roundtrip",
+                "reconstruct_level",
+                lambda real: lambda sys, n: None,
+                r"level -?\d+ disagrees between distance and grade routes",
+                id="eq1-roundtrip",
+            ),
+            pytest.param(
+                "thm-homo-iff-nonexp",
+                "is_nonexpansive",
+                _flip_nonexpansive,
+                r"predicates disagree: homomorphism=(True nonexpansive=False"
+                r"|False nonexpansive=True)",
+                id="thm-homo-iff-nonexp-predicates",
+            ),
+            pytest.param(
+                "thm-homo-iff-nonexp",
+                "is_nonexpansive",
+                _swap_nonexpansive_witness,
+                r"witness pairs disagree: \((\d+), (\d+)\) vs \(\2, \1\)",
+                id="thm-homo-iff-nonexp-witnesses",
+            ),
+            pytest.param(
+                "prop-r9-2-inframetric",
+                "minimal_inframetric_constant",
+                lambda real: lambda sys: DyadicValue.pow2(2),
+                r"inframetric constant 4 exceeds 2",
+                id="prop-r9-2-inframetric",
+            ),
+            pytest.param(
+                "transitive-ultrametric",
+                "classify",
+                _no_strong_triangle,
+                r"strong triangle fails at \(0, 0, 0\)",
+                id="transitive-ultrametric",
+            ),
+            pytest.param(
+                "thm-ks-dichotomy",
+                "ks_dichotomy",
+                _every_ball_neither,
+                r"ball at \(\d+, level -?\d+\) has neither branch",
+                id="thm-ks-dichotomy",
+            ),
+            pytest.param(
+                "thm-regular-fp",
+                "regular_fixed_point",
+                _no_fixed_point_inside,
+                r"invariant ball \((\d+, )*\d+,?\) holds no fixed point",
+                id="thm-regular-fp",
+            ),
+            pytest.param(
+                "thm-asymptotic-fp",
+                "regular_fixed_point",
+                _no_fixed_point_inside,
+                r"invariant ball \((\d+, )*\d+,?\) holds no fixed point",
+                id="thm-asymptotic-fp",
+            ),
+            pytest.param(
+                "finite-normal-structure-exists",
+                "check_normal_structure",
+                _normal_in(PAPER_COV),
+                r"normal structure reported to hold in paper-cov mode",
+                id="finite-normal-structure-exists-paper",
+            ),
+            pytest.param(
+                "finite-normal-structure-exists",
+                "check_normal_structure",
+                _normal_in(ARBITRARY_CENTER),
+                r"normal structure reported to hold in arbitrary-center mode",
+                id="finite-normal-structure-exists-closure",
+            ),
+            pytest.param(
+                "hull-equivalence",
+                "admissible_family_bits",
+                _empty_family_in(ARBITRARY_CENTER),
+                r"admissible families disagree in arbitrary-center mode",
+                id="hull-equivalence-closure",
+            ),
+            pytest.param(
+                "hull-equivalence",
+                "admissible_family_bits",
+                _empty_family_in(PAPER_COV),
+                r"admissible families disagree in paper-cov mode",
+                id="hull-equivalence-paper",
+            ),
+        ],
+    )
+    def test_broken_check_reports_its_message(self, claim_id, name, breaker, locus, monkeypatch):
+        monkeypatch.setattr(harness, name, breaker(getattr(harness, name)))
+        verdict = falsify(claim_id, 50, seed=0)
+        assert verdict.outcome == "counterexample"
+        assert re.fullmatch(locus, verdict.instance.locus), verdict.instance.locus
 
 
 def _pinned(sys, t):

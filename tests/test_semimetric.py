@@ -280,6 +280,20 @@ class TestIngest:
         with pytest.raises(StructuralInputError):
             ingest_distance_matrix(rows, (0, 3))
 
+    def test_rejects_ragged_row(self):
+        # parse_distance_matrix rejects this first; only a library caller gets here
+        rows = [[Fraction(0), Fraction(1)], [Fraction(1)]]
+        with pytest.raises(StructuralInputError, match="distance row 1 has length 1, not 2"):
+            ingest_distance_matrix(rows, (0, 3))
+
+    @pytest.mark.parametrize("d", [Fraction(0), Fraction(-1, 2)], ids=["zero", "negative"])
+    def test_rejects_nonpositive_distance(self, d):
+        rows = [[Fraction(0), d], [d, Fraction(0)]]
+        with pytest.raises(
+            StructuralInputError, match=r"off-diagonal distance at \(0, 1\) must be positive"
+        ):
+            ingest_distance_matrix(rows, (0, 3))
+
     def test_rejects_float(self):
         rows = [[0, 0.5], [0.5, 0]]
         with pytest.raises(StructuralInputError):
