@@ -17,9 +17,14 @@ than pairs.  Its masks are the generators of the one ball-intersection
 closure both fixed-point families are computed from, and the dynamics
 invariant-ball scan reads the same index.  The closure is built
 incrementally: each distinct ball b adds b and its nonempty intersections
-with the family so far, O(B * F) for B distinct balls and F family
-members.  The cap, DEFAULT_SET_CAP, counts family members and is read
-when the closure runs.  The closure takes generator masks, so the
+with the family so far.  A ball inside the last ball added meets only the
+members inside that ball, which the last step made, so a chain of
+shrinking balls pays one pass over the family for its first ball and one
+over a shrinking trace for each ball after it.  The index lists each
+center's balls from the floor up, which makes most of them such chains.
+The cost depends on the generator order; the result does not.  The cap,
+DEFAULT_SET_CAP, counts family members and is read when the closure
+runs.  The closure takes generator masks, so the
 metric-ball route of the falsifier closes its own balls with it too, and
 the dynamics invariant-set search closes only the balls around one set
 per cycle of the map.
@@ -29,13 +34,17 @@ it was built under: the closure masks in canonical order, the paper-cov
 filter, and per center the levels where its balls shrink and each
 member's witness step count.  The normal-structure check, the
 hull-equivalence claim of the falsifier and both hulls reports read it;
-the paper-cov family is filtered from it on each call.  Every member's hulls are decided in one bit-sliced pass
-over the closure, in the vertical layout of frequent-itemset miners
-(Zaki 2000; MAFIA, Burdick et al. 2001): position i is the i-th member in
-canonical order, and member[y] is the int with bit i set when member i
-holds point y.  Walking the balls at a center from the floor up, the
-positions inside a ball are the complement of the OR of member[y] over
-the points that have left it, so a center costs about n ORs.  One pass
+the paper-cov family is filtered from it on each call.  Every member's
+hulls are decided in one bit-sliced pass over the closure, in the
+vertical layout of frequent-itemset miners (Zaki 2000; MAFIA, Burdick et
+al. 2001): position i is the i-th member in canonical order, and
+member[y] is the int with bit i set when member i holds point y.  The
+columns are read from one member-by-point byte matrix, a translate per
+point, and each is also kept spread out, one count item per member, so
+the witness counts below grow by one integer sum per shrink.  Walking
+the balls at a center from the floor up, the positions inside a ball are
+the complement of the OR of member[y] over the points that have left it,
+so a center costs about n ORs.  One pass
 over the (center, point) pairs then gives every member's fixed-point
 check under both hulls: the paper-cov family is the arbitrary-center
 tuple less the members its hull moves, and an arbitrary-center member
@@ -61,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import getitem
+from operator import getitem, methodcaller
 from array import array
 from sys import byteorder
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -196,20 +205,32 @@ def _intersection_closure(generators: Iterable[int]) -> set[int]:
     """The generator masks and all their nonempty intersections.
 
     Incremental: each generator b not yet in the family F adds b and every
-    nonempty b & f for f in F, which keeps F closed, so the cost is one
-    pass over F per distinct generator.  DEFAULT_SET_CAP, read on each
-    call, bounds the family size; the error carries the size the family
-    had reached.
+    nonempty b & f for f in F, which keeps F closed.  Those sets, the trace
+    of b, are the members of F inside b.  When the next generator lies
+    inside the last one added, the anchor, its intersections are taken
+    with the anchor's trace alone, since b & f == b & (anchor & f); only a
+    generator outside the anchor makes a pass over F.  So the cost depends
+    on the generator order and the result does not: a chain of shrinking
+    balls, which _ball_index lists center by center from the floor up,
+    costs one pass over F for its first ball and one over a shrinking trace
+    for each ball after it.  The family after every generator is the same
+    as with a pass over F each time.  DEFAULT_SET_CAP, read on each call,
+    bounds the family size; the error carries the size the family had
+    reached.
     """
     cap = DEFAULT_SET_CAP
     family: set[int] = set()
+    anchor, trace = 0, ()
     for b in generators:
         if b in family:
             continue
-        new = {b & f for f in family}
+        if b & ~anchor:
+            trace = family
+        new = {b & f for f in trace}
         new.add(b)
         new.discard(0)
         family |= new
+        anchor, trace = b, new
         if len(family) > cap:
             raise ResourceLimitError(
                 f"ball-intersection closure reached {len(family)} family members,"
@@ -253,27 +274,19 @@ def _family(sys: RelationalSystem, mode: str) -> tuple[int, ...]:
     return record.masks
 
 
-_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
-
 # array typecode of an unsigned count by its width in bytes
 _COUNT_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 # entry b is the byte value b as eight 0/1 bytes, item i for bit i: the
-# bits of a point mask, a byte at a time (_bytes01 is faster on the long
-# member masks of a family)
+# bits of a point mask, a byte at a time
 _BYTE01 = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
 
+# entry j maps a byte to 1 when its bit j is set, else to 0
+_BIT01 = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
 
-def _bytes01(bits: int, size: int, width: int = 1) -> bytes:
-    """A size-bit mask as one little-endian 0/1 item of width bytes per
-    bit, item i for bit i."""
-    ones = format(bits, f"0{size}b")[::-1].encode().translate(_ZERO_ONE)
-    if width == 1:
-        return ones
-    items = bytearray(size * width)
-    items[::width] = ones
-    return items
+# the 0/1 byte values as the ASCII digits int(..., 2) reads
+_DIGITS01 = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Family(NamedTuple):
@@ -315,36 +328,57 @@ def _build_family(sys: RelationalSystem) -> _Family:
     shrinks member i stays inside and picks its witness level.  A center's
     balls shrink at most n - 1 times, so each item takes the fewest bytes
     that hold n - 1.
+
+    The columns come from the member-by-point byte matrix, each member's
+    mask as little-endian bytes: column y is one translate of every
+    size-th byte from byte y // 8.  Each column is kept twice, packed as
+    member[y] and spread as one count item per member, so the items
+    inside a ball are those of every member less the OR of the spread
+    columns that have left, one XOR per shrink and no conversion.  The
+    closure set is released before the matrix is built.
     """
     n = sys.n
-    closure = _intersection_closure(_ball_index(sys))
-    family = tuple(sorted(closure, key=_canonical_mask_key(n)))
+    family = tuple(sorted(_intersection_closure(_ball_index(sys)), key=_canonical_mask_key(n)))
     table = sys.level_table()
     m, every = len(family), (1 << len(family)) - 1
     width = next(w for w in _COUNT_TYPECODES if n <= 1 << 8 * w)
-    # column y of the member-by-point 0/1 text, read from position 0 on
-    text = "".join(map(f"{{:0{n}b}}".format, family))
-    member = tuple(int(text[n - 1 - y :: n][::-1], 2) for y in range(n))
+    # 1 in the low byte of every width-byte item, one item per member
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * m, "little")
+    # the member-by-point matrix, size bytes per member: column y is every
+    # size-th byte from byte y // 8, read at bit y % 8
+    size = (n + 7) // 8
+    matrix = b"".join(map(methodcaller("to_bytes", size, "little"), family))
+    member, spread = [], []
+    item = bytearray(m * width)
+    for y in range(n):
+        column = matrix[y >> 3 :: size].translate(_BIT01[y & 7])
+        member.append(int(column.translate(_DIGITS01)[::-1], 2))
+        if width > 1:
+            item[::width] = column
+            column = item
+        spread.append(int.from_bytes(column, "little"))
+    del matrix
     drops = [0] * n
     paper_drops = [0] * n
     levels = []
     steps = []
     for x in range(n):
-        at, outside, count = [], 0, 0
+        at, outside, outside_spread, count = [], 0, 0, 0
         for lev, (lower, upper) in enumerate(zip(table, table[1:]), sys.window.below):
             if lower[x] == upper[x]:
                 continue
             leaving = list(iter_bits(lower[x] & ~upper[x]))
             for y in leaving:
                 outside |= member[y]
+                outside_spread |= spread[y]
             inside = every ^ outside
             centered = inside & member[x]
             for y in leaving:
                 drops[y] |= inside
                 paper_drops[y] |= centered
             at.append(lev)
-            # 0/1 items summed as one int: item i counts member i's shrinks
-            count += int.from_bytes(_bytes01(inside, m, width), "little")
+            # item i of the sum counts the shrinks member i stays inside
+            count += ones ^ outside_spread
         at.append(sys.window.above)
         levels.append(tuple(at))
         counts = count.to_bytes(m * width, "little")
@@ -359,7 +393,9 @@ def _build_family(sys: RelationalSystem) -> _Family:
         unfixed |= every & ~(paper_drops[y] | member[y])
     if moved:
         raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
-    return _Family(family, _bytes01(every ^ unfixed, m), tuple(levels), tuple(steps))
+    kept = (every ^ unfixed).to_bytes((m + 7) // 8, "little")
+    paper = b"".join(map(_BYTE01.__getitem__, kept))[:m]
+    return _Family(family, paper, tuple(levels), tuple(steps))
 
 
 def _witnessed_members(

@@ -36,16 +36,6 @@ class PointSet:
         return cls(n, 0)
 
     @classmethod
-    def full(cls, n: int) -> "PointSet":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def singleton(cls, n: int, x: int) -> "PointSet":
-        if not 0 <= x < n:
-            raise IndexError(f"point {x} out of range for {n} points")
-        return cls(n, 1 << x)
-
-    @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "PointSet":
         bits = 0
         for x in members:
@@ -66,20 +56,9 @@ class PointSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __and__(self, other: "PointSet") -> "PointSet":
-        self._check_same_ground(other)
-        return PointSet(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "PointSet") -> "PointSet":
-        self._check_same_ground(other)
-        return PointSet(self.n, self.bits | other.bits)
-
     def subset_of(self, other: "PointSet") -> bool:
         self._check_same_ground(other)
         return self.bits & ~other.bits == 0
-
-    def proper_subset_of(self, other: "PointSet") -> bool:
-        return self.subset_of(other) and self.bits != other.bits
 
     @property
     def is_empty(self) -> bool:

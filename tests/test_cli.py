@@ -732,10 +732,14 @@ class TestParserReuse:
         argvs = _reuse_argvs(paths)
         first = [run(argv) for argv in argvs]
         second = [run(argv) for argv in argvs]
-        # and the same as with a fresh parser per call
-        monkeypatch.setattr(cli, "_parser", build_parser)
+        # and the same as with a fresh parser per call: with the parse memo
+        # emptied, every command line builds its own parser
+        built = []
+        monkeypatch.setattr(cli, "_parser", lambda: built.append(1) or build_parser())
+        cli._parsed_args.cache_clear()
         fresh = [run(argv) for argv in argvs]
         capsys.readouterr()
+        assert len(built) == len(argvs)
         assert first == second == fresh
 
     def test_build_parser_returns_a_fresh_parser(self):

@@ -374,7 +374,94 @@ def mask_families(draw):
     return n, draw(st.lists(masks, min_size=1, max_size=12))
 
 
+def closure_full_pass(generators):
+    """The closure with one pass over the whole family per new generator,
+    as before the trace of the last generator was reused: the oracle for
+    the family size at every step, and so for the cap error."""
+    cap = hulls.DEFAULT_SET_CAP
+    family = set()
+    for b in generators:
+        if b in family:
+            continue
+        new = {b & f for f in family}
+        new.add(b)
+        new.discard(0)
+        family |= new
+        if len(family) > cap:
+            raise ResourceLimitError("over the cap", cap, len(family))
+    return family
+
+
+@st.composite
+def nested_chains(draw):
+    """Generators in runs of shrinking masks, as _ball_index lists each
+    center's balls: one descending chain per center, the chains kept
+    whole, interleaved in order or shuffled, with repeats and with
+    intersections of earlier generators, which the family already holds,
+    put in after those generators."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    full = (1 << n) - 1
+    rnd = draw(st.randoms(use_true_random=False))
+    chains = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        mask = draw(st.integers(min_value=1, max_value=full))
+        chain = [mask]
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            mask &= rnd.randrange(full + 1)  # a submask, perhaps the same one
+            if not mask:
+                break
+            chain.append(mask)
+        chains.append(chain)
+    order = draw(st.sampled_from(["whole", "interleaved", "shuffled"]))
+    if order == "interleaved":
+        runs = [list(reversed(chain)) for chain in chains]
+        generators = []
+        while runs:
+            run = rnd.choice(runs)
+            generators.append(run.pop())
+            if not run:
+                runs.remove(run)
+    else:
+        generators = [mask for chain in chains for mask in chain]
+        if order == "shuffled":
+            rnd.shuffle(generators)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = rnd.randrange(1, len(generators) + 1)
+        a, b = rnd.choice(generators[:at]), rnd.choice(generators[:at])
+        generators.insert(at, a & b or a)
+    return n, generators
+
+
 class TestIntersectionClosure:
+    @given(nested_chains())
+    # the second chain starts outside the first chain's last ball, whose
+    # trace alone would miss 0b0110 = 0b1110 & 0b0111
+    @example((4, [0b0111, 0b0011, 0b1110, 0b0110]))
+    @example((4, [0b1111, 0b0111, 0b1111, 0b0011]))  # a repeat mid-chain
+    def test_nested_chains_match_brute_force(self, family):
+        n, generators = family
+        assert hulls._intersection_closure(generators) == closure_oracle(n, generators)
+
+    @given(nested_chains())
+    @example((4, [0b0111, 0b0011, 0b1110, 0b0110]))
+    def test_nested_chains_fail_where_the_full_pass_fails(self, family):
+        # the family after every generator is the full pass's, so every cap
+        # below the family size stops both at the same generator, with the
+        # same count
+        _, generators = family
+        closure = closure_full_pass(generators)
+        assert hulls._intersection_closure(generators) == closure
+        for cap in range(len(closure)):
+            with closure_cap(cap):
+                with pytest.raises(ResourceLimitError) as want:
+                    closure_full_pass(generators)
+                with pytest.raises(ResourceLimitError) as got:
+                    hulls._intersection_closure(generators)
+            assert (got.value.cap, got.value.reached) == (
+                want.value.cap,
+                want.value.reached,
+            )
+
     @given(mask_families())
     @settings(max_examples=200)
     def test_matches_brute_force(self, family):
@@ -967,6 +1054,48 @@ def assert_sliced_matches_oracle(sys):
     return record
 
 
+def text_column_pass(sys, family):
+    """The paper-cov filter and the per-center step counts of a family in
+    canonical order, from the column pass as it was before the byte
+    matrix: each point's column read from the members' binary text, and
+    each shrink's inside positions formatted as 0/1 items and summed.  The
+    counts come back as one list of ints per center."""
+    n, m = sys.n, len(family)
+    every = (1 << m) - 1
+    width = next(w for w in (1, 2, 4, 8) if n <= 1 << 8 * w)
+    text = "".join(map(f"{{:0{n}b}}".format, family))
+    member = [int(text[n - 1 - y :: n][::-1], 2) for y in range(n)]
+
+    def items01(bits, width):
+        ones = format(bits, f"0{m}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        items = bytearray(m * width)
+        items[::width] = ones
+        return bytes(items)
+
+    table = sys.level_table()
+    paper_drops = [0] * n
+    steps = []
+    for x in range(n):
+        outside = count = 0
+        for lower, upper in zip(table, table[1:]):
+            if lower[x] == upper[x]:
+                continue
+            gone = f"{lower[x] & ~upper[x]:b}"[::-1]
+            leaving = [y for y, bit in enumerate(gone) if bit == "1"]
+            for y in leaving:
+                outside |= member[y]
+            inside = every ^ outside
+            for y in leaving:
+                paper_drops[y] |= inside & member[x]
+            count += int.from_bytes(items01(inside, width), "little")
+        counts = count.to_bytes(m * width, "little")
+        steps.append([int.from_bytes(counts[i : i + width], "little") for i in range(0, m * width, width)])
+    unfixed = 0
+    for y in range(n):
+        unfixed |= every & ~(paper_drops[y] | member[y])
+    return items01(every ^ unfixed, 1), steps
+
+
 class TestSlicedFamily:
     """The column pass over the closure against per-member hulls."""
 
@@ -1026,6 +1155,24 @@ class TestSlicedFamily:
                 enumerate_admissible(sys, mode)
         assert ("family", hulls.DEFAULT_SET_CAP) in sys.__dict__["_memo"]
         assert hull_masks == []
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    @example(EQUILATERAL)
+    def test_matches_the_text_column_pass(self, sys):
+        record = hulls._family_record(sys)
+        paper, steps = text_column_pass(sys, record.masks)
+        assert record.paper == paper
+        assert [list(counts) for counts in record.steps] == steps
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_matches_the_text_column_pass_past_a_byte(self, n):
+        # the byte-spread columns take two bytes per member past 256 points
+        sys = star_system(n)
+        record = hulls._family_record(sys)
+        paper, steps = text_column_pass(sys, record.masks)
+        assert record.paper == paper
+        assert [list(counts) for counts in record.steps] == steps
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)
