@@ -468,39 +468,38 @@ class RadiiReport:
 def radii(sys: RelationalSystem, points: PointSet) -> RadiiReport:
     """Per-point reach, Chebyshev radius, and diameter of a nonempty set.
 
-    Grade forms, from one walk: each point's worst grade against the
-    others gives its reach; the Chebyshev grade is the largest worst grade
-    and the diameter grade, the smallest pair grade, the smallest one.
-    Distances are their dyadic shadows.
+    Grade forms, from one walk over the grade rows (_worst_grades): each
+    point's worst grade against the others gives its reach; the Chebyshev
+    grade is the largest worst grade and the diameter grade, the smallest
+    pair grade, the smallest one.  Distances are their dyadic shadows.
     """
-    _check_points(sys, points)
-    if points.is_empty:
-        raise StructuralInputError("radii of the empty set are undefined")
-    members = points.members()
-    per_point = []
-    cheb_grade: Grade = None  # type: ignore[assignment]
-    diam_grade: Grade = TOP
-    for x in members:
-        worst: Grade = TOP
-        for y in members:
-            if y == x:
-                continue
-            g = sys.grades.entries[x][y]
-            if g < worst:
-                worst = g
-        per_point.append((x, _grade_distance(worst)))
-        if cheb_grade is None or worst > cheb_grade:
-            cheb_grade = worst
-        if worst < diam_grade:
-            diam_grade = worst
+    members = _nonempty_members(sys, points)
+    worst = _worst_grades(sys, members)
+    cheb_grade, diam_grade = max(worst), min(worst)
     return RadiiReport(
         points=points,
-        per_point=tuple(per_point),
+        per_point=tuple(zip(members, map(_grade_distance, worst))),
         cheb_radius=_grade_distance(cheb_grade),
         diameter=_grade_distance(diam_grade),
         cheb_grade=cheb_grade,
         diam_grade=diam_grade,
     )
+
+
+def _nonempty_members(sys: RelationalSystem, points: PointSet) -> list[int]:
+    """The members of a nonempty set of the system's points."""
+    _check_points(sys, points)
+    if points.is_empty:
+        raise StructuralInputError("radii of the empty set are undefined")
+    return points.members()
+
+
+def _worst_grades(sys: RelationalSystem, members: Sequence[int]) -> list[Grade]:
+    """Each member's worst grade against the others, in one walk over
+    their grade rows.  The diagonal is TOP, above every grade, so taking
+    it in changes no minimum and leaves TOP for a lone point."""
+    entries = sys.grades.entries
+    return [min(map(entries[x].__getitem__, members)) for x in members]
 
 
 def _grade_distance(g: Grade) -> DyadicValue:
@@ -521,16 +520,20 @@ class NormalityCriteria:
 
 
 def normality_criteria(sys: RelationalSystem, points: PointSet) -> NormalityCriteria:
-    """Evaluate r < diameter for one set via grades, distances, and level sets.
+    """Evaluate r < diameter for one nonempty set via grades, distances,
+    and level sets.
 
-    The three routes must agree; a disagreement would be an arithmetic bug
-    and raises immediately.
+    The grade route compares the largest and smallest worst grades of the
+    walk radii makes, with no RadiiReport built; the distance route
+    compares delta values; the level-set route reads the rows of the
+    system's level table.  The three routes must agree; a disagreement
+    would be an arithmetic bug and raises immediately.
     """
-    rep = radii(sys, points)
-    grade_strict = rep.cheb_grade > rep.diam_grade
+    members = _nonempty_members(sys, points)
+    worst = _worst_grades(sys, members)
+    grade_strict = max(worst) > min(worst)
 
     # the radius is the smallest per-point supremum, the diameter the largest
-    members = points.members()
     cheb: Optional[DyadicValue] = None
     diam = DyadicValue.zero()
     for x in members:
@@ -547,11 +550,11 @@ def normality_criteria(sys: RelationalSystem, points: PointSet) -> NormalityCrit
 
     cover_levels = set()
     diam_levels = set()
-    for n in range(sys.window.below, sys.window.above + 1):
-        rows = sys.level_rows(n)
-        if any(points.bits & ~rows[x] == 0 for x in members):
+    for n, rows in enumerate(sys.level_table(), sys.window.below):
+        inside = [points.bits & ~rows[x] == 0 for x in members]
+        if any(inside):
             cover_levels.add(n)
-        if all(points.bits & ~rows[x] == 0 for x in members):
+        if all(inside):
             diam_levels.add(n)
     relational_proper = diam_levels < cover_levels
 

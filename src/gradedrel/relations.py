@@ -137,10 +137,6 @@ class Relation:
         return cls(n, tuple(1 << x for x in range(n)))
 
     @classmethod
-    def empty(cls, n: int) -> "Relation":
-        return cls(n, tuple(0 for _ in range(n)))
-
-    @classmethod
     def from_pairs(cls, n: int, pairs) -> "Relation":
         rows = [0] * n
         for x, y in pairs:
@@ -173,9 +169,6 @@ class Relation:
             for x, row in enumerate(self.rows)
             for y in iter_bits(row)
         )
-
-    def is_reflexive(self) -> bool:
-        return all((row >> x) & 1 for x, row in enumerate(self.rows))
 
     def _check_same_ground(self, other: "Relation") -> None:
         if self.n != other.n:

@@ -7,9 +7,20 @@ from gradedrel import cli
 
 # a longer search for CI runs of the exact-arithmetic kernel tests
 # (HYPOTHESIS_PROFILE=deep); tier-1 keeps hypothesis's default profile
-settings.register_profile("deep", max_examples=2000, deadline=None)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+DEEP_EXAMPLES = 2000
+settings.register_profile("deep", max_examples=DEEP_EXAMPLES, deadline=None)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE")
+if PROFILE:
+    settings.load_profile(PROFILE)
+
+
+def examples(n):
+    """settings(max_examples=n) at tier 1, and the deep profile's count
+    under HYPOTHESIS_PROFILE=deep, for a test that sets its own count:
+    an explicit @settings(max_examples=...) overrides the loaded profile's."""
+    return settings(max_examples=DEEP_EXAMPLES if PROFILE == "deep" else n)
+
+
 from gradedrel.fixtures import (
     chain_successor,
     dyadic_grid,

@@ -38,8 +38,10 @@ from gradedrel import (
     radii,
 )
 
-from gradedrel.semimetric import delta
+from gradedrel.pointset import iter_bits
+from gradedrel.semimetric import delta, metric_ball_collapse
 
+from conftest import examples
 from test_relations import small_systems
 
 MODES = (PAPER_COV, ARBITRARY_CENTER)
@@ -309,7 +311,7 @@ class TestCanonicalMaskKey:
             )
         )
     )
-    @settings(max_examples=200)
+    @examples(200)
     def test_random_masks_up_to_16_points(self, case):
         n, masks = case
         assert sorted(masks, key=hulls._canonical_mask_key(n)) == sorted(
@@ -463,14 +465,14 @@ class TestIntersectionClosure:
             )
 
     @given(mask_families())
-    @settings(max_examples=200)
+    @examples(200)
     def test_matches_brute_force(self, family):
         n, generators = family
         closure = hulls._intersection_closure(generators)
         assert closure == closure_oracle(n, generators)
 
     @given(mask_families(), st.randoms(use_true_random=False))
-    @settings(max_examples=100)
+    @examples(100)
     def test_duplicate_generators(self, family, rnd):
         n, generators = family
         repeated = generators + [rnd.choice(generators) for _ in generators]
@@ -490,7 +492,7 @@ class TestIntersectionClosure:
         assert (info.value.cap, info.value.reached) == (0, 1)
 
     @given(mask_families())
-    @settings(max_examples=100)
+    @examples(100)
     def test_cap_counts_members(self, family):
         n, generators = family
         size = len(closure_oracle(n, generators))
@@ -501,29 +503,110 @@ class TestIntersectionClosure:
         assert info.value.cap == size - 1
         assert size - 1 < info.value.reached <= size
 
-    @given(small_systems())
-    @settings(max_examples=40)
-    def test_metric_ball_route_closes_with_the_same_routine(self, sys):
+    @given(small_systems(), st.integers(0, 1 << 32))
+    @examples(40)
+    def test_metric_ball_route_closes_once_with_the_same_routine(self, sys, seed):
         assert harness._intersection_closure is hulls._intersection_closure
-        caps = []
+        calls = []
 
         def spy(generators):
-            caps.append(hulls.DEFAULT_SET_CAP)
-            return hulls._intersection_closure(generators)
+            calls.append((hulls.DEFAULT_SET_CAP, list(generators)))
+            return hulls._intersection_closure(calls[-1][1])
 
-        radii = harness._breakpoint_radii(sys, random.Random(sys.n))
+        radii = harness._breakpoint_radii(sys, random.Random(seed))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_intersection_closure", spy)
-            for mode in MODES:
-                metric = harness._family_from_metric_balls(sys, radii, mode)
-                assert metric == admissible_family_bits(sys, mode)
-        assert caps == [hulls.DEFAULT_SET_CAP] * len(MODES)
-        # and it closes under the same cap, read when it runs
+            metric = harness._metric_ball_families(sys, radii)
+        # one closure for both modes, under the cap read when it runs
+        assert [cap for cap, _ in calls] == [hulls.DEFAULT_SET_CAP]
+        for mode in MODES:
+            assert metric[mode] == admissible_family_bits(sys, mode)
+        # each center's balls, largest radius first: a shrinking chain
+        generators = calls[0][1]
+        per_center = len(set(radii))
+        assert len(generators) == sys.n * per_center
+        for x in range(sys.n):
+            chain = generators[x * per_center : (x + 1) * per_center]
+            assert all(b & ~a == 0 for a, b in zip(chain, chain[1:]))
+        # and it fails where the per-mode route fails, with the same counts
         size = len(admissible_family_bits(sys, ARBITRARY_CENTER))
-        with closure_cap(size - 1), pytest.raises(ResourceLimitError) as info:
-            harness._family_from_metric_balls(sys, radii, ARBITRARY_CENTER)
-        assert info.value.cap == size - 1
-        assert size - 1 < info.value.reached <= size
+        with closure_cap(size - 1):
+            with pytest.raises(ResourceLimitError) as want:
+                family_from_metric_balls_oracle(sys, radii, ARBITRARY_CENTER)
+            with pytest.raises(ResourceLimitError) as got:
+                harness._metric_ball_families(sys, radii)
+        assert (got.value.cap, got.value.reached) == (want.value.cap, want.value.reached)
+        assert got.value.cap == size - 1
+        assert size - 1 < got.value.reached <= size
+
+
+def family_from_metric_balls_oracle(sys, radii, mode):
+    """The metric-ball route one mode at a time, as before both modes
+    shared one pass: each call computes its own balls in ascending radius
+    and closes them."""
+    radii = sorted(set(radii))
+    balls = [
+        [metric_ball_collapse(sys, x, r).bits for r in radii] for x in range(sys.n)
+    ]
+    family = hulls._intersection_closure([b for row in balls for b in row])
+    if mode == ARBITRARY_CENTER:
+        return frozenset(family)
+    full = (1 << sys.n) - 1
+    kept = set()
+    for bits in family:
+        cov = full
+        for x in iter_bits(bits):
+            # the smallest sampled ball at x that covers the set
+            cov &= next((b for b in balls[x] if bits & ~b == 0), full)
+        if cov == bits:
+            kept.add(bits)
+    return frozenset(kept)
+
+
+HULL_EQUIVALENCE = harness.CLAIMS["hull-equivalence"]
+
+
+class TestMetricBallFamilies:
+    """harness._metric_ball_families against the per-mode oracle above."""
+
+    @staticmethod
+    def assert_matches_the_per_mode_route(sys, radii):
+        for ordered in (sorted(radii), sorted(radii, reverse=True)):
+            metric = harness._metric_ball_families(sys, ordered)
+            assert set(metric) == set(MODES)
+            for mode in MODES:
+                assert metric[mode] == family_from_metric_balls_oracle(sys, ordered, mode)
+
+    @given(small_systems(), st.integers(0, 1 << 32))
+    @example(CHAIN_HEAVY, 0)
+    @example(EQUILATERAL, 0)
+    def test_small_systems(self, sys, seed):
+        self.assert_matches_the_per_mode_route(
+            sys, harness._breakpoint_radii(sys, random.Random(seed))
+        )
+
+    @given(st.integers(0, 1 << 32))
+    def test_the_claims_own_systems(self, seed):
+        sys = gen_system(seed, HULL_EQUIVALENCE.params)
+        rng = random.Random(sys.n * 1009 + sys.window.lo)
+        self.assert_matches_the_per_mode_route(sys, harness._breakpoint_radii(sys, rng))
+
+    @given(st.integers(0, 1 << 32))
+    def test_one_ball_per_center_and_distinct_radius(self, seed):
+        sys = gen_system(seed, HULL_EQUIVALENCE.params)
+        rng = random.Random(sys.n * 1009 + sys.window.lo)
+        radii = set(harness._breakpoint_radii(sys, rng))
+        seen = []
+        real = harness.metric_ball_collapse
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                harness,
+                "metric_ball_collapse",
+                lambda s, x, r: seen.append((x, r)) or real(s, x, r),
+            )
+            assert HULL_EQUIVALENCE.check(sys, None) is None
+        assert len(seen) == sys.n * len(radii)
+        assert set(seen) == {(x, r) for x in range(sys.n) for r in radii}
 
 
 class TestRadii:
@@ -892,6 +975,34 @@ class TestNormalStructureOracle:
             else:
                 assert seen == [rep.witness[0].points.bits]
 
+    @pytest.mark.parametrize("points", [PointSet.empty(3), PointSet.of(4, [0])])
+    def test_criteria_reject_what_radii_rejects(self, points):
+        # the empty set, and a set over another number of points
+        with pytest.raises(StructuralInputError) as want:
+            radii(EQUILATERAL, points)
+        with pytest.raises(StructuralInputError) as got:
+            normality_criteria(EQUILATERAL, points)
+        assert str(got.value) == str(want.value)
+
+    @given(small_systems())
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(ONE_POINT)
+    def test_criteria_build_no_radii_report(self, sys):
+        # the grade route walks the grade rows itself and the level-set
+        # route reads the level table: no radii, RadiiReport or level_rows
+        want = [(p, normality_criteria_oracle(sys, p)) for p in nonempty_sets(sys)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("normality_criteria must not call this")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "radii", refuse)
+            mp.setattr(hulls, "RadiiReport", refuse)
+            mp.setattr(type(sys), "level_rows", refuse)
+            for points, crit in want:
+                assert normality_criteria(sys, points) == crit
+
     def test_equilateral_takes_the_family_fallback(self):
         # no pair is admissible, so the witness is the whole three-point set
         for mode in MODES:
@@ -1101,7 +1212,7 @@ class TestSlicedFamily:
 
     @given(small_systems())
     @example(CHAIN_HEAVY)
-    @settings(max_examples=100)
+    @examples(100)
     def test_random_systems(self, sys):
         assert_sliced_matches_oracle(sys)
 
@@ -1144,7 +1255,7 @@ class TestSlicedFamily:
     @given(small_systems())
     @example(CHAIN_HEAVY)
     @example(EQUILATERAL)
-    @settings(max_examples=60)
+    @examples(60)
     def test_column_pass_decides_every_family(self, sys):
         # whatever the family's size, no member's hull is taken on its own
         hull_masks = []
@@ -1176,7 +1287,7 @@ class TestSlicedFamily:
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)
-    @settings(max_examples=60)
+    @examples(60)
     def test_a_member_that_moves_raises(self, sys, pick):
         # any mask outside the closure moves under its hull; add one to the
         # closure the family record is built from: the column pass fails,
