@@ -19,17 +19,34 @@ both hull modes and their witnesses), axiom reports, the analysis of the
 last map read and the labeler that turns masks into label lists memoised
 on it, so the reports on one unchanged file share that work.  A file that
 is not UTF-8 text is an i/o error, exit 2.
+
+The labeler holds one table per byte position of a mask, from a byte value
+to the labels of its points, filled on first use.  It labels a sequence of
+masks at once: every mask's byte at one position is read through that
+position's table with one map, and the positions are concatenated per mask.
+The hulls report labels its whole family in one such call; a single mask is
+a sequence of one.
+
+Each command runs with the cyclic garbage collector paused, and the
+collector is re-enabled afterwards only if it was on before, also when the
+command raises; parsing and rendering stay outside the pause.  No command
+makes a reference cycle: a report is a tree of fresh containers, and the
+map analysis points back to its system through a weak reference, so
+reference counting alone frees everything a command makes.  Without the
+pause the collector scans a growing report many times over; with it, a
+report is scanned about once, at the first collection after the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import sys as _sysmod
-from operator import getitem
-from typing import Callable, Optional, Sequence, Union
+from operator import concat, methodcaller
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import hulls as hulls_mod
 from .dyadic import DyadicValue
@@ -93,23 +110,32 @@ class _ByteLabels(dict):
         return entry
 
 
-def _labeler(sys: RelationalSystem) -> Callable[[int], list[str]]:
-    """The labels of a mask's members, lowest point first, memoised on the
-    system: one _ByteLabels table per byte position, read with the mask's
-    little-endian bytes."""
+def _labeler(sys: RelationalSystem) -> Callable[[Iterable[int]], Iterator[list[str]]]:
+    """The labels of each mask's members, lowest point first, mask by mask,
+    memoised on the system: the masks' little-endian bytes are joined once,
+    each byte position is read through its _ByteLabels table with one map,
+    and the positions are concatenated per mask."""
     return sys.cached("labeler", _build_labeler)
 
 
-def _build_labeler(sys: RelationalSystem) -> Callable[[int], list[str]]:
-    labels = sys.labels
+def _build_labeler(sys: RelationalSystem) -> Callable[[Iterable[int]], Iterator[list[str]]]:
     size = (sys.n + 7) // 8
-    tables = [_ByteLabels(labels[i : i + 8]) for i in range(0, sys.n, 8)]
-    return lambda bits: list(sum(map(getitem, tables, bits.to_bytes(size, "little")), ()))
+    tables = [_ByteLabels(sys.labels[i : i + 8]) for i in range(0, sys.n, 8)]
+    to_bytes = methodcaller("to_bytes", size, "little")
+    concat_positions = functools.partial(map, concat)
+
+    def labeler(masks: Iterable[int]) -> Iterator[list[str]]:
+        matrix = b"".join(map(to_bytes, masks))
+        cols = [map(table.__getitem__, matrix[j::size]) for j, table in enumerate(tables)]
+        return map(list, functools.reduce(concat_positions, cols))
+
+    return labeler
 
 
 def _members(sys: RelationalSystem, bits: int) -> list[str]:
     """The labels of a mask's members, lowest point first."""
-    return _labeler(sys)(bits)
+    [members] = _labeler(sys)((bits,))
+    return members
 
 
 def _axiom_dict(sys: RelationalSystem, axiom_id: str) -> dict:
@@ -223,19 +249,18 @@ def _cmd_classify(ns) -> tuple[int, dict]:
 
 
 def _cmd_hulls(ns) -> tuple[int, dict]:
-    # streamed from the memoised masks: no AdmissibleSet is built, and each
-    # distinct (center, level) witness ball is one shared dict
+    # streamed from the memoised masks: no AdmissibleSet is built, each
+    # distinct (center, level) witness ball is one shared dict, and the
+    # members are labelled all at once
     sys = _load_system(ns.system)
     mode = MODE_NAMES[ns.mode]
     labels = sys.labels
-    members = _labeler(sys)
+    masks, witnesses = hulls_mod._witnessed_members(
+        sys, mode, lambda pair: {"center": labels[pair[0]], "level": pair[1]}
+    )
     family = [
-        {"members": members(bits), "witness_balls": witness}
-        for bits, witness in hulls_mod._witnessed_members(
-            sys,
-            mode,
-            lambda pair: {"center": labels[pair[0]], "level": pair[1]},
-        )
+        {"members": members, "witness_balls": witness}
+        for members, witness in zip(_labeler(sys)(masks), witnesses, strict=True)
     ]
     report = {
         "command": "hulls",
@@ -342,13 +367,19 @@ def _cmd_fixpoint(ns) -> tuple[int, dict]:
     a = _analysis(sys, t)
     dich = ks_dichotomy(sys, t)
     labels = sys.labels
+    label = _labeler(sys)
     balls = [
         {
-            "members": _members(sys, b.ball.bits),
+            "members": members,
             "names": [[labels[c], lev] for c, lev in b.names],
-            "fixed_inside": _members(sys, b.fixed_inside.bits),
+            "fixed_inside": fixed_inside,
         }
-        for b in a.invariant_balls
+        for b, members, fixed_inside in zip(
+            a.invariant_balls,
+            label(b.ball.bits for b in a.invariant_balls),
+            label(b.fixed_inside.bits for b in a.invariant_balls),
+            strict=True,
+        )
     ]
     report = {
         "command": "fixpoint",
@@ -360,7 +391,7 @@ def _cmd_fixpoint(ns) -> tuple[int, dict]:
             "homomorphism": a.hom.holds,
         },
         "minimal_invariant_admissible": (
-            [_members(sys, bits) for bits in a.min_admissible] if a.hom.holds else None
+            list(label(a.min_admissible)) if a.hom.holds else None
         ),
         "minimal_invariant_balls": [
             {
@@ -377,11 +408,13 @@ def _cmd_fixpoint(ns) -> tuple[int, dict]:
                 {
                     "point": labels[e.point],
                     "level": e.level,
-                    "ball": _members(sys, e.ball.bits),
+                    "ball": ball,
                     "outcome": e.outcome,
                     "witness": _jsonify(e.witness),
                 }
-                for e in dich.entries
+                for e, ball in zip(
+                    dich.entries, label(e.ball.bits for e in dich.entries), strict=True
+                )
             ],
         },
     }
@@ -569,6 +602,10 @@ def run(argv: Sequence[str]) -> tuple[int, dict]:
 
 
 def _execute(ns: argparse.Namespace) -> tuple[int, dict]:
+    # the cyclic collector is paused while the command runs: a report is a
+    # tree of fresh containers, and reference counting frees all of it
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _DISPATCH[ns.command](ns)
     except FormatError as exc:
@@ -593,6 +630,9 @@ def _execute(ns: argparse.Namespace) -> tuple[int, dict]:
             "command": ns.command,
             "error": {"kind": "io", "message": str(exc)},
         }
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def render_human(report: dict) -> str:

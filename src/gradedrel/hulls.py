@@ -400,11 +400,11 @@ def _build_family(sys: RelationalSystem) -> _Family:
 
 def _witnessed_members(
     sys: RelationalSystem, mode: str, ball: Callable[[tuple[int, int]], _T]
-) -> Iterator[tuple[int, list[_T]]]:
-    """Each admissible mask, in canonical order, with the list of its
-    witness balls, each one the object ball made from its (center, level)
-    pair; ball is called once per distinct pair, so members that share a
-    witness ball share that object.
+) -> tuple[tuple[int, ...], Iterator[list[_T]]]:
+    """The mode's admissible masks in canonical order, and an iterator of
+    their witness-ball lists in the same order, each ball the object ball
+    made from its (center, level) pair; ball is called once per distinct
+    pair, so members that share a witness ball share that object.
 
     The witness levels are the step counts of the family record, zipped
     across centers one member at a time.
@@ -414,20 +414,17 @@ def _witnessed_members(
     table = [tuple(ball((x, lev)) for lev in at) for x, at in enumerate(levels)]
     per_member = zip(*steps)
     if mode == ARBITRARY_CENTER:
-        return zip(masks, (list(map(getitem, table, idx)) for idx in per_member))
+        return masks, (list(map(getitem, table, idx)) for idx in per_member)
     # the centers inside a member: one 0/1 selector item per point, eight
     # per byte of the mask; compress stops at the last center
     size = (sys.n + 7) // 8
     byte01 = _BYTE01.__getitem__
-    return (
-        (
-            bits,
-            list(
-                compress(
-                    map(getitem, table, idx),
-                    b"".join(map(byte01, bits.to_bytes(size, "little"))),
-                )
-            ),
+    return tuple(compress(masks, paper)), (
+        list(
+            compress(
+                map(getitem, table, idx),
+                b"".join(map(byte01, bits.to_bytes(size, "little"))),
+            )
         )
         for bits, idx in compress(zip(masks, per_member), paper)
     )
@@ -449,7 +446,7 @@ def enumerate_admissible(
     """
     return tuple(
         AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)
-        for bits, witness in _witnessed_members(sys, mode, lambda p: p)
+        for bits, witness in zip(*_witnessed_members(sys, mode, lambda p: p))
     )
 
 

@@ -317,23 +317,12 @@ def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
 
     Scans every ordered triple once for the strong (max) form in grade
     arithmetic and once for the additive form in dyadic arithmetic, keeping
-    the worst witness of each, without the level table; relation-level
-    composition and transitivity checks ride along for cross-reference.
+    the worst witness of each, without the level table.  GradeMatrix
+    already guarantees separation and symmetry, as in classify.
+    Relation-level composition and transitivity checks ride along for
+    cross-reference.
     """
     n = sys.n
-
-    semi_witness = None
-    for x in range(n):
-        for y in range(n):
-            d = delta(sys, x, y)
-            if d.is_zero != (x == y):
-                semi_witness = ("separation", x, y)
-                break
-            if d != delta(sys, y, x):
-                semi_witness = ("symmetry", x, y)
-                break
-        if semi_witness:
-            break
 
     worst_strong: Optional[tuple] = None  # (deficit, x, z, y)
     worst_tri: Optional[tuple] = None  # (excess as Fraction, x, z, y)
@@ -367,9 +356,7 @@ def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
 
     tri_witness = None if worst_tri is None else _triple(sys, *worst_tri[1:])
 
-    if semi_witness is not None:
-        label = "semimetric-only"
-    elif strong_holds:
+    if strong_holds:
         label = "ultrametric"
     elif triangle_holds:
         label = "metric"
@@ -377,8 +364,8 @@ def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
         label = "C-inframetric"
 
     return ClassificationReport(
-        is_semimetric=semi_witness is None,
-        semimetric_witness=semi_witness,
+        is_semimetric=True,
+        semimetric_witness=None,
         minimal_inframetric_c=c,
         triangle_holds=triangle_holds,
         triangle_witness=tri_witness,

@@ -1,5 +1,6 @@
 """End-to-end command coverage for run(), render_human, and main()."""
 
+import gc
 import json
 import os
 import random
@@ -284,8 +285,11 @@ PLAIN = ("p", "r")
 
 
 def assert_labels_match_iter_bits(labeler, labels, masks):
-    for bits in masks:
-        assert labeler(bits) == [labels[i] for i in iter_bits(bits)], (len(labels), bits)
+    # all masks in one call, then each mask as a sequence of one
+    want = [[labels[i] for i in iter_bits(bits)] for bits in masks]
+    assert list(labeler(masks)) == want, len(labels)
+    for bits, members in zip(masks, want):
+        assert list(labeler((bits,))) == [members], (len(labels), bits)
 
 
 class TestLabeler:
@@ -327,6 +331,24 @@ class TestLabeler:
             sys = _labelled(n, ESCAPED)
             assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, range(1 << n))
 
+    # n = 1 and 7 (mod 8) around one, two and three or more byte positions,
+    # each mask count from none to many, with a fresh labeler per order
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 300])
+    def test_bulk_labels_match_one_mask_at_a_time(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        sys = _labelled(n, ESCAPED)
+        edges = [0, full, 1, 1 << (n - 1), full >> 1, full ^ 1]
+        alone = [b << k & full for k in range(0, n, 8) for b in range(256)]
+        masks = edges + alone + [rng.getrandbits(n) for _ in range(300)]
+        for case in ([], masks[:1], masks, masks[::-1]):
+            want = [[sys.labels[i] for i in iter_bits(bits)] for bits in case]
+            assert list(cli._build_labeler(sys)(case)) == want, n
+            assert list(cli._build_labeler(sys)(iter(case))) == want, n
+            labeler = cli._build_labeler(sys)
+            assert [list(labeler((bits,))) for bits in case] == [[w] for w in want], n
+            assert list(labeler(case)) == want, n
+
     def test_memoised_per_system(self):
         # two systems with different labels read the same masks; each keeps
         # its own labeler, and the tables filled for one never answer the other
@@ -340,8 +362,8 @@ class TestLabeler:
             ]
         assert cli._labeler(a) is cli._labeler(a)
         assert cli._labeler(a) is not cli._labeler(b)
-        assert cli._labeler(a)(0b101) == ['"0', "é2"]
-        assert cli._labeler(b)(0b101) == ["p0", "p2"]
+        assert list(cli._labeler(a)((0b101,))) == [['"0', "é2"]]
+        assert list(cli._labeler(b)((0b101,))) == [["p0", "p2"]]
 
 
 class TestStreamedHullsReport:
@@ -405,6 +427,115 @@ class TestStreamedHullsReport:
             "message": f"ball-intersection closure reached {reached} family members,"
             " over the cap of 3",
         }
+
+
+def _assert_no_cyclic_garbage(argv):
+    """Run one command line with the collector off, drop the report, and
+    require a collection to find nothing; returns the exit status and the
+    error kind, if any.  The shared parser is built first: building it
+    leaves argparse's cyclic help formatters behind, once per process and
+    outside the pause."""
+    cli._parser()
+    gc.collect()
+    gc.disable()
+    try:
+        status, report = run(argv)
+        kind = report.get("error", {}).get("kind")
+        del report
+        assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    return status, kind
+
+
+class TestCollectorPause:
+    """run pauses the cyclic collector around the command: every report
+    and everything else a command makes must be freed by reference
+    counting alone, and the collector's state must come back as it was."""
+
+    def test_commands_leave_no_cyclic_garbage(self, paths):
+        out = str(paths["dir"] / "written")
+        for argv, status in (
+            (["validate", paths["grid"]], 0),
+            (["classify", paths["triple"]], 1),
+            (["hulls", paths["grid"]], 0),
+            (["hulls", paths["grid"], "--mode", "closure"], 0),
+            (["structure", paths["chain"]], 1),
+            (["dynamics", paths["grid"], paths["reflection"]], 0),
+            (["dynamics", paths["grid"], paths["collapse"]], 1),
+            (["fixpoint", paths["chain"], paths["successor"]], 0),
+            (["fixpoint", paths["grid"], paths["collapse"]], 0),
+            (["ingest", paths["matrix"], "--window", "-2", "1"], 0),
+            (["ingest", paths["matrix"], "--window", "-2", "1", "-o", out], 0),
+        ):
+            assert _assert_no_cyclic_garbage(argv) == (status, None), argv
+
+    @pytest.mark.parametrize("claim", sorted(CLAIMS))
+    def test_falsify_leaves_no_cyclic_garbage(self, claim):
+        status, kind = _assert_no_cyclic_garbage(
+            ["falsify", claim, "--trials", "3", "--seed", "0"]
+        )
+        assert status in (0, 1) and kind is None
+
+    def test_counterexample_and_shrink_leave_no_cyclic_garbage(self, paths):
+        out = str(paths["dir"] / "ce.bundle")
+        argv = ["falsify", "prop-r10-metric", "--trials", "200", "--seed", "0", "-o", out]
+        assert _assert_no_cyclic_garbage(argv) == (1, None)
+        assert parse_bundle(Path(out).read_text(encoding="utf-8")).system.n == 3
+
+    def test_error_reports_leave_no_cyclic_garbage(self, paths, monkeypatch):
+        bad = paths["dir"] / "bad.grs"
+        bad.write_text("gradedsystem v1\npoints: x\n", encoding="utf-8")
+        binary = paths["dir"] / "binary.grs"
+        binary.write_bytes(b"gradedsystem v1\n\xff\n")
+        for argv, kind in (
+            (["validate", str(bad)], "parse"),
+            (["classify", "/nonexistent/system.grs"], "io"),
+            (["validate", str(binary)], "io"),
+            (["falsify", "eq1-roundtrip", "--trials", "0"], "UsageError"),
+            (["dynamics", paths["grid"], paths["swap"]], "UsageError"),
+        ):
+            assert _assert_no_cyclic_garbage(argv) == (2, kind), argv
+        monkeypatch.setattr(hulls, "DEFAULT_SET_CAP", 3)
+        for mode in ("paper", "closure"):
+            argv = ["hulls", paths["grid"], "--mode", mode]
+            assert _assert_no_cyclic_garbage(argv) == (2, "ResourceLimitError")
+
+    def test_paused_inside_the_command(self, paths, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli._DISPATCH, "validate", lambda ns: (seen.append(gc.isenabled()), (0, {}))[1]
+        )
+        assert gc.isenabled()
+        assert run(["validate", paths["grid"]]) == (0, {})
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", ["success", "exit 2", "raises"])
+    def test_state_restored(self, paths, monkeypatch, enabled, outcome):
+        def command(ns):
+            assert not gc.isenabled()
+            if outcome == "raises":
+                raise RuntimeError("command failed")
+            return 0, {}
+
+        monkeypatch.setitem(cli._DISPATCH, "validate", command)
+        argv = {
+            "success": ["validate", paths["grid"]],
+            "exit 2": ["classify", "/nonexistent/system.grs"],
+            "raises": ["validate", paths["grid"]],
+        }[outcome]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "raises":
+                with pytest.raises(RuntimeError, match="command failed"):
+                    run(argv)
+            else:
+                assert run(argv)[0] == (2 if outcome == "exit 2" else 0)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestStructure:

@@ -298,6 +298,45 @@ class TestFalsify:
         assert verdict.outcome == "no-counterexample"
 
 
+# the falsify-catalog benchmark's trials per call, for the claims whose
+# VACUOUS returns lie outside their own generation scope
+SCOPED_TRIALS = {
+    "prop-r9-2-inframetric": 180,
+    "prop-r10-metric": 200,
+    "transitive-ultrametric": 50,
+    "thm-ks-dichotomy": 190,
+    "finite-normal-structure-exists": 100,
+}
+
+# one-point systems, windows up to three levels, no constraint and any map:
+# every hypothesis above can fail here
+WIDE = GenParams(point_count=(1, 4), window_span=(1, 3))
+
+
+class TestVacuousReturns:
+    """These claims' scopes generate only instances that meet their
+    hypotheses, so their VACUOUS returns fire only in a wider scope."""
+
+    @pytest.mark.parametrize("claim_id", sorted(SCOPED_TRIALS))
+    def test_never_vacuous_in_their_own_scope(self, claim_id):
+        for seed in range(10):
+            verdict = falsify(claim_id, SCOPED_TRIALS[claim_id], seed)
+            assert verdict.vacuous_trials == 0, (claim_id, seed)
+
+    @pytest.mark.parametrize("claim_id", sorted(SCOPED_TRIALS))
+    def test_vacuous_in_a_wider_scope(self, claim_id):
+        verdict = falsify(claim_id, SCOPED_TRIALS[claim_id], 0, params=WIDE)
+        assert verdict.vacuous_trials > 0
+
+    def test_one_point_systems_have_no_normal_structure_question(self):
+        # the only VACUOUS return of the claim is the one for n < 2
+        trials = SCOPED_TRIALS["finite-normal-structure-exists"]
+        verdict = falsify("finite-normal-structure-exists", trials, 0, params=WIDE)
+        assert verdict.outcome == "no-counterexample"
+        points = [gen_system(_trial_seed(0, i), WIDE).n for i in range(trials)]
+        assert verdict.vacuous_trials == points.count(1) > 0
+
+
 def _flip_nonexpansive(real):
     def broken(sys, t):
         rep = real(sys, t)

@@ -1152,7 +1152,7 @@ def assert_sliced_matches_oracle(sys):
         got = {
             mode: [
                 (bits, tuple(witness))
-                for bits, witness in hulls._witnessed_members(sys, mode, lambda p: p)
+                for bits, witness in zip(*hulls._witnessed_members(sys, mode, lambda p: p))
             ]
             for mode in MODES
         }
@@ -1300,7 +1300,7 @@ class TestSlicedFamily:
         real = hulls._intersection_closure
         reads = [
             hulls._family_record,
-            lambda s: list(hulls._witnessed_members(s, PAPER_COV, lambda p: p)),
+            lambda s: list(zip(*hulls._witnessed_members(s, PAPER_COV, lambda p: p))),
             lambda s: enumerate_admissible(s, ARBITRARY_CENTER),
             lambda s: hulls._family(s, PAPER_COV),
         ]

@@ -87,6 +87,86 @@ class TestTop:
         assert grade_str(-2) == "-2"
 
 
+class TestErrorPaths:
+    """The shape, validation and index errors of the data model, and the
+    operations TOP leaves to the other operand."""
+
+    def test_relation_shape_errors(self):
+        with pytest.raises(StructuralInputError, match="relation has 1 rows for 2 points"):
+            Relation(2, (0b11,))
+        with pytest.raises(StructuralInputError, match="row 1 mask out of range"):
+            Relation(2, (0b11, 0b100))
+        with pytest.raises(StructuralInputError, match="row 0 mask out of range"):
+            Relation(2, (-1, 0))
+
+    def test_relation_size_mismatch(self):
+        for op in (compose, Relation.subset_of, Relation.intersection):
+            with pytest.raises(StructuralInputError, match="relation size mismatch: 2 vs 3"):
+                op(Relation.full(2), Relation.full(3))
+
+    def test_label_count_error(self):
+        grades = GradeMatrix.from_rows([[TOP, 0], [0, TOP]])
+        with pytest.raises(StructuralInputError, match="3 labels for 2 points"):
+            RelationalSystem(("a", "b", "c"), Window(0, 1), grades)
+
+    def test_grade_matrix_shape_errors(self):
+        with pytest.raises(StructuralInputError, match="grade matrix has 1 rows for 2 points"):
+            GradeMatrix(2, ((TOP, 0),))
+        with pytest.raises(StructuralInputError, match="grade matrix row 1 has length 1"):
+            GradeMatrix(2, ((TOP, 0), (0,)))
+
+    def test_level_list_validation(self):
+        w = Window(0, 1)
+        with pytest.raises(StructuralInputError, match=r"1 levels for window \[0, 1\]"):
+            LevelList(w, (Relation.full(2),))
+        with pytest.raises(
+            StructuralInputError, match=r"levels disagree on point count: \[2, 3\]"
+        ):
+            LevelList(w, (Relation.full(2), Relation.full(3)))
+        levels = LevelList(w, (Relation.full(2), Relation.diagonal(2)))
+        assert levels.at(0) == Relation.full(2)
+        assert levels.at(1) == Relation.diagonal(2)
+        for n in (-1, 2):
+            with pytest.raises(IndexError, match=f"level {n} outside window"):
+                levels.at(n)
+
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_index_errors(self, x, y):
+        sys = make_system(("a", "b"), (0, 1), [[TOP, 0], [0, TOP]])
+        for read in (
+            Relation.full(2).contains,
+            lambda x, y: Relation.from_pairs(2, [(0, 1), (x, y)]),
+            sys.grades.grade,
+            sys.grade,
+        ):
+            with pytest.raises(
+                IndexError, match=rf"pair \({x}, {y}\) out of range for 2 points"
+            ):
+                read(x, y)
+
+    @pytest.mark.parametrize("other", ["1", 1.5, None])
+    def test_top_defers_to_other_types(self, other):
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__", "__sub__"):
+            assert getattr(TOP, name)(other) is NotImplemented, name
+        for op in (
+            lambda: TOP < other,
+            lambda: TOP <= other,
+            lambda: TOP > other,
+            lambda: TOP >= other,
+            lambda: TOP + other,
+            lambda: other + TOP,
+            lambda: TOP - other,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert TOP.__sub__(TOP) is NotImplemented
+        assert TOP.__add__(TOP) is NotImplemented
+
+    def test_top_compares_with_itself(self):
+        assert TOP <= TOP and TOP >= TOP
+        assert not (TOP < TOP or TOP > TOP)
+
+
 class TestConstruction:
     def test_grid_matrix(self, grid):
         expected = [

@@ -118,8 +118,9 @@ class TestInframetricConstant:
 
     def test_needs_two_points(self):
         one = make_system(["a"], (0, 1), [[TOP]])
-        with pytest.raises(StructuralInputError):
-            minimal_inframetric_constant(one)
+        for constant in (minimal_inframetric_constant, _minimal_inframetric_constant_dyadic):
+            with pytest.raises(StructuralInputError, match="fewer than 2 points"):
+                constant(one)
 
     @given(small_systems())
     def test_matches_fraction_division_oracle(self, sys):
@@ -297,6 +298,14 @@ class TestIngest:
     def test_rejects_float(self):
         rows = [[0, 0.5], [0.5, 0]]
         with pytest.raises(StructuralInputError):
+            ingest_distance_matrix(rows, (0, 3))
+
+    @pytest.mark.parametrize("value", ["x", None, "1/0"])
+    def test_rejects_unreadable_distance(self, value):
+        rows = [[0, value], [value, 0]]
+        with pytest.raises(
+            StructuralInputError, match=rf"cannot read distance \(0, 1\): {value!r}"
+        ):
             ingest_distance_matrix(rows, (0, 3))
 
     def test_idempotent_on_dyadic_systems(self, grid):
