@@ -2,7 +2,8 @@
 
 Every subcommand builds one report dict; `--json` prints it as JSON and the
 default human view renders the same dict, so the two outputs carry identical
-data.  Exit statuses: 0 success or claim holds, 1 violation or counterexample
+data.  `main` writes either view to stdout as it is encoded, so the whole
+output is never held as one string.  Exit statuses: 0 success or claim holds, 1 violation or counterexample
 found, 2 usage, parse, precondition, or resource errors.
 
 `run` builds its argument parser on the first call and reuses it for every
@@ -90,9 +91,7 @@ def _jsonify(obj):
         return "TOP"
     if isinstance(obj, DyadicValue):
         return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return str(obj)
+    return [_jsonify(v) for v in obj]
 
 
 class _ByteLabels(dict):
@@ -273,20 +272,18 @@ def _cmd_hulls(ns) -> tuple[int, dict]:
 
 
 def _structure_dict(sys: RelationalSystem, rep) -> dict:
+    # only a normal-structure report carries a witness
     out = {"holds": rep.holds, "note": rep.note}
     if rep.witness is not None:
-        if rep.property_name == "normal-structure":
-            adm, rad = rep.witness
-            out["witness"] = {
-                "set": _members(sys, adm.points.bits),
-                "mode": adm.mode,
-                "cheb_radius": str(rad.cheb_radius),
-                "diameter": str(rad.diameter),
-                "cheb_grade": _jsonify(rad.cheb_grade),
-                "diam_grade": _jsonify(rad.diam_grade),
-            }
-        else:
-            out["witness"] = _jsonify(rep.witness)
+        adm, rad = rep.witness
+        out["witness"] = {
+            "set": _members(sys, adm.points.bits),
+            "mode": adm.mode,
+            "cheb_radius": str(rad.cheb_radius),
+            "diameter": str(rad.diameter),
+            "cheb_grade": _jsonify(rad.cheb_grade),
+            "diam_grade": _jsonify(rad.diam_grade),
+        }
     return out
 
 
@@ -638,30 +635,34 @@ def _execute(ns: argparse.Namespace) -> tuple[int, dict]:
 def render_human(report: dict) -> str:
     """Indented key/value view carrying exactly the JSON report's data."""
     buf = io.StringIO()
+    _emit_human(report, buf.write)
+    return buf.getvalue()
 
+
+def _emit_human(report: dict, write: Callable[[str], object]) -> None:
+    # the human view, passed to `write` a line at a time
     def emit(value, indent: int, key: Optional[str] = None):
         pad = "  " * indent
         lead = f"{pad}{key}: " if key is not None else pad
         if isinstance(value, dict):
             if key is not None:
-                buf.write(f"{pad}{key}:\n")
+                write(f"{pad}{key}:\n")
             for k, v in value.items():
                 emit(v, indent + (0 if key is None else 1), k)
         elif isinstance(value, list):
             if all(not isinstance(v, (dict, list)) for v in value):
-                buf.write(lead + "[" + ", ".join(json.dumps(v) for v in value) + "]\n")
+                write(lead + "[" + ", ".join(json.dumps(v) for v in value) + "]\n")
             else:
                 if key is not None:
-                    buf.write(f"{pad}{key}:\n")
+                    write(f"{pad}{key}:\n")
                 for v in value:
                     inner = indent + (0 if key is None else 1)
-                    buf.write("  " * inner + "-\n")
+                    write("  " * inner + "-\n")
                     emit(v, inner + 1)
         else:
-            buf.write(lead + json.dumps(value) + "\n")
+            write(lead + json.dumps(value) + "\n")
 
     emit(report, 0)
-    return buf.getvalue()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -669,12 +670,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if isinstance(ns, int):
         return ns
     status, report = _execute(ns)
-    # the flags come from the parse, which also accepts unique prefixes
+    # the flags come from the parse, which also accepts unique prefixes;
+    # each report is written as it is encoded, never held as one string
     if not getattr(ns, "quiet", False) and report:
+        out = _sysmod.stdout
         if getattr(ns, "json", False):
-            print(json.dumps(report, indent=2))
+            json.dump(report, out, indent=2)
+            out.write("\n")
         else:
-            print(render_human(report), end="")
+            _emit_human(report, out.write)
     return status
 
 

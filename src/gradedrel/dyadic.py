@@ -66,11 +66,6 @@ class DyadicValue:
             return DyadicValue(self.numerator + (other.numerator << gap), self.exponent)
         return DyadicValue((self.numerator << -gap) + other.numerator, other.exponent)
 
-    def times_pow2(self, k: int) -> "DyadicValue":
-        if self.is_zero:
-            return self
-        return DyadicValue(self.numerator, self.exponent - k)
-
     # each order operator aligns the two numerators with one shift by the
     # exponent gap, in its own frame: the oracles compare distances in
     # their innermost loops

@@ -58,8 +58,8 @@ is the oracle the pass is tested against.  Balls, covering levels, hulls
 and the level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
-finite ground set gives directly: the closure keeps no empty set, and every
-level-table row contains its center.  Normal structure fails on the first
+finite ground set gives directly: the closure keeps no empty set, and the
+level table is built with every row holding its center, so every ball does.  Normal structure fails on the first
 pair the hull fixes, since a pair's Chebyshev radius is its diameter; only
 when no pair is fixed is it decided per admissible set.  Each candidate is
 decided on grades by one radii walk, and only the witness is cross-checked
@@ -651,16 +651,10 @@ def check_spherical_completeness(sys: RelationalSystem) -> StructureReport:
 
     On a finite ground set every nested ball chain is finite and meets in
     its last ball, so the property reduces to every ball containing its
-    center.  That is checked for every center and window level; the witness
-    is the first offending ball as ((bits, level),).
+    center.  The level table seeds each row with its own point, and every
+    ball is a row of that table, so that holds for every system with no
+    scan of the balls.
     """
-    table = sys.level_table()
-    for x in range(sys.n):
-        for lev, rows in enumerate(table, sys.window.below):
-            if not rows[x] >> x & 1:
-                return StructureReport(
-                    "spherical-completeness", False, witness=((rows[x], lev),)
-                )
     return StructureReport(
         "spherical-completeness",
         True,

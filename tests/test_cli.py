@@ -155,6 +155,16 @@ class TestClassify:
             "d_zy": str(w.d_zy),
         }
 
+    def test_one_point_has_no_triangle_witness(self, tmp_path):
+        path = tmp_path / "one.grs"
+        path.write_text(
+            serialize_system(make_system(["a"], (0, 1), [[TOP]])), encoding="utf-8"
+        )
+        status, report = run(["classify", str(path)])
+        assert status == 0
+        assert report["triangle"] == {"holds": True, "witness": None}
+        assert report["strong_triangle"] == {"holds": True, "witness": None}
+
 
 class TestLevelTableCap:
     """A window too wide for the level table exits 2 with a count of its
@@ -551,19 +561,6 @@ class TestStructure:
         assert normal["witness"]["cheb_radius"] == "1/16"
         assert normal["witness"]["diameter"] == "1/16"
         assert normal["witness"]["cheb_grade"] == 4
-
-    def test_failing_spherical_witness(self, grid, monkeypatch):
-        # the check reads the memoised level table, so drop point 2 from
-        # its row at (x = 2, level 2); the witness is that ball's mask
-        table = [list(rows) for rows in grid.level_table()]
-        table[2 - grid.window.below][2] &= ~(1 << 2)
-        monkeypatch.setitem(grid._memo, "level-table", tuple(map(tuple, table)))
-        rep = hulls.check_spherical_completeness(grid)
-        assert cli._structure_dict(grid, rep) == {
-            "holds": False,
-            "note": "",
-            "witness": [[0b1010, 2]],
-        }
 
 
 class TestDynamics:
@@ -1049,3 +1046,107 @@ class TestMain:
         argv = ["classify", paths["triple"]]
         assert main(["--qui", *argv] if before else [*argv, "--qui"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["hulls", "{grid}", "--mode", "bogus"], 2),
+            (["no-such-command"], 2),
+            (["--help"], 0),
+        ],
+    )
+    def test_failed_parse_returns_its_status(self, paths, capsys, argv, status):
+        assert main([arg.format(grid=paths["grid"]) for arg in argv]) == status
+        captured = capsys.readouterr()
+        if status:
+            assert captured.out == ""
+            assert "usage: gradedrel" in captured.err
+        else:
+            assert captured.out.startswith("usage: gradedrel")
+
+
+class _Chunks:
+    """A stdout stand-in that keeps every string written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    """main writes each report as it is encoded, with the bytes of
+    json.dumps(report, indent=2) + "\n" and of render_human(report)."""
+
+    @pytest.fixture
+    def argvs(self, paths):
+        d = paths["dir"]
+        odd = make_system(
+            ["é", 'a"b', "c\\d", "日本"],
+            (0, 2),
+            [[TOP, 1, 2, 0], [1, TOP, 0, 2], [2, 0, TOP, 1], [0, 2, 1, TOP]],
+        )
+        (d / "odd.grs").write_text(serialize_system(odd), encoding="utf-8")
+        (d / "odd.map").write_text(serialize_selfmap(SelfMap((1, 0, 3, 2))), encoding="utf-8")
+        one = make_system(["ü"], (0, 1), [[TOP]])
+        (d / "one.grs").write_text(serialize_system(one), encoding="utf-8")
+        (d / "one.map").write_text(serialize_selfmap(SelfMap((0,))), encoding="utf-8")
+        (d / "bad.grs").write_text("gradedsystem v1\npoints: x\n", encoding="utf-8")
+        odd_path, one_path = str(d / "odd.grs"), str(d / "one.grs")
+        argvs = [
+            ["falsify", "prop-r10-metric", "--trials", "200", "-o", str(d / "ce.bundle")],
+            ["falsify", "thm-regular-fp", "--trials", "3"],
+            ["ingest", paths["matrix"], "--window", "-2", "1"],
+            ["ingest", paths["matrix"], "--window", "-2", "1", "-o", str(d / "in.grs")],
+            ["validate", str(d / "bad.grs")],
+            ["classify", "/nonexistent/system.grs"],
+            ["dynamics", paths["grid"], paths["swap"]],
+        ]
+        for system, smap in (
+            (paths["grid"], paths["reflection"]),
+            (paths["chain"], paths["successor"]),
+            (odd_path, str(d / "odd.map")),
+            (one_path, str(d / "one.map")),
+        ):
+            argvs += [
+                ["validate", system],
+                ["classify", system],
+                ["hulls", system],
+                ["hulls", system, "--mode", "closure"],
+                ["structure", system],
+                ["dynamics", system, smap],
+                ["fixpoint", system, smap],
+            ]
+        return argvs
+
+    def test_bytes_match_the_built_strings(self, argvs, capsys):
+        for argv in argvs:
+            status, report = run(argv)
+            for flag, want in (
+                ("--json", json.dumps(report, indent=2) + "\n"),
+                (None, render_human(report)),
+            ):
+                assert main([flag, *argv] if flag else argv) == status, argv
+                assert capsys.readouterr().out == want, (flag, argv)
+
+    def test_written_a_piece_at_a_time(self, paths, monkeypatch):
+        # the closure family of the chain has several members, and neither
+        # view reaches stdout as one string
+        argv = ["hulls", paths["chain"], "--mode", "closure"]
+        _, report = run(argv)
+        for flag, want in (
+            ("--json", json.dumps(report, indent=2) + "\n"),
+            (None, render_human(report)),
+        ):
+            out = _Chunks()
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(cli, "render_human", None)
+            assert main([flag, *argv] if flag else argv) == 0
+            monkeypatch.undo()
+            assert "".join(out.chunks) == want
+            assert max(map(len, out.chunks)) < len(want) // 4

@@ -103,10 +103,6 @@ class TestArithmetic:
     def test_add_matches_fractions(self, a, b):
         assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
 
-    @given(dyadics(), st.integers(min_value=-30, max_value=30))
-    def test_times_pow2_matches_fractions(self, a, k):
-        assert a.times_pow2(k).as_fraction() == a.as_fraction() * Fraction(2) ** k
-
     @given(ordered_pairs())
     @example((DyadicValue.zero(), DyadicValue.zero()))
     @example((DyadicValue.zero(), DyadicValue.pow2(-10**4)))
@@ -272,3 +268,8 @@ class TestCenteredCoverLevel:
     def test_generic_width(self):
         assert centered_cover_level(Fraction(3, 8)) == 2
         assert centered_cover_level(Fraction(3)) == -1
+
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 4)])
+    def test_nonpositive_width_is_rejected(self, width):
+        with pytest.raises(StructuralInputError, match=f"width must be positive, got {width}"):
+            centered_cover_level(width)

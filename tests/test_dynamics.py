@@ -342,6 +342,18 @@ class TestRegularFixedPoint:
         for b in rep.balls:
             assert b.fixed_inside == b.ball
 
+    def test_falsified_when_an_invariant_ball_holds_no_fixed_point(
+        self, chain, successor, monkeypatch
+    ):
+        # the theorem's failure branch, reached by breaking the ball reports
+        monkeypatch.setattr(
+            dynamics.InvariantBallReport, "contains_fixed", property(lambda b: False)
+        )
+        rep = regular_fixed_point(chain, successor, "regular")
+        assert rep.hypotheses_met
+        assert rep.balls
+        assert rep.verdict == "falsified"
+
     def test_untransitive_system_vacuous(self, grid, reflection):
         rep = regular_fixed_point(grid, reflection, "regular")
         assert rep.verdict == "vacuous"
@@ -559,6 +571,13 @@ class TestMapAnalysis:
     def test_seeded_fields_equal_the_standalone_functions(self):
         for sys, t in SEEDED:
             _check_analysis(sys, t, FIELDS)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_class_access_gives_the_descriptor(self, name):
+        field = vars(dynamics._MapAnalysis)[name]
+        assert isinstance(field, dynamics._field)
+        assert getattr(dynamics._MapAnalysis, name) is field
+        assert field.__doc__ == field.build.__doc__
 
     def test_one_map_per_system(self, chain, successor):
         a = _analysis(chain, successor)

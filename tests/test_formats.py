@@ -311,6 +311,12 @@ class TestDistanceMatrix:
         d = diag(lambda: parse_distance_matrix(text))
         assert d.code == "bad-rational"
 
+    def test_short_row(self):
+        text = "distmatrix v1\npoints: 3\n0 1 2\n1 0\n2 1 0\n"
+        d = diag(lambda: parse_distance_matrix(text))
+        assert (d.code, d.line, d.column) == ("bad-dimension", 4, 1)
+        assert d.message == "row 1 has 2 entries, expected 3"
+
     def test_nonzero_diagonal(self):
         text = "distmatrix v1\npoints: 2\n1 2\n2 0\n"
         d = diag(lambda: parse_distance_matrix(text))

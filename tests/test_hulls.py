@@ -35,9 +35,14 @@ from gradedrel import (
     make_system,
     min_distance_clique,
     normality_criteria,
+    parse_system,
     radii,
+    serialize_system,
 )
 
+from gradedrel.fixtures import dyadic_grid, lopsided_triple, twin_pair, ultrametric_chain
+from gradedrel.harness import CONSTRAINTS
+from gradedrel.hulls import _hull_mask
 from gradedrel.pointset import iter_bits
 from gradedrel.semimetric import delta, metric_ball_collapse
 
@@ -1013,6 +1018,105 @@ class TestNormalStructureOracle:
             assert rep.witness[0].points.bits == 0b111
 
 
+def _iterated_pair_hull(sys, pair, mode):
+    """The hull iterated from a pair until it is fixed, or None when it
+    does not settle within 64 steps."""
+    bits = pair
+    for _ in range(64):
+        nxt = _hull_mask(sys, bits, mode)[0]
+        if nxt == bits:
+            return bits
+        bits = nxt
+    return None
+
+
+def _least_pair_hull(sys, mode):
+    """The canonical-least fixed set the pair iteration reaches."""
+    n = sys.n
+    pairs = (1 << x | 1 << y for x in range(n) for y in range(x + 1, n))
+    fixed = {_iterated_pair_hull(sys, p, mode) for p in pairs} - {None}
+    return min(fixed, key=lambda bits: PointSet(n, bits).canonical_key())
+
+
+class TestNormalStructureRule:
+    """Whether the family walk of check_normal_structure, taken when the
+    hull fixes no pair, can be replaced by a rule over pair hulls."""
+
+    def test_closure_mode_witness_is_the_least_pair_hull(self):
+        # Proved: a least-size member M with two or more points is flat.
+        # For a pair x, y at M's diameter grade d, a z in M whose worst
+        # grade in M exceeded d would make B(x, d + 1) & M a smaller member
+        # holding x and z but not y.  The arbitrary-center hull is a closure,
+        # so every such M is the hull of a pair inside it.
+        walks = 0
+        for constraint in CONSTRAINTS:
+            for seed in range(300):
+                sys = gen_system(seed, GenParams(point_count=(2, 8), constraint=constraint))
+                n = sys.n
+                pairs = [1 << x | 1 << y for x in range(n) for y in range(x + 1, n)]
+                if any(_hull_mask(sys, p, ARBITRARY_CENTER)[0] == p for p in pairs):
+                    continue
+                walks += 1
+                rep = check_normal_structure(sys, ARBITRARY_CENTER)
+                least = min(
+                    (_hull_mask(sys, p, ARBITRARY_CENTER)[0] for p in pairs),
+                    key=lambda bits: PointSet(n, bits).canonical_key(),
+                )
+                assert rep.witness[0].points.bits == least, (constraint, seed)
+                assert _least_pair_hull(sys, ARBITRARY_CENTER) == least
+        # 137 of the 1,200 systems take the walk, so the rule is exercised
+        assert walks == 137
+
+    def test_paper_mode_walk_is_not_a_pair_rule(self):
+        # Refuted: no pair is fixed, and the first member with two or more
+        # points, {0, 1, 4}, is normal (Chebyshev grade 4 against diameter
+        # grade 3); iterating the hull from each pair reaches that set too,
+        # while the walk's witness is {0, 2, 4}
+        sys = gen_system(1836, GenParams(point_count=(2, 9), window_span=(1, 5)))
+        assert (sys.n, sys.window.lo, sys.window.hi) == (5, 2, 4)
+        pairs = [1 << x | 1 << y for x in range(5) for y in range(x + 1, 5)]
+        assert not any(_hull_mask(sys, p, PAPER_COV)[0] == p for p in pairs)
+        first = next(b for b in hulls._family(sys, PAPER_COV) if b.bit_count() >= 2)
+        assert first == 0b10011
+        rep = radii(sys, PointSet(5, first))
+        assert (rep.cheb_grade, rep.diam_grade) == (4, 3)
+        assert _least_pair_hull(sys, PAPER_COV) == 0b10011
+        adm, rad = check_normal_structure(sys, PAPER_COV).witness
+        assert adm.points.members() == (0, 2, 4)
+        assert (rad.cheb_grade, rad.diam_grade) == (4, 4)
+
+
+def _spherical_cases():
+    """Named systems for the spherical-completeness certificate: the
+    fixtures, the same systems parsed back from their text, gen_system
+    systems of every constraint, and one-point systems."""
+    named = [
+        ("grid", dyadic_grid()),
+        ("triple", lopsided_triple()),
+        ("chain", ultrametric_chain()),
+        ("twins", twin_pair()),
+        ("chain-heavy", CHAIN_HEAVY),
+        ("equilateral", EQUILATERAL),
+        ("one-point", make_system(["a"], (0, 1), [[TOP]])),
+    ]
+    cases = named + [
+        (f"parsed-{name}", parse_system(serialize_system(sys))) for name, sys in named
+    ]
+    cases += [
+        (
+            f"gen-{constraint}-{seed}",
+            gen_system(seed, GenParams(point_count=(1, 8), constraint=constraint)),
+        )
+        for constraint in CONSTRAINTS
+        for seed in range(10)
+    ]
+    return cases
+
+
+SPHERICAL_CASES = _spherical_cases()
+SPHERICAL_SYSTEMS = [sys for _, sys in SPHERICAL_CASES]
+
+
 class TestCompactAndSpherical:
     def test_finite_note(self, chain):
         rep = check_compact_structure(chain)
@@ -1081,15 +1185,38 @@ class TestCompactAndSpherical:
             0b0011, 0b1100, 0b0110, 0b0010, 0b0100,
         }
 
-    def test_spherical_fails_when_a_ball_drops_its_center(self, grid, monkeypatch):
-        # the check reads the memoised level table, so drop point 2 from
-        # its row at (x = 2, level 2)
-        table = [list(rows) for rows in grid.level_table()]
-        table[2 - grid.window.below][2] &= ~(1 << 2)
-        monkeypatch.setitem(grid._memo, "level-table", tuple(map(tuple, table)))
-        rep = check_spherical_completeness(grid)
-        assert not rep.holds
-        assert rep.witness == ((pset(grid, 1, 3).bits, 2),)
+    @pytest.mark.parametrize(
+        "sys", SPHERICAL_SYSTEMS, ids=[name for name, _ in SPHERICAL_CASES]
+    )
+    def test_spherical_is_the_level_table_certificate(self, sys):
+        # every level-table row is built holding its center, and level_rows
+        # reads only those rows, outside the window too
+        table = sys.level_table()
+        below, above = sys.window.below, sys.window.above
+        for rows in table:
+            assert all(row >> x & 1 for x, row in enumerate(rows))
+        for k in (below - 5, below - 1, above + 1, above + 5):
+            assert sys.level_rows(k) in (table[0], table[-1])
+            assert all(row >> x & 1 for x, row in enumerate(sys.level_rows(k)))
+        # a walk that fails on the first ball missing its center, at every
+        # level in and around the window, gives the report the check gives
+        # without the walk
+        dropped = [
+            (ball(sys, x, lev).bits, lev)
+            for lev in range(below - 1, above + 2)
+            for x in range(sys.n)
+            if x not in ball(sys, x, lev)
+        ]
+        walked = (
+            StructureReport("spherical-completeness", False, witness=(dropped[0],))
+            if dropped
+            else StructureReport(
+                "spherical-completeness",
+                True,
+                note="finite ground set: every nested ball chain is finite",
+            )
+        )
+        assert check_spherical_completeness(sys) == walked
 
 
 def seeded_system(seed, n, span):

@@ -23,6 +23,13 @@ class TestConstructor:
         assert PointSet(n, bits).bits == bits
 
 
+class TestOf:
+    @pytest.mark.parametrize("x", [3, -1])
+    def test_point_out_of_range_is_rejected(self, x):
+        with pytest.raises(IndexError, match=f"point {x} out of range for 3 points"):
+            PointSet.of(3, [x])
+
+
 class TestSubsetOf:
     def test_same_ground(self):
         small, big = PointSet(4, 0b0101), PointSet(4, 0b1101)
