@@ -5,11 +5,12 @@ structural equality is value equality.  No floats anywhere.
 
 DyadicValue is the kernel under every distance oracle, so it is kept
 cheap without giving up exactness: a frozen slots class; each order
-operator compares in one frame with one shift by the exponent gap; zero()
-and pow2() hand out shared values; and as_fraction reads a bounded cache
-that holds only values whose numerator and exponent fit in
-_FRACTION_CACHE_BITS bits, so it never pins a big integer.  Comparing a
-DyadicValue with anything else raises TypeError, and == is False.
+operator compares in one frame with one shift by the exponent gap; and
+zero() and pow2() hand out shared values.  as_fraction converts directly,
+with no cache: the fast routes compare DyadicValues or plain integers, and
+its callers are the dyadic classify oracle, the falsifier's radii and the
+fixtures.  Comparing a DyadicValue with anything else raises TypeError,
+and == is False.
 """
 
 from __future__ import annotations
@@ -103,12 +104,9 @@ class DyadicValue:
         return self.numerator << -gap >= other.numerator
 
     def as_fraction(self) -> Fraction:
-        numerator, exponent = self.numerator, self.exponent
-        if -_FRACTION_CACHE_BITS <= exponent <= _FRACTION_CACHE_BITS and (
-            numerator.bit_length() <= _FRACTION_CACHE_BITS
-        ):
-            return _small_fraction(numerator, exponent)
-        return _fraction(numerator, exponent)
+        if self.exponent >= 0:
+            return Fraction(self.numerator, 1 << self.exponent)
+        return Fraction(self.numerator << -self.exponent, 1)
 
     def __str__(self) -> str:
         if self.exponent <= 0:
@@ -145,19 +143,6 @@ def _pow2(k: int) -> DyadicValue:
 
 
 _ZERO = DyadicValue(0, 0)
-
-
-def _fraction(numerator: int, exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(numerator, 1 << exponent)
-    return Fraction(numerator << -exponent, 1)
-
-
-# as_fraction caches only values whose numerator and exponent both fit in
-# this many bits, so each entry holds integers of a few dozen bytes: one
-# Fraction(1, 2**10**6) alone would hold 125 KB
-_FRACTION_CACHE_BITS = 256
-_small_fraction = lru_cache(maxsize=256)(_fraction)
 
 
 def floor_log2(value: Fraction) -> int:

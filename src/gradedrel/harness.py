@@ -167,6 +167,11 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     are the AND over assigned y of the level-g(x, y) row of T(y), read
     straight from the system's level table, so a system whose table would
     pass LEVEL_TABLE_CAP raises ResourceLimitError.
+
+    On a transitive system no order dead-ends, so the catalog's map claims
+    never restart: for the assigned y* with the highest grade to x and any
+    assigned y, g(T(y*), T(y)) >= g(y*, y) >= min(g(y*, x), g(x, y)) =
+    g(x, y), so T(y*) is a candidate for x.
     """
     if map_kind not in MAP_KINDS:
         raise UsageError(f"unknown map kind {map_kind!r}")
@@ -358,6 +363,12 @@ def _metric_ball_families(sys, radii):
 def _claims() -> dict[str, Claim]:
     small = GenParams(point_count=(2, 6), window_span=(1, 5))
     tiny = GenParams(point_count=(2, 5), window_span=(1, 4))
+    maps = GenParams(
+        point_count=(2, 6),
+        window_span=(1, 5),
+        constraint="transitive",
+        map_kind="homomorphism",
+    )
     return {
         c.claim_id: c
         for c in (
@@ -400,36 +411,21 @@ def _claims() -> dict[str, Claim]:
                 "thm-ks-dichotomy",
                 "step balls contain a fixed point or a minimal invariant ball",
                 True,
-                GenParams(
-                    point_count=(2, 6),
-                    window_span=(1, 5),
-                    constraint="transitive",
-                    map_kind="homomorphism",
-                ),
+                maps,
                 _check_ks,
             ),
             Claim(
                 "thm-regular-fp",
                 "regular maps leave a fixed point in every invariant ball",
                 True,
-                GenParams(
-                    point_count=(2, 6),
-                    window_span=(1, 5),
-                    constraint="transitive",
-                    map_kind="homomorphism",
-                ),
+                maps,
                 _check_regular_fp("regular"),
             ),
             Claim(
                 "thm-asymptotic-fp",
                 "asymptotically regular maps leave a fixed point in every invariant ball",
                 True,
-                GenParams(
-                    point_count=(2, 6),
-                    window_span=(1, 5),
-                    constraint="transitive",
-                    map_kind="homomorphism",
-                ),
+                maps,
                 _check_regular_fp("asymptotic"),
             ),
             Claim(

@@ -32,7 +32,7 @@ per cycle of the map.
 Each system memoises one family record (_family_record), keyed by the cap
 it was built under: the closure masks in canonical order, the paper-cov
 filter, and per center the levels where its balls shrink and each
-member's witness step count.  The normal-structure check, the
+member's witness step count.  The paper-cov normal-structure check, the
 hull-equivalence claim of the falsifier and both hulls reports read it;
 the paper-cov family is filtered from it on each call.  Every member's
 hulls are decided in one bit-sliced pass over the closure, in the
@@ -59,11 +59,12 @@ and the level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: the closure keeps no empty set, and the
-level table is built with every row holding its center, so every ball does.  Normal structure fails on the first
-pair the hull fixes, since a pair's Chebyshev radius is its diameter; only
-when no pair is fixed is it decided per admissible set.  Each candidate is
-decided on grades by one radii walk, and only the witness is cross-checked
-by grades, distances and level sets (normality_criteria).
+level table is built with every row holding its center, so every ball does.
+Normal structure fails on the first pair the hull fixes, since a pair's
+Chebyshev radius is its diameter; with none fixed, arbitrary-center mode
+fails on the least pair hull, proved flat, and only paper-cov mode walks
+its family.  Each candidate is decided on grades by one radii walk, and
+only the witness is cross-checked by normality_criteria.
 """
 
 from __future__ import annotations
@@ -579,18 +580,30 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     canonical order, where radius and diameter coincide, with its hull
     witness balls.  Every pair has radius equal to its diameter, and pairs
     follow the singletons in that order, so the first pair the hull fixes
-    is the witness; the family is walked only when the hull fixes no pair.
-    One radii walk decides each candidate (Chebyshev grade at most the
-    diameter grade); normality_criteria cross-checks the witness alone,
-    which carries that walk's RadiiReport.
+    is the witness.  With no pair fixed, arbitrary-center mode takes the
+    canonical-least hull of a pair, with no family record and no cap: a
+    least member M with two or more points is flat (for x, y in M at its
+    diameter grade d, a z in M with worst grade above d would make
+    B(x, d + 1) & M a smaller member), and this hull is a closure, so M is
+    the hull of a pair inside it.  paper-cov mode, whose hull is not
+    monotone, walks its family.  One radii walk decides each candidate
+    (Chebyshev grade at most the diameter grade); normality_criteria
+    cross-checks the witness alone, which carries that walk's RadiiReport.
     """
     _check_mode(mode)
-    pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
-    fixed = next((p for p in pairs if _hull_mask(sys, p, mode)[0] == p), None)
-    for bits in (fixed,) if fixed else _family(sys, mode):
+    n = sys.n
+    pair_hulls = []
+    for p in (1 << x | 1 << y for x in range(n) for y in range(x + 1, n)):
+        pair_hulls.append(_hull_mask(sys, p, mode)[0])
+        if pair_hulls[-1] == p:
+            break
+    # a fixed pair ends the scan and is then the least pair hull
+    least = min(pair_hulls, key=_canonical_mask_key(n), default=0)
+    by_rule = mode == ARBITRARY_CENTER or least.bit_count() == 2
+    for bits in (least,) if by_rule else _family(sys, mode):
         if bits.bit_count() < 2:
             continue
-        points = PointSet(sys.n, bits)
+        points = PointSet(n, bits)
         rep = radii(sys, points)
         if rep.cheb_grade <= rep.diam_grade:
             normality_criteria(sys, points)  # raises if the routes disagree
@@ -600,6 +613,8 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
                 witness=(hull(sys, points, mode), rep),
                 note="radius equals diameter on the witness set",
             )
+        if by_rule:  # pragma: no cover - would refute the pair rule
+            raise RuntimeError(f"least pair hull {points.members()} is not flat")
     return StructureReport(
         "normal-structure",
         True,

@@ -1,6 +1,8 @@
 """Seeded generation, the claim catalog, falsification, and shrinking."""
 
+import random
 import re
+import types
 from dataclasses import replace
 
 import pytest
@@ -21,6 +23,7 @@ from gradedrel import (
     falsify,
     gen_self_map,
     gen_system,
+    identity_map,
     is_homomorphism,
     make_system,
     parse_selfmap,
@@ -68,6 +71,21 @@ class TestGenParams:
             GenParams(**kwargs)
 
 
+@pytest.fixture
+def shuffles(monkeypatch):
+    """One item per shuffle that harness's random.Random makes, with the
+    shuffled list's length."""
+    seen = []
+
+    class Counting(random.Random):
+        def shuffle(self, x):
+            seen.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr(harness, "random", types.SimpleNamespace(Random=Counting))
+    return seen
+
+
 class TestGeneration:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60)
@@ -109,6 +127,41 @@ class TestGeneration:
         assert t_hom.n == sys.n
         assert gen_self_map(seed, sys, "homomorphism").image == t_hom.image
         assert is_homomorphism(sys, t_hom).holds
+
+    def test_identity_after_64_dead_ends(self, shuffles):
+        # an unconstrained 15-point system where each of the 64 random
+        # orders reaches a point that no image can take
+        sys = gen_system(170, GenParams(point_count=(15, 15), window_span=(10, 10)))
+        assert (sys.n, sys.window.lo, sys.window.hi) == (15, 2, 12)
+        shuffles.clear()
+        assert gen_self_map(170, sys, "homomorphism") == identity_map(15)
+        assert shuffles == [15] * 64
+
+    @pytest.mark.parametrize(
+        "claim_id", ["thm-ks-dichotomy", "thm-regular-fp", "thm-asymptotic-fp"]
+    )
+    def test_map_claims_never_restart(self, claim_id, shuffles, monkeypatch):
+        # on a transitive system the greedy search meets no dead end (the
+        # gen_self_map docstring), so every map the claim draws takes one
+        # shuffle, and the catalog's maps do not depend on the restart policy
+        assert CLAIMS[claim_id].params == GenParams(
+            point_count=(2, 6),
+            window_span=(1, 5),
+            constraint="transitive",
+            map_kind="homomorphism",
+        )
+        per_call = []
+        real = harness.gen_self_map
+
+        def counted(*args):
+            before = len(shuffles)
+            t = real(*args)
+            per_call.append(len(shuffles) - before)
+            return t
+
+        monkeypatch.setattr(harness, "gen_self_map", counted)
+        assert falsify(claim_id, 1000, 0).outcome == "no-counterexample"
+        assert per_call == [1] * 1000
 
     def test_unknown_map_kind(self, grid):
         with pytest.raises(UsageError):

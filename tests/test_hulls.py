@@ -723,7 +723,8 @@ class TestNormalStructure:
     @settings(max_examples=100)
     def test_fixed_pair_agrees_with_the_family_walk(self, sys, mode):
         # the canonical walk over the family against the pair check, which
-        # builds no closure when the hull fixes some pair
+        # builds no closure when the hull fixes some pair, nor in
+        # arbitrary-center mode, where the least pair hull stands in
         family = hulls._family(sys, mode)
         flat = next(
             (
@@ -749,8 +750,11 @@ class TestNormalStructure:
         else:
             points = PointSet(sys.n, flat)
             assert rep.witness == (hull(sys, points, mode), radii(sys, points))
+        # paper-cov walks its family only when no pair is fixed, and
+        # arbitrary-center never builds one
         pair_fixed = any(bits.bit_count() == 2 for bits in family)
-        assert calls == ([] if pair_fixed else [hulls.DEFAULT_SET_CAP])
+        walks = mode == PAPER_COV and not pair_fixed
+        assert calls == ([hulls.DEFAULT_SET_CAP] if walks else [])
 
 
 class TestMinDistanceClique:
@@ -1038,9 +1042,54 @@ def _least_pair_hull(sys, mode):
     return min(fixed, key=lambda bits: PointSet(n, bits).canonical_key())
 
 
+def _fixes_no_pair(sys, mode):
+    n = sys.n
+    pairs = (1 << x | 1 << y for x in range(n) for y in range(x + 1, n))
+    return not any(_hull_mask(sys, p, mode)[0] == p for p in pairs)
+
+
+def closure_walk_systems():
+    """The gen_system systems, n 2-8 over every constraint and seeds
+    0-299, whose arbitrary-center hull fixes no pair, each with its
+    (constraint, seed): the systems whose witness the family walk chose
+    before the pair rule replaced it."""
+    for constraint in CONSTRAINTS:
+        for seed in range(300):
+            sys = gen_system(seed, GenParams(point_count=(2, 8), constraint=constraint))
+            if _fixes_no_pair(sys, ARBITRARY_CENTER):
+                yield (constraint, seed), sys
+
+
+def flat_paper_members_oracle(sys):
+    """Every flat paper-cov member, by brute force over all subsets and with
+    no hull: a set S of two or more points with least pair grade d is one
+    exactly when S is a maximal clique of the level-d relation and every
+    member has a partner in S at grade d.  (Flat, every member's covering
+    level of S is d, so the hull of S is the points at grade d or more from
+    all of S.)  In canonical order."""
+    n, g = sys.n, sys.grades.entries
+    out = []
+    for bits in range(1, 1 << n):
+        members = [x for x in range(n) if bits >> x & 1]
+        if len(members) < 2:
+            continue
+        d = min(g[x][y] for x in members for y in members if x != y)
+        outside = (z for z in range(n) if not bits >> z & 1)
+        maximal = not any(all(g[z][x] >= d for x in members) for z in outside)
+        partnered = all(any(g[x][y] == d for y in members if y != x) for x in members)
+        if maximal and partnered:
+            out.append(bits)
+    return sorted(out, key=lambda bits: PointSet(n, bits).canonical_key())
+
+
+# the refuted paper-cov pair rule: no pair fixed, and a normal first member
+PAPER_NO_PAIR_RULE = gen_system(1836, GenParams(point_count=(2, 9), window_span=(1, 5)))
+
+
 class TestNormalStructureRule:
-    """Whether the family walk of check_normal_structure, taken when the
-    hull fixes no pair, can be replaced by a rule over pair hulls."""
+    """The rule over pair hulls that replaces the family walk of
+    check_normal_structure in arbitrary-center mode, and the paper-cov
+    walk against a characterization that builds no hull."""
 
     def test_closure_mode_witness_is_the_least_pair_hull(self):
         # Proved: a least-size member M with two or more points is flat.
@@ -1049,30 +1098,90 @@ class TestNormalStructureRule:
         # holding x and z but not y.  The arbitrary-center hull is a closure,
         # so every such M is the hull of a pair inside it.
         walks = 0
-        for constraint in CONSTRAINTS:
-            for seed in range(300):
-                sys = gen_system(seed, GenParams(point_count=(2, 8), constraint=constraint))
-                n = sys.n
-                pairs = [1 << x | 1 << y for x in range(n) for y in range(x + 1, n)]
-                if any(_hull_mask(sys, p, ARBITRARY_CENTER)[0] == p for p in pairs):
-                    continue
-                walks += 1
-                rep = check_normal_structure(sys, ARBITRARY_CENTER)
-                least = min(
-                    (_hull_mask(sys, p, ARBITRARY_CENTER)[0] for p in pairs),
-                    key=lambda bits: PointSet(n, bits).canonical_key(),
-                )
-                assert rep.witness[0].points.bits == least, (constraint, seed)
-                assert _least_pair_hull(sys, ARBITRARY_CENTER) == least
-        # 137 of the 1,200 systems take the walk, so the rule is exercised
+        for label, sys in closure_walk_systems():
+            walks += 1
+            n = sys.n
+            pairs = [1 << x | 1 << y for x in range(n) for y in range(x + 1, n)]
+            rep = check_normal_structure(sys, ARBITRARY_CENTER)
+            least = min(
+                (_hull_mask(sys, p, ARBITRARY_CENTER)[0] for p in pairs),
+                key=lambda bits: PointSet(n, bits).canonical_key(),
+            )
+            assert rep.witness[0].points.bits == least, label
+            assert _least_pair_hull(sys, ARBITRARY_CENTER) == least
+        # 137 of the 1,200 systems take the rule, so it is exercised
         assert walks == 137
+
+    @staticmethod
+    def assert_closure_mode_builds_no_family(sys):
+        # the walk oracle's reports, from the family under the default cap;
+        # with the cap at one member, any closure of two or more points
+        # raises, so arbitrary-center mode must build none, and paper-cov
+        # must still walk wherever its hull fixes no pair
+        want = {mode: check_normal_structure_oracle(sys, mode) for mode in MODES}
+        paper_walks = sys.n >= 2 and _fixes_no_pair(sys, PAPER_COV)
+        fresh = dataclasses.replace(sys)
+        with closure_cap(1):
+            assert check_normal_structure(fresh, ARBITRARY_CENTER) == want[ARBITRARY_CENTER]
+            if paper_walks:
+                with pytest.raises(ResourceLimitError):
+                    check_normal_structure(fresh, PAPER_COV)
+            else:
+                assert check_normal_structure(fresh, PAPER_COV) == want[PAPER_COV]
+
+    @given(small_systems())
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(PAPER_NO_PAIR_RULE)
+    def test_closure_mode_builds_no_family(self, sys):
+        self.assert_closure_mode_builds_no_family(sys)
+
+    def test_closure_mode_builds_no_family_on_the_walk_systems(self):
+        walks = 0
+        for _, sys in closure_walk_systems():
+            walks += 1
+            self.assert_closure_mode_builds_no_family(sys)
+        assert walks == 137
+
+    @given(
+        st.one_of(
+            small_systems(),
+            st.builds(
+                gen_system,
+                st.integers(0, 2**32 - 1),
+                st.builds(
+                    GenParams,
+                    point_count=st.just((2, 8)),
+                    constraint=st.sampled_from(CONSTRAINTS),
+                ),
+            ),
+        )
+    )
+    @example(EQUILATERAL)
+    @example(CHAIN_HEAVY)
+    @example(PAPER_NO_PAIR_RULE)
+    @examples(200)
+    def test_paper_mode_flat_members_are_partnered_maximal_cliques(self, sys):
+        flat = [
+            bits
+            for bits in hulls._family(sys, PAPER_COV)
+            if bits.bit_count() >= 2
+            and not normality_criteria_oracle(sys, PointSet(sys.n, bits)).grade_strict
+        ]
+        cliques = flat_paper_members_oracle(sys)
+        assert cliques == flat
+        rep = check_normal_structure(sys, PAPER_COV)
+        if cliques:
+            assert rep.witness[0].points.bits == cliques[0]
+        else:
+            assert sys.n < 2 and rep.holds
 
     def test_paper_mode_walk_is_not_a_pair_rule(self):
         # Refuted: no pair is fixed, and the first member with two or more
         # points, {0, 1, 4}, is normal (Chebyshev grade 4 against diameter
         # grade 3); iterating the hull from each pair reaches that set too,
         # while the walk's witness is {0, 2, 4}
-        sys = gen_system(1836, GenParams(point_count=(2, 9), window_span=(1, 5)))
+        sys = PAPER_NO_PAIR_RULE
         assert (sys.n, sys.window.lo, sys.window.hi) == (5, 2, 4)
         pairs = [1 << x | 1 << y for x in range(5) for y in range(x + 1, 5)]
         assert not any(_hull_mask(sys, p, PAPER_COV)[0] == p for p in pairs)

@@ -42,8 +42,6 @@ PACKAGE = ROOT / "src" / "gradedrel"
 ALLOWED = {
     # only a big-endian host swaps the native count items
     "hulls.py": {"counts.byteswap()"},
-    # gen_self_map's fallback after 64 restarts that each reach a dead end
-    "harness.py": {"return identity_map(n)"},
 }
 
 UNTRACEABLE = "tests/test_cli.py::TestCollectorPause"
