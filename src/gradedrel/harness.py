@@ -1,6 +1,7 @@
 """Seeded generation of systems and maps, plus a claim falsifier.
 
-Generation is reproducible from the seed alone.  Constrained systems are
+Generation is reproducible from the seed alone, and each pair's grade is
+drawn exactly as random.Random.randint draws it.  Constrained systems are
 repaired in one pass over the level relations, from the window top down:
 level k keeps its drawn pairs and takes in the square (r9) or cube (r10)
 of the repaired level k + 1, or the transitive closure of both
@@ -8,12 +9,16 @@ of the repaired level k + 1, or the transitive closure of both
 appears in.  Grades only rise, and the result is the least repair above
 the drawn grades: any system obeying the constraint with grades at least
 the drawn ones holds, by induction from the top, every repaired level
-inside its own.  The postcondition is still re-verified.
+inside its own.  The transitive repair reaches the same grades by single
+linkage, in one sorted pass over the drawn pairs.  The postcondition is
+still re-verified.
 
 The hull-equivalence claim rebuilds both admissible families from metric
 balls computed from distances, not from the level table: each trial
-computes its balls once, largest radius first at each center, and closes
-them once with the same intersection closure as the graded route.
+computes its balls in one _metric_balls call, largest radius first at
+each center, and closes them once with the same intersection closure as
+the graded route.  The eq1-roundtrip claim reads each distance once per
+trial, through _reconstruct_levels.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ from .relations import (
     expand_level,
 )
 from .semimetric import (
+    _metric_balls,
+    _reconstruct_levels,
     classify,
-    metric_ball_collapse,
     minimal_inframetric_constant,
-    reconstruct_level,
 )
 from .dyadic import DyadicValue
 
@@ -96,12 +101,17 @@ class GenParams:
 def _repair(entries: list[list[Grade]], window: Window, constraint: str) -> None:
     """Raise grades to the least ones whose level relations obey the constraint.
 
-    One pass from the window top down: with R_k the drawn level-k relation
-    and R'_{hi+1} the diagonal, the repaired level k is R_k together with
-    R'_{k+1} squared (r9), cubed (r10) or closed transitively (transitive),
-    and each pair takes the highest level it first appears in.
+    r9 and r10 take one pass from the window top down: with R_k the drawn
+    level-k relation and R'_{hi+1} the diagonal, the repaired level k is
+    R_k together with R'_{k+1} squared (r9) or cubed (r10), and each pair
+    takes the highest level it first appears in.  The transitive closure of
+    that pass gives each pair its bottleneck grade, which
+    _repair_transitive computes by single linkage.
     """
     if constraint == "none":
+        return
+    if constraint == "transitive":
+        _repair_transitive(entries, window.lo)
         return
     n = len(entries)
     below = window.below
@@ -110,19 +120,10 @@ def _repair(entries: list[list[Grade]], window: Window, constraint: str) -> None
     exact = _exact_grade_rows(entries, below, window.above - below)
     level = [1 << x for x in range(n)]
     for k in range(window.hi, below, -1):
-        if constraint == "transitive":
-            # Warshall's closure
-            rows = [r | e for r, e in zip(level, exact[k - below])]
-            for z in range(n):
-                row_z, bit = rows[z], 1 << z
-                for x in range(n):
-                    if rows[x] & bit:
-                        rows[x] |= row_z
-        else:
-            power = _compose_rows(level, level)
-            if constraint == "r10":
-                power = _compose_rows(power, level)
-            rows = [p | e for p, e in zip(power, exact[k - below])]
+        power = _compose_rows(level, level)
+        if constraint == "r10":
+            power = _compose_rows(power, level)
+        rows = [p | e for p, e in zip(power, exact[k - below])]
         # pairs first met at level k get grade k
         for x, (new, old) in enumerate(zip(rows, level)):
             first, row = new & ~old, entries[x]
@@ -133,19 +134,67 @@ def _repair(entries: list[list[Grade]], window: Window, constraint: str) -> None
         level = rows
 
 
+def _repair_transitive(entries: list[list[Grade]], lo: int) -> None:
+    """Give each pair the highest grade k at which a chain of drawn pairs,
+    each at grade >= k, joins it: single linkage (Gower & Ross 1969).
+
+    The pairs drawn at lo or above are taken highest grade first; a pair
+    that joins two classes A and B at grade g gives every pair across
+    A x B grade g, since no chain above g joined them.  Pairs that no
+    chain joins keep their drawn grade, which is then below the window.
+    """
+    n = len(entries)
+    drawn = sorted(
+        (
+            (row[y], x, y)
+            for x, row in enumerate(entries)
+            for y in range(x + 1, n)
+            if row[y] >= lo
+        ),
+        reverse=True,
+    )
+    # each point's class, one list shared by its members
+    cls = [[x] for x in range(n)]
+    for g, x, y in drawn:
+        a, b = cls[x], cls[y]
+        if a is b:
+            continue
+        for p in a:
+            row = entries[p]
+            for q in b:
+                row[q] = entries[q][p] = g
+        a += b
+        for q in b:
+            cls[q] = a
+
+
 def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
-    """Deterministic random system honoring the requested constraint."""
+    """Deterministic random system honoring the requested constraint.
+
+    Three randint calls draw the point count, the window bottom and its
+    span; each pair's grade in [lo - 1, hi] then takes the bits a
+    randint(lo - 1, hi) call would, so the stream, and every system, match
+    a randint per pair.  _repair then raises the grades to the least ones
+    obeying the constraint.
+    """
     rng = random.Random(seed)
     n = rng.randint(*params.point_count)
     lo = rng.randint(*params.window_lo)
     hi = lo + rng.randint(*params.window_span)
     window = Window(lo, hi)
     entries: list[list[Grade]] = [[TOP] * n for _ in range(n)]
+    # each grade as rng.randint(lo - 1, hi) draws it: k bits at a time until
+    # the draw falls below the width, without randint's per-call checks
+    width = hi - lo + 2
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
     for x in range(n):
+        row = entries[x]
         for y in range(x + 1, n):
-            g = rng.randint(lo - 1, hi)
-            entries[x][y] = g
-            entries[y][x] = g
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            row[y] = entries[y][x] = lo - 1 + r
     _repair(entries, window, params.constraint)
     sys = RelationalSystem(default_labels(n), window, GradeMatrix.from_rows(entries))
     if params.constraint != "none":
@@ -215,8 +264,9 @@ class Claim:
 
 
 def _check_eq1(sys, _t):
-    for n in range(sys.window.below, sys.window.above + 1):
-        if reconstruct_level(sys, n) != expand_level(sys, n):
+    levels = range(sys.window.below, sys.window.above + 1)
+    for n, rel in zip(levels, _reconstruct_levels(sys, levels)):
+        if rel != expand_level(sys, n):
             return f"level {n} disagrees between distance and grade routes"
     return None
 
@@ -345,7 +395,7 @@ def _metric_ball_families(sys, radii):
     covering them at each of their centers.
     """
     radii = sorted(set(radii), reverse=True)
-    balls = [[metric_ball_collapse(sys, x, r).bits for r in radii] for x in range(sys.n)]
+    balls = _metric_balls(sys, range(sys.n), radii)
     family = _intersection_closure([b for row in balls for b in row])
 
     full = (1 << sys.n) - 1

@@ -522,39 +522,27 @@ def normality_criteria(sys: RelationalSystem, points: PointSet) -> NormalityCrit
     and level sets.
 
     The grade route compares the largest and smallest worst grades of the
-    walk radii makes, with no RadiiReport built; the distance route
-    compares delta values; the level-set route reads the rows of the
-    system's level table.  The three routes must agree; a disagreement
-    would be an arithmetic bug and raises immediately.
+    walk radii makes, with no RadiiReport built; the distance route takes
+    each member's supremum of delta values with max() and compares the
+    least with the largest; the level-set route counts, at each level of
+    the system's level table, the members whose row holds the set: the
+    cover and diameter level sets differ exactly where some rows hold it
+    and others do not.  The three routes must agree; a disagreement would
+    be an arithmetic bug and raises immediately.
     """
     members = _nonempty_members(sys, points)
     worst = _worst_grades(sys, members)
     grade_strict = max(worst) > min(worst)
 
     # the radius is the smallest per-point supremum, the diameter the largest
-    cheb: Optional[DyadicValue] = None
-    diam = DyadicValue.zero()
-    for x in members:
-        sup = DyadicValue.zero()
-        for y in members:
-            d = delta(sys, x, y)
-            if d > sup:
-                sup = d
-        if cheb is None or sup < cheb:
-            cheb = sup
-        if sup > diam:
-            diam = sup
-    distance_strict = cheb < diam
+    sups = [max([delta(sys, x, y) for y in members]) for x in members]
+    distance_strict = min(sups) < max(sups)
 
-    cover_levels = set()
-    diam_levels = set()
-    for n, rows in enumerate(sys.level_table(), sys.window.below):
-        inside = [points.bits & ~rows[x] == 0 for x in members]
-        if any(inside):
-            cover_levels.add(n)
-        if all(inside):
-            diam_levels.add(n)
-    relational_proper = diam_levels < cover_levels
+    bits, size = points.bits, len(members)
+    relational_proper = any(
+        0 < sum([bits & ~rows[x] == 0 for x in members]) < size
+        for rows in sys.level_table()
+    )
 
     crit = NormalityCriteria(grade_strict, distance_strict, relational_proper)
     if not crit.agreed:  # pragma: no cover - would expose an arithmetic bug

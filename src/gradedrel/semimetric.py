@@ -9,7 +9,10 @@ separate from the table so the two views can be played against each
 other: reconstruct_level and metric_ball_collapse compare distances
 directly, and the dyadic triple scans _classify_dyadic and
 _minimal_inframetric_constant_dyadic are the oracles for classify and
-minimal_inframetric_constant.
+minimal_inframetric_constant.  The falsifier calls the batch forms, which
+read each distance once per trial: _reconstruct_levels compares each
+pair's distance with every level's threshold, and _metric_balls reads each
+radius and its graded level once and each center's distances once.
 
 delta, the entry point of every distance oracle, tests both indexes with
 one range check and returns the shared zero or a shared power of two from
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .dyadic import _ZERO, DyadicValue, _pow2, floor_log2
 from .errors import StructuralInputError
@@ -77,15 +80,26 @@ def reconstruct_level(sys: RelationalSystem, n: int) -> Relation:
     Must coincide with expand_level at every level; the two routes share no
     comparison code.
     """
-    threshold = DyadicValue.pow2(-n)
-    rows = []
+    return _reconstruct_levels(sys, (n,))[0]
+
+
+def _reconstruct_levels(sys: RelationalSystem, levels: Sequence[int]) -> list[Relation]:
+    """reconstruct_level at each of the given levels, reading each pair's
+    distance once and comparing it with every level's threshold.
+
+    The distance is symmetric, so the pair {x, y} sets bit y of row x and
+    bit x of row y at every level whose threshold it is within.
+    """
+    thresholds = [DyadicValue.pow2(-n) for n in levels]
+    rows = [[0] * sys.n for _ in thresholds]
     for x in range(sys.n):
-        row = 0
-        for y in range(sys.n):
-            if delta(sys, x, y) <= threshold:
-                row |= 1 << y
-        rows.append(row)
-    return Relation(sys.n, tuple(rows))
+        for y in range(x, sys.n):
+            d = delta(sys, x, y)
+            for level_rows, threshold in zip(rows, thresholds):
+                if d <= threshold:
+                    level_rows[x] |= 1 << y
+                    level_rows[y] |= 1 << x
+    return [Relation(sys.n, tuple(r)) for r in rows]
 
 
 def _as_exact_rational(value: Rational, what: str) -> Fraction:
@@ -108,38 +122,64 @@ def metric_ball_collapse(sys: RelationalSystem, x: int, r: Rational) -> PointSet
     must agree; their common value is returned.
     """
     _check_index(sys, x)
-    radius = _as_exact_rational(r, "radius")
-    if radius <= 0:
-        raise StructuralInputError(f"radius must be positive, got {radius}")
+    return PointSet(sys.n, _metric_balls(sys, (x,), (r,))[0][0])
 
-    p, q = radius.numerator, radius.denominator
 
-    def within(d: DyadicValue) -> bool:
-        # d = m / 2**e is at most p / q exactly when m * q <= p * 2**e, a
-        # comparison of integers, so no Fraction is compared
-        m, e = d.numerator, d.exponent
-        return m * q <= p << e if e >= 0 else (m << -e) * q <= p
+def _metric_balls(
+    sys: RelationalSystem, centers: Iterable[int], radii: Sequence[Rational]
+) -> list[list[int]]:
+    """metric_ball_collapse's two routes for every center and radius, as
+    masks: row i holds the balls at the i-th center, one per radius in the
+    given order.
 
-    direct = 0
-    for y in range(sys.n):
-        if within(delta(sys, x, y)):
-            direct |= 1 << y
-
-    level = sys.window.above
-    for g in range(sys.window.below, sys.window.above + 1):
-        if within(DyadicValue.pow2(-g)):
-            level = g
-            break
-    graded = 0
-    for y in range(sys.n):
-        if sys.grades.entries[x][y] >= level:
-            graded |= 1 << y
-
-    if direct != graded:  # pragma: no cover - would expose an arithmetic bug
-        raise RuntimeError(
-            f"metric ball at ({x}, {radius}) disagrees with graded ball at level {level}"
+    Each radius is read as an exact rational, and its graded level found
+    from the window's powers of two, once; each center's n distances are
+    read once, and every (distance, radius) pair is compared exactly.
+    """
+    # per radius: p / q, and the graded level of the largest 2**-g <= r
+    read = []
+    for r in radii:
+        radius = _as_exact_rational(r, "radius")
+        if radius <= 0:
+            raise StructuralInputError(f"radius must be positive, got {radius}")
+        p, q = radius.numerator, radius.denominator
+        level = next(
+            (
+                g
+                for g in range(sys.window.below, sys.window.above + 1)
+                if _within(DyadicValue.pow2(-g), p, q)
+            ),
+            sys.window.above,
         )
-    return PointSet(sys.n, direct)
+        read.append((radius, p, q, level))
+
+    out = []
+    for x in centers:
+        distances = [delta(sys, x, y) for y in range(sys.n)]
+        grades = sys.grades.entries[x]
+        row = []
+        for radius, p, q, level in read:
+            direct = graded = 0
+            for y, d in enumerate(distances):
+                if _within(d, p, q):
+                    direct |= 1 << y
+                if grades[y] >= level:
+                    graded |= 1 << y
+            if direct != graded:  # pragma: no cover - would expose an arithmetic bug
+                raise RuntimeError(
+                    f"metric ball at ({x}, {radius}) disagrees with graded ball"
+                    f" at level {level}"
+                )
+            row.append(direct)
+        out.append(row)
+    return out
+
+
+def _within(d: DyadicValue, p: int, q: int) -> bool:
+    # d = m / 2**e is at most p / q exactly when m * q <= p * 2**e, a
+    # comparison of integers, so no Fraction is compared
+    m, e = d.numerator, d.exponent
+    return m * q <= p << e if e >= 0 else (m << -e) * q <= p
 
 
 def minimal_inframetric_constant(sys: RelationalSystem) -> DyadicValue:

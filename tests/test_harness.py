@@ -33,8 +33,18 @@ from gradedrel import (
     serialize_system,
     TripleWitness,
 )
-from gradedrel.harness import CONSTRAINTS, VACUOUS, _repair, _trial_seed, shrink
+from gradedrel.harness import (
+    CONSTRAINTS,
+    VACUOUS,
+    _repair,
+    _repair_transitive,
+    _trial_seed,
+    shrink,
+)
+from gradedrel.pointset import iter_bits
 from gradedrel.relations import Window
+
+from conftest import examples
 
 CLAIM_IDS = (
     "eq1-roundtrip",
@@ -269,6 +279,115 @@ class TestRepair:
                     assert not check_axiom(system, constraint).holds
 
 
+def warshall_repair(entries, window):
+    """Oracle for the single-linkage repair: the level pass it replaced,
+    which adds the drawn pairs of each level to the repaired level above,
+    closes the result with Warshall's algorithm, and gives each pair the
+    level it first appears in, from the window top down."""
+    n = len(entries)
+    drawn = {}
+    for x in range(n):
+        for y in range(n):
+            if y != x:
+                drawn.setdefault(entries[x][y], [0] * n)[x] |= 1 << y
+    level = [1 << x for x in range(n)]
+    for k in range(window.hi, window.below, -1):
+        rows = [r | e for r, e in zip(level, drawn.get(k, [0] * n))]
+        for z in range(n):
+            for x in range(n):
+                if rows[x] >> z & 1:
+                    rows[x] |= rows[z]
+        for x, (new, old) in enumerate(zip(rows, level)):
+            for y in iter_bits(new & ~old):
+                entries[x][y] = k
+        level = rows
+
+
+@st.composite
+def many_point_grades(draw):
+    """A grade matrix as gen_system draws it, n 1-40 over spans 1-8, from a
+    drawn seed: narrow spans give many ties, wide ones long chains."""
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    n = draw(st.integers(1, 40))
+    lo = draw(st.integers(-2, 2))
+    window = Window(lo, lo + draw(st.integers(1, 8)))
+    entries = [[TOP] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            entries[x][y] = entries[y][x] = rng.randint(window.below, window.hi)
+    return entries, window
+
+
+# n 1-40, span 1-40, window bottom -50..50: wider than any claim's scope
+WIDE = GenParams(point_count=(1, 40), window_span=(1, 40), window_lo=(-50, 50))
+# the draws come before the repair, so one constraint covers the wide scope
+DRAW_SCOPES = [pytest.param(CLAIMS[c].params, id=c) for c in CLAIM_IDS] + [
+    pytest.param(WIDE, id="wide")
+]
+
+
+def _drawn(params, seeds):
+    """The grade matrices gen_system draws at each seed, with their
+    windows, as _repair receives them."""
+    seen = []
+    real = harness._repair
+
+    def recorded(entries, window, constraint):
+        seen.append(([row[:] for row in entries], window))
+        real(entries, window, constraint)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_repair", recorded)
+        for seed in seeds:
+            gen_system(seed, params)
+    return seen
+
+
+def randint_draws(seed, params):
+    """Reference for gen_system's draws: every grade by rng.randint."""
+    rng = random.Random(seed)
+    n = rng.randint(*params.point_count)
+    lo = rng.randint(*params.window_lo)
+    hi = lo + rng.randint(*params.window_span)
+    entries = [[TOP] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            entries[x][y] = entries[y][x] = rng.randint(lo - 1, hi)
+    return entries, Window(lo, hi)
+
+
+SEEDS = st.lists(st.integers(0, 1 << 63), min_size=1, max_size=5)
+
+
+class TestPairDraws:
+    @pytest.mark.parametrize("params", DRAW_SCOPES)
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_same_draws_as_randint(self, params, seeds):
+        assert _drawn(params, seeds) == [randint_draws(seed, params) for seed in seeds]
+
+
+class TestTransitiveRepair:
+    @given(many_point_grades())
+    @settings(deadline=None)
+    def test_matches_warshall(self, drawn):
+        entries, window = drawn
+        want = [row[:] for row in entries]
+        warshall_repair(want, window)
+        _repair(entries, window, "transitive")
+        assert entries == want
+
+    @pytest.mark.parametrize("params", DRAW_SCOPES)
+    @given(SEEDS)
+    @settings(examples(25), deadline=None)
+    def test_matches_warshall_on_generated_draws(self, params, seeds):
+        for entries, window in _drawn(params, seeds):
+            want = [row[:] for row in entries]
+            warshall_repair(want, window)
+            _repair_transitive(entries, window.lo)
+            assert entries == want
+
+
 class TestCatalog:
     def test_claim_ids_frozen(self):
         assert tuple(sorted(CLAIMS)) == CLAIM_IDS
@@ -465,8 +584,8 @@ class TestFailureMessages:
         [
             pytest.param(
                 "eq1-roundtrip",
-                "reconstruct_level",
-                lambda real: lambda sys, n: None,
+                "_reconstruct_levels",
+                lambda real: lambda sys, levels: [None for _ in levels],
                 r"level -?\d+ disagrees between distance and grade routes",
                 id="eq1-roundtrip",
             ),

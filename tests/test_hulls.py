@@ -601,17 +601,19 @@ class TestMetricBallFamilies:
         sys = gen_system(seed, HULL_EQUIVALENCE.params)
         rng = random.Random(sys.n * 1009 + sys.window.lo)
         radii = set(harness._breakpoint_radii(sys, rng))
-        seen = []
-        real = harness.metric_ball_collapse
+        calls = []
+        real = harness._metric_balls
+
+        def spy(s, centers, rs):
+            calls.append((list(centers), list(rs)))
+            return real(s, *calls[-1])
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                harness,
-                "metric_ball_collapse",
-                lambda s, x, r: seen.append((x, r)) or real(s, x, r),
-            )
+            mp.setattr(harness, "_metric_balls", spy)
             assert HULL_EQUIVALENCE.check(sys, None) is None
-        assert len(seen) == sys.n * len(radii)
-        assert set(seen) == {(x, r) for x in range(sys.n) for r in radii}
+        # one call per check, over every center and each distinct radius
+        # once, largest first: every (center, radius) ball is computed once
+        assert calls == [(list(range(sys.n)), sorted(radii, reverse=True))]
 
 
 class TestRadii:
@@ -1012,14 +1014,36 @@ class TestNormalStructureOracle:
             for points, crit in want:
                 assert normality_criteria(sys, points) == crit
 
-    def test_equilateral_takes_the_family_fallback(self):
-        # no pair is admissible, so the witness is the whole three-point set
-        for mode in MODES:
-            assert not any(
-                bits.bit_count() == 2 for bits in hulls._family(EQUILATERAL, mode)
+    # no pair is admissible in either mode, so the witness is the whole
+    # three-point set; each test runs on a fresh copy, with no family
+    # record memoised by an earlier test
+
+    def test_equilateral_closure_takes_the_least_pair_hull(self):
+        sys = dataclasses.replace(EQUILATERAL)
+        calls = []
+        real_family, real_closure = hulls._family, hulls._intersection_closure
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "_family", lambda s, m: calls.append(m) or real_family(s, m))
+            mp.setattr(
+                hulls,
+                "_intersection_closure",
+                lambda g: calls.append("closure") or real_closure(g),
             )
-            rep = check_normal_structure(EQUILATERAL, mode)
-            assert rep.witness[0].points.bits == 0b111
+            rep = check_normal_structure(sys, ARBITRARY_CENTER)
+        assert calls == []
+        assert rep.witness[0].points.bits == 0b111
+        assert not any(bits.bit_count() == 2 for bits in hulls._family(sys, ARBITRARY_CENTER))
+
+    def test_equilateral_paper_cov_takes_the_family_walk(self):
+        sys = dataclasses.replace(EQUILATERAL)
+        walked = []
+        real = hulls._family
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "_family", lambda s, m: walked.append(m) or real(s, m))
+            rep = check_normal_structure(sys, PAPER_COV)
+        assert walked == [PAPER_COV]
+        assert rep.witness[0].points.bits == 0b111
+        assert not any(bits.bit_count() == 2 for bits in real(sys, PAPER_COV))
 
 
 def _iterated_pair_hull(sys, pair, mode):

@@ -1,6 +1,7 @@
 """Induced dyadic distance, classification, and matrix ingestion."""
 
 import dataclasses
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from gradedrel import (
     mu,
     reconstruct_level,
 )
+from gradedrel import semimetric
 from gradedrel.harness import GenParams, gen_system
+from gradedrel.relations import Relation
 from gradedrel.semimetric import (
     _classify_dyadic,
     _minimal_inframetric_constant_dyadic,
@@ -106,6 +109,117 @@ class TestMetricBallCollapse:
             got = metric_ball_collapse(sys, x, r)
             want = {y for y in range(sys.n) if delta(sys, x, y).as_fraction() <= r}
             assert set(got.members()) == want
+
+
+def reconstruct_level_oracle(sys, n):
+    """reconstruct_level's body before _reconstruct_levels: every ordered
+    pair's distance read again at each level."""
+    threshold = DyadicValue.pow2(-n)
+    rows = []
+    for x in range(sys.n):
+        row = 0
+        for y in range(sys.n):
+            if delta(sys, x, y) <= threshold:
+                row |= 1 << y
+        rows.append(row)
+    return Relation(sys.n, tuple(rows))
+
+
+def metric_ball_collapse_oracle(sys, x, r):
+    """metric_ball_collapse's body before _metric_balls: the radius read
+    and the window scanned again for every center."""
+    radius = Fraction(r)
+    p, q = radius.numerator, radius.denominator
+
+    def within(d):
+        m, e = d.numerator, d.exponent
+        return m * q <= p << e if e >= 0 else (m << -e) * q <= p
+
+    direct = 0
+    for y in range(sys.n):
+        if within(delta(sys, x, y)):
+            direct |= 1 << y
+    level = sys.window.above
+    for g in range(sys.window.below, sys.window.above + 1):
+        if within(DyadicValue.pow2(-g)):
+            level = g
+            break
+    graded = 0
+    for y in range(sys.n):
+        if sys.grades.entries[x][y] >= level:
+            graded |= 1 << y
+    assert direct == graded
+    return direct
+
+
+@contextmanager
+def counted_delta():
+    """The number of delta calls made inside the block, in a list."""
+    calls = [0]
+    real = semimetric.delta
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semimetric, "delta", spy)
+        yield calls
+
+
+def _radii(sys, data):
+    """Radii at each level's distance, a hair either side of one, and
+    arbitrary fractions, with repeats."""
+    g = data.draw(st.integers(sys.window.below, sys.window.above + 1))
+    hair = Fraction(1, 2 ** data.draw(st.integers(1, 80)))
+    near = [Fraction(1, 2) ** g * k for k in (1, 1 - hair, 1 + hair)]
+    free = data.draw(
+        st.lists(st.fractions(min_value=Fraction(1, 512), max_value=Fraction(64)), max_size=4)
+    )
+    return data.draw(st.permutations(near + free + near[:1]))
+
+
+class TestOneReadKernels:
+    """_reconstruct_levels and _metric_balls against the per-call bodies
+    they replaced, each distance read once."""
+
+    @given(st.one_of(small_systems(), wide_sparse_systems()))
+    def test_levels_match_the_per_level_body(self, sys):
+        levels = range(sys.window.below - 1, sys.window.above + 2)
+        with counted_delta() as calls:
+            got = semimetric._reconstruct_levels(sys, levels)
+        # one read per unordered pair, the diagonal included
+        assert calls == [sys.n * (sys.n + 1) // 2]
+        assert got == [reconstruct_level_oracle(sys, n) for n in levels]
+        assert got == [expand_level(sys, n) for n in levels]
+
+    def test_levels_in_any_order(self, grid):
+        levels = [3, -1, 2, 2, 0]
+        got = semimetric._reconstruct_levels(grid, levels)
+        assert got == [reconstruct_level_oracle(grid, n) for n in levels]
+        assert semimetric._reconstruct_levels(grid, []) == []
+
+    @given(st.one_of(small_systems(), wide_sparse_systems()), st.data())
+    def test_balls_match_the_per_call_body(self, sys, data):
+        radii = _radii(sys, data)
+        centers = data.draw(st.lists(st.integers(0, sys.n - 1), max_size=2 * sys.n))
+        with counted_delta() as calls:
+            got = semimetric._metric_balls(sys, centers, radii)
+        # n distances per center, whatever the number of radii
+        assert calls == [len(centers) * sys.n]
+        assert got == [
+            [metric_ball_collapse_oracle(sys, x, r) for r in radii] for x in centers
+        ]
+
+    def test_balls_validate_every_radius(self, grid):
+        # validated before any center, so a bad radius fails with no centers too
+        for bad in (0.5, Fraction(0), -1, "x"):
+            with pytest.raises(StructuralInputError):
+                semimetric._metric_balls(grid, [], [Fraction(1, 2), bad])
+        # exact rationals of every accepted kind
+        assert semimetric._metric_balls(grid, [0], [Fraction(3, 10), "3/10", 1]) == [
+            [0b11, 0b11, (1 << grid.n) - 1]
+        ]
 
 
 class TestInframetricConstant:
