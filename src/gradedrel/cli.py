@@ -46,7 +46,7 @@ import gc
 import io
 import json
 import sys as _sysmod
-from operator import concat, methodcaller
+from operator import concat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import hulls as hulls_mod
@@ -109,26 +109,31 @@ class _ByteLabels(dict):
         return entry
 
 
-def _labeler(sys: RelationalSystem) -> Callable[[Iterable[int]], Iterator[list[str]]]:
-    """The labels of each mask's members, lowest point first, mask by mask,
-    memoised on the system: the masks' little-endian bytes are joined once,
-    each byte position is read through its _ByteLabels table with one map,
-    and the positions are concatenated per mask."""
-    return sys.cached("labeler", _build_labeler)
+class _Labeler:
+    """The labels of each row's members, lowest point first, row by row,
+    of a member-by-point byte matrix (hulls._matrix): each byte position
+    is read through its _ByteLabels table with one map, and the positions
+    are concatenated per row.  Called on masks, it labels their matrix."""
+
+    def __init__(self, sys: RelationalSystem):
+        self.size = (sys.n + 7) // 8
+        self.tables = [_ByteLabels(sys.labels[i : i + 8]) for i in range(0, sys.n, 8)]
+
+    def rows(self, matrix: bytes) -> Iterator[list[str]]:
+        size = self.size
+        cols = [map(table.__getitem__, matrix[j::size]) for j, table in enumerate(self.tables)]
+        return map(list, functools.reduce(_concat_positions, cols))
+
+    def __call__(self, masks: Iterable[int]) -> Iterator[list[str]]:
+        return self.rows(hulls_mod._matrix(masks, self.size))
 
 
-def _build_labeler(sys: RelationalSystem) -> Callable[[Iterable[int]], Iterator[list[str]]]:
-    size = (sys.n + 7) // 8
-    tables = [_ByteLabels(sys.labels[i : i + 8]) for i in range(0, sys.n, 8)]
-    to_bytes = methodcaller("to_bytes", size, "little")
-    concat_positions = functools.partial(map, concat)
+_concat_positions = functools.partial(map, concat)
 
-    def labeler(masks: Iterable[int]) -> Iterator[list[str]]:
-        matrix = b"".join(map(to_bytes, masks))
-        cols = [map(table.__getitem__, matrix[j::size]) for j, table in enumerate(tables)]
-        return map(list, functools.reduce(concat_positions, cols))
 
-    return labeler
+def _labeler(sys: RelationalSystem) -> _Labeler:
+    """The system's labeler, memoised on it."""
+    return sys.cached("labeler", _Labeler)
 
 
 def _members(sys: RelationalSystem, bits: int) -> list[str]:
@@ -248,18 +253,18 @@ def _cmd_classify(ns) -> tuple[int, dict]:
 
 
 def _cmd_hulls(ns) -> tuple[int, dict]:
-    # streamed from the memoised masks: no AdmissibleSet is built, each
+    # streamed from the memoised rows: no AdmissibleSet is built, each
     # distinct (center, level) witness ball is one shared dict, and the
     # members are labelled all at once
     sys = _load_system(ns.system)
     mode = MODE_NAMES[ns.mode]
     labels = sys.labels
-    masks, witnesses = hulls_mod._witnessed_members(
+    rows, witnesses = hulls_mod._witnessed_members(
         sys, mode, lambda pair: {"center": labels[pair[0]], "level": pair[1]}
     )
     family = [
         {"members": members, "witness_balls": witness}
-        for members, witness in zip(_labeler(sys)(masks), witnesses, strict=True)
+        for members, witness in zip(_labeler(sys).rows(rows), witnesses, strict=True)
     ]
     report = {
         "command": "hulls",

@@ -61,6 +61,8 @@ class SelfMap:
 
     def __post_init__(self):
         n = len(self.image)
+        if n < 1:
+            raise StructuralInputError(f"point count must be positive, got {n}")
         for x, y in enumerate(self.image):
             if not 0 <= y < n:
                 raise StructuralInputError(

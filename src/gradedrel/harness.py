@@ -545,6 +545,8 @@ def falsify(
         raise UsageError(
             f"unknown claim {claim_id!r}; expected one of {sorted(CLAIMS)}"
         )
+    if trials < 1:
+        raise UsageError(f"trials must be at least 1, got {trials}")
     gen = params if params is not None else claim.params
     vacuous = 0
     for i in range(trials):

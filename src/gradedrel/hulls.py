@@ -30,18 +30,22 @@ the dynamics invariant-set search closes only the balls around one set
 per cycle of the map.
 
 Each system memoises one family record (_family_record), keyed by the cap
-it was built under: the closure masks in canonical order, the paper-cov
+it was built under: the closure in canonical order as one member-by-point
+byte matrix (_matrix), the family's one stored form, the paper-cov
 filter, and per center the levels where its balls shrink and each
-member's witness step count.  The paper-cov normal-structure check, the
-hull-equivalence claim of the falsifier and both hulls reports read it;
-the paper-cov family is filtered from it on each call.  Every member's
-hulls are decided in one bit-sliced pass over the closure, in the
-vertical layout of frequent-itemset miners (Zaki 2000; MAFIA, Burdick et
-al. 2001): position i is the i-th member in canonical order, and
-member[y] is the int with bit i set when member i holds point y.  The
-columns are read from one member-by-point byte matrix, a translate per
-point, and each is also kept spread out, one count item per member, so
-the witness counts below grow by one integer sum per shrink.  Walking
+member's witness step count.  The balls are closed in bit-reversed form,
+where the canonical order is two sorts with no Python key, and written
+to the matrix from that form.  Both hulls reports label the matrix's
+rows; the paper-cov normal-structure check, the hull-equivalence claim
+of the falsifier and enumerate_admissible read masks back from them
+(_masks), the paper-cov family filtered from it on each call.  Every
+member's hulls are decided in one bit-sliced pass over the closure, in
+the vertical layout of frequent-itemset miners (Zaki 2000; MAFIA,
+Burdick et al. 2001): position i is the i-th member in canonical order,
+and member[y] is the int with bit i set when member i holds point y.
+The columns are read from the matrix, a translate per point, and each
+is also kept spread out, one count item per member, so the witness
+counts below grow by one integer sum per shrink.  Walking
 the balls at a center from the floor up, the positions inside a ball are
 the complement of the OR of member[y] over the points that have left it,
 so a center costs about n ORs.  One pass
@@ -247,14 +251,17 @@ _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _canonical_mask_key(n: int) -> Callable[[int], int]:
-    """Integer sort key of an n-point mask, ordered like canonical_key.
+    """Integer sort key of an n-point mask, ordered like canonical_key,
+    for the least pair hull and the minimal invariant admissible sets; the
+    family record sorts its members in reversed form instead.
 
     Among sets of one size, the members compare at the lowest point in
     exactly one of them, and the set holding it comes first; reading the
     complement with point 0 as the highest bit orders them the same way.
     The mask is reversed a byte at a time: its little-endian bytes, each
     bit-reversed through _REVERSED, read big-endian put point i at bit
-    8 * size - 1 - i, and the shift brings it to n - 1 - i.
+    8 * size - 1 - i (the reversed form), and the shift brings it to
+    n - 1 - i.
     """
     full = (1 << n) - 1
     size = (n + 7) // 8
@@ -264,15 +271,35 @@ def _canonical_mask_key(n: int) -> Callable[[int], int]:
     )
 
 
+def _matrix(masks: Iterable[int], size: int, flipped: bool = False) -> bytes:
+    """The member-by-point byte matrix of masks, size bytes per row: row i
+    holds point y of mask i at bit y % 8 of its byte y // 8, the mask's
+    little-endian bytes.  Flipped masks, in reversed form (point y at bit
+    8 * size - 1 - y), are written big-endian and each byte reversed back,
+    which gives the same rows."""
+    if flipped:
+        return b"".join(map(methodcaller("to_bytes", size, "big"), masks)).translate(_REVERSED)
+    return b"".join(map(methodcaller("to_bytes", size, "little"), masks))
+
+
+def _masks(rows: bytes, size: int) -> Iterable[int]:
+    """The masks of a matrix's rows, in row order; a one-byte row, up to
+    eight points, is its own mask."""
+    if size == 1:
+        return rows
+    return [int.from_bytes(rows[i : i + size], "little") for i in range(0, len(rows), size)]
+
+
 def _family(sys: RelationalSystem, mode: str) -> tuple[int, ...]:
-    """The admissible family as raw masks in canonical order, read from
-    the system's family record: the closure itself, or the members the
-    paper-cov filter keeps."""
+    """The admissible family as raw masks in canonical order, read back
+    from the rows of the system's family record: the closure itself, or
+    the members the paper-cov filter keeps."""
     _check_mode(mode)
     record = _family_record(sys)
+    masks = _masks(record.matrix, (sys.n + 7) // 8)
     if mode == PAPER_COV:
-        return tuple(compress(record.masks, record.paper))
-    return record.masks
+        return tuple(compress(masks, record.paper))
+    return tuple(masks)
 
 
 # array typecode of an unsigned count by its width in bytes
@@ -292,9 +319,12 @@ _DIGITS01 = bytes.maketrans(b"\0\1", b"01")
 
 class _Family(NamedTuple):
     """The admissible family of a system and every member's hulls, from
-    one column pass: position i is the member at index i of masks."""
+    one column pass: position i is the member in row i of matrix, the one
+    stored form of the family."""
 
-    masks: tuple[int, ...]  # the arbitrary-center family in canonical order
+    # the arbitrary-center family in canonical order as a member-by-point
+    # byte matrix (_matrix), ceil(n / 8) bytes per member
+    matrix: bytes
     paper: bytes  # byte i is 1 when member i is fixed by the paper-cov hull
     # per center: the level of each ball before a shrink, then window.above
     levels: tuple[tuple[int, ...], ...]
@@ -310,8 +340,16 @@ def _family_record(sys: RelationalSystem) -> _Family:
 
 
 def _build_family(sys: RelationalSystem) -> _Family:
-    """Close the distinct balls, sort the closure canonically, and decide
-    every member's hulls and witnesses at once.
+    """Close the distinct balls in reversed form, sort the closure
+    canonically, and decide every member's hulls and witnesses at once.
+
+    Reversal, as in _canonical_mask_key, is a bijection that keeps AND,
+    subset and emptiness, so the closure meets its cap after the same
+    generator, at the same size.  The canonical order is size first and, within a size,
+    the set holding the lowest differing point first; in reversed form
+    that point is the highest differing bit, so the order is the masks
+    from the largest down, then stably by bit count, two sorts with no
+    Python key.
 
     member[y] is the int with bit i set when member i holds point y.  The
     positions inside a ball at x are the complement of the members holding
@@ -330,25 +368,31 @@ def _build_family(sys: RelationalSystem) -> _Family:
     balls shrink at most n - 1 times, so each item takes the fewest bytes
     that hold n - 1.
 
-    The columns come from the member-by-point byte matrix, each member's
-    mask as little-endian bytes: column y is one translate of every
-    size-th byte from byte y // 8.  Each column is kept twice, packed as
-    member[y] and spread as one count item per member, so the items
-    inside a ball are those of every member less the OR of the spread
-    columns that have left, one XOR per shrink and no conversion.  The
-    closure set is released before the matrix is built.
+    The columns come from the member-by-point byte matrix, which the
+    record keeps in place of the masks, dropped once it is written:
+    column y is one translate of every size-th byte from byte y // 8.  Each column is kept twice,
+    packed as member[y] and spread as one count item per member, so the
+    items inside a ball are those of every member less the OR of the
+    spread columns that have left, one XOR per shrink and no conversion.
     """
     n = sys.n
-    family = tuple(sorted(_intersection_closure(_ball_index(sys)), key=_canonical_mask_key(n)))
-    table = sys.level_table()
+    size = (n + 7) // 8
+    family = list(
+        _intersection_closure(
+            int.from_bytes(bits.to_bytes(size, "little").translate(_REVERSED), "big")
+            for bits in _ball_index(sys)
+        )
+    )
+    family.sort(reverse=True)
+    family.sort(key=int.bit_count)
+    # column y is every size-th byte from byte y // 8, read at bit y % 8
+    matrix = _matrix(family, size, flipped=True)
     m, every = len(family), (1 << len(family)) - 1
+    del family
+    table = sys.level_table()
     width = next(w for w in _COUNT_TYPECODES if n <= 1 << 8 * w)
     # 1 in the low byte of every width-byte item, one item per member
     ones = int.from_bytes(b"\1".ljust(width, b"\0") * m, "little")
-    # the member-by-point matrix, size bytes per member: column y is every
-    # size-th byte from byte y // 8, read at bit y % 8
-    size = (n + 7) // 8
-    matrix = b"".join(map(methodcaller("to_bytes", size, "little"), family))
     member, spread = [], []
     item = bytearray(m * width)
     for y in range(n):
@@ -358,7 +402,6 @@ def _build_family(sys: RelationalSystem) -> _Family:
             item[::width] = column
             column = item
         spread.append(int.from_bytes(column, "little"))
-    del matrix
     drops = [0] * n
     paper_drops = [0] * n
     levels = []
@@ -396,38 +439,36 @@ def _build_family(sys: RelationalSystem) -> _Family:
         raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
     kept = (every ^ unfixed).to_bytes((m + 7) // 8, "little")
     paper = b"".join(map(_BYTE01.__getitem__, kept))[:m]
-    return _Family(family, paper, tuple(levels), tuple(steps))
+    return _Family(matrix, paper, tuple(levels), tuple(steps))
 
 
 def _witnessed_members(
     sys: RelationalSystem, mode: str, ball: Callable[[tuple[int, int]], _T]
-) -> tuple[tuple[int, ...], Iterator[list[_T]]]:
-    """The mode's admissible masks in canonical order, and an iterator of
-    their witness-ball lists in the same order, each ball the object ball
-    made from its (center, level) pair; ball is called once per distinct
-    pair, so members that share a witness ball share that object.
+) -> tuple[bytes, Iterator[list[_T]]]:
+    """The mode's admissible members in canonical order as the rows of a
+    member-by-point byte matrix (_matrix), and an iterator of their
+    witness-ball lists in the same order, each ball the object ball made
+    from its (center, level) pair; ball is called once per distinct pair,
+    so members that share a witness ball share that object.
 
-    The witness levels are the step counts of the family record, zipped
-    across centers one member at a time.
+    The rows are the family record's matrix, or the rows its paper-cov
+    filter keeps.  The witness levels are the record's step counts,
+    zipped across centers one member at a time.
     """
     _check_mode(mode)
-    masks, paper, levels, steps = _family_record(sys)
+    matrix, paper, levels, steps = _family_record(sys)
     table = [tuple(ball((x, lev)) for lev in at) for x, at in enumerate(levels)]
     per_member = zip(*steps)
     if mode == ARBITRARY_CENTER:
-        return masks, (list(map(getitem, table, idx)) for idx in per_member)
-    # the centers inside a member: one 0/1 selector item per point, eight
-    # per byte of the mask; compress stops at the last center
+        return matrix, (list(map(getitem, table, idx)) for idx in per_member)
     size = (sys.n + 7) // 8
-    byte01 = _BYTE01.__getitem__
-    return tuple(compress(masks, paper)), (
-        list(
-            compress(
-                map(getitem, table, idx),
-                b"".join(map(byte01, bits.to_bytes(size, "little"))),
-            )
-        )
-        for bits, idx in compress(zip(masks, per_member), paper)
+    rows = bytes(compress(matrix, b"".join(map((b"\0" * size, b"\1" * size).__getitem__, paper))))
+    # the centers inside each kept member: one 0/1 selector item per point,
+    # eight per byte of its row; compress stops at the last center
+    selectors, width = b"".join(map(_BYTE01.__getitem__, rows)), 8 * size
+    return rows, (
+        list(compress(map(getitem, table, idx), selectors[i : i + width]))
+        for i, idx in zip(range(0, len(selectors), width), compress(per_member, paper))
     )
 
 
@@ -443,11 +484,12 @@ def enumerate_admissible(
     closure raises ResourceLimitError past DEFAULT_SET_CAP members, in
     both modes.  The family record is memoised on the system, but the
     AdmissibleSet values and their witness balls are rebuilt on every
-    call.
+    call, the masks read back from the record's rows.
     """
+    rows, witnesses = _witnessed_members(sys, mode, lambda p: p)
     return tuple(
         AdmissibleSet(PointSet(sys.n, bits), tuple(witness), mode)
-        for bits, witness in zip(*_witnessed_members(sys, mode, lambda p: p))
+        for bits, witness in zip(_masks(rows, (sys.n + 7) // 8), witnesses)
     )
 
 

@@ -209,6 +209,8 @@ class GradeMatrix:
     entries: tuple[tuple[Grade, ...], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise StructuralInputError(f"point count must be positive, got {self.n}")
         if len(self.entries) != self.n:
             raise StructuralInputError(
                 f"grade matrix has {len(self.entries)} rows for {self.n} points"

@@ -1,0 +1,148 @@
+"""The paired-run tool's statistics, pairing and refusals, on fixed inputs
+with a stand-in runner: no benchmark process is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(correct=True, failed=0, **metrics):
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()},
+    }
+
+
+class TestStatistics:
+    def test_quartiles(self):
+        assert bench_pairs.quartiles([5, 1, 4, 2, 3]) == (2, 3, 4)
+        assert bench_pairs.quartiles([1, 2]) == (1.25, 1.5, 1.75)
+        assert bench_pairs.quartiles([7.5]) == (7.5, 7.5, 7.5)
+
+    def test_better_when_higher_is_better(self):
+        parent = [10, 11, 12, 13, 14, 10, 11, 12, 13, 14]
+        s = bench_pairs.summarize(parent, [15, 16, 11, 17, 18, 15, 16, 17, 18, 19], "higher")
+        assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (11, 12, 13)
+        assert s["change_median"] == 16.5
+        assert (s["wins"], s["pairs"], s["verdict"]) == (9, 10, "better")
+
+    def test_better_when_lower_is_better(self):
+        s = bench_pairs.summarize([10, 11, 12, 13, 14], [8, 9, 7, 6, 13], "lower")
+        assert (s["change_median"], s["wins"], s["verdict"]) == (8, 5, "better")
+
+    def test_worse(self):
+        s = bench_pairs.summarize([10, 11, 12, 13, 14], [8, 9, 7, 6, 12], "higher")
+        assert (s["wins"], s["verdict"]) == (0, "worse")
+
+    def test_a_median_move_needs_nine_tenths_of_the_pairs(self):
+        # the median moves past the quartile spread either way, but each
+        # side wins only 4 of 5 pairs: not told apart
+        s = bench_pairs.summarize([10, 11, 12, 13, 14], [15, 16, 11, 17, 18], "higher")
+        assert (s["change_median"], s["wins"], s["verdict"]) == (16, 4, "unresolved")
+        s = bench_pairs.summarize([10, 11, 12, 13, 14], [8, 9, 7, 6, 15], "higher")
+        assert (s["change_median"], s["wins"], s["verdict"]) == (8, 1, "unresolved")
+
+    def test_unresolved_inside_the_parent_spread(self):
+        # a move of 2 against quartiles 11 and 13: not told apart
+        s = bench_pairs.summarize([10, 11, 12, 13, 14], [14, 15, 13, 12, 16], "higher")
+        assert (s["change_median"], s["wins"], s["verdict"]) == (14, 4, "unresolved")
+        # equal runs move nothing, whatever the spread
+        s = bench_pairs.summarize([0.0], [0.0], "lower")
+        assert (s["wins"], s["verdict"]) == (0, "unresolved")
+
+    def test_one_pair_has_no_spread(self):
+        s = bench_pairs.summarize([10.0], [10.5], "higher")
+        assert (s["parent_q1"], s["parent_q3"], s["wins"], s["verdict"]) == (10, 10, 1, "better")
+
+    def test_directions_from_the_benchmark(self):
+        known = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+        assert known["systems_per_s"] == ("1/s", "higher")
+        assert known["peak_rss_mb"] == ("MB", "lower")
+        assert known["cli.hulls_ms"] == ("ms", "lower")
+
+
+class TestPairs:
+    def test_odd_pairs_run_the_change_first(self):
+        assert [bench_pairs.order(k) for k in (1, 2, 3)] == [
+            ("change", "parent"),
+            ("parent", "change"),
+            ("change", "parent"),
+        ]
+
+    def test_runs_alternate_and_pair_by_seed(self):
+        calls = []
+        trees = {"parent": Path("p"), "change": Path("c")}
+
+        def runner(tree, workload, seed, seconds, trace):
+            calls.append((str(tree), workload, seed, seconds, trace))
+            side = 1.0 if str(tree) == "c" else 0.0
+            return result(speed=seed + side, only_parent=1.0) if side == 0 else result(speed=seed + side)
+
+        known = {"speed": ("1/s", "higher")}
+        out = bench_pairs.run_pairs(trees, "w", [5, 6, 7], 1.0, 0, known, runner)
+        assert calls == [
+            ("c", "w", 5, 1.0, 0), ("p", "w", 5, 1.0, 0),
+            ("p", "w", 6, 1.0, 0), ("c", "w", 6, 1.0, 0),
+            ("c", "w", 7, 1.0, 0), ("p", "w", 7, 1.0, 0),
+        ]
+        assert out["first"] == ["change", "parent", "change"]
+        assert out["seeds"] == [5, 6, 7]
+        # a metric only one side reports is not summarised
+        assert set(out["metrics"]) == {"speed"}
+        speed = out["metrics"]["speed"]
+        assert (speed["parent"], speed["change"]) == ([5, 6, 7], [6, 7, 8])
+        assert (speed["unit"], speed["better"], speed["wins"]) == ("1/s", "higher", 3)
+
+    @pytest.mark.parametrize("bad", [result(correct=False), result(failed=2), {"metrics": {}}])
+    def test_refuses_a_bad_run(self, bad):
+        runs = iter([result(speed=1.0), bad])
+        with pytest.raises(SystemExit, match="refused"):
+            bench_pairs.run_pairs(
+                {"parent": Path("p"), "change": Path("c")}, "w", [1], 1.0, 0, {},
+                lambda *a: next(runs),
+            )
+
+    def test_caches_cleared_and_sources_kept(self, tmp_path):
+        for d in ("src/pkg/__pycache__", "tests/__pycache__", "__pycache__"):
+            (tmp_path / d).mkdir(parents=True)
+            (tmp_path / d / "m.cpython-311.pyc").write_bytes(b"x")
+        (tmp_path / "src/pkg/m.py").write_text("")
+        bench_pairs.clear_caches(tmp_path)
+        assert not list(tmp_path.rglob("__pycache__"))
+        assert (tmp_path / "src/pkg/m.py").is_file()
+
+    def test_main_merges_workloads_into_one_file(self, tmp_path, monkeypatch):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "speed", "unit": "1/s", "better": "higher"}]}
+        ))
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"workloads": {"kept": {"seeds": [0]}}}))
+        monkeypatch.setattr(
+            bench_pairs, "run_tree",
+            lambda tree, workload, seed, seconds, trace: result(speed=float(seed)),
+        )
+
+        def argv(pairs):
+            return ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+                    "--first-seed", "3", "--pairs", pairs, "--seconds", "1", "--out", str(out)]
+
+        assert bench_pairs.main(argv("2")) == 0
+        written = json.loads(out.read_text())["workloads"]
+        assert set(written) == {"kept", "w"}
+        speed = written["w"]["metrics"]["speed"]
+        assert (speed["parent"], speed["change"], speed["verdict"]) == ([3, 4], [3, 4], "unresolved")
+        assert bench_pairs.main([*argv("1"), "--trace", "1"]) == 0
+        written = json.loads(out.read_text())["workloads"]
+        assert set(written) == {"kept", "w", "w+trace"}
+        assert written["w+trace"]["trace"] == 1 and written["w"]["seeds"] == [3, 4]
+        with pytest.raises(SystemExit):
+            bench_pairs.main(argv("0"))

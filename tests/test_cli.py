@@ -317,7 +317,7 @@ class TestLabeler:
     def test_random_masks_up_to_300_points(self, case):
         n, masks = case
         sys = _labelled(n, ESCAPED)
-        assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, masks)
+        assert_labels_match_iter_bits(cli._Labeler(sys), sys.labels, masks)
 
     # n = 0, 1 and 7 (mod 8) around every byte count up to 300 points
     @pytest.mark.parametrize(
@@ -334,12 +334,12 @@ class TestLabeler:
         mixed = [(b << k | rng.getrandbits(n)) & full for k in ends for b in range(256)]
         edges = [0, full, 1, 1 << (n - 1), full >> 1, full ^ 1]
         for masks in (alone, mixed, edges):
-            assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, masks)
+            assert_labels_match_iter_bits(cli._Labeler(sys), sys.labels, masks)
 
     def test_every_mask_up_to_10_points(self):
         for n in range(1, 11):
             sys = _labelled(n, ESCAPED)
-            assert_labels_match_iter_bits(cli._build_labeler(sys), sys.labels, range(1 << n))
+            assert_labels_match_iter_bits(cli._Labeler(sys), sys.labels, range(1 << n))
 
     # n = 1 and 7 (mod 8) around one, two and three or more byte positions,
     # each mask count from none to many, with a fresh labeler per order
@@ -353,9 +353,9 @@ class TestLabeler:
         masks = edges + alone + [rng.getrandbits(n) for _ in range(300)]
         for case in ([], masks[:1], masks, masks[::-1]):
             want = [[sys.labels[i] for i in iter_bits(bits)] for bits in case]
-            assert list(cli._build_labeler(sys)(case)) == want, n
-            assert list(cli._build_labeler(sys)(iter(case))) == want, n
-            labeler = cli._build_labeler(sys)
+            assert list(cli._Labeler(sys)(case)) == want, n
+            assert list(cli._Labeler(sys)(iter(case))) == want, n
+            labeler = cli._Labeler(sys)
             assert [list(labeler((bits,))) for bits in case] == [[w] for w in want], n
             assert list(labeler(case)) == want, n
 
@@ -377,7 +377,7 @@ class TestLabeler:
 
 
 class TestStreamedHullsReport:
-    """The hulls command reads masks and witnesses without AdmissibleSet
+    """The hulls command reads rows and witnesses without AdmissibleSet
     values; its report must equal the one built from enumerate_admissible,
     and that one the brute-force family of hull fixed points."""
 
@@ -682,6 +682,16 @@ class TestFalsify:
         status, report = run(["falsify", "eq1-roundtrip", "--trials", "0"])
         assert status == 2
         assert report["error"]["kind"] == "UsageError"
+
+    def test_negative_trials_name_the_flag(self, paths):
+        # the flag's own message, not the library's
+        for trials in ("0", "-3"):
+            status, report = run(["falsify", "eq1-roundtrip", "--trials", trials])
+            assert status == 2
+            assert report == {
+                "command": "falsify",
+                "error": {"kind": "UsageError", "message": "--trials must be at least 1"},
+            }
 
     def test_unknown_claim_rejected_by_parser(self, paths, capsys):
         status, report = run(["falsify", "no-such-claim", "--trials", "1"])

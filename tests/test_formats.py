@@ -13,6 +13,8 @@ from gradedrel import (
     FormatError,
     SelfMap,
     StructuralInputError,
+    identity_map,
+    ingest_distance_matrix,
     make_system,
     parse_bundle,
     parse_distance_matrix,
@@ -140,22 +142,43 @@ class TestSystemRoundTrip:
                 ),
                 max_size=4,
             ),
-            min_size=1,
+            min_size=0,
             max_size=3,
         )
     )
     @example(["a b", "c"])
     @example(["", "c"])
+    @example([])
     def test_labels_construct_only_if_they_round_trip(self, labels):
-        # a system is either refused or written as text that reads back
+        # a system is either refused or written as text that reads back; no
+        # text reads back as a 0-point system
         n = len(labels)
         rows = [[TOP if x == y else 0 for y in range(n)] for x in range(n)]
         try:
             sys = make_system(labels, (0, 1), rows)
         except StructuralInputError:
-            assert len(set(labels)) < n or any(label.split() != [label] for label in labels)
+            assert (
+                n == 0
+                or len(set(labels)) < n
+                or any(label.split() != [label] for label in labels)
+            )
             return
         assert parse_system(serialize_system(sys)) == sys
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_system([], (0, 0), []),
+            lambda: ingest_distance_matrix([], (0, 1)),
+            lambda: SelfMap(()),
+            lambda: identity_map(0),
+        ],
+        ids=["make_system", "ingest_distance_matrix", "SelfMap", "identity_map"],
+    )
+    def test_no_zero_point_values(self, build):
+        # the text forms refuse `points: 0`, so no value may have no points
+        with pytest.raises(StructuralInputError, match="point count must be positive, got 0"):
+            build()
 
     def test_labels_default_to_indices(self):
         text = (

@@ -421,6 +421,12 @@ class TestCatalog:
             falsify("thm-unknown", 1, 0)
         assert "eq1-roundtrip" in str(exc.value)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one(self, trials):
+        # no verdict counts trials that never ran
+        with pytest.raises(UsageError, match=f"trials must be at least 1, got {trials}"):
+            falsify("eq1-roundtrip", trials, 0)
+
 
 class TestFalsify:
     def test_r10_counterexample_found_and_shrunk(self):

@@ -1399,8 +1399,16 @@ def hull_oracle(sys, mode):
     ]
 
 
+def row_masks(sys, rows):
+    """The masks of a member-by-point byte matrix, each row its mask's
+    ceil(n / 8) little-endian bytes; the matrix must split into whole rows."""
+    size = (sys.n + 7) // 8
+    assert len(rows) % size == 0
+    return [int.from_bytes(rows[i : i + size], "little") for i in range(0, len(rows), size)]
+
+
 def assert_sliced_matches_oracle(sys):
-    """The family record's masks, filter and witnesses against hull_oracle,
+    """The family record's rows, filter and witnesses against hull_oracle,
     read with no _hull_mask call."""
     want = {mode: hull_oracle(sys, mode) for mode in MODES}
     hull_masks = []
@@ -1408,16 +1416,19 @@ def assert_sliced_matches_oracle(sys):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hulls, "_hull_mask", lambda *a: hull_masks.append(a) or real(*a))
         record = hulls._family_record(sys)
-        paper = tuple(compress(record.masks, record.paper))
-        got = {
-            mode: [
+        members = row_masks(sys, record.matrix)
+        paper = tuple(compress(members, record.paper))
+        got = {}
+        for mode in MODES:
+            rows, witnesses = hulls._witnessed_members(sys, mode, lambda p: p)
+            got[mode] = [
                 (bits, tuple(witness))
-                for bits, witness in zip(*hulls._witnessed_members(sys, mode, lambda p: p))
+                for bits, witness in zip(row_masks(sys, rows), witnesses, strict=True)
             ]
-            for mode in MODES
-        }
         families = {mode: hulls._family(sys, mode) for mode in MODES}
     assert hull_masks == []
+    assert type(record.matrix) is bytes and len(record.paper) == len(members)
+    assert members == [bits for bits, _ in want[ARBITRARY_CENTER]]
     assert paper == tuple(bits for bits, _ in want[PAPER_COV])
     for mode in MODES:
         assert families[mode] == tuple(b for b, _ in want[mode])
@@ -1507,10 +1518,10 @@ class TestSlicedFamily:
         assert len(record.levels[0]) == n
         for steps in record.steps:
             assert type(steps) is (bytes if width == 1 else array)
-            assert len(steps) == len(record.masks)
+            assert len(steps) == len(record.matrix) // ((n + 7) // 8)
             assert memoryview(steps).itemsize == width
         # a count past 255 is read whole: {0} stays inside every ball at 0
-        assert record.steps[0][record.masks.index(1)] == n - 1
+        assert record.steps[0][row_masks(sys, record.matrix).index(1)] == n - 1
 
     @given(small_systems())
     @example(CHAIN_HEAVY)
@@ -1532,7 +1543,7 @@ class TestSlicedFamily:
     @example(EQUILATERAL)
     def test_matches_the_text_column_pass(self, sys):
         record = hulls._family_record(sys)
-        paper, steps = text_column_pass(sys, record.masks)
+        paper, steps = text_column_pass(sys, row_masks(sys, record.matrix))
         assert record.paper == paper
         assert [list(counts) for counts in record.steps] == steps
 
@@ -1541,7 +1552,7 @@ class TestSlicedFamily:
         # the byte-spread columns take two bytes per member past 256 points
         sys = star_system(n)
         record = hulls._family_record(sys)
-        paper, steps = text_column_pass(sys, record.masks)
+        paper, steps = text_column_pass(sys, row_masks(sys, record.matrix))
         assert record.paper == paper
         assert [list(counts) for counts in record.steps] == steps
 
@@ -1550,13 +1561,16 @@ class TestSlicedFamily:
     @examples(60)
     def test_a_member_that_moves_raises(self, sys, pick):
         # any mask outside the closure moves under its hull; add one to the
-        # closure the family record is built from: the column pass fails,
-        # and so does every read of either mode's family or witnesses
+        # closure the family record is built from, in the reversed form the
+        # record closes the balls in (point y at bit 8 * size - 1 - y): the
+        # column pass fails, and so does every read of either mode's family
+        # or witnesses
         closure = hulls._family(sys, ARBITRARY_CENTER)
         outside = [bits for bits in range(1, 1 << sys.n) if bits not in closure]
         if not outside:
             return
-        bad = outside[pick % len(outside)]
+        width = 8 * ((sys.n + 7) // 8)
+        bad = int(f"{outside[pick % len(outside)]:0{width}b}"[::-1], 2)
         real = hulls._intersection_closure
         reads = [
             hulls._family_record,
@@ -1571,3 +1585,61 @@ class TestSlicedFamily:
                     RuntimeError, match="moved under the arbitrary-center hull"
                 ):
                     read(dataclasses.replace(sys))
+
+
+class TestReversedFamily:
+    """The family record, closed and sorted in reversed form, against the
+    standard-form route it replaced: the ball closure sorted by
+    _canonical_mask_key, each member's hulls and witnesses from hull(),
+    and the same cap error."""
+
+    @staticmethod
+    def assert_matches_standard_form(sys):
+        n, size = sys.n, (sys.n + 7) // 8
+        closure = sorted(
+            hulls._intersection_closure(hulls._ball_index(sys)),
+            key=hulls._canonical_mask_key(n),
+        )
+        record = hulls._family_record(sys)
+        assert record.matrix == b"".join(bits.to_bytes(size, "little") for bits in closure)
+        for mode in MODES:
+            want = [
+                adm
+                for bits in closure
+                for adm in [hull(sys, PointSet(n, bits), mode)]
+                if adm.points.bits == bits
+            ]
+            masks = tuple(adm.points.bits for adm in want)
+            rows, witnesses = hulls._witnessed_members(sys, mode, lambda p: p)
+            assert rows == b"".join(bits.to_bytes(size, "little") for bits in masks)
+            assert [tuple(w) for w in witnesses] == [adm.witness_balls for adm in want]
+            assert hulls._family(sys, mode) == masks
+            assert admissible_family_bits(sys, mode) == frozenset(masks)
+            assert enumerate_admissible(sys, mode) == tuple(want)
+        # a cap below the family size stops both closures at one generator
+        m = len(closure)
+        for cap in sorted({0, m // 2, m - 1}):
+            with closure_cap(cap):
+                with pytest.raises(ResourceLimitError) as want:
+                    hulls._intersection_closure(hulls._ball_index(sys))
+                with pytest.raises(ResourceLimitError) as got:
+                    hulls._family_record(dataclasses.replace(sys))
+            assert (got.value.cap, got.value.reached) == (want.value.cap, want.value.reached)
+            assert str(got.value) == str(want.value)
+
+    # padding of 7, 1, 0, 7, 0, 7 and 0 bits, and 1 to 4 bytes per row
+    @pytest.mark.parametrize("n, span", [(1, 0), (7, 3), (8, 3), (9, 3), (16, 1), (17, 1), (24, 0)])
+    def test_seeded_systems(self, n, span):
+        for seed in range(2):
+            self.assert_matches_standard_form(seeded_system(seed, n, span))
+
+    # 32 and 33 bytes per row
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_star_systems(self, n):
+        self.assert_matches_standard_form(star_system(n))
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    @examples(100)
+    def test_random_systems(self, sys):
+        self.assert_matches_standard_form(sys)

@@ -207,8 +207,9 @@ class TestAdmissibleMemo:
     @given(small_systems())
     def test_memo_holds_masks_only(self, sys):
         # one stored form of the family: one record under the cap, holding
-        # the arbitrary-center canonical masks, and no AdmissibleSet or
-        # paper-cov tuple anywhere in the memo
+        # the arbitrary-center canonical members as one byte matrix, and no
+        # AdmissibleSet, int tuple of either family or other copy of the
+        # rows anywhere in the memo
         enumerate_admissible(sys, PAPER_COV)
         enumerate_admissible(sys, ARBITRARY_CENTER)
         check_normal_structure(sys)
@@ -219,12 +220,16 @@ class TestAdmissibleMemo:
         }
         assert set(records) == {("family", hulls.DEFAULT_SET_CAP)}
         (record,) = records.values()
-        assert all(type(bits) is int for bits in record.masks)
+        size = (sys.n + 7) // 8
+        closure = hulls._family(sys, ARBITRARY_CENTER)
+        assert type(record.matrix) is bytes
+        assert record.matrix == b"".join(bits.to_bytes(size, "little") for bits in closure)
         paper = hulls._family(sys, PAPER_COV)
         assert not [
             value
             for value in memo.values()
-            if isinstance(value, hulls.AdmissibleSet) or value == paper
+            if isinstance(value, (hulls.AdmissibleSet, bytes))
+            or value in (paper, closure)
         ]
 
     def test_one_column_pass_per_parsed_system(self, tmp_path, monkeypatch):
