@@ -15,6 +15,13 @@ text that holds any of them has each integer token matched against
 _PLAIN_INT as well; other texts skip that test.  The rationals of a
 distance matrix follow the same rule through _PLAIN_RATIONAL, which
 allows '+' only in a decimal's exponent.
+
+A system's grade row is read whole when it is valid: n tokens, '-' at
+its own index, every other token an int() inside the window, and a text
+that needs no _PLAIN_INT test.  One map(int, ...) and a min/max range
+test read it.  Any other row takes the cell loop, which words its first
+failure, and the symmetry walk runs only when the matrix differs from
+its transpose, so every diagnostic is the one the cell walks give.
 """
 
 from __future__ import annotations
@@ -201,7 +208,9 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
     if rest:
         _fail("bad-grades", lineno, 1, "'grades:' line takes no arguments")
 
-    # the grade loop inlines _parse_int: a call per cell is most of its time
+    # a valid row is read whole; any other row, and every row of a text
+    # that needs _PLAIN_INT, takes the cell loop, which inlines _parse_int
+    # (a call per cell is most of its time) and words the first failure
     first, floor, check_ints = lines.lineno, lo - 1, lines.check_ints
     entries: list[tuple[Grade, ...]] = []
     for i in range(n):
@@ -209,6 +218,10 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
         rowno = first + i
         if len(tokens) != n:
             _fail("bad-dimension", rowno, 1, f"row {i} has {len(tokens)} entries, expected {n}")
+        whole = None if check_ints else _whole_row(tokens, i, floor, hi)
+        if whole is not None:
+            entries.append(whole)
+            continue
         row: list[Grade] = []
         for j, tok in enumerate(tokens):
             if tok == "-":
@@ -231,20 +244,38 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
             row.append(g)
         entries.append(tuple(row))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if entries[i][j] != entries[j][i]:
-                lines.fail_at(
-                    "asymmetric",
-                    first + j,
-                    i,
-                    f"grade at ({j}, {i}) is {entries[j][i]} but ({i}, {j}) is {entries[i][j]}",
-                )
+    # walked only to word the first asymmetric pair
+    if tuple(zip(*entries)) != tuple(entries):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if entries[i][j] != entries[j][i]:
+                    lines.fail_at(
+                        "asymmetric",
+                        first + j,
+                        i,
+                        f"grade at ({j}, {i}) is {entries[j][i]} but ({i}, {j}) is {entries[i][j]}",
+                    )
 
     try:
         return RelationalSystem(labels, Window(lo, hi), GradeMatrix(n, tuple(entries)))
     except (ValueError, TypeError) as exc:
         _fail("invalid-system", lines.lineno - 1, 1, str(exc))
+
+
+def _whole_row(tokens: list[str], i: int, floor: int, hi: int) -> Optional[tuple[Grade, ...]]:
+    """Grade row i read whole, or None when it needs the cell loop: valid
+    when '-' stands at index i and every other token is an int() in
+    [floor, hi].  Only for a text whose int() tokens are all plain."""
+    if tokens[i] != "-":
+        return None
+    try:
+        row: list[Grade] = list(map(int, tokens[:i] + tokens[i + 1 :]))
+    except ValueError:
+        return None
+    if row and not (floor <= min(row) and max(row) <= hi):
+        return None
+    row.insert(i, TOP)
+    return tuple(row)
 
 
 def serialize_system(sys: RelationalSystem) -> str:

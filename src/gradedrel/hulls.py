@@ -74,8 +74,8 @@ only the witness is cross-checked by normality_criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import getitem, methodcaller
+from itertools import compress, repeat
+from operator import getitem
 from array import array
 from sys import byteorder
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -277,9 +277,8 @@ def _matrix(masks: Iterable[int], size: int, flipped: bool = False) -> bytes:
     little-endian bytes.  Flipped masks, in reversed form (point y at bit
     8 * size - 1 - y), are written big-endian and each byte reversed back,
     which gives the same rows."""
-    if flipped:
-        return b"".join(map(methodcaller("to_bytes", size, "big"), masks)).translate(_REVERSED)
-    return b"".join(map(methodcaller("to_bytes", size, "little"), masks))
+    rows = b"".join(map(int.to_bytes, masks, repeat(size), repeat("big" if flipped else "little")))
+    return rows.translate(_REVERSED) if flipped else rows
 
 
 def _masks(rows: bytes, size: int) -> Iterable[int]:

@@ -549,10 +549,17 @@ def check_axiom(sys: RelationalSystem, axiom_id: str) -> AxiomReport:
     """Check one optional property of a system; see _CHECKS for the ids.
 
     r5: every pair is related somewhere inside the window (the minimum
-        off-diagonal grade, reported as the bound, reaches lo).
+        off-diagonal grade, reported as the bound, reaches lo).  Read from
+        each row's minimum right of the diagonal.
     r9/r10: the square/cube of each level's relation fits inside the
         previous level, checked for every level in [lo, hi + 1].
     transitive: every stored level is a transitive relation.
+
+    A level is an equivalence exactly when its distinct rows partition the
+    points (_is_partition), and such a level satisfies all three: it is
+    its own square and cube, and it lies inside the level below it.  Each
+    level is decided by that count first; only a level that fails it is
+    composed, and only a failing check searches for its witness.
 
     Each report is computed once per system and axiom id.
     """
@@ -566,23 +573,41 @@ def check_axiom(sys: RelationalSystem, axiom_id: str) -> AxiomReport:
 
 
 def _check_bounded(sys: RelationalSystem) -> AxiomReport:
-    bound: Grade = TOP
-    worst: Optional[tuple] = None
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            g = sys.grades.entries[x][y]
-            if g < bound:
-                bound = g
-                worst = (x, y)
-    holds = bound >= sys.window.lo
-    return AxiomReport("r5", holds, None if holds else worst, bound)
+    # each row's least grade right of the diagonal; the first row reaching
+    # the overall least holds the first least pair in row-major order
+    entries = sys.grades.entries
+    tails = [min(row[x + 1 :]) for x, row in enumerate(entries[:-1])]
+    bound: Grade = min(tails, default=TOP)
+    if bound >= sys.window.lo:
+        return AxiomReport("r5", True, None, bound)
+    x = tails.index(bound)
+    return AxiomReport("r5", False, (x, entries[x].index(bound, x + 1)), bound)
+
+
+def _is_partition(rows: Sequence[int]) -> bool:
+    """Whether a level's rows are an equivalence relation.
+
+    Every level-table row holds its own point and the rows are symmetric,
+    so the level is transitive exactly when its distinct rows are
+    pairwise disjoint: when their sizes add up to the point count.
+    """
+    return sum(map(int.bit_count, set(rows))) == len(rows)
 
 
 def _check_composition_steps(sys: RelationalSystem, steps: int) -> AxiomReport:
+    """r9 (steps 2) or r10 (steps 3) over the levels [lo, hi + 1].
+
+    An equivalence level is its own square and cube and lies inside the
+    level below it, so it cannot fail and is skipped before composing; the
+    diagonal at hi + 1 is one.  Every other level composes its rows, and
+    the first whose power leaves the level below gives the witness.
+    """
     axiom_id = "r9" if steps == 2 else "r10"
     # table[i] is level below + i: each level in [lo, hi + 1] with the one under it
     table = sys.level_table()
     for n, (prev, rows) in enumerate(zip(table, table[1:]), sys.window.lo):
+        if _is_partition(rows):
+            continue
         power = rows
         for _ in range(steps - 1):
             power = _compose_rows(power, rows)
@@ -611,13 +636,15 @@ def _chain_witness(rows: tuple[int, ...], x: int, y: int, steps: int) -> tuple:
 
 
 def _check_transitive(sys: RelationalSystem) -> AxiomReport:
-    # R o R inside R decides each level; the witness is searched only on failure
+    # a level passes by its partition count; the first that fails is
+    # walked for its witness, the first x and z in x's row with a point
+    # y in z's row outside x's
     for n, rows in enumerate(sys.level_table()[1:-1], sys.window.lo):
-        for x, sq in enumerate(_compose_rows(rows, rows)):
-            if not sq & ~rows[x]:
-                continue
-            for z in iter_bits(rows[x]):
-                extra = rows[z] & ~rows[x]
+        if _is_partition(rows):
+            continue
+        for x, row in enumerate(rows):
+            for z in iter_bits(row):
+                extra = rows[z] & ~row
                 if extra:
                     y = next(iter_bits(extra))
                     return AxiomReport("transitive", False, (n, x, z, y))

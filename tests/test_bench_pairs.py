@@ -3,6 +3,7 @@ with a stand-in runner: no benchmark process is started."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,32 @@ class TestPairs:
         assert written["w+trace"]["trace"] == 1 and written["w"]["seeds"] == [3, 4]
         with pytest.raises(SystemExit):
             bench_pairs.main(argv("0"))
+
+
+class TestRunLimit:
+    def test_a_run_is_bounded_by_its_seconds(self, tmp_path, monkeypatch):
+        calls = []
+
+        def finished(cmd, **kwargs):
+            calls.append(kwargs["timeout"])
+            return subprocess.CompletedProcess(cmd, 0, "noise\n" + json.dumps(result(speed=1.0)), "")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", finished)
+        assert bench_pairs.run_tree(tmp_path, "w", 1, 20, 0)["metrics"]["speed"]["value"] == 1.0
+        assert bench_pairs.run_tree(tmp_path, "w", 1, 1.5, 0)["correct"]
+        assert calls == [900 + 5 * 20, 900 + 5 * 1.5]
+
+    def test_a_run_past_its_limit_is_refused_and_nothing_written(self, tmp_path, monkeypatch):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        out = tmp_path / "BENCH.json"
+
+        def stuck(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", stuck)
+        argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+                "--first-seed", "1", "--pairs", "1", "--seconds", "2", "--out", str(out)]
+        with pytest.raises(SystemExit, match="refused, no result after 910 s") as exc:
+            bench_pairs.main(argv)
+        # a message as the exit code: the interpreter prints it and exits 1
+        assert isinstance(exc.value.code, str) and not out.exists()

@@ -3,6 +3,7 @@
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from gradedrel import (
     TOP,
     CounterexampleBundle,
     FormatError,
+    RelationalSystem,
     SelfMap,
     StructuralInputError,
     identity_map,
@@ -287,6 +289,112 @@ class TestSystemDiagnostics:
     def test_str_form(self):
         d = diag(lambda: parse_system("nonsense\n"))
         assert str(d) == "1:1: bad-header: expected 'gradedsystem v1', got 'nonsense'"
+
+
+def parsed(text):
+    """parse_system's system, or the Diagnostic it fails with."""
+    try:
+        return parse_system(text)
+    except FormatError as exc:
+        return exc.diagnostic
+
+
+def parsed_cell_by_cell(text):
+    """parsed(text) with every grade row taken by the cell loop, as every
+    row was before valid rows were read whole."""
+    with mock.patch.object(formats, "_whole_row", lambda *args: None):
+        return parsed(text)
+
+
+# one-token mutations of a grade block; the first two need an off-diagonal cell
+OFF_DIAGONAL = ("dash-off-diagonal", "asymmetric")
+MUTATIONS = OFF_DIAGONAL + (
+    "diagonal-not-dash", "below", "above", "junk", "+3", "3_0", "\u0663", "short", "long",
+)
+
+
+@st.composite
+def system_texts_with_one_mutation(draw):
+    """A valid system text with random spacing, or the same text with one
+    token of its grade block mutated; the labels may hold '+' and '_',
+    which make every integer token take the _PLAIN_INT test.
+
+    Yields the text and the system it holds, or None when mutated."""
+    sys = draw(small_systems())
+    n, lo, hi = sys.n, sys.window.lo, sys.window.hi
+    labels = draw(st.sampled_from([sys.labels, tuple(f"p+{k}_" for k in range(n))]))
+    cells = [
+        ["-" if x == y else str(g) for y, g in enumerate(row)]
+        for x, row in enumerate(sys.grades.entries)
+    ]
+    kinds = MUTATIONS if n > 1 else MUTATIONS[len(OFF_DIAGONAL):]
+    kind = draw(st.one_of(st.none(), st.sampled_from(kinds)))
+    i = draw(st.integers(0, n - 1))
+    j = (i + draw(st.integers(1, n - 1))) % n if kind in OFF_DIAGONAL else draw(st.integers(0, n - 1))
+    if kind == "dash-off-diagonal":
+        cells[i][j] = "-"
+    elif kind == "asymmetric":
+        g = sys.grades.entries[i][j]
+        cells[i][j] = str(draw(st.integers(lo - 1, hi).filter(lambda v: v != g)))
+    elif kind == "diagonal-not-dash":
+        cells[i][i] = draw(st.sampled_from([str(lo), str(hi), "x"]))
+    elif kind in ("below", "above"):
+        cells[i][j] = str(lo - 2 if kind == "below" else hi + 1)
+    elif kind == "junk":
+        cells[i][j] = draw(st.sampled_from(["x", "1.5", "--1", "0x1", "1-"]))
+    elif kind == "short":
+        del cells[i][j]
+    elif kind == "long":
+        cells[i].insert(j, draw(st.sampled_from(["-", str(lo)])))
+    elif kind is not None:
+        cells[i][j] = kind
+    head = serialize_system(sys).split("\n")[:5]
+    head[2] = "labels: " + " ".join(labels)
+    rows = [spaced_row(draw, row)[0] for row in cells]
+    text = "\n".join(head + rows) + "\n"
+    return text, None if kind else RelationalSystem(labels, sys.window, sys.grades)
+
+
+class TestWholeRowParse:
+    """Valid grade rows are read whole; the cell loop they bypass is the
+    oracle for every system and diagnostic."""
+
+    @given(system_texts_with_one_mutation())
+    @example(("gradedsystem v1\npoints: 2\nwindow: -0 04\ngrades:\n- 03\n3 -\n", None))
+    @example((TWINS_TEXT.replace("3 -\n", "3 4\n"), None))
+    def test_same_system_or_diagnostic_as_the_cell_loop(self, case):
+        text, expected = case
+        got = parsed(text)
+        assert got == parsed_cell_by_cell(text)
+        if expected is not None:
+            assert got == expected
+
+    def test_valid_rows_are_read_whole(self, grid):
+        text = serialize_system(grid)
+        with mock.patch.object(formats, "_whole_row", wraps=formats._whole_row) as spy:
+            assert parse_system(text) == grid
+        assert spy.call_count == grid.n
+        # a text that needs the _PLAIN_INT test takes the cell loop throughout
+        plus = text.replace("labels: ", "labels: +", 1)
+        with mock.patch.object(formats, "_whole_row", wraps=formats._whole_row) as spy:
+            assert parse_system(plus).grades == grid.grades
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize(
+        "row, index, whole",
+        [
+            (["-", "3"], 0, (TOP, 3)),
+            (["3", "-"], 1, (3, TOP)),
+            (["-"], 0, (TOP,)),
+            (["3", "3"], 0, None),
+            (["-", "-"], 0, None),
+            (["-", "x"], 0, None),
+            (["-", "1"], 0, None),
+            (["-", "5"], 0, None),
+        ],
+    )
+    def test_whole_row(self, row, index, whole):
+        assert formats._whole_row(row, index, 2, 4) == whole
 
 
 class TestSelfMapFormat:

@@ -1,9 +1,9 @@
 """Relation families, grade matrices, level lists, and the axiom checks."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradedrel import (
     GradeMatrix,
@@ -24,6 +24,7 @@ from gradedrel import (
     validate_level_list,
 )
 from gradedrel.harness import GenParams, gen_system
+from gradedrel.relations import _is_partition
 
 
 def small_systems():
@@ -66,6 +67,51 @@ def wide_sparse_systems():
         return make_system([str(i) for i in range(n)], (lo, hi), rows)
 
     return build()
+
+
+def transitive_gen_systems(max_points=9):
+    """The falsifier's transitive systems: every level an equivalence."""
+    params = GenParams(point_count=(1, max_points), window_span=(1, 7), constraint="transitive")
+    return st.builds(gen_system, st.integers(0, 1499), st.just(params))
+
+
+@st.composite
+def cluster_tree_systems(draw, max_points=9):
+    """Ultrametric systems built the way the benchmark builds its large
+    ones: the points are split into 2 or 3 random parts, then each part
+    again one or two levels higher, and a pair's grade is the level at
+    which its points are first split apart, capped at hi.  Every level is
+    an equivalence."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    lo = draw(st.integers(min_value=-3, max_value=3))
+    hi = lo + draw(st.integers(min_value=1, max_value=6))
+    rows = [[TOP] * n for _ in range(n)]
+
+    def split(members, level):
+        if len(members) < 2:
+            return
+        if level >= hi:
+            for x, y in combinations(members, 2):
+                rows[x][y] = rows[y][x] = hi
+            return
+        parts = [[] for _ in range(draw(st.integers(2, 3)))]
+        for k, x in enumerate(draw(st.permutations(members))):
+            # the first points seed distinct parts
+            parts[k if k < len(parts) else draw(st.integers(0, len(parts) - 1))].append(x)
+        for a, b in combinations(parts, 2):
+            for x, y in product(a, b):
+                rows[x][y] = rows[y][x] = level
+        for part in parts:
+            split(part, level + draw(st.integers(1, 2)))
+
+    split(list(range(n)), lo - 1)
+    return make_system([str(i) for i in range(n)], (lo, hi), rows)
+
+
+def axiom_inputs():
+    """Any systems, and systems whose levels are all equivalences, which
+    the axiom checks decide by their partition count alone."""
+    return st.one_of(small_systems(), transitive_gen_systems(), cluster_tree_systems())
 
 
 class TestTop:
@@ -555,7 +601,7 @@ class TestMaskRoutesMatchPairScans:
         }
         assert set(got.pairs()) == expected
 
-    @given(small_systems())
+    @given(axiom_inputs())
     def test_axiom_witnesses(self, sys):
         for axiom in ("r9", "r10", "transitive"):
             rep = check_axiom(sys, axiom)
@@ -657,8 +703,16 @@ class TestAxiomChecks:
                     assert r.contains(a, b)
                 assert not lower.contains(points[0], points[-1])
 
-    @given(small_systems())
+    @given(axiom_inputs())
     def test_witnesses_match_the_reference(self, sys):
+        assert_reference_witnesses(sys)
+
+    @given(st.one_of(transitive_gen_systems(12), cluster_tree_systems(48)))
+    def test_equivalence_levels_satisfy_every_check(self, sys):
+        # larger systems than the pair scans can take: every level is an
+        # equivalence, so no composition runs and each check holds
+        for rows in sys.level_table():
+            assert _is_partition(rows)
         assert_reference_witnesses(sys)
 
     @pytest.mark.parametrize("constraint", ["r9", "transitive"])
@@ -684,6 +738,50 @@ class TestAxiomChecks:
         assert check_axiom(chain, "transitive").holds
         assert check_axiom(chain, "r9").holds
         assert check_axiom(chain, "r10").holds
+
+
+def transitive_by_triples(rows):
+    n = len(rows)
+    return all(
+        rows[x] >> y & 1 or not (rows[x] >> z & 1 and rows[z] >> y & 1)
+        for x, z, y in product(range(n), repeat=3)
+    )
+
+
+class TestPartitionCount:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_reflexive_symmetric_relation(self, n):
+        # 1, 2, 8, 64 and 1024 relations: each pair present or not
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            rows = [1 << x for x in range(n)]
+            for k, (x, y) in enumerate(pairs):
+                if chosen >> k & 1:
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+            assert _is_partition(rows) == transitive_by_triples(rows), rows
+
+
+def bounded_by_pair_loop(sys):
+    """r5's holds, witness and bound by a walk over the upper triangle: the
+    first least pair in row-major order."""
+    bound, worst = TOP, None
+    for x in range(sys.n):
+        for y in range(x + 1, sys.n):
+            g = sys.grades.entries[x][y]
+            if g < bound:
+                bound, worst = g, (x, y)
+    holds = bound >= sys.window.lo
+    return holds, None if holds else worst, bound
+
+
+class TestBoundedRowMinima:
+    @given(st.one_of(small_systems(), wide_sparse_systems(), cluster_tree_systems()))
+    @example(make_system(["a"], (0, 2), [[TOP]]))
+    @example(make_system(["a", "b", "c"], (0, 2), [[TOP, 0, -1], [0, TOP, -1], [-1, -1, TOP]]))
+    def test_matches_the_pair_loop(self, sys):
+        rep = check_axiom(sys, "r5")
+        assert (rep.holds, rep.witness, rep.bound_grade) == bounded_by_pair_loop(sys)
 
 
 class TestChainFixture:

@@ -5,8 +5,12 @@ alternating pairs, one workload at a time.  Pair k (from 1) runs seed
 first_seed + k - 1 in both trees; odd pairs run the change first, even
 pairs the parent.  Every `__pycache__` under both trees is deleted before
 each run, so every run compiles the package from source alike.  A run
-that exits non-zero, prints no result, or reports `correct` false or a
-failed operation stops the tool with exit 1 and nothing written.
+that exits non-zero, prints no result, reports `correct` false or a
+failed operation, or outlasts its time limit stops the tool with exit 1
+and nothing written.  The limit is RUN_LIMIT_S seconds plus
+RUN_LIMIT_FACTOR times `--seconds`: perfbench stops a run after 4 times
+`--seconds` of request time, and its `--workload all` allows each
+single-workload run 900 s.
 
 The output file holds, per workload and metric, every pair's values, the
 parent's median and quartiles, the change's median, how many pairs the
@@ -40,6 +44,9 @@ SIDES = ("parent", "change")
 # a HEAD-against-HEAD run read "better" and "worse" on setup_s by the
 # median rule alone
 WIN_SHARE = 0.9
+# seconds a perfbench run may take: RUN_LIMIT_S + RUN_LIMIT_FACTOR * --seconds
+RUN_LIMIT_S = 900
+RUN_LIMIT_FACTOR = 5
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -114,7 +121,11 @@ def run_tree(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     clear_caches(tree)
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    limit = RUN_LIMIT_S + RUN_LIMIT_FACTOR * seconds
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"{tree} {workload} seed {seed}: refused, no result after {limit:g} s") from None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree} {workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
