@@ -4,7 +4,10 @@ Every subcommand builds one report dict; `--json` prints it as JSON and the
 default human view renders the same dict, so the two outputs carry identical
 data.  `main` writes either view to stdout as it is encoded, so the whole
 output is never held as one string.  Exit statuses: 0 success or claim holds, 1 violation or counterexample
-found, 2 usage, parse, precondition, or resource errors.
+found, 2 usage, parse, precondition, or resource errors.  A reader that
+closes stdout early (`gradedrel validate FILE | head -1`) does not change
+the status: `main` sends the rest of the output to the null device and
+returns the command's own status, with nothing on stderr.
 
 `run` builds its argument parser on the first call and reuses it for every
 later call in the process; `build_parser()` still returns a fresh parser.
@@ -45,6 +48,7 @@ import functools
 import gc
 import io
 import json
+import os
 import sys as _sysmod
 from operator import concat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -679,11 +683,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # each report is written as it is encoded, never held as one string
     if not getattr(ns, "quiet", False) and report:
         out = _sysmod.stdout
-        if getattr(ns, "json", False):
-            json.dump(report, out, indent=2)
-            out.write("\n")
-        else:
-            _emit_human(report, out.write)
+        try:
+            if getattr(ns, "json", False):
+                json.dump(report, out, indent=2)
+                out.write("\n")
+            else:
+                _emit_human(report, out.write)
+            out.flush()
+        except BrokenPipeError:
+            # the reader closed early: what is left unwritten goes to the
+            # null device, so the flush at exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
     return status
 
 

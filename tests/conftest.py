@@ -14,11 +14,13 @@ if PROFILE:
     settings.load_profile(PROFILE)
 
 
-def examples(n):
-    """settings(max_examples=n) at tier 1, and the deep profile's count
-    under HYPOTHESIS_PROFILE=deep, for a test that sets its own count:
-    an explicit @settings(max_examples=...) overrides the loaded profile's."""
-    return settings(max_examples=DEEP_EXAMPLES if PROFILE == "deep" else n)
+def examples(n, deep=DEEP_EXAMPLES):
+    """settings(max_examples=n) at tier 1, and `deep` examples, by default
+    the deep profile's count, under HYPOTHESIS_PROFILE=deep, for a test
+    that sets its own count: an explicit @settings(max_examples=...)
+    overrides the loaded profile's.  A test whose examples are costly sets
+    a smaller `deep`, so that it does not dominate the deep step."""
+    return settings(max_examples=deep if PROFILE == "deep" else n)
 
 
 from gradedrel.fixtures import (

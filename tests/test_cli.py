@@ -37,7 +37,7 @@ from gradedrel.harness import VACUOUS
 from gradedrel.pointset import iter_bits
 from gradedrel.semimetric import _classify_dyadic
 
-from test_hulls import star_system
+from test_hulls import seeded_system, star_system
 from test_relations import small_systems
 
 
@@ -302,6 +302,7 @@ def assert_labels_match_iter_bits(labeler, labels, masks):
         assert list(labeler((bits,))) == [members], (len(labels), bits)
 
 
+@pytest.mark.deep
 class TestLabeler:
     """The byte-table labeler against the label of each set bit in turn;
     each test but the memo test reads a freshly built labeler, so its
@@ -1160,3 +1161,65 @@ class TestStreamedOutput:
             monkeypatch.undo()
             assert "".join(out.chunks) == want
             assert max(map(len, out.chunks)) < len(want) // 4
+
+
+class _ClosedPipe:
+    """A stdout stand-in whose reader has gone: every write raises
+    BrokenPipeError.  Its descriptor is fd, a file of the test's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early leaves the command's own status
+    and nothing on stderr."""
+
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_reader_closes_after_one_line(self, tmp_path, flag):
+        # the closure family of an unconstrained 12-point system prints far
+        # more than a pipe buffer holds, so the writer meets the closed end
+        path = tmp_path / "big.grs"
+        path.write_text(serialize_system(seeded_system(0, 12, 6)), encoding="utf-8")
+        argv = ["hulls", str(path), "--mode", "closure"]
+        status, report = run(argv)
+        full = json.dumps(report, indent=2) if flag else render_human(report)
+        assert len(full) > 1 << 16
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gradedrel.cli", *([flag] if flag else []), *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        with proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first and full.startswith(first.decode())
+        assert err == b""
+        assert proc.returncode == status
+
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_rest_goes_to_the_null_device(self, paths, tmp_path, monkeypatch, capsys, flag):
+        argv = ["classify", paths["triple"]]
+        status, _ = run(argv)
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert main([flag, *argv] if flag else argv) == status == 1
+            monkeypatch.undo()
+            # the descriptor now writes to the null device, not the file
+            assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+            os.write(fd, b"flushed at exit")
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == b""
+        assert capsys.readouterr().err == ""

@@ -18,6 +18,8 @@ from gradedrel import (
 )
 from gradedrel.errors import ResourceLimitError, StructuralInputError
 
+pytestmark = pytest.mark.deep
+
 # Python 3.10.0-3.10.6 have no int-to-str digit limit, and 0 switches it off
 needs_digit_limit = pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

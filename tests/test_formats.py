@@ -355,6 +355,7 @@ def system_texts_with_one_mutation(draw):
     return text, None if kind else RelationalSystem(labels, sys.window, sys.grades)
 
 
+@pytest.mark.deep
 class TestWholeRowParse:
     """Valid grade rows are read whole; the cell loop they bypass is the
     oracle for every system and diagnostic."""

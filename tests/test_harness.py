@@ -230,6 +230,7 @@ def drawn_grades(draw):
     return entries, window
 
 
+@pytest.mark.deep
 class TestRepair:
     @pytest.mark.parametrize("constraint", REPAIRED)
     @pytest.mark.parametrize("claim_id", CLAIM_IDS)
@@ -359,6 +360,7 @@ def randint_draws(seed, params):
 SEEDS = st.lists(st.integers(0, 1 << 63), min_size=1, max_size=5)
 
 
+@pytest.mark.deep
 class TestPairDraws:
     @pytest.mark.parametrize("params", DRAW_SCOPES)
     @given(SEEDS)
@@ -367,6 +369,7 @@ class TestPairDraws:
         assert _drawn(params, seeds) == [randint_draws(seed, params) for seed in seeds]
 
 
+@pytest.mark.deep
 class TestTransitiveRepair:
     @given(many_point_grades())
     @settings(deadline=None)

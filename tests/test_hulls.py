@@ -47,7 +47,7 @@ from gradedrel.pointset import iter_bits
 from gradedrel.semimetric import delta, metric_ball_collapse
 
 from conftest import examples
-from test_relations import small_systems
+from test_relations import cluster_tree_systems, small_systems
 
 MODES = (PAPER_COV, ARBITRARY_CENTER)
 
@@ -294,6 +294,7 @@ class TestEnumerate:
         assert f"cap of {size - 1}" in str(err)
 
 
+@pytest.mark.deep
 class TestCanonicalMaskKey:
     def test_reversal_table(self):
         assert len(hulls._REVERSED) == 256
@@ -439,6 +440,7 @@ def nested_chains(draw):
     return n, generators
 
 
+@pytest.mark.deep
 class TestIntersectionClosure:
     @given(nested_chains())
     # the second chain starts outside the first chain's last ball, whose
@@ -571,6 +573,7 @@ def family_from_metric_balls_oracle(sys, radii, mode):
 HULL_EQUIVALENCE = harness.CLAIMS["hull-equivalence"]
 
 
+@pytest.mark.deep
 class TestMetricBallFamilies:
     """harness._metric_ball_families against the per-mode oracle above."""
 
@@ -936,6 +939,7 @@ ONE_POINT = make_system(["a"], (0, 1), [[TOP]])
 TWO_POINTS = make_system(["a", "b"], (0, 1), [[TOP, 1], [1, TOP]])
 
 
+@pytest.mark.deep
 class TestNormalStructureOracle:
     """The one-walk routines against the two-walk oracles above."""
 
@@ -1110,6 +1114,7 @@ def flat_paper_members_oracle(sys):
 PAPER_NO_PAIR_RULE = gen_system(1836, GenParams(point_count=(2, 9), window_span=(1, 5)))
 
 
+@pytest.mark.deep
 class TestNormalStructureRule:
     """The rule over pair hulls that replaces the family walk of
     check_normal_structure in arbitrary-center mode, and the paper-cov
@@ -1383,6 +1388,21 @@ def star_system(n):
     return make_system([str(i) for i in range(n)], (1, n - 1), rows)
 
 
+def with_twins(sys, twins):
+    """sys with every point replaced by `twins` points at the window's top
+    grade to one another: twins take the same balls at every level below
+    the top."""
+    size, above, entries = sys.n * twins, sys.window.above, sys.grades.entries
+    rows = [
+        [
+            TOP if x == y else above if x // twins == y // twins else entries[x // twins][y // twins]
+            for y in range(size)
+        ]
+        for x in range(size)
+    ]
+    return make_system([str(i) for i in range(size)], (sys.window.below, above), rows)
+
+
 def hull_oracle(sys, mode):
     """The family and its witnesses from one _hull_mask call per member:
     the paper-cov family keeps the closure members its hull fixes."""
@@ -1478,6 +1498,29 @@ def text_column_pass(sys, family):
     return items01(every ^ unfixed, 1), steps
 
 
+def assert_matches_text_column_pass(sys):
+    """The family record's paper-cov filter and step counts against
+    text_column_pass over its own rows."""
+    record = hulls._family_record(sys)
+    paper, steps = text_column_pass(sys, row_masks(sys, record.matrix))
+    assert record.paper == paper
+    assert [list(counts) for counts in record.steps] == steps
+    return record
+
+
+def center_shrinks(sys):
+    """Every (before, after) pair of balls where a center's balls shrink
+    from one level to the next, once per center that takes it."""
+    table = sys.level_table()
+    return [
+        (lower[x], upper[x])
+        for x in range(sys.n)
+        for lower, upper in zip(table, table[1:])
+        if lower[x] != upper[x]
+    ]
+
+
+@pytest.mark.deep
 class TestSlicedFamily:
     """The column pass over the closure against per-member hulls."""
 
@@ -1504,9 +1547,73 @@ class TestSlicedFamily:
         for seed in range(10):
             sys = gen_system(seed, params)
             assert_sliced_matches_oracle(sys)
+            assert_matches_text_column_pass(sys)
             closure = hulls._family(sys, ARBITRARY_CENTER)
             per_point.append(len(closure) / sys.n)
         assert max(per_point) < 2
+
+    @given(cluster_tree_systems(max_points=48, min_points=24))
+    @examples(20, deep=200)
+    def test_cluster_tree_systems(self, sys):
+        # the inputs of the analyze-large benchmark: 24 to 48 points whose
+        # every level is an equivalence, so a cluster's points share balls
+        assert_sliced_matches_oracle(sys)
+        assert_matches_text_column_pass(sys)
+
+    @given(cluster_tree_systems(max_points=10, min_points=4), st.integers(3, 6))
+    @examples(20, deep=500)
+    def test_twin_heavy_systems(self, tree, twins):
+        # every point of a cluster tree becomes 3 to 6 twins, which take
+        # the same shrinks but the last, so centers share most shrinks
+        sys = with_twins(tree, twins)
+        shrinks = center_shrinks(sys)
+        assert len(set(shrinks)) < len(shrinks)
+        assert_sliced_matches_oracle(sys)
+        assert_matches_text_column_pass(sys)
+
+    @staticmethod
+    def walked_masks(sys):
+        """The masks whose points iter_bits lists while the family record
+        of a fresh copy of sys is built."""
+        sys = dataclasses.replace(sys)
+        hulls._ball_index(sys)
+        walked = []
+        real = hulls.iter_bits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hulls, "iter_bits", lambda bits: walked.append(bits) or real(bits))
+            hulls._family_record(sys)
+        return walked
+
+    @given(cluster_tree_systems(max_points=48, min_points=4))
+    @example(with_twins(make_system(["a", "b"], (0, 1), [[TOP, 0], [0, TOP]]), 2))
+    @examples(100, deep=500)
+    def test_leaving_points_walked_once_per_distinct_shrink(self, sys):
+        # in a cluster tree the points that leave a ball are listed once
+        # per distinct (before, after) shrink, however many centers take
+        # it; a walk per center lists n - 1 points at every center, and
+        # past three points some part of the first split holds two
+        shrinks = center_shrinks(sys)
+        walked = self.walked_masks(sys)
+        assert sorted(walked) == sorted(before & ~after for before, after in set(shrinks))
+        assert sum((before & ~after).bit_count() for before, after in shrinks) == sys.n * (sys.n - 1)
+        assert sum(map(int.bit_count, walked)) < sys.n * (sys.n - 1)
+
+    @given(small_systems())
+    @example(CHAIN_HEAVY)
+    @example(star_system(9))
+    def test_leaving_points_walked_once_per_shared_path(self, sys):
+        # on any system a shrink is walked once per distinct path from the
+        # floor ball that leads to it, never more often than centers take it
+        table = sys.level_table()
+        paths = [
+            tuple(upper[x] for lower, upper in zip(table, table[1:]) if lower[x] != upper[x])
+            for x in range(sys.n)
+        ]
+        prefixes = {path[:depth] for path in paths for depth in range(1, len(path) + 1)}
+        walked = self.walked_masks(sys)
+        floor = table[0][0]
+        assert sorted(walked) == sorted((prefix[-2] if len(prefix) > 1 else floor) & ~prefix[-1] for prefix in prefixes)
+        assert len(walked) <= len(center_shrinks(sys))
 
     @pytest.mark.parametrize("n", [256, 257, 300])
     def test_shrinks_past_a_byte(self, n):
@@ -1542,19 +1649,12 @@ class TestSlicedFamily:
     @example(CHAIN_HEAVY)
     @example(EQUILATERAL)
     def test_matches_the_text_column_pass(self, sys):
-        record = hulls._family_record(sys)
-        paper, steps = text_column_pass(sys, row_masks(sys, record.matrix))
-        assert record.paper == paper
-        assert [list(counts) for counts in record.steps] == steps
+        assert_matches_text_column_pass(sys)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_matches_the_text_column_pass_past_a_byte(self, n):
         # the byte-spread columns take two bytes per member past 256 points
-        sys = star_system(n)
-        record = hulls._family_record(sys)
-        paper, steps = text_column_pass(sys, row_masks(sys, record.matrix))
-        assert record.paper == paper
-        assert [list(counts) for counts in record.steps] == steps
+        assert_matches_text_column_pass(star_system(n))
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)
@@ -1587,6 +1687,7 @@ class TestSlicedFamily:
                     read(dataclasses.replace(sys))
 
 
+@pytest.mark.deep
 class TestReversedFamily:
     """The family record, closed and sorted in reversed form, against the
     standard-form route it replaced: the ball closure sorted by

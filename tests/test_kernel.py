@@ -12,6 +12,8 @@ from gradedrel.harness import CLAIMS, CONSTRAINTS, GenParams, gen_system
 
 from test_relations import small_systems, wide_sparse_systems
 
+pytestmark = pytest.mark.deep
+
 
 def assert_delta_matches_mu(sys):
     for x in range(sys.n):

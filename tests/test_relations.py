@@ -76,13 +76,13 @@ def transitive_gen_systems(max_points=9):
 
 
 @st.composite
-def cluster_tree_systems(draw, max_points=9):
+def cluster_tree_systems(draw, max_points=9, min_points=1):
     """Ultrametric systems built the way the benchmark builds its large
     ones: the points are split into 2 or 3 random parts, then each part
     again one or two levels higher, and a pair's grade is the level at
     which its points are first split apart, capped at hi.  Every level is
     an equivalence."""
-    n = draw(st.integers(min_value=1, max_value=max_points))
+    n = draw(st.integers(min_value=min_points, max_value=max_points))
     lo = draw(st.integers(min_value=-3, max_value=3))
     hi = lo + draw(st.integers(min_value=1, max_value=6))
     rows = [[TOP] * n for _ in range(n)]
@@ -587,6 +587,7 @@ def scan_witness(sys, axiom):
     return None
 
 
+@pytest.mark.deep
 class TestMaskRoutesMatchPairScans:
     @given(small_systems(), st.integers(min_value=-5, max_value=5), st.integers(-5, 5))
     def test_compose(self, sys, j, k):
@@ -618,6 +619,7 @@ def assert_reference_witnesses(sys):
         assert rep.witness == expected
 
 
+@pytest.mark.deep
 class TestAxiomChecks:
     def test_unknown_axiom(self, grid):
         with pytest.raises(UsageError):
@@ -748,6 +750,7 @@ def transitive_by_triples(rows):
     )
 
 
+@pytest.mark.deep
 class TestPartitionCount:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_reflexive_symmetric_relation(self, n):
@@ -775,6 +778,7 @@ def bounded_by_pair_loop(sys):
     return holds, None if holds else worst, bound
 
 
+@pytest.mark.deep
 class TestBoundedRowMinima:
     @given(st.one_of(small_systems(), wide_sparse_systems(), cluster_tree_systems()))
     @example(make_system(["a"], (0, 2), [[TOP]]))

@@ -179,6 +179,7 @@ def _radii(sys, data):
     return data.draw(st.permutations(near + free + near[:1]))
 
 
+@pytest.mark.deep
 class TestOneReadKernels:
     """_reconstruct_levels and _metric_balls against the per-call bodies
     they replaced, each distance read once."""
