@@ -192,6 +192,9 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
         labels = tuple(rest.split())
         if len(labels) != n:
             _fail("bad-labels", lineno, 1, f"expected {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
+            repeat = next(i for i, label in enumerate(labels) if label in labels[:i])
+            lines.fail_at("invalid-system", lineno, repeat, "labels must be distinct", len("labels:"))
     else:
         labels = tuple(str(i) for i in range(n))
 
@@ -256,10 +259,8 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
                         f"grade at ({j}, {i}) is {entries[j][i]} but ({i}, {j}) is {entries[i][j]}",
                     )
 
-    try:
-        return RelationalSystem(labels, Window(lo, hi), GradeMatrix(n, tuple(entries)))
-    except (ValueError, TypeError) as exc:
-        _fail("invalid-system", lines.lineno - 1, 1, str(exc))
+    # every check of the two constructors has been made above, at its line
+    return RelationalSystem(labels, Window(lo, hi), GradeMatrix(n, tuple(entries)))
 
 
 def _whole_row(tokens: list[str], i: int, floor: int, hi: int) -> Optional[tuple[Grade, ...]]:

@@ -4,15 +4,16 @@ Each pair's distance is 2**-grade (zero on the diagonal).  classify and
 minimal_inframetric_constant are grade-side code: they read the system's
 level table (RelationalSystem.level_table) and settle each pair from the
 highest level at which its two rows still meet, in mask arithmetic, with
-no table over pairs of levels.  The exact dyadic and rational routes stay
-separate from the table so the two views can be played against each
-other: reconstruct_level and metric_ball_collapse compare distances
-directly, and the dyadic triple scans _classify_dyadic and
-_minimal_inframetric_constant_dyadic are the oracles for classify and
-minimal_inframetric_constant.  The falsifier calls the batch forms, which
-read each distance once per trial: _reconstruct_levels compares each
-pair's distance with every level's threshold, and _metric_balls reads each
-radius and its graded level once and each center's distances once.
+no table over pairs of levels; one walk, _raised_pairs, finds that level
+for both.  The exact dyadic and rational routes stay separate from the
+table so the two views can be played against each other:
+reconstruct_level and metric_ball_collapse compare distances directly.
+The tests hold classify and minimal_inframetric_constant against dyadic
+triple scans kept with the other oracles in tests/oracles.py.  The
+falsifier calls the batch forms, which read each distance once per trial:
+_reconstruct_levels compares each pair's distance with every level's
+threshold, and _metric_balls reads each radius and its graded level once
+and each center's distances once.
 
 delta, the entry point of every distance oracle, tests both indexes with
 one range check and returns the shared zero or a shared power of two from
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .dyadic import _ZERO, DyadicValue, _pow2, floor_log2
 from .errors import StructuralInputError
@@ -185,42 +186,14 @@ def _within(d: DyadicValue, p: int, q: int) -> bool:
 def minimal_inframetric_constant(sys: RelationalSystem) -> DyadicValue:
     """Smallest power-of-two C with d(x,y) <= C * max(d(x,z), d(z,y)) everywhere.
 
-    The exponent is the largest gap k - g over pairs at grade g whose
-    level-k rows still meet (see _meeting_index).
+    The exponent is the largest gap k - i over the pairs whose rows still
+    meet above their own grade (see _raised_pairs).
     """
     if sys.n < 2:
         raise StructuralInputError(
             "inframetric constant undefined on fewer than 2 points"
         )
-    table = sys.level_table()
-    below = sys.window.below
-    entries = sys.grades.entries
-    worst = 0
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            i = entries[x][y] - below
-            worst = max(worst, _meeting_index(table, x, y, i) - i)
-    return DyadicValue.pow2(worst)
-
-
-def _minimal_inframetric_constant_dyadic(sys: RelationalSystem) -> DyadicValue:
-    """Oracle for minimal_inframetric_constant: every ordered triple, grades only."""
-    if sys.n < 2:
-        raise StructuralInputError(
-            "inframetric constant undefined on fewer than 2 points"
-        )
-    worst = 0
-    for x in range(sys.n):
-        for y in range(sys.n):
-            if x == y:
-                continue
-            g_xy = sys.grades.entries[x][y]
-            for z in range(sys.n):
-                m = min(sys.grades.entries[x][z], sys.grades.entries[z][y])
-                deficit = m - g_xy
-                if deficit > worst:
-                    worst = deficit
-    return DyadicValue.pow2(worst)
+    return DyadicValue.pow2(max((k - i for _, _, i, k in _raised_pairs(sys)), default=0))
 
 
 @dataclass(frozen=True)
@@ -250,19 +223,25 @@ class ClassificationReport:
     transitive: AxiomReport
 
 
-def _meeting_index(
-    table: tuple[tuple[int, ...], ...], x: int, y: int, i: int
-) -> int:
-    """Largest level-table index k >= i whose rows at x and y still meet.
+def _raised_pairs(sys: RelationalSystem) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, i, k) for each pair x < y whose level-table rows still meet
+    above the pair's own grade: i is the table index of its grade g, and
+    k > i the largest index at which the rows at x and y still meet.
 
-    With i the index of the pair's own grade g, max over z of
-    min(grade(x, z), grade(z, y)) is the level at index k: z = x already
-    reaches g, and rows are nested, so the scan stops at the first miss.
+    max over z of min(grade(x, z), grade(z, y)) is the level at index k:
+    z = x already reaches g, and rows are nested, so the scan up from i
+    stops at the first miss.
     """
-    k = i
-    while k + 1 < len(table) and table[k + 1][x] & table[k + 1][y]:
-        k += 1
-    return k
+    table = sys.level_table()
+    top = len(table) - 1
+    below = sys.window.below
+    for x, row in enumerate(sys.grades.entries):
+        for y in range(x + 1, sys.n):
+            i = k = row[y] - below
+            while k < top and table[k + 1][x] & table[k + 1][y]:
+                k += 1
+            if k > i:
+                yield x, y, i, k
 
 
 def _lowest(mask: int) -> int:
@@ -274,49 +253,41 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
     rows.
 
     For a pair x < y at grade g, with k its meeting level
-    (_meeting_index), the strong-triangle deficit is k - g and its first
+    (_raised_pairs), the strong-triangle deficit is k - g and its first
     witness z the lowest point in both level-k rows.  The same k settles
     the triangle 2**-g <= 2**-a + 2**-b, with a and b the grades of z
     against x and y: the smallest sum has min(a, b) = k, since any z with
     a smaller minimum already gives 2**-(k - 1).  Among those z the best
     has the largest max(a, b), found by scanning up from k while some
     point at grade exactly k from one end still reaches the next level
-    from the other.  A pair with k = g cannot break the triangle.
-    Witnesses are the first worst triple in (x, y, z) order, as in the
-    dyadic triple scan _classify_dyadic, which is the oracle this is
-    tested against.  GradeMatrix already guarantees separation and
+    from the other.  A pair with k = g cannot break the triangle, so
+    _raised_pairs skips it.  Witnesses are the first worst triple in
+    (x, y, z) order, as in the dyadic triple scan that the tests hold
+    this against.  GradeMatrix already guarantees separation and
     symmetry.  Relation-level composition and transitivity checks ride
     along for cross-reference.
     """
-    n = sys.n
-    entries = sys.grades.entries
-    below = sys.window.below
     table = sys.level_table()
     top = len(table) - 1
 
     # worst (value, x, z, y) so far; the first triple x=0, y=1, z=0 scores 0
-    worst_strong: Optional[tuple] = (0, 0, 0, 1) if n >= 2 else None
-    worst_tri: Optional[tuple] = (0, 0, 0, 1) if n >= 2 else None
-    for x in range(n):
-        for y in range(x + 1, n):
-            i = entries[x][y] - below
-            k = _meeting_index(table, x, y, i)
-            if k == i:
-                continue
-            if k - i > worst_strong[0]:
-                z = _lowest(table[k][x] & table[k][y])
-                worst_strong = (k - i, x, z, y)
-            # points at grade exactly k from x, and from y
-            ex = table[k][x] & ~table[k + 1][x]
-            ey = table[k][y] & ~table[k + 1][y]
-            j = k
-            while (ex & table[j + 1][y]) | (table[j + 1][x] & ey):
-                j += 1
-            # 2**-g - 2**-k - 2**-j, scaled by 2**top
-            excess = (1 << (top - i)) - (1 << (top - k)) - (1 << (top - j))
-            if excess > worst_tri[0]:
-                z = _lowest((ex & table[j][y]) | (table[j][x] & ey))
-                worst_tri = (excess, x, z, y)
+    worst_strong: Optional[tuple] = (0, 0, 0, 1) if sys.n >= 2 else None
+    worst_tri: Optional[tuple] = (0, 0, 0, 1) if sys.n >= 2 else None
+    for x, y, i, k in _raised_pairs(sys):
+        if k - i > worst_strong[0]:
+            z = _lowest(table[k][x] & table[k][y])
+            worst_strong = (k - i, x, z, y)
+        # points at grade exactly k from x, and from y
+        ex = table[k][x] & ~table[k + 1][x]
+        ey = table[k][y] & ~table[k + 1][y]
+        j = k
+        while (ex & table[j + 1][y]) | (table[j + 1][x] & ey):
+            j += 1
+        # 2**-g - 2**-k - 2**-j, scaled by 2**top
+        excess = (1 << (top - i)) - (1 << (top - k)) - (1 << (top - j))
+        if excess > worst_tri[0]:
+            z = _lowest((ex & table[j][y]) | (table[j][x] & ey))
+            worst_tri = (excess, x, z, y)
 
     if worst_strong is None:
         c = DyadicValue.one()
@@ -328,72 +299,6 @@ def classify(sys: RelationalSystem) -> ClassificationReport:
         strong_witness = _triple(sys, *worst_strong[1:])
 
     triangle_holds = worst_tri is None or worst_tri[0] == 0
-    tri_witness = None if worst_tri is None else _triple(sys, *worst_tri[1:])
-
-    if strong_holds:
-        label = "ultrametric"
-    elif triangle_holds:
-        label = "metric"
-    else:
-        label = "C-inframetric"
-
-    return ClassificationReport(
-        is_semimetric=True,
-        semimetric_witness=None,
-        minimal_inframetric_c=c,
-        triangle_holds=triangle_holds,
-        triangle_witness=tri_witness,
-        strong_triangle_holds=strong_holds,
-        strong_triangle_witness=strong_witness,
-        class_label=label,
-        r9=check_axiom(sys, "r9"),
-        r10=check_axiom(sys, "r10"),
-        transitive=check_axiom(sys, "transitive"),
-    )
-
-
-def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
-    """Oracle for classify: the exhaustive O(n**3) triple scan.
-
-    Scans every ordered triple once for the strong (max) form in grade
-    arithmetic and once for the additive form in dyadic arithmetic, keeping
-    the worst witness of each, without the level table.  GradeMatrix
-    already guarantees separation and symmetry, as in classify.
-    Relation-level composition and transitivity checks ride along for
-    cross-reference.
-    """
-    n = sys.n
-
-    worst_strong: Optional[tuple] = None  # (deficit, x, z, y)
-    worst_tri: Optional[tuple] = None  # (excess as Fraction, x, z, y)
-    triangle_holds = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            g_xy = sys.grades.entries[x][y]
-            d_xy = delta(sys, x, y)
-            for z in range(n):
-                m = min(sys.grades.entries[x][z], sys.grades.entries[z][y])
-                deficit = m - g_xy
-                if worst_strong is None or deficit > worst_strong[0]:
-                    worst_strong = (deficit, x, z, y)
-
-                d_xz = delta(sys, x, z)
-                d_zy = delta(sys, z, y)
-                if d_xy > d_xz + d_zy:
-                    triangle_holds = False
-                excess = d_xy.as_fraction() - (d_xz + d_zy).as_fraction()
-                if worst_tri is None or excess > worst_tri[0]:
-                    worst_tri = (excess, x, z, y)
-
-    if worst_strong is None:
-        c = DyadicValue.one()
-        strong_holds = True
-        strong_witness = None
-    else:
-        c = DyadicValue.pow2(max(0, worst_strong[0]))
-        strong_holds = worst_strong[0] <= 0
-        strong_witness = _triple(sys, *worst_strong[1:])
-
     tri_witness = None if worst_tri is None else _triple(sys, *worst_tri[1:])
 
     if strong_holds:

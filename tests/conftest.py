@@ -1,28 +1,7 @@
-import os
-
 import pytest
 from hypothesis import settings
 
 from gradedrel import cli
-
-# a longer search for CI runs of the exact-arithmetic kernel tests
-# (HYPOTHESIS_PROFILE=deep); tier-1 keeps hypothesis's default profile
-DEEP_EXAMPLES = 2000
-settings.register_profile("deep", max_examples=DEEP_EXAMPLES, deadline=None)
-PROFILE = os.environ.get("HYPOTHESIS_PROFILE")
-if PROFILE:
-    settings.load_profile(PROFILE)
-
-
-def examples(n, deep=DEEP_EXAMPLES):
-    """settings(max_examples=n) at tier 1, and `deep` examples, by default
-    the deep profile's count, under HYPOTHESIS_PROFILE=deep, for a test
-    that sets its own count: an explicit @settings(max_examples=...)
-    overrides the loaded profile's.  A test whose examples are costly sets
-    a smaller `deep`, so that it does not dominate the deep step."""
-    return settings(max_examples=deep if PROFILE == "deep" else n)
-
-
 from gradedrel.fixtures import (
     chain_successor,
     dyadic_grid,
@@ -32,6 +11,14 @@ from gradedrel.fixtures import (
     twin_pair,
     ultrametric_chain,
 )
+
+from strategies import DEEP_EXAMPLES, PROFILE
+
+# a longer search for CI runs of the differential tests
+# (HYPOTHESIS_PROFILE=deep); tier-1 keeps hypothesis's default profile
+settings.register_profile("deep", max_examples=DEEP_EXAMPLES, deadline=None)
+if PROFILE:
+    settings.load_profile(PROFILE)
 
 
 @pytest.fixture(autouse=True)

@@ -35,10 +35,9 @@ from gradedrel import cli, relations
 from gradedrel.cli import build_parser, main, render_human, run
 from gradedrel.harness import VACUOUS
 from gradedrel.pointset import iter_bits
-from gradedrel.semimetric import _classify_dyadic
 
-from test_hulls import seeded_system, star_system
-from test_relations import small_systems
+from oracles import _brute_force_family, _classify_dyadic
+from strategies import examples, seeded_system, small_systems, star_system
 
 
 @pytest.fixture
@@ -136,6 +135,7 @@ class TestClassify:
         assert report["class_label"] == "C-inframetric"
         assert report["minimal_inframetric_c"] == "2"
 
+    @pytest.mark.deep
     def test_wide_window(self, tmp_path):
         sys_ = make_system(
             ["a", "b", "c"], (0, 200000), [[TOP, 5, 7], [5, TOP, 9], [7, 9, TOP]]
@@ -237,16 +237,6 @@ def _family_entries(sys, family):
         }
         for adm in family
     ]
-
-
-def _brute_force_family(sys, mode):
-    """Hull fixed points over every nonempty subset, in canonical order."""
-    fixed = []
-    for bits in range(1, 1 << sys.n):
-        adm = hull(sys, PointSet(sys.n, bits), mode)
-        if adm.points.bits == bits:
-            fixed.append(adm)
-    return sorted(fixed, key=lambda a: a.points.canonical_key())
 
 
 def _assert_streamed_report_matches(sys):
@@ -382,11 +372,13 @@ class TestStreamedHullsReport:
     values; its report must equal the one built from enumerate_admissible,
     and that one the brute-force family of hull fixed points."""
 
+    @pytest.mark.deep
     @given(small_systems())
-    @settings(max_examples=60, deadline=None)
+    @settings(examples(60, deep=200), deadline=None)
     def test_random_systems(self, sys):
         _assert_streamed_report_matches(sys)
 
+    @pytest.mark.deep
     def test_seeded_systems_up_to_11_points(self):
         for seed in range(24):
             sys = gen_system(seed, GenParams(point_count=(6, 11)))

@@ -34,10 +34,15 @@ from gradedrel import dynamics, hulls
 from gradedrel.dynamics import OUTCOME_FIXED, OUTCOME_MINIMAL_BALL, _analysis
 from gradedrel.harness import GenParams, gen_system
 from gradedrel.hulls import _ball_index, _family, _hull_mask
-from gradedrel.pointset import iter_bits
 
-from test_hulls import CHAIN_HEAVY
-from test_relations import small_systems
+from oracles import (
+    _brute_invariant_balls,
+    _brute_minimal_balls,
+    _brute_offsets,
+    _family_walk,
+    _maps_into_itself,
+)
+from strategies import CHAIN_HEAVY, examples, small_systems
 
 
 @st.composite
@@ -389,63 +394,6 @@ def _seeded_cases():
 SEEDED = _seeded_cases()
 
 
-def _brute_minimal_balls(sys, t):
-    """Every center at every window level, through the public ball()."""
-    out = []
-    for c in range(sys.n):
-        for lev in sys.window.levels():
-            b = ball(sys, c, lev)
-            if all(
-                t.image[p] in b and sys.grades.entries[p][t.image[p]] == lev
-                for p in b.members()
-            ):
-                out.append((c, lev))
-    return tuple(out)
-
-
-def _brute_invariant_balls(sys, t):
-    """Map-invariant balls grouped by set, every center at every level from
-    window.below to window.above."""
-    by_set = {}
-    for c in range(sys.n):
-        for lev in range(sys.window.below, sys.window.above + 1):
-            b = ball(sys, c, lev)
-            if all(t.image[p] in b for p in b.members()):
-                by_set.setdefault(b.bits, []).append((c, lev))
-    return sorted((bits, tuple(names)) for bits, names in by_set.items())
-
-
-def _brute_offsets(sys, t, x):
-    """The regular and asymptotic offsets searched straight from the
-    RegularityReport definitions over the step grades of T^i x."""
-    seq = [x]
-    reach = 3 * sys.n + sys.window.span + 4
-    for _ in range(2 * reach):
-        seq.append(t.image[seq[-1]])
-    step = [sys.grades.entries[p][q] for p, q in zip(seq, seq[1:])]
-    m = step[0]
-    # from any index on, the orbit repeats within n steps, so a window of
-    # reach steps sees every later step grade, and either offset, when one
-    # exists, lies below reach
-    regular = next(
-        (
-            k
-            for k in range(1, reach)
-            if all(step[i] >= m + k for i in range(k, k + reach))
-        ),
-        None,
-    )
-    asymptotic = next(
-        (
-            k
-            for k in range(0, reach)
-            if all(step[i] >= m + i for i in range(k, k + reach))
-        ),
-        None,
-    )
-    return regular, asymptotic
-
-
 def _check_minimal_balls(sys, t):
     assert minimal_invariant_balls(sys, t) == _brute_minimal_balls(sys, t)
 
@@ -472,21 +420,25 @@ class TestScansAreComplete:
     """Each scan equals a brute-force search over every center and level,
     so a scan that skipped a ball or an offset would fail here."""
 
+    @pytest.mark.deep
     @given(systems_with_maps())
-    @settings(max_examples=150)
+    @examples(150, deep=500)
     def test_minimal_balls_random(self, sys_map):
         _check_minimal_balls(*sys_map)
 
+    @pytest.mark.deep
     @given(systems_with_maps())
-    @settings(max_examples=150)
+    @examples(150, deep=500)
     def test_invariant_balls_random(self, sys_map):
         _check_invariant_balls(*sys_map)
 
+    @pytest.mark.deep
     @given(systems_with_maps())
-    @settings(max_examples=150)
+    @examples(150, deep=500)
     def test_regularity_offsets_random(self, sys_map):
         _check_offsets(*sys_map)
 
+    @pytest.mark.deep
     @pytest.mark.parametrize(
         "check", [_check_minimal_balls, _check_invariant_balls, _check_offsets]
     )
@@ -494,6 +446,7 @@ class TestScansAreComplete:
         for sys, t in SEEDED:
             check(sys, t)
 
+    @pytest.mark.deep
     def test_seeded_large_transitive_invariant_balls(self):
         # nested or disjoint balls: many (center, level) pairs per distinct ball
         params = GenParams(point_count=(24, 48), window_span=(3, 6), constraint="transitive")
@@ -517,10 +470,6 @@ class TestScansAreComplete:
 
 # ---------------------------------------------------------------------------
 # the per-(system, map) analysis against the standalone functions
-
-
-def _maps_into_itself(t, bits):
-    return all(bits >> t.image[p] & 1 for p in iter_bits(bits))
 
 
 def _ball_index_scan(sys, t):
@@ -558,16 +507,18 @@ FIELDS = ("steps", "fixed", "hom", "orbits", "regularity", "invariant_balls", "m
 
 
 class TestMapAnalysis:
+    @pytest.mark.deep
     @given(
         small_systems(),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from(["any", "homomorphism"]),
         st.permutations(FIELDS),
     )
-    @settings(max_examples=150)
+    @examples(150, deep=500)
     def test_fields_equal_the_standalone_functions(self, sys, seed, kind, order):
         _check_analysis(sys, gen_self_map(seed, sys, kind), order)
 
+    @pytest.mark.deep
     def test_seeded_fields_equal_the_standalone_functions(self):
         for sys, t in SEEDED:
             _check_analysis(sys, t, FIELDS)
@@ -615,20 +566,6 @@ class TestMapAnalysis:
 
 # ---------------------------------------------------------------------------
 # minimal invariant admissible sets against the walk over the whole family
-
-
-def _family_walk(sys, t):
-    """The minimal map-invariant members of the whole paper-cov family, as
-    masks in canonical order: what minimal_invariant_admissible computed
-    before it stopped building the family."""
-    invariant = [
-        bits
-        for bits in _family(sys, PAPER_COV)
-        if _maps_into_itself(t, bits)
-    ]
-    return tuple(
-        a for a in invariant if not any(b != a and b & ~a == 0 for b in invariant)
-    )
 
 
 def _cycle_masks(t):
@@ -738,6 +675,7 @@ def _merges(t):
 class TestMinimalInvariantAdmissible:
     """The cycle-by-cycle search against the walk over the whole family."""
 
+    @pytest.mark.deep
     def test_seeded_and_structured_systems(self):
         for sys, t in ADMISSIBLE_CASES:
             got = minimal_invariant_admissible(sys, t)

@@ -30,7 +30,7 @@ from gradedrel import (
 from gradedrel import formats
 from gradedrel.formats import _column
 
-from test_relations import small_systems
+from strategies import small_systems
 
 TWINS_TEXT = (
     "gradedsystem v1\n"
@@ -273,7 +273,21 @@ class TestSystemDiagnostics:
     def test_duplicate_labels_rejected(self):
         text = TWINS_TEXT.replace("labels: a b", "labels: a a")
         d = diag(lambda: parse_system(text))
-        assert d.code == "invalid-system"
+        assert (d.code, d.line, d.column) == ("invalid-system", 3, 11)
+        assert d.message == "labels must be distinct"
+        # at the first label that repeats an earlier one, on the labels
+        # line, not at the last grade row
+        text = (
+            "gradedsystem v1\npoints: 4\nlabels:  a b  a b\nwindow: 0 1\n"
+            "grades:\n- 0 0 0\n0 - 0 0\n0 0 - 0\n0 0 0 -\n"
+        )
+        d = diag(lambda: parse_system(text))
+        assert (d.code, d.line, d.column) == ("invalid-system", 3, 15)
+        # and on its own line in a bundle, after the five bundle lines
+        bundle = "counterexample v1\nclaim: c\nseed: 1\ntrial: 0\nlocus: x\n"
+        d = diag(lambda: parse_bundle(bundle + text))
+        assert (d.code, d.line, d.column) == ("invalid-system", 8, 15)
+        assert d.message == "labels must be distinct"
 
     def test_trailing_input(self):
         d = diag(lambda: parse_system(TWINS_TEXT + "extra\n"))

@@ -41,10 +41,10 @@ from gradedrel.harness import (
     _trial_seed,
     shrink,
 )
-from gradedrel.pointset import iter_bits
 from gradedrel.relations import Window
 
-from conftest import examples
+from oracles import randint_draws, sweep_repair, warshall_repair
+from strategies import examples
 
 CLAIM_IDS = (
     "eq1-roundtrip",
@@ -185,37 +185,6 @@ class TestGeneration:
 REPAIRED = ("r9", "r10", "transitive")
 
 
-def _forced_grade(entries, x, y, constraint):
-    """Lowest grade the constraint forces on the pair, given the others."""
-    n = len(entries)
-    need = entries[x][y]
-    for z in range(n):
-        if constraint == "transitive":
-            need = max(need, min(entries[x][z], entries[z][y]))
-        elif constraint == "r9":
-            need = max(need, min(entries[x][z], entries[z][y]) - 1)
-        else:
-            for w in range(n):
-                need = max(need, min(entries[x][z], entries[z][w], entries[w][y]) - 1)
-    return need
-
-
-def sweep_repair(entries, constraint):
-    """Oracle for the level pass: the fixpoint sweep it replaced, which raises
-    any pair to the grade its composition inequalities force from the
-    others until nothing changes."""
-    n = len(entries)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(x + 1, n):
-                need = _forced_grade(entries, x, y, constraint)
-                if need > entries[x][y]:
-                    entries[x][y] = entries[y][x] = need
-                    changed = True
-
-
 @st.composite
 def drawn_grades(draw):
     """A grade matrix as gen_system draws it, over a wider scope than any
@@ -280,30 +249,6 @@ class TestRepair:
                     assert not check_axiom(system, constraint).holds
 
 
-def warshall_repair(entries, window):
-    """Oracle for the single-linkage repair: the level pass it replaced,
-    which adds the drawn pairs of each level to the repaired level above,
-    closes the result with Warshall's algorithm, and gives each pair the
-    level it first appears in, from the window top down."""
-    n = len(entries)
-    drawn = {}
-    for x in range(n):
-        for y in range(n):
-            if y != x:
-                drawn.setdefault(entries[x][y], [0] * n)[x] |= 1 << y
-    level = [1 << x for x in range(n)]
-    for k in range(window.hi, window.below, -1):
-        rows = [r | e for r, e in zip(level, drawn.get(k, [0] * n))]
-        for z in range(n):
-            for x in range(n):
-                if rows[x] >> z & 1:
-                    rows[x] |= rows[z]
-        for x, (new, old) in enumerate(zip(rows, level)):
-            for y in iter_bits(new & ~old):
-                entries[x][y] = k
-        level = rows
-
-
 @st.composite
 def many_point_grades(draw):
     """A grade matrix as gen_system draws it, n 1-40 over spans 1-8, from a
@@ -320,10 +265,10 @@ def many_point_grades(draw):
 
 
 # n 1-40, span 1-40, window bottom -50..50: wider than any claim's scope
-WIDE = GenParams(point_count=(1, 40), window_span=(1, 40), window_lo=(-50, 50))
+WIDE_DRAWS = GenParams(point_count=(1, 40), window_span=(1, 40), window_lo=(-50, 50))
 # the draws come before the repair, so one constraint covers the wide scope
 DRAW_SCOPES = [pytest.param(CLAIMS[c].params, id=c) for c in CLAIM_IDS] + [
-    pytest.param(WIDE, id="wide")
+    pytest.param(WIDE_DRAWS, id="wide")
 ]
 
 
@@ -342,19 +287,6 @@ def _drawn(params, seeds):
         for seed in seeds:
             gen_system(seed, params)
     return seen
-
-
-def randint_draws(seed, params):
-    """Reference for gen_system's draws: every grade by rng.randint."""
-    rng = random.Random(seed)
-    n = rng.randint(*params.point_count)
-    lo = rng.randint(*params.window_lo)
-    hi = lo + rng.randint(*params.window_span)
-    entries = [[TOP] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            entries[x][y] = entries[y][x] = rng.randint(lo - 1, hi)
-    return entries, Window(lo, hi)
 
 
 SEEDS = st.lists(st.integers(0, 1 << 63), min_size=1, max_size=5)
@@ -489,9 +421,9 @@ SCOPED_TRIALS = {
     "finite-normal-structure-exists": 100,
 }
 
-# one-point systems, windows up to three levels, no constraint and any map:
-# every hypothesis above can fail here
-WIDE = GenParams(point_count=(1, 4), window_span=(1, 3))
+# systems of 1-4 points, one-point ones among them, windows up to three
+# levels, no constraint and any map: every hypothesis above can fail here
+TINY_SCOPE = GenParams(point_count=(1, 4), window_span=(1, 3))
 
 
 class TestVacuousReturns:
@@ -506,15 +438,15 @@ class TestVacuousReturns:
 
     @pytest.mark.parametrize("claim_id", sorted(SCOPED_TRIALS))
     def test_vacuous_in_a_wider_scope(self, claim_id):
-        verdict = falsify(claim_id, SCOPED_TRIALS[claim_id], 0, params=WIDE)
+        verdict = falsify(claim_id, SCOPED_TRIALS[claim_id], 0, params=TINY_SCOPE)
         assert verdict.vacuous_trials > 0
 
     def test_one_point_systems_have_no_normal_structure_question(self):
         # the only VACUOUS return of the claim is the one for n < 2
         trials = SCOPED_TRIALS["finite-normal-structure-exists"]
-        verdict = falsify("finite-normal-structure-exists", trials, 0, params=WIDE)
+        verdict = falsify("finite-normal-structure-exists", trials, 0, params=TINY_SCOPE)
         assert verdict.outcome == "no-counterexample"
-        points = [gen_system(_trial_seed(0, i), WIDE).n for i in range(trials)]
+        points = [gen_system(_trial_seed(0, i), TINY_SCOPE).n for i in range(trials)]
         assert verdict.vacuous_trials == points.count(1) > 0
 
 

@@ -4,9 +4,7 @@ import dataclasses
 import random
 from array import array
 from contextlib import contextmanager
-from functools import reduce
 from itertools import compress
-from operator import and_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,31 +41,29 @@ from gradedrel import (
 from gradedrel.fixtures import dyadic_grid, lopsided_triple, twin_pair, ultrametric_chain
 from gradedrel.harness import CONSTRAINTS
 from gradedrel.hulls import _hull_mask
-from gradedrel.pointset import iter_bits
-from gradedrel.semimetric import delta, metric_ball_collapse
 
-from conftest import examples
-from test_relations import cluster_tree_systems, small_systems
-
-MODES = (PAPER_COV, ARBITRARY_CENTER)
-
-# Unconstrained 8-point system whose closure family has 172 members but over
-# 25,000 steps of maximal chains.
-CHAIN_HEAVY = make_system(
-    [str(i) for i in range(8)],
-    (-2, 0),
-    [
-        [TOP, -2, 0, -2, 0, -1, -3, 0],
-        [-2, TOP, -3, -2, -2, -1, -1, -1],
-        [0, -3, TOP, -1, -2, 0, -1, -1],
-        [-2, -2, -1, TOP, -3, -3, -1, -1],
-        [0, -2, -2, -3, TOP, -1, -1, -1],
-        [-1, -1, 0, -3, -1, TOP, 0, -3],
-        [-3, -1, -1, -1, -1, 0, TOP, -1],
-        [0, -1, -1, -1, -1, -3, -1, TOP],
-    ],
+from oracles import (
+    check_normal_structure_oracle,
+    closure_oracle,
+    family_from_metric_balls_oracle,
+    flat_paper_members_oracle,
+    hull_oracle,
+    min_distance_clique_oracle,
+    normality_criteria_oracle,
+    radii_oracle,
+    row_masks,
+    text_column_pass,
+)
+from strategies import (
+    CHAIN_HEAVY,
+    cluster_tree_systems,
+    examples,
+    seeded_system,
+    small_systems,
+    star_system,
 )
 
+MODES = (PAPER_COV, ARBITRARY_CENTER)
 
 # every pair at one grade: the hull fixes no pair in either mode
 EQUILATERAL = make_system(
@@ -364,17 +360,6 @@ class TestCanonicalMaskKey:
         self.assert_matches_the_string_reversal(*case)
 
 
-def closure_oracle(n, generators):
-    """Nonempty S is in the intersection closure of the generators iff some
-    generator contains S and S is the AND of every generator containing it."""
-    out = set()
-    for s in range(1, 1 << n):
-        covering = [g for g in generators if s & ~g == 0]
-        if covering and reduce(and_, covering) == s:
-            out.add(s)
-    return out
-
-
 @st.composite
 def mask_families(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -547,35 +532,13 @@ class TestIntersectionClosure:
         assert size - 1 < got.value.reached <= size
 
 
-def family_from_metric_balls_oracle(sys, radii, mode):
-    """The metric-ball route one mode at a time, as before both modes
-    shared one pass: each call computes its own balls in ascending radius
-    and closes them."""
-    radii = sorted(set(radii))
-    balls = [
-        [metric_ball_collapse(sys, x, r).bits for r in radii] for x in range(sys.n)
-    ]
-    family = hulls._intersection_closure([b for row in balls for b in row])
-    if mode == ARBITRARY_CENTER:
-        return frozenset(family)
-    full = (1 << sys.n) - 1
-    kept = set()
-    for bits in family:
-        cov = full
-        for x in iter_bits(bits):
-            # the smallest sampled ball at x that covers the set
-            cov &= next((b for b in balls[x] if bits & ~b == 0), full)
-        if cov == bits:
-            kept.add(bits)
-    return frozenset(kept)
-
-
 HULL_EQUIVALENCE = harness.CLAIMS["hull-equivalence"]
 
 
 @pytest.mark.deep
 class TestMetricBallFamilies:
-    """harness._metric_ball_families against the per-mode oracle above."""
+    """harness._metric_ball_families against the per-mode oracle,
+    family_from_metric_balls_oracle."""
 
     @staticmethod
     def assert_matches_the_per_mode_route(sys, radii):
@@ -813,122 +776,6 @@ class TestMinDistanceClique:
             assert not all(sys.grades.entries[z][m] == best for m in members)
 
 
-# The normal-structure routines as they were before each took one walk per
-# set: radii and the distance route walked their pairs twice, the clique
-# seed took a second pass, and every candidate of the check went through
-# all three routes.  The one-walk versions must give the same reports.
-
-
-def radii_oracle(sys, points):
-    members = points.members()
-    per_point = []
-    cheb_grade = None
-    for x in members:
-        worst = TOP
-        for y in members:
-            if y == x:
-                continue
-            g = sys.grades.entries[x][y]
-            if g < worst:
-                worst = g
-        per_point.append((x, hulls._grade_distance(worst)))
-        if cheb_grade is None or worst > cheb_grade:
-            cheb_grade = worst
-    diam_grade = TOP
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            g = sys.grades.entries[x][y]
-            if g < diam_grade:
-                diam_grade = g
-    return hulls.RadiiReport(
-        points=points,
-        per_point=tuple(per_point),
-        cheb_radius=hulls._grade_distance(cheb_grade),
-        diameter=hulls._grade_distance(diam_grade),
-        cheb_grade=cheb_grade,
-        diam_grade=diam_grade,
-    )
-
-
-def normality_criteria_oracle(sys, points):
-    rep = radii_oracle(sys, points)
-    grade_strict = rep.cheb_grade > rep.diam_grade
-
-    members = points.members()
-    per_point_sup = []
-    for x in members:
-        sup = DyadicValue.zero()
-        for y in members:
-            d = delta(sys, x, y)
-            if d > sup:
-                sup = d
-        per_point_sup.append(sup)
-    cheb = min(per_point_sup) if per_point_sup else DyadicValue.zero()
-    diam = DyadicValue.zero()
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            d = delta(sys, x, y)
-            if d > diam:
-                diam = d
-    distance_strict = cheb < diam
-
-    cover_levels = set()
-    diam_levels = set()
-    for n in range(sys.window.below, sys.window.above + 1):
-        rows = sys.level_rows(n)
-        if any(points.bits & ~rows[x] == 0 for x in members):
-            cover_levels.add(n)
-        if all(points.bits & ~rows[x] == 0 for x in members):
-            diam_levels.add(n)
-    relational_proper = diam_levels < cover_levels
-    return hulls.NormalityCriteria(grade_strict, distance_strict, relational_proper)
-
-
-def min_distance_clique_oracle(sys):
-    best = sys.window.below
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            g = sys.grades.entries[x][y]
-            if g > best:
-                best = g
-    seed = None
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            if sys.grades.entries[x][y] == best:
-                seed = (x, y)
-                break
-        if seed:
-            break
-    members = [seed[0], seed[1]]
-    for x in range(sys.n):
-        if x in members:
-            continue
-        if all(sys.grades.entries[x][m] == best for m in members):
-            members.append(x)
-    return PointSet.of(sys.n, sorted(members))
-
-
-def check_normal_structure_oracle(sys, mode):
-    pairs = (1 << x | 1 << y for x in range(sys.n) for y in range(x + 1, sys.n))
-    fixed = next((p for p in pairs if hulls._hull_mask(sys, p, mode)[0] == p), None)
-    for bits in (fixed,) if fixed else hulls._family(sys, mode):
-        if bits.bit_count() < 2:
-            continue
-        points = PointSet(sys.n, bits)
-        if not normality_criteria_oracle(sys, points).grade_strict:
-            return StructureReport(
-                "normal-structure",
-                False,
-                witness=(hull(sys, points, mode), radii_oracle(sys, points)),
-                note="radius equals diameter on the witness set",
-            )
-    return StructureReport(
-        "normal-structure",
-        True,
-        note="no admissible set with two or more points" if sys.n < 2 else "",
-    )
-
-
 # two pairs at the top grade, (0, 1) first: the clique grows from the first
 TWO_TOP_PAIRS = make_system(
     ["a", "b", "c", "d"],
@@ -941,7 +788,7 @@ TWO_POINTS = make_system(["a", "b"], (0, 1), [[TOP, 1], [1, TOP]])
 
 @pytest.mark.deep
 class TestNormalStructureOracle:
-    """The one-walk routines against the two-walk oracles above."""
+    """The one-walk routines against the two-walk oracles."""
 
     @given(small_systems())
     @example(EQUILATERAL)
@@ -1086,28 +933,6 @@ def closure_walk_systems():
             sys = gen_system(seed, GenParams(point_count=(2, 8), constraint=constraint))
             if _fixes_no_pair(sys, ARBITRARY_CENTER):
                 yield (constraint, seed), sys
-
-
-def flat_paper_members_oracle(sys):
-    """Every flat paper-cov member, by brute force over all subsets and with
-    no hull: a set S of two or more points with least pair grade d is one
-    exactly when S is a maximal clique of the level-d relation and every
-    member has a partner in S at grade d.  (Flat, every member's covering
-    level of S is d, so the hull of S is the points at grade d or more from
-    all of S.)  In canonical order."""
-    n, g = sys.n, sys.grades.entries
-    out = []
-    for bits in range(1, 1 << n):
-        members = [x for x in range(n) if bits >> x & 1]
-        if len(members) < 2:
-            continue
-        d = min(g[x][y] for x in members for y in members if x != y)
-        outside = (z for z in range(n) if not bits >> z & 1)
-        maximal = not any(all(g[z][x] >= d for x in members) for z in outside)
-        partnered = all(any(g[x][y] == d for y in members if y != x) for x in members)
-        if maximal and partnered:
-            out.append(bits)
-    return sorted(out, key=lambda bits: PointSet(n, bits).canonical_key())
 
 
 # the refuted paper-cov pair rule: no pair fixed, and a normal first member
@@ -1357,17 +1182,6 @@ class TestCompactAndSpherical:
         assert check_spherical_completeness(sys) == walked
 
 
-def seeded_system(seed, n, span):
-    """Unconstrained n-point system, grades uniform over a span-wide window."""
-    rng = random.Random(seed)
-    lo = rng.randint(-2, 2)
-    rows = [[TOP] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            rows[x][y] = rows[y][x] = rng.randint(lo - 1, lo + span)
-    return make_system([str(i) for i in range(n)], (lo, lo + span), rows)
-
-
 # n = 1, n = 8/9/17 around the byte boundaries of a mask, span 0, and the
 # 4-point systems whose families have 7, 8 and 9 members
 SEEDED = [
@@ -1376,16 +1190,6 @@ SEEDED = [
     for span in spans
     for seed in range(6)
 ]
-
-
-def star_system(n):
-    """Point 0 meets point j at grade j and every other pair is at the
-    floor, so the balls at 0 shrink n - 1 times."""
-    rows = [
-        [TOP if x == y else max(x, y) if 0 in (x, y) else 0 for y in range(n)]
-        for x in range(n)
-    ]
-    return make_system([str(i) for i in range(n)], (1, n - 1), rows)
 
 
 def with_twins(sys, twins):
@@ -1401,30 +1205,6 @@ def with_twins(sys, twins):
         for x in range(size)
     ]
     return make_system([str(i) for i in range(size)], (sys.window.below, above), rows)
-
-
-def hull_oracle(sys, mode):
-    """The family and its witnesses from one _hull_mask call per member:
-    the paper-cov family keeps the closure members its hull fixes."""
-    closure = sorted(
-        hulls._intersection_closure(hulls._ball_index(sys)),
-        key=lambda bits: PointSet(sys.n, bits).canonical_key(),
-    )
-    assert all(hulls._hull_mask(sys, bits, ARBITRARY_CENTER)[0] == bits for bits in closure)
-    return [
-        (bits, witness)
-        for bits in closure
-        for out, witness in [hulls._hull_mask(sys, bits, mode)]
-        if out == bits
-    ]
-
-
-def row_masks(sys, rows):
-    """The masks of a member-by-point byte matrix, each row its mask's
-    ceil(n / 8) little-endian bytes; the matrix must split into whole rows."""
-    size = (sys.n + 7) // 8
-    assert len(rows) % size == 0
-    return [int.from_bytes(rows[i : i + size], "little") for i in range(0, len(rows), size)]
 
 
 def assert_sliced_matches_oracle(sys):
@@ -1454,48 +1234,6 @@ def assert_sliced_matches_oracle(sys):
         assert families[mode] == tuple(b for b, _ in want[mode])
         assert got[mode] == want[mode]
     return record
-
-
-def text_column_pass(sys, family):
-    """The paper-cov filter and the per-center step counts of a family in
-    canonical order, from the column pass as it was before the byte
-    matrix: each point's column read from the members' binary text, and
-    each shrink's inside positions formatted as 0/1 items and summed.  The
-    counts come back as one list of ints per center."""
-    n, m = sys.n, len(family)
-    every = (1 << m) - 1
-    width = next(w for w in (1, 2, 4, 8) if n <= 1 << 8 * w)
-    text = "".join(map(f"{{:0{n}b}}".format, family))
-    member = [int(text[n - 1 - y :: n][::-1], 2) for y in range(n)]
-
-    def items01(bits, width):
-        ones = format(bits, f"0{m}b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-        items = bytearray(m * width)
-        items[::width] = ones
-        return bytes(items)
-
-    table = sys.level_table()
-    paper_drops = [0] * n
-    steps = []
-    for x in range(n):
-        outside = count = 0
-        for lower, upper in zip(table, table[1:]):
-            if lower[x] == upper[x]:
-                continue
-            gone = f"{lower[x] & ~upper[x]:b}"[::-1]
-            leaving = [y for y, bit in enumerate(gone) if bit == "1"]
-            for y in leaving:
-                outside |= member[y]
-            inside = every ^ outside
-            for y in leaving:
-                paper_drops[y] |= inside & member[x]
-            count += int.from_bytes(items01(inside, width), "little")
-        counts = count.to_bytes(m * width, "little")
-        steps.append([int.from_bytes(counts[i : i + width], "little") for i in range(0, m * width, width)])
-    unfixed = 0
-    for y in range(n):
-        unfixed |= every & ~(paper_drops[y] | member[y])
-    return items01(every ^ unfixed, 1), steps
 
 
 def assert_matches_text_column_pass(sys):

@@ -10,7 +10,7 @@ from hypothesis import given
 from gradedrel import TOP, DyadicValue, cli, delta, mu
 from gradedrel.harness import CLAIMS, CONSTRAINTS, GenParams, gen_system
 
-from test_relations import small_systems, wide_sparse_systems
+from strategies import small_systems, wide_sparse_systems
 
 pytestmark = pytest.mark.deep
 

@@ -33,8 +33,7 @@ from gradedrel import (
 )
 from gradedrel.cli import run
 
-from test_hulls import CHAIN_HEAVY
-from test_relations import small_systems
+from strategies import CHAIN_HEAVY, small_systems
 
 
 def _scan_row(sys, x, k):

@@ -26,86 +26,14 @@ from gradedrel import (
 from gradedrel.harness import GenParams, gen_system
 from gradedrel.relations import _is_partition
 
-
-def small_systems():
-    """Random systems, any grade pattern the data model allows."""
-
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=1, max_value=5))
-        lo = draw(st.integers(min_value=-3, max_value=3))
-        hi = lo + draw(st.integers(min_value=1, max_value=4))
-        rows = [[TOP] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(x + 1, n):
-                g = draw(st.integers(min_value=lo - 1, max_value=hi))
-                rows[x][y] = g
-                rows[y][x] = g
-        return make_system([str(i) for i in range(n)], (lo, hi), rows)
-
-    return build()
-
-
-def wide_sparse_systems():
-    """Systems in windows up to 1000 levels wide whose grades come from
-    three random levels and the two just above each, so that both wide
-    gaps and near ties between grades occur."""
-
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=1, max_value=6))
-        lo = draw(st.integers(min_value=-1000, max_value=1000))
-        hi = lo + draw(st.integers(min_value=1, max_value=1000))
-        bases = draw(st.lists(st.integers(lo - 1, hi), min_size=3, max_size=3))
-        levels = sorted({min(hi, b + d) for b in bases for d in (0, 1, 2)})
-        rows = [[TOP] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(x + 1, n):
-                g = draw(st.sampled_from(levels))
-                rows[x][y] = g
-                rows[y][x] = g
-        return make_system([str(i) for i in range(n)], (lo, hi), rows)
-
-    return build()
+from oracles import reference_witness
+from strategies import cluster_tree_systems, small_systems, wide_sparse_systems
 
 
 def transitive_gen_systems(max_points=9):
     """The falsifier's transitive systems: every level an equivalence."""
     params = GenParams(point_count=(1, max_points), window_span=(1, 7), constraint="transitive")
     return st.builds(gen_system, st.integers(0, 1499), st.just(params))
-
-
-@st.composite
-def cluster_tree_systems(draw, max_points=9, min_points=1):
-    """Ultrametric systems built the way the benchmark builds its large
-    ones: the points are split into 2 or 3 random parts, then each part
-    again one or two levels higher, and a pair's grade is the level at
-    which its points are first split apart, capped at hi.  Every level is
-    an equivalence."""
-    n = draw(st.integers(min_value=min_points, max_value=max_points))
-    lo = draw(st.integers(min_value=-3, max_value=3))
-    hi = lo + draw(st.integers(min_value=1, max_value=6))
-    rows = [[TOP] * n for _ in range(n)]
-
-    def split(members, level):
-        if len(members) < 2:
-            return
-        if level >= hi:
-            for x, y in combinations(members, 2):
-                rows[x][y] = rows[y][x] = hi
-            return
-        parts = [[] for _ in range(draw(st.integers(2, 3)))]
-        for k, x in enumerate(draw(st.permutations(members))):
-            # the first points seed distinct parts
-            parts[k if k < len(parts) else draw(st.integers(0, len(parts) - 1))].append(x)
-        for a, b in combinations(parts, 2):
-            for x, y in product(a, b):
-                rows[x][y] = rows[y][x] = level
-        for part in parts:
-            split(part, level + draw(st.integers(1, 2)))
-
-    split(list(range(n)), lo - 1)
-    return make_system([str(i) for i in range(n)], (lo, hi), rows)
 
 
 def axiom_inputs():
@@ -514,50 +442,6 @@ class TestLevelListRoundTrip:
         full = Relation.full(2)
         with pytest.raises(StructuralInputError):
             compact_to_grades(LevelList(w, (full, full)))
-
-
-def lowest(mask):
-    return (mask & -mask).bit_length() - 1
-
-
-def reference_witness(sys, axiom):
-    """The witness check_axiom must report, rebuilt from compose and expand_level.
-
-    r9/r10: first level n in [lo, hi + 1], then first x, then the lowest y
-    the power reaches outside level n - 1, then the first chain x .. y in
-    lexicographic order.  transitive: first level in the window, then first
-    x, then the first z related to x, then the lowest y related to z but
-    not to x.
-    """
-    if axiom == "transitive":
-        for n in sys.window.levels():
-            rel = expand_level(sys, n)
-            square = compose(rel, rel)
-            for x in range(sys.n):
-                if not square.rows[x] & ~rel.rows[x]:
-                    continue
-                for z in range(sys.n):
-                    extra = rel.rows[z] & ~rel.rows[x]
-                    if rel.contains(x, z) and extra:
-                        return (n, x, z, lowest(extra))
-        return None
-    steps = 2 if axiom == "r9" else 3
-    for n in range(sys.window.lo, sys.window.hi + 2):
-        rel = expand_level(sys, n)
-        power = rel
-        for _ in range(steps - 1):
-            power = compose(power, rel)
-        prev = expand_level(sys, n - 1)
-        for x in range(sys.n):
-            extra = power.rows[x] & ~prev.rows[x]
-            if not extra:
-                continue
-            y = lowest(extra)
-            for middle in product(range(sys.n), repeat=steps - 1):
-                chain = (x, *middle, y)
-                if all(rel.contains(a, b) for a, b in zip(chain, chain[1:])):
-                    return (n, *chain)
-    return None
 
 
 def scan_witness(sys, axiom):

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gradedrel import (
     DyadicValue,
@@ -24,13 +24,14 @@ from gradedrel import (
 )
 from gradedrel import semimetric
 from gradedrel.harness import GenParams, gen_system
-from gradedrel.relations import Relation
-from gradedrel.semimetric import (
+
+from oracles import (
     _classify_dyadic,
     _minimal_inframetric_constant_dyadic,
+    metric_ball_collapse_oracle,
+    reconstruct_level_oracle,
 )
-
-from test_relations import small_systems, wide_sparse_systems
+from strategies import examples, small_systems, wide_sparse_systems
 
 
 class TestInducedDistance:
@@ -109,47 +110,6 @@ class TestMetricBallCollapse:
             got = metric_ball_collapse(sys, x, r)
             want = {y for y in range(sys.n) if delta(sys, x, y).as_fraction() <= r}
             assert set(got.members()) == want
-
-
-def reconstruct_level_oracle(sys, n):
-    """reconstruct_level's body before _reconstruct_levels: every ordered
-    pair's distance read again at each level."""
-    threshold = DyadicValue.pow2(-n)
-    rows = []
-    for x in range(sys.n):
-        row = 0
-        for y in range(sys.n):
-            if delta(sys, x, y) <= threshold:
-                row |= 1 << y
-        rows.append(row)
-    return Relation(sys.n, tuple(rows))
-
-
-def metric_ball_collapse_oracle(sys, x, r):
-    """metric_ball_collapse's body before _metric_balls: the radius read
-    and the window scanned again for every center."""
-    radius = Fraction(r)
-    p, q = radius.numerator, radius.denominator
-
-    def within(d):
-        m, e = d.numerator, d.exponent
-        return m * q <= p << e if e >= 0 else (m << -e) * q <= p
-
-    direct = 0
-    for y in range(sys.n):
-        if within(delta(sys, x, y)):
-            direct |= 1 << y
-    level = sys.window.above
-    for g in range(sys.window.below, sys.window.above + 1):
-        if within(DyadicValue.pow2(-g)):
-            level = g
-            break
-    graded = 0
-    for y in range(sys.n):
-        if sys.grades.entries[x][y] >= level:
-            graded |= 1 << y
-    assert direct == graded
-    return direct
 
 
 @contextmanager
@@ -231,6 +191,7 @@ class TestInframetricConstant:
     def test_chain_is_one(self, chain):
         assert minimal_inframetric_constant(chain) == DyadicValue.one()
 
+    @pytest.mark.deep
     def test_needs_two_points(self):
         one = make_system(["a"], (0, 1), [[TOP]])
         for constant in (minimal_inframetric_constant, _minimal_inframetric_constant_dyadic):
@@ -497,16 +458,19 @@ def _assert_matches_oracle(sys):
         ) == _minimal_inframetric_constant_dyadic(sys)
 
 
+@pytest.mark.deep
 class TestClassifyAgainstDyadicOracle:
     """The level-row classify pins the same first worst triples as the
     dyadic triple scan, field for field."""
 
     @given(small_systems())
-    @settings(max_examples=300)
+    @examples(300, deep=1000)
     def test_random_systems(self, sys):
         _assert_matches_oracle(sys)
 
+    # each example builds a level table up to 1000 levels wide
     @given(wide_sparse_systems())
+    @examples(100, deep=500)
     def test_wide_sparse_windows(self, sys):
         _assert_matches_oracle(sys)
 
