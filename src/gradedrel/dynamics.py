@@ -36,51 +36,20 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional
 
-from .dyadic import DyadicValue
 from .errors import PreconditionError, StructuralInputError, UsageError
 from .hulls import (
     ARBITRARY_CENTER,
     PAPER_COV,
     AdmissibleSet,
     _ball_index,
-    _canonical_mask_key,
     _hull_mask,
     _intersection_closure,
     hull,
 )
-from .pointset import PointSet, iter_bits
+# SelfMap and identity_map live in pointset and stay importable from here
+from .pointset import PointSet, SelfMap, identity_map, iter_bits
 from .relations import Grade, RelationalSystem, Top, check_axiom
 from .semimetric import delta
-
-
-@dataclass(frozen=True)
-class SelfMap:
-    """Total map on {0..n-1}, stored as the image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if n < 1:
-            raise StructuralInputError(f"point count must be positive, got {n}")
-        for x, y in enumerate(self.image):
-            if not 0 <= y < n:
-                raise StructuralInputError(
-                    f"image of {x} is {y}, outside the {n}-point ground set"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __call__(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise IndexError(f"point {x} out of range for {self.n} points")
-        return self.image[x]
-
-
-def identity_map(n: int) -> SelfMap:
-    return SelfMap(tuple(range(n)))
 
 
 def _check_sizes(sys: RelationalSystem, t: SelfMap) -> None:
@@ -362,7 +331,7 @@ class _MapAnalysis:
         minimal = [
             a for a in candidates if not any(b != a and b & ~a == 0 for b in candidates)
         ]
-        return tuple(sorted(minimal, key=_canonical_mask_key(sys.n)))
+        return tuple(sorted(minimal, key=lambda bits: PointSet(sys.n, bits).canonical_key()))
 
     def _least_invariant_closed(self, bits: int) -> int:
         """L_C for the cycle C: iterate X -> hull_ac(X | T(X)) from C up to

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dyadic import DyadicValue
-from .dynamics import SelfMap, identity_map
+from .pointset import SelfMap, identity_map
 from .relations import Grade, RelationalSystem, TOP, make_system
 
 __all__ = [

@@ -9,16 +9,17 @@ Parsers read each line as str.split() tokens and track no columns.  When a
 parse fails, `_column` finds the failing token's column on its line, so
 every diagnostic still names an exact line and column.
 
-An integer token is an optional '-' and ASCII digits; leading zeros and
--0 are accepted.  int() also takes '+', '_' and non-ASCII digits, so a
-text that holds any of them has each integer token matched against
-_PLAIN_INT as well; other texts skip that test.  The rationals of a
-distance matrix follow the same rule through _PLAIN_RATIONAL, which
-allows '+' only in a decimal's exponent.
+An integer token is an optional '-' and ASCII digits (_PLAIN_INT);
+leading zeros and -0 are accepted.  The rationals of a distance matrix
+follow the same rule through _PLAIN_RATIONAL, which allows '+' only in a
+decimal's exponent.  Each token is matched against its regex before it
+is converted, since int() and Fraction() also take '+', '_' and
+non-ASCII digits.
 
-A system's grade row is read whole when it is valid: n tokens, '-' at
-its own index, every other token an int() inside the window, and a text
-that needs no _PLAIN_INT test.  One map(int, ...) and a min/max range
+A line that is ASCII and holds no '+' or '_' is plain (_plain): on it
+int() reads exactly the _PLAIN_INT tokens.  So a plain grade row is read
+whole when it is valid: n tokens, '-' at its own index and every other
+token an int() inside the window.  One map(int, ...) and a min/max range
 test read it.  Any other row takes the cell loop, which words its first
 failure, and the symmetry walk runs only when the matrix differs from
 its transpose, so every diagnostic is the one the cell walks give.
@@ -31,14 +32,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn, Optional
 
-from .dynamics import SelfMap
 from .errors import GradedRelError
+from .pointset import SelfMap
 from .relations import (
     Grade,
     GradeMatrix,
     RelationalSystem,
     TOP,
     Window,
+    default_labels,
+    grade_str,
 )
 
 SYSTEM_HEADER = "gradedsystem v1"
@@ -75,9 +78,6 @@ class _Lines:
         if self.raw and self.raw[-1] == "":
             self.raw.pop()
         self.pos = 0
-        # only such a text can hold an integer or rational token that int()
-        # or Fraction() reads but the format does not allow
-        self.check_ints = not text.isascii() or "+" in text or "_" in text
 
     @property
     def lineno(self) -> int:
@@ -152,16 +152,18 @@ def _point_count(lines: _Lines) -> int:
 _PLAIN_INT = re.compile(r"-?[0-9]+")
 
 
+def _plain(line: str) -> bool:
+    """Whether int() alone may read the line's integer tokens: int() takes
+    '+', '_' and non-ASCII digits, which the format does not allow."""
+    return line.isascii() and "+" not in line and "_" not in line
+
+
 def _parse_int(lines: _Lines, tok: str, what: str, lineno: int, index: int, start: int = 0) -> int:
     """int(tok) of a plain integer token; else fail at token `index` of
     line `lineno`."""
-    try:
-        value = int(tok, 10)
-    except ValueError:
+    if not _PLAIN_INT.fullmatch(tok):
         _bad_int(lines, tok, what, lineno, index, start)
-    if lines.check_ints and not _PLAIN_INT.fullmatch(tok):
-        _bad_int(lines, tok, what, lineno, index, start)
-    return value
+    return int(tok)
 
 
 def _bad_int(
@@ -196,7 +198,7 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
             repeat = next(i for i, label in enumerate(labels) if label in labels[:i])
             lines.fail_at("invalid-system", lineno, repeat, "labels must be distinct", len("labels:"))
     else:
-        labels = tuple(str(i) for i in range(n))
+        labels = default_labels(n)
 
     rest, lineno = _keyword_line(lines, "window")
     bounds = rest.split()
@@ -211,17 +213,17 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
     if rest:
         _fail("bad-grades", lineno, 1, "'grades:' line takes no arguments")
 
-    # a valid row is read whole; any other row, and every row of a text
-    # that needs _PLAIN_INT, takes the cell loop, which inlines _parse_int
-    # (a call per cell is most of its time) and words the first failure
-    first, floor, check_ints = lines.lineno, lo - 1, lines.check_ints
+    # a valid plain row is read whole; any other row takes the cell loop,
+    # which words its first failure
+    first, floor = lines.lineno, lo - 1
     entries: list[tuple[Grade, ...]] = []
     for i in range(n):
-        tokens = lines.take(f"grades row {i}").split()
+        line = lines.take(f"grades row {i}")
+        tokens = line.split()
         rowno = first + i
         if len(tokens) != n:
             _fail("bad-dimension", rowno, 1, f"row {i} has {len(tokens)} entries, expected {n}")
-        whole = None if check_ints else _whole_row(tokens, i, floor, hi)
+        whole = _whole_row(tokens, i, floor, hi) if _plain(line) else None
         if whole is not None:
             entries.append(whole)
             continue
@@ -233,12 +235,7 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
                     lines.fail_at("bad-diagonal", rowno, j, message)
                 row.append(TOP)
                 continue
-            try:
-                g = int(tok, 10)
-            except ValueError:
-                _bad_int(lines, tok, f"grade ({i}, {j})", rowno, j)
-            if check_ints and not _PLAIN_INT.fullmatch(tok):
-                _bad_int(lines, tok, f"grade ({i}, {j})", rowno, j)
+            g = _parse_int(lines, tok, f"grade ({i}, {j})", rowno, j)
             if i == j:
                 lines.fail_at("bad-diagonal", rowno, j, f"diagonal entry ({i}, {i}) must be '-'")
             if not floor <= g <= hi:
@@ -266,7 +263,7 @@ def _parse_system_at(lines: _Lines) -> RelationalSystem:
 def _whole_row(tokens: list[str], i: int, floor: int, hi: int) -> Optional[tuple[Grade, ...]]:
     """Grade row i read whole, or None when it needs the cell loop: valid
     when '-' stands at index i and every other token is an int() in
-    [floor, hi].  Only for a text whose int() tokens are all plain."""
+    [floor, hi].  Only for a plain line."""
     if tokens[i] != "-":
         return None
     try:
@@ -284,12 +281,8 @@ def serialize_system(sys: RelationalSystem) -> str:
     out.append("labels: " + " ".join(sys.labels))
     out.append(f"window: {sys.window.lo} {sys.window.hi}")
     out.append("grades:")
-    for i in range(sys.n):
-        row = []
-        for j in range(sys.n):
-            g = sys.grades.entries[i][j]
-            row.append("-" if i == j else str(g))
-        out.append(" ".join(row))
+    for row in sys.grades.entries:
+        out.append(" ".join(map(grade_str, row)))
     return "\n".join(out) + "\n"
 
 
@@ -340,7 +333,7 @@ _LOOSE_RATIONAL = re.compile(
 def _parse_rational(lines: _Lines, tok: str, lineno: int, index: int) -> Fraction:
     """Exact rational from `p/q`, an integer or a decimal literal; floats
     never appear."""
-    if lines.check_ints and not _PLAIN_RATIONAL.fullmatch(tok):
+    if not _PLAIN_RATIONAL.fullmatch(tok):
         if _LOOSE_RATIONAL.fullmatch(tok):
             message = f"rational must be written in ASCII digits with no '+' sign or '_', got {tok!r}"
             lines.fail_at("bad-rational", lineno, index, message)

@@ -258,27 +258,6 @@ def _intersection_closure(generators: Iterable[int]) -> set[int]:
 _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-def _canonical_mask_key(n: int) -> Callable[[int], int]:
-    """Integer sort key of an n-point mask, ordered like canonical_key,
-    for the least pair hull and the minimal invariant admissible sets; the
-    family record sorts its members in reversed form instead.
-
-    Among sets of one size, the members compare at the lowest point in
-    exactly one of them, and the set holding it comes first; reading the
-    complement with point 0 as the highest bit orders them the same way.
-    The mask is reversed a byte at a time: its little-endian bytes, each
-    bit-reversed through _REVERSED, read big-endian put point i at bit
-    8 * size - 1 - i (the reversed form), and the shift brings it to
-    n - 1 - i.
-    """
-    full = (1 << n) - 1
-    size = (n + 7) // 8
-    shift = 8 * size - n
-    return lambda bits: (bits.bit_count() << n) | full ^ (
-        int.from_bytes(bits.to_bytes(size, "little").translate(_REVERSED), "big") >> shift
-    )
-
-
 def _matrix(masks: Iterable[int], size: int, flipped: bool = False) -> bytes:
     """The member-by-point byte matrix of masks, size bytes per row: row i
     holds point y of mask i at bit y % 8 of its byte y // 8, the mask's
@@ -350,13 +329,13 @@ def _build_family(sys: RelationalSystem) -> _Family:
     """Close the distinct balls in reversed form, sort the closure
     canonically, and decide every member's hulls and witnesses at once.
 
-    Reversal, as in _canonical_mask_key, is a bijection that keeps AND,
-    subset and emptiness, so the closure meets its cap after the same
-    generator, at the same size.  The canonical order is size first and, within a size,
-    the set holding the lowest differing point first; in reversed form
-    that point is the highest differing bit, so the order is the masks
-    from the largest down, then stably by bit count, two sorts with no
-    Python key.
+    Reversal, which puts point y at bit 8 * size - 1 - y for rows of size
+    bytes, is a bijection that keeps AND, subset and emptiness, so the
+    closure meets its cap after the same generator, at the same size.  The
+    canonical order is size first and, within a size, the set holding the
+    lowest differing point first; in reversed form that point is the
+    highest differing bit, so the order is the masks from the largest
+    down, then stably by bit count, two sorts with no Python key.
 
     member[y] is the int with bit i set when member i holds point y.  The
     positions inside a ball are the complement of the members holding a
@@ -650,6 +629,19 @@ class StructureReport:
     note: str = ""
 
 
+def _least(masks: Iterable[int]) -> int:
+    """The least mask in canonical order (PointSet.canonical_key), or 0
+    when there is none: the smaller set and, between two of one size, the
+    one holding the lowest bit of their XOR."""
+    rest = iter(masks)
+    least = next(rest, 0)
+    for bits in rest:
+        excess, diff = bits.bit_count() - least.bit_count(), bits ^ least
+        if excess < 0 or excess == 0 and bits & diff & -diff:
+            least = bits
+    return least
+
+
 def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> StructureReport:
     """Does every admissible set with at least two points admit a point
     strictly closer to everyone than the diameter?
@@ -678,7 +670,7 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
         if pair_hulls[-1] == p:
             break
     # a fixed pair ends the scan and is then the least pair hull
-    least = min(pair_hulls, key=_canonical_mask_key(n), default=0)
+    least = _least(pair_hulls)
     by_rule = mode == ARBITRARY_CENTER or least.bit_count() == 2
     for bits in (least,) if by_rule else _family(sys, mode):
         if bits.bit_count() < 2:

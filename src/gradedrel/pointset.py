@@ -1,4 +1,5 @@
-"""Immutable subsets of a fixed finite ground set, stored as bitmasks."""
+"""Value types over a fixed finite ground set {0..n-1}: subsets stored as
+bitmasks, and total self-maps stored as image tuples."""
 
 from __future__ import annotations
 
@@ -73,3 +74,33 @@ class PointSet:
             raise StructuralInputError(
                 f"ground-set size mismatch: {self.n} vs {other.n}"
             )
+
+
+@dataclass(frozen=True)
+class SelfMap:
+    """Total map on {0..n-1}, stored as the image tuple."""
+
+    image: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.image)
+        if n < 1:
+            raise StructuralInputError(f"point count must be positive, got {n}")
+        for x, y in enumerate(self.image):
+            if not 0 <= y < n:
+                raise StructuralInputError(
+                    f"image of {x} is {y}, outside the {n}-point ground set"
+                )
+
+    @property
+    def n(self) -> int:
+        return len(self.image)
+
+    def __call__(self, x: int) -> int:
+        if not 0 <= x < self.n:
+            raise IndexError(f"point {x} out of range for {self.n} points")
+        return self.image[x]
+
+
+def identity_map(n: int) -> SelfMap:
+    return SelfMap(tuple(range(n)))

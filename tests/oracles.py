@@ -21,6 +21,7 @@ from gradedrel import (
     PAPER_COV,
     PointSet,
     RelationalSystem,
+    ResourceLimitError,
     StructuralInputError,
     StructureReport,
     TOP,
@@ -33,18 +34,26 @@ from gradedrel import (
     hulls,
     metric_ball_collapse,
 )
-from gradedrel.hulls import _family
+from gradedrel.hulls import _ball_index, _family
 from gradedrel.pointset import iter_bits
 from gradedrel.relations import Relation, Window
 from gradedrel.semimetric import ClassificationReport, _triple
 
 __all__ = [
     "reference_witness",
+    "scan_witness",
+    "bounded_by_pair_loop",
+    "walk_grade_matrix",
+    "walk_window",
+    "_scan_row",
+    "_scan_cover",
+    "_scan_grade",
     "_minimal_inframetric_constant_dyadic",
     "_classify_dyadic",
     "reconstruct_level_oracle",
     "metric_ball_collapse_oracle",
     "closure_oracle",
+    "closure_full_pass",
     "family_from_metric_balls_oracle",
     "radii_oracle",
     "normality_criteria_oracle",
@@ -59,6 +68,7 @@ __all__ = [
     "_brute_invariant_balls",
     "_brute_offsets",
     "_family_walk",
+    "_ball_index_scan",
     "sweep_repair",
     "warshall_repair",
     "randint_draws",
@@ -66,7 +76,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the axiom checks' witnesses, rebuilt from compose and expand_level
+# the axiom checks' witnesses, rebuilt from compose and expand_level or
+# by plain pair scans
 
 
 def lowest(mask):
@@ -111,6 +122,97 @@ def reference_witness(sys, axiom):
                 if all(rel.contains(a, b) for a, b in zip(chain, chain[1:])):
                     return (n, *chain)
     return None
+
+
+def scan_witness(sys, axiom):
+    """check_axiom's witness rebuilt from grades by plain pair scans, with no
+    row masks or composition: the first level, then x, then the lowest y,
+    then the lexicographically first chain (transitive: the first z, then y)."""
+    g = sys.grades.entries
+    pts = range(sys.n)
+    if axiom == "transitive":
+        for n in sys.window.levels():
+            for x in pts:
+                for z in pts:
+                    for y in pts:
+                        if g[x][z] >= n and g[z][y] >= n and not g[x][y] >= n:
+                            return (n, x, z, y)
+        return None
+    steps = 2 if axiom == "r9" else 3
+    for n in range(sys.window.lo, sys.window.hi + 2):
+        for x in pts:
+            for y in pts:
+                if g[x][y] >= n - 1:
+                    continue
+                for middle in product(pts, repeat=steps - 1):
+                    chain = (x, *middle, y)
+                    if all(g[a][b] >= n for a, b in zip(chain, chain[1:])):
+                        return (n, *chain)
+    return None
+
+
+def bounded_by_pair_loop(sys):
+    """r5's holds, witness and bound by a walk over the upper triangle: the
+    first least pair in row-major order."""
+    bound, worst = TOP, None
+    for x in range(sys.n):
+        for y in range(x + 1, sys.n):
+            g = sys.grades.entries[x][y]
+            if g < bound:
+                bound, worst = g, (x, y)
+    holds = bound >= sys.window.lo
+    return holds, None if holds else worst, bound
+
+
+# ---------------------------------------------------------------------------
+# grade matrices and level rows: the cell-by-cell walks and grade scans
+
+
+def walk_grade_matrix(n, entries):
+    """The first failure of a cell-by-cell walk in row order, as GradeMatrix
+    words it, or None."""
+    for x in range(n):
+        if entries[x][x] is not TOP:
+            return f"diagonal entry ({x}, {x}) must be TOP"
+        for y in range(n):
+            if x == y:
+                continue
+            g = entries[x][y]
+            if not isinstance(g, int):
+                return f"off-diagonal entry ({x}, {y}) must be an integer, got {g!r}"
+            if entries[y][x] != g:
+                return f"grade matrix asymmetric at ({x}, {y}) vs ({y}, {x})"
+    return None
+
+
+def walk_window(lo, hi, entries):
+    n = len(entries)
+    for x in range(n):
+        for y in range(x + 1, n):
+            g = entries[x][y]
+            if not lo - 1 <= g <= hi:
+                return f"grade {g} at ({x}, {y}) outside [{lo - 1}, {hi}]"
+    return None
+
+
+def _scan_row(sys, x, k):
+    """Direct grade-row scan: points whose grade against x is at least k."""
+    return sum(1 << y for y in range(sys.n) if sys.grades.entries[x][y] >= k)
+
+
+def _scan_cover(sys, x, bits):
+    """Direct grade-row scan: the smallest grade from x into the set."""
+    grades = [sys.grades.entries[x][a] for a in range(sys.n) if bits >> a & 1]
+    return min(grades, default=TOP)
+
+
+def _scan_grade(d, lo, hi):
+    """The largest level in [lo - 1, hi] with d <= 2**-level, found by
+    trying every level from the top down; the oracle for the ingest grade."""
+    for cand in range(hi, lo - 2, -1):
+        if d <= Fraction(2) ** -cand:
+            return cand
+    return lo - 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +367,24 @@ def closure_oracle(n, generators):
         if covering and reduce(and_, covering) == s:
             out.add(s)
     return out
+
+
+def closure_full_pass(generators):
+    """The closure with one pass over the whole family per new generator,
+    as before the trace of the last generator was reused: the oracle for
+    the family size at every step, and so for the cap error."""
+    cap = hulls.DEFAULT_SET_CAP
+    family = set()
+    for b in generators:
+        if b in family:
+            continue
+        new = {b & f for f in family}
+        new.add(b)
+        new.discard(0)
+        family |= new
+        if len(family) > cap:
+            raise ResourceLimitError("over the cap", cap, len(family))
+    return family
 
 
 def family_from_metric_balls_oracle(sys, radii, mode):
@@ -579,6 +699,17 @@ def _family_walk(sys, t):
     return tuple(
         a for a in invariant if not any(b != a and b & ~a == 0 for b in invariant)
     )
+
+
+def _ball_index_scan(sys, t):
+    """The invariant-ball scan each regular_fixed_point call ran before the
+    analysis: every distinct ball of the index in mask order, tested one
+    member at a time."""
+    return [
+        (bits, names)
+        for bits, names in sorted(_ball_index(sys).items())
+        if _maps_into_itself(t, bits)
+    ]
 
 
 # ---------------------------------------------------------------------------

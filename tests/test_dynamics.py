@@ -36,6 +36,7 @@ from gradedrel.harness import GenParams, gen_system
 from gradedrel.hulls import _ball_index, _family, _hull_mask
 
 from oracles import (
+    _ball_index_scan,
     _brute_invariant_balls,
     _brute_minimal_balls,
     _brute_offsets,
@@ -470,17 +471,6 @@ class TestScansAreComplete:
 
 # ---------------------------------------------------------------------------
 # the per-(system, map) analysis against the standalone functions
-
-
-def _ball_index_scan(sys, t):
-    """The invariant-ball scan each regular_fixed_point call ran before the
-    analysis: every distinct ball of the index in mask order, tested one
-    member at a time."""
-    return [
-        (bits, names)
-        for bits, names in sorted(_ball_index(sys).items())
-        if _maps_into_itself(t, bits)
-    ]
 
 
 def _check_analysis(sys, t, order):

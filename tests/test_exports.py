@@ -1,4 +1,8 @@
-"""The public names of the package and its fixtures module."""
+"""The public names of the package and its fixtures module, and the
+modules that define them."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,23 @@ def test_star_import_binds_exactly_all(module):
     assert sorted(namespace) == sorted(module.__all__)
     for name, value in namespace.items():
         assert value is getattr(module, name)
+
+
+def test_self_map_is_one_object_in_every_module():
+    for module in (gradedrel.dynamics, gradedrel.fixtures, gradedrel.formats):
+        assert module.SelfMap is gradedrel.pointset.SelfMap is gradedrel.SelfMap
+    for module in (gradedrel.dynamics, gradedrel.fixtures):
+        assert module.identity_map is gradedrel.pointset.identity_map is gradedrel.identity_map
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [("pointset", {"errors"}), ("formats", {"errors", "pointset", "relations"})],
+)
+def test_leaf_modules_import_no_analysis_layer(module, allowed):
+    # formats reads and writes maps without dynamics, hulls or semimetric
+    tree = ast.parse(Path(gradedrel.__file__).with_name(f"{module}.py").read_text())
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert imported <= allowed

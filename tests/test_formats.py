@@ -389,11 +389,32 @@ class TestWholeRowParse:
         with mock.patch.object(formats, "_whole_row", wraps=formats._whole_row) as spy:
             assert parse_system(text) == grid
         assert spy.call_count == grid.n
-        # a text that needs the _PLAIN_INT test takes the cell loop throughout
+        # a '+' outside the grade rows leaves every plain row read whole
         plus = text.replace("labels: ", "labels: +", 1)
         with mock.patch.object(formats, "_whole_row", wraps=formats._whole_row) as spy:
             assert parse_system(plus).grades == grid.grades
-        assert spy.call_count == 0
+        assert spy.call_count == grid.n
+
+    @pytest.mark.parametrize("mark", ["+", "_", "\u00e9"])
+    def test_rows_are_read_whole_whatever_the_labels_and_locus_hold(self, grid, mark):
+        # a label like p_0 or a locus like 1 > 1/2 + 1/32 is on its own line
+        labels = tuple(f"p{mark}{i}" for i in range(grid.n))
+        sys = RelationalSystem(labels, grid.window, grid.grades)
+        bundle = CounterexampleBundle("c", 1, 0, f"1 > 1/2 {mark} 1/32", sys, None)
+        real = formats._whole_row
+
+        def recorded(*args):
+            rows.append(real(*args))
+            return rows[-1]
+
+        for parse, text in [
+            (parse_system, serialize_system(sys)),
+            (parse_bundle, serialize_bundle(bundle)),
+        ]:
+            rows = []
+            with mock.patch.object(formats, "_whole_row", recorded):
+                parse(text)
+            assert len(rows) == grid.n and None not in rows
 
     @pytest.mark.parametrize(
         "row, index, whole",

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from array import array
 from contextlib import contextmanager
+from functools import cmp_to_key
 from itertools import compress
 
 import pytest
@@ -44,6 +45,7 @@ from gradedrel.hulls import _hull_mask
 
 from oracles import (
     check_normal_structure_oracle,
+    closure_full_pass,
     closure_oracle,
     family_from_metric_balls_oracle,
     flat_paper_members_oracle,
@@ -290,21 +292,39 @@ class TestEnumerate:
         assert f"cap of {size - 1}" in str(err)
 
 
-@pytest.mark.deep
-class TestCanonicalMaskKey:
+class TestCanonicalOrder:
     def test_reversal_table(self):
         assert len(hulls._REVERSED) == 256
         for i in range(256):
             assert hulls._REVERSED[i] == sum(1 << (7 - k) for k in range(8) if i >> k & 1)
 
+    @given(
+        st.integers(min_value=1, max_value=20).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1)))
+        )
+    )
+    @example((3, []))
+    @example((3, [0b011, 0b101, 0b011]))
+    def test_least_is_the_canonical_minimum(self, case):
+        n, masks = case
+        want = min(masks, key=lambda b: PointSet(n, b).canonical_key(), default=0)
+        assert hulls._least(masks) == want
+
+    @staticmethod
+    def sorted_by_least(masks):
+        # the order _least decides between two masks, run as a sort
+        def compare(a, b):
+            return 0 if a == b else -1 if hulls._least((a, b)) == a else 1
+
+        return sorted(masks, key=cmp_to_key(compare))
+
     def test_every_mask_up_to_12_points(self):
         for n in range(13):
-            key = hulls._canonical_mask_key(n)
             masks = range(1 << n)
-            assert sorted(masks, key=key) == sorted(
+            assert self.sorted_by_least(masks) == sorted(
                 masks, key=lambda b: PointSet(n, b).canonical_key()
             )
-            assert len({key(b) for b in masks}) == 1 << n
+            assert hulls._least(reversed(masks)) == 0
 
     @given(
         st.integers(min_value=1, max_value=16).flatmap(
@@ -316,21 +336,24 @@ class TestCanonicalMaskKey:
     @examples(200)
     def test_random_masks_up_to_16_points(self, case):
         n, masks = case
-        assert sorted(masks, key=hulls._canonical_mask_key(n)) == sorted(
-            masks, key=lambda b: PointSet(n, b).canonical_key()
-        )
+        want = sorted(masks, key=lambda b: PointSet(n, b).canonical_key())
+        assert self.sorted_by_least(masks) == want
+        assert hulls._least(masks) == (want[0] if want else 0)
 
-    @staticmethod
-    def assert_matches_the_string_reversal(n, masks):
-        # the key read as text: the complement's n binary digits reversed
+    @classmethod
+    def assert_matches_the_string_reversal(cls, n, masks):
+        # the order read as text: size, then the complement's n binary
+        # digits reversed
         full = (1 << n) - 1
-        key = hulls._canonical_mask_key(n)
-        for bits in masks:
-            want = (bits.bit_count() << n) | int(format(full ^ bits, f"0{n}b")[::-1], 2)
-            assert key(bits) == want, (n, bits)
-        assert sorted(masks, key=key) == sorted(
-            masks, key=lambda b: PointSet(n, b).canonical_key()
+        want = sorted(
+            masks,
+            key=lambda b: (b.bit_count() << n) | int(format(full ^ b, f"0{n}b")[::-1], 2),
         )
+        assert want == sorted(masks, key=lambda b: PointSet(n, b).canonical_key())
+        assert cls.sorted_by_least(masks) == want
+        least = want[0] if want else 0
+        assert hulls._least(masks) == least
+        assert hulls._least(reversed(masks)) == least
 
     # n = 0, 1 and 7 (mod 8) around every byte count up to 300 points
     @pytest.mark.parametrize(
@@ -343,7 +366,7 @@ class TestCanonicalMaskKey:
         masks.update(1 << x for x in range(n))
         masks.update(full ^ (1 << x) for x in range(n))
         masks.update(rng.getrandbits(n) for _ in range(200))
-        # one low byte, so masks of one size are ordered by a higher byte
+        # one low byte, so masks of one size differ first in a higher byte
         masks.update((rng.getrandbits(n) & ~0xFF | 0x0F) & full for _ in range(50))
         self.assert_matches_the_string_reversal(n, sorted(masks))
 
@@ -365,24 +388,6 @@ def mask_families(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     masks = st.integers(min_value=1, max_value=(1 << n) - 1)
     return n, draw(st.lists(masks, min_size=1, max_size=12))
-
-
-def closure_full_pass(generators):
-    """The closure with one pass over the whole family per new generator,
-    as before the trace of the last generator was reused: the oracle for
-    the family size at every step, and so for the cap error."""
-    cap = hulls.DEFAULT_SET_CAP
-    family = set()
-    for b in generators:
-        if b in family:
-            continue
-        new = {b & f for f in family}
-        new.add(b)
-        new.discard(0)
-        family |= new
-        if len(family) > cap:
-            raise ResourceLimitError("over the cap", cap, len(family))
-    return family
 
 
 @st.composite
@@ -1429,7 +1434,7 @@ class TestSlicedFamily:
 class TestReversedFamily:
     """The family record, closed and sorted in reversed form, against the
     standard-form route it replaced: the ball closure sorted by
-    _canonical_mask_key, each member's hulls and witnesses from hull(),
+    PointSet.canonical_key, each member's hulls and witnesses from hull(),
     and the same cap error."""
 
     @staticmethod
@@ -1437,7 +1442,7 @@ class TestReversedFamily:
         n, size = sys.n, (sys.n + 7) // 8
         closure = sorted(
             hulls._intersection_closure(hulls._ball_index(sys)),
-            key=hulls._canonical_mask_key(n),
+            key=lambda bits: PointSet(n, bits).canonical_key(),
         )
         record = hulls._family_record(sys)
         assert record.matrix == b"".join(bits.to_bytes(size, "little") for bits in closure)

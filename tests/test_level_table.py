@@ -33,18 +33,8 @@ from gradedrel import (
 )
 from gradedrel.cli import run
 
+from oracles import _scan_cover, _scan_row
 from strategies import CHAIN_HEAVY, small_systems
-
-
-def _scan_row(sys, x, k):
-    """Direct grade-row scan: points whose grade against x is at least k."""
-    return sum(1 << y for y in range(sys.n) if sys.grades.entries[x][y] >= k)
-
-
-def _scan_cover(sys, x, bits):
-    """Direct grade-row scan: the smallest grade from x into the set."""
-    grades = [sys.grades.entries[x][a] for a in range(sys.n) if bits >> a & 1]
-    return min(grades, default=TOP)
 
 
 def _levels_around_window(sys):
@@ -52,6 +42,7 @@ def _levels_around_window(sys):
 
 
 class TestReadsMatchGradeScans:
+    @pytest.mark.deep
     @given(small_systems())
     def test_ball_and_expand_level(self, sys):
         for k in _levels_around_window(sys):
@@ -61,6 +52,7 @@ class TestReadsMatchGradeScans:
             for x in range(sys.n):
                 assert ball(sys, x, k) == PointSet(sys.n, rows[x])
 
+    @pytest.mark.deep
     @given(small_systems(), st.data())
     def test_covering_level(self, sys, data):
         bits = data.draw(st.integers(min_value=0, max_value=(1 << sys.n) - 1))
@@ -71,6 +63,7 @@ class TestReadsMatchGradeScans:
             for k in _levels_around_window(sys):
                 assert (bits & ~_scan_row(sys, x, k) == 0) == (k <= level)
 
+    @pytest.mark.deep
     @given(small_systems(), st.sampled_from([PAPER_COV, ARBITRARY_CENTER]), st.data())
     def test_hull(self, sys, mode, data):
         bits = data.draw(st.integers(min_value=1, max_value=(1 << sys.n) - 1))
@@ -107,6 +100,7 @@ class TestCacheIsInvisible:
         assert repr(sys) == repr(fresh)
         assert dataclasses.fields(sys) == dataclasses.fields(fresh)
 
+    @pytest.mark.deep
     def test_replace_gets_a_fresh_table(self, grid):
         table = grid.level_table()
         same = dataclasses.replace(grid)

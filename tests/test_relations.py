@@ -26,7 +26,13 @@ from gradedrel import (
 from gradedrel.harness import GenParams, gen_system
 from gradedrel.relations import _is_partition
 
-from oracles import reference_witness
+from oracles import (
+    bounded_by_pair_loop,
+    reference_witness,
+    scan_witness,
+    walk_grade_matrix,
+    walk_window,
+)
 from strategies import cluster_tree_systems, small_systems, wide_sparse_systems
 
 
@@ -178,33 +184,6 @@ class TestConstruction:
             Window(3, 2)
 
 
-def walk_grade_matrix(n, entries):
-    """The first failure of a cell-by-cell walk in row order, as GradeMatrix
-    words it, or None."""
-    for x in range(n):
-        if entries[x][x] is not TOP:
-            return f"diagonal entry ({x}, {x}) must be TOP"
-        for y in range(n):
-            if x == y:
-                continue
-            g = entries[x][y]
-            if not isinstance(g, int):
-                return f"off-diagonal entry ({x}, {y}) must be an integer, got {g!r}"
-            if entries[y][x] != g:
-                return f"grade matrix asymmetric at ({x}, {y}) vs ({y}, {x})"
-    return None
-
-
-def walk_window(lo, hi, entries):
-    n = len(entries)
-    for x in range(n):
-        for y in range(x + 1, n):
-            g = entries[x][y]
-            if not lo - 1 <= g <= hi:
-                return f"grade {g} at ({x}, {y}) outside [{lo - 1}, {hi}]"
-    return None
-
-
 def construction_error(build):
     try:
         build()
@@ -213,6 +192,7 @@ def construction_error(build):
     return None
 
 
+@pytest.mark.deep
 class TestValidationMessages:
     """GradeMatrix and RelationalSystem test a valid matrix as a whole and
     walk the cells only to word the first failure."""
@@ -444,33 +424,6 @@ class TestLevelListRoundTrip:
             compact_to_grades(LevelList(w, (full, full)))
 
 
-def scan_witness(sys, axiom):
-    """check_axiom's witness rebuilt from grades by plain pair scans, with no
-    row masks or composition: the first level, then x, then the lowest y,
-    then the lexicographically first chain (transitive: the first z, then y)."""
-    g = sys.grades.entries
-    pts = range(sys.n)
-    if axiom == "transitive":
-        for n in sys.window.levels():
-            for x in pts:
-                for z in pts:
-                    for y in pts:
-                        if g[x][z] >= n and g[z][y] >= n and not g[x][y] >= n:
-                            return (n, x, z, y)
-        return None
-    steps = 2 if axiom == "r9" else 3
-    for n in range(sys.window.lo, sys.window.hi + 2):
-        for x in pts:
-            for y in pts:
-                if g[x][y] >= n - 1:
-                    continue
-                for middle in product(pts, repeat=steps - 1):
-                    chain = (x, *middle, y)
-                    if all(g[a][b] >= n for a, b in zip(chain, chain[1:])):
-                        return (n, *chain)
-    return None
-
-
 @pytest.mark.deep
 class TestMaskRoutesMatchPairScans:
     @given(small_systems(), st.integers(min_value=-5, max_value=5), st.integers(-5, 5))
@@ -647,19 +600,6 @@ class TestPartitionCount:
                     rows[x] |= 1 << y
                     rows[y] |= 1 << x
             assert _is_partition(rows) == transitive_by_triples(rows), rows
-
-
-def bounded_by_pair_loop(sys):
-    """r5's holds, witness and bound by a walk over the upper triangle: the
-    first least pair in row-major order."""
-    bound, worst = TOP, None
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            g = sys.grades.entries[x][y]
-            if g < bound:
-                bound, worst = g, (x, y)
-    holds = bound >= sys.window.lo
-    return holds, None if holds else worst, bound
 
 
 @pytest.mark.deep

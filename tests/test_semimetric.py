@@ -28,6 +28,7 @@ from gradedrel.harness import GenParams, gen_system
 from oracles import (
     _classify_dyadic,
     _minimal_inframetric_constant_dyadic,
+    _scan_grade,
     metric_ball_collapse_oracle,
     reconstruct_level_oracle,
 )
@@ -315,15 +316,6 @@ class TestClassify:
                     assert excess <= worst
 
 
-def _scan_grade(d, lo, hi):
-    """The largest level in [lo - 1, hi] with d <= 2**-level, found by
-    trying every level from the top down; the oracle for the ingest grade."""
-    for cand in range(hi, lo - 2, -1):
-        if d <= Fraction(2) ** -cand:
-            return cand
-    return lo - 1
-
-
 class TestIngest:
     def test_known_matrix(self):
         rows = [
@@ -393,6 +385,7 @@ class TestIngest:
         back = ingest_distance_matrix(rows, (grid.window.lo, grid.window.hi), grid.labels)
         assert back == grid
 
+    @pytest.mark.deep
     @given(
         st.one_of(
             st.integers(min_value=-40, max_value=40).map(lambda e: Fraction(2) ** e),
