@@ -11,10 +11,11 @@ replaced when a map with another image is read.  Each of its fields is
 computed on its first read: the step grades and fixed points, the
 grade-preservation check, every orbit and regularity report, the
 map-invariant distinct balls of the system's ball index
-(hulls._ball_index), the minimal invariant balls and the minimal invariant
-admissible sets.  A caller pays only for what it reads: the dichotomy walks
-no orbit, and orbits and regularity build no level table.  Invariance of a
-mask is one image-mask kernel: the OR of the image bits of its members.
+(hulls._ball_index), named from the level table's columns, the minimal
+invariant balls and the minimal invariant admissible sets.  A caller pays
+only for what it reads: the dichotomy walks no orbit, and orbits and
+regularity build no level table.  Invariance of a mask is one image-mask
+kernel: the OR of the image bits of its members.
 
 The minimal invariant admissible sets are found without the admissible
 family.  Every invariant set contains a cycle C of the map, and every
@@ -286,13 +287,19 @@ class _MapAnalysis:
 
     @_field
     def invariant_balls(self) -> tuple[InvariantBallReport, ...]:
-        """The map-invariant distinct balls with every (center, level) pair
-        naming each, in mask order."""
-        n, fixed = self.sys.n, self.fixed
+        """The map-invariant distinct balls in mask order, each with every
+        (center, level) pair naming it: one pass over the level table's
+        columns looks each entry up among them."""
+        sys, fixed = self.sys, self.fixed
+        names = {bits: [] for bits in filter(self.invariant, sorted(_ball_index(sys)))}
+        for x, col in enumerate(zip(*sys.level_table())):
+            for lev, bits in enumerate(col, sys.window.below):
+                if bits in names:
+                    names[bits].append((x, lev))
+        n = sys.n
         return tuple(
-            InvariantBallReport(PointSet(n, bits), names, PointSet(n, bits & fixed))
-            for bits, names in sorted(_ball_index(self.sys).items())
-            if self.invariant(bits)
+            InvariantBallReport(PointSet(n, bits), tuple(pairs), PointSet(n, bits & fixed))
+            for bits, pairs in names.items()
         )
 
     @_field

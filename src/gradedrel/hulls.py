@@ -10,10 +10,10 @@ gen_system(0, GenParams(point_count=(3, 7))) the hull of {0, 1} is
 {0, ..., 4} but the hull of {0, 1, 2} is {0, ..., 3}), and its fixed
 points need not be closed under intersection.
 
-The system's ball index (_ball_index), memoised on it, maps each distinct
-ball mask of the level table to the (center, level) pairs that name it;
-in a transitive system balls are nested or disjoint, so far fewer masks
-than pairs.  Its masks are the generators of the one ball-intersection
+The system's ball index (_ball_index), memoised on it, holds each distinct
+ball mask of the level table once, read column by column; in a transitive
+system balls are nested or disjoint, so far fewer masks than (center,
+level) pairs.  Its masks are the generators of the one ball-intersection
 closure both fixed-point families are computed from, and the dynamics
 invariant-ball scan reads the same index.  The closure is built
 incrementally: each distinct ball b adds b and its nonempty intersections
@@ -82,8 +82,8 @@ only the witness is cross-checked by normality_criteria.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import getitem
+from itertools import chain, compress, repeat
+from operator import getitem, ne
 from array import array
 from sys import byteorder
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -191,27 +191,15 @@ def _hull_mask(
     return out, tuple(witness)
 
 
-def _ball_index(sys: RelationalSystem) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Every distinct ball mask with the (center, level) pairs naming it,
-    memoised on the system.
-
-    Masks keep their first sighting, center by center and level by level
-    from window.below to window.above, and so do the names of each mask.
-    """
+def _ball_index(sys: RelationalSystem) -> dict[int, None]:
+    """Every distinct ball mask of the level table, as dict keys in first
+    sighting order: column by column, each center's balls from window.below
+    to window.above.  Memoised on the system."""
     return sys.cached("ball-index", _build_ball_index)
 
 
-def _build_ball_index(sys: RelationalSystem) -> dict[int, tuple[tuple[int, int], ...]]:
-    names: dict[int, list[tuple[int, int]]] = {}
-    table = sys.level_table()
-    for x in range(sys.n):
-        for lev, rows in enumerate(table, sys.window.below):
-            pairs = names.get(rows[x])
-            if pairs is None:
-                names[rows[x]] = [(x, lev)]
-            else:
-                pairs.append((x, lev))
-    return {bits: tuple(pairs) for bits, pairs in names.items()}
+def _build_ball_index(sys: RelationalSystem) -> dict[int, None]:
+    return dict.fromkeys(chain.from_iterable(zip(*sys.level_table())))
 
 
 def _intersection_closure(generators: Iterable[int]) -> set[int]:
@@ -400,18 +388,15 @@ def _build_family(sys: RelationalSystem) -> _Family:
             item[::width] = column
             column = item
         spread.append(int.from_bytes(column, "little"))
-    # per center: the levels where its balls shrink, then window.above,
-    # and the balls they shrink to, from the floor up
+    # per center, from its column: the levels where its balls shrink, then
+    # window.above, and the balls they shrink to, from the floor up
     levels, paths = [], []
-    for x in range(n):
-        at, balls = [], []
-        for lev, (lower, upper) in enumerate(zip(table, table[1:]), sys.window.below):
-            if lower[x] != upper[x]:
-                at.append(lev)
-                balls.append(upper[x])
-        at.append(sys.window.above)
-        levels.append(tuple(at))
-        paths.append(tuple(balls))
+    below, above = sys.window.below, sys.window.above
+    for col in zip(*table):
+        upper = col[1:]
+        shrinks = list(map(ne, col, upper))
+        levels.append((*compress(range(below, above), shrinks), above))
+        paths.append(tuple(compress(upper, shrinks)))
     drops = [0] * n
     paper_drops = [0] * n
     # the shrinks on the last center's path from the floor ball, the floor

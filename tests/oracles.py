@@ -34,7 +34,7 @@ from gradedrel import (
     hulls,
     metric_ball_collapse,
 )
-from gradedrel.hulls import _ball_index, _family
+from gradedrel.hulls import _family
 from gradedrel.pointset import iter_bits
 from gradedrel.relations import Relation, Window
 from gradedrel.semimetric import ClassificationReport, _triple
@@ -68,7 +68,6 @@ __all__ = [
     "_brute_invariant_balls",
     "_brute_offsets",
     "_family_walk",
-    "_ball_index_scan",
     "sweep_repair",
     "warshall_repair",
     "randint_draws",
@@ -699,17 +698,6 @@ def _family_walk(sys, t):
     return tuple(
         a for a in invariant if not any(b != a and b & ~a == 0 for b in invariant)
     )
-
-
-def _ball_index_scan(sys, t):
-    """The invariant-ball scan each regular_fixed_point call ran before the
-    analysis: every distinct ball of the index in mask order, tested one
-    member at a time."""
-    return [
-        (bits, names)
-        for bits, names in sorted(_ball_index(sys).items())
-        if _maps_into_itself(t, bits)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from gradedrel.harness import GenParams, gen_system
 from gradedrel.hulls import _ball_index, _family, _hull_mask
 
 from oracles import (
-    _ball_index_scan,
     _brute_invariant_balls,
     _brute_minimal_balls,
     _brute_offsets,
@@ -488,7 +487,7 @@ def _check_analysis(sys, t, order):
     assert a.regularity == tuple(regularity_report(cold, t, x) for x in range(sys.n))
     assert a.min_balls == minimal_invariant_balls(cold, t)
     assert a.min_balls == _brute_minimal_balls(sys, t)
-    assert [(b.ball.bits, b.names) for b in a.invariant_balls] == _ball_index_scan(sys, t)
+    assert [(b.ball.bits, b.names) for b in a.invariant_balls] == _brute_invariant_balls(sys, t)
     for b in a.invariant_balls:
         assert b.fixed_inside.bits == b.ball.bits & a.fixed
 

@@ -290,6 +290,18 @@ def _count_ball_indexes(monkeypatch):
     return calls
 
 
+# level 2 is not transitive: 0 and 1 meet at 2, 1 and 2 at 3, 0 and 2 at
+# 1, so the ball of 0 at level 2 is {0, 1}, and 1's balls go from the
+# whole set to {1, 2}, skipping it
+SKIPPING = make_system(["0", "1", "2"], (1, 3), [[TOP, 2, 1], [2, TOP, 3], [1, 3, TOP]])
+
+
+@st.composite
+def _systems_with_maps(draw):
+    sys = draw(small_systems())
+    return sys, SelfMap(draw(st.tuples(*[st.integers(0, sys.n - 1)] * sys.n)))
+
+
 class TestBallIndex:
     @given(small_systems())
     @example(CHAIN_HEAVY)
@@ -299,17 +311,28 @@ class TestBallIndex:
         index = hulls._ball_index(sys)
         assert list(index) == scan
 
-    @given(small_systems())
-    @example(CHAIN_HEAVY)
-    def test_names_are_every_center_and_level_once(self, sys):
-        index = hulls._ball_index(sys)
-        names = [pair for pairs in index.values() for pair in pairs]
+    @given(_systems_with_maps())
+    @example((make_system(["0"], (0, 0), [[TOP]]), identity_map(1)))
+    @example((CHAIN_HEAVY, identity_map(8)))
+    @example((SKIPPING, identity_map(3)))
+    def test_invariant_balls_are_named_by_every_pair_whose_ball_it_is(self, case):
+        sys, t = case
         levels = range(sys.window.below, sys.window.above + 1)
-        assert sorted(names) == [(x, lev) for x in range(sys.n) for lev in levels]
-        for bits, pairs in index.items():
-            assert pairs == tuple(sorted(pairs))
-            for x, lev in pairs:
-                assert ball(sys, x, lev).bits == bits
+        pairs = [(x, lev) for x in range(sys.n) for lev in levels]
+        named = []
+        for report in dynamics._analysis(sys, t).invariant_balls:
+            bits = report.ball.bits
+            assert report.names == tuple(p for p in pairs if ball(sys, *p).bits == bits)
+            named += report.names
+        if t.image == tuple(range(sys.n)):
+            # every ball is invariant, so every pair names one
+            assert sorted(named) == pairs
+
+    def test_a_member_column_may_skip_the_ball(self):
+        balls = dynamics._analysis(SKIPPING, identity_map(3)).invariant_balls
+        assert [(b.ball.bits, b.names) for b in balls if b.ball.bits == 0b011] == [
+            (0b011, ((0, 2),))
+        ]
 
     def test_hulls_and_both_variants_build_it_once(self, chain, successor, monkeypatch):
         calls = _count_ball_indexes(monkeypatch)
