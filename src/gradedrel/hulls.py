@@ -42,32 +42,31 @@ of the falsifier and enumerate_admissible read masks back from them
 member's hulls are decided in one bit-sliced pass over the closure, in
 the vertical layout of frequent-itemset miners (Zaki 2000; MAFIA,
 Burdick et al. 2001): position i is the i-th member in canonical order,
-and member[y] is the int with bit i set when member i holds point y.
-The columns are read from the matrix, a translate per point, and each
-is also kept spread out, one count item per member, so the witness
-counts below grow by one integer sum per shrink.  The positions inside a
-ball are the complement of the OR of member[y] over the points it lacks,
-which depends on the ball alone.  So the walk runs over the centers'
-paths of shrinking balls, from the floor up, in sorted order: centers
-whose paths share a prefix come together and walk it once, each ball's
-OR made from the ball it shrank from with one OR per point that leaves.
-In a transitive system the balls form one cluster tree and every point
-of a cluster takes the same shrinks, so each distinct ball and each
-distinct shrink is walked once: the analyze-large benchmark systems
-visit 6,878 leaving points where a walk per center visited 38,718.  When
-every center taking a shrink has passed, the positions inside it drop
-its leaving points, which gives every member's fixed-point check under
-both hulls: the paper-cov family is the arbitrary-center tuple less the
-members its hull moves, and an arbitrary-center member that moved
-raises.  The count sums are shared along the paths too, but the counts
-stay per center: item i of center x's sum counts the times x's balls
-shrink before they stop containing member i, which picks the member's
-witness ball there; zipped across centers, these give each member's
-witnesses one member at a time.  A count is at most n - 1,
-so it takes one byte up to 256 points and the fewest wider bytes past
-that.  hull() still computes a single set's hull and witness directly and
-is the oracle the pass is tested against.  Balls, covering levels, hulls
-and the level-set normality route are reads of the system's level table.
+and spread[y] is the int whose item i, one count item per member, is 1
+when member i holds point y and 0 otherwise.  The columns are read from
+the matrix, a translate per point, and kept in this one spread form, so
+the witness counts below grow by one integer sum per shrink.  The items
+inside a ball are those of every member less the OR of spread[y] over
+the points it lacks, which depends on the ball alone.  So the walk runs
+over the centers' paths of shrinking balls, from the floor up, in sorted
+order: centers whose paths share a prefix come together and walk it
+once, each ball's OR made from the ball it shrank from with one OR per
+point that leaves.  In a transitive system the balls form one cluster
+tree and every point of a cluster takes the same shrinks, so each
+distinct ball and each distinct shrink is walked once.  When every
+center taking a shrink has passed, the items inside it drop its leaving
+points, which gives every member's fixed-point check under both hulls:
+the paper-cov family is the arbitrary-center tuple less the members its
+hull moves, and an arbitrary-center member that moved raises.  The
+count sums are shared along the paths too, but the counts stay per
+center: item i of center x's sum counts the times x's balls shrink
+before they stop containing member i, which picks the member's witness
+ball there; zipped across centers, these give each member's witnesses
+one member at a time.  A count is at most n - 1, so it takes one byte
+up to 256 points and the fewest wider bytes past that.  hull() still
+computes a single set's hull and witness directly and is the oracle the
+pass is tested against.  Balls, covering levels, hulls and the
+level-set normality route are reads of the system's level table.
 
 Compactness and spherical completeness are decided by the certificates a
 finite ground set gives directly: the closure keeps no empty set, and the
@@ -191,15 +190,15 @@ def _hull_mask(
     return out, tuple(witness)
 
 
-def _ball_index(sys: RelationalSystem) -> dict[int, None]:
-    """Every distinct ball mask of the level table, as dict keys in first
-    sighting order: column by column, each center's balls from window.below
-    to window.above.  Memoised on the system."""
+def _ball_index(sys: RelationalSystem) -> tuple[int, ...]:
+    """Every distinct ball mask of the level table, in first sighting
+    order: column by column, each center's balls from window.below to
+    window.above.  Memoised on the system."""
     return sys.cached("ball-index", _build_ball_index)
 
 
-def _build_ball_index(sys: RelationalSystem) -> dict[int, None]:
-    return dict.fromkeys(chain.from_iterable(zip(*sys.level_table())))
+def _build_ball_index(sys: RelationalSystem) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(chain.from_iterable(zip(*sys.level_table()))))
 
 
 def _intersection_closure(generators: Iterable[int]) -> set[int]:
@@ -287,9 +286,6 @@ _BYTE01 = tuple(bytes(b >> i & 1 for i in range(8)) for b in range(256))
 # entry j maps a byte to 1 when its bit j is set, else to 0
 _BIT01 = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
 
-# the 0/1 byte values as the ASCII digits int(..., 2) reads
-_DIGITS01 = bytes.maketrans(b"\0\1", b"01")
-
 
 class _Family(NamedTuple):
     """The admissible family of a system and every member's hulls, from
@@ -325,10 +321,11 @@ def _build_family(sys: RelationalSystem) -> _Family:
     highest differing bit, so the order is the masks from the largest
     down, then stably by bit count, two sorts with no Python key.
 
-    member[y] is the int with bit i set when member i holds point y.  The
-    positions inside a ball are the complement of the members holding a
-    point that ball lacks, so a center's walk from the floor up costs one
-    OR per point that leaves.  A member's hull drops y exactly when it lies
+    spread[y] is the int whose item i is 1 when member i holds point y,
+    and ones has every item 1.  The items inside a ball are ones XOR the
+    OR of spread[y] over the points that ball lacks, the 0/1 value the
+    count sum adds, so a center's walk from the floor up costs one OR per
+    point that leaves.  A member's hull drops y exactly when it lies
     inside the first ball at some center that lacks y, and a member is
     fixed when its hull drops every point it lacks; counting only the
     centers inside the member gives the paper-cov hull.  Every member of
@@ -336,7 +333,7 @@ def _build_family(sys: RelationalSystem) -> _Family:
     so a member that moved is a bug and raises.
 
     A member's witness ball at x is the last one before the shrink that it
-    leaves at, so the walk sums the 0/1 items of the positions inside each
+    leaves at, so the walk sums the 0/1 items of the members inside each
     smaller ball: item i of x's sum counts the shrinks member i stays
     inside and picks its witness level.  A center's balls shrink at most
     n - 1 times, so each item takes the fewest bytes that hold n - 1.
@@ -345,21 +342,21 @@ def _build_family(sys: RelationalSystem) -> _Family:
     balls shrink to.  Sorted, the paths that share a prefix come together,
     so the walk keeps the last center's path as a stack and walks only
     the shrinks past the prefix it shares with the next: each shrink on
-    the stack holds its leaving points, listed once, the ORs outside its
+    the stack holds its leaving points, listed once, the OR outside its
     ball and the count sum down to it.  When it is popped every center
-    that takes it has passed, so its inside positions are ORed into each
+    that takes it has passed, so its inside items are ORed into each
     leaving point's drops once, and into its paper-cov drops restricted
-    to the OR of those centers' members: OR is idempotent, and the inside
-    positions that some center's member holds are those that the OR of
-    the centers' members holds.  The stack is one path deep, so it holds
-    one path's ORs and sums, not one per distinct ball.
+    to the OR of those centers' columns: OR is idempotent, and the inside
+    items that some center's member holds are those that the OR of the
+    centers' columns holds.  The stack is one path deep, so it holds one
+    path's ORs and sums, not one per distinct ball.
 
     The columns come from the member-by-point byte matrix, which the
     record keeps in place of the masks, dropped once it is written:
-    column y is one translate of every size-th byte from byte y // 8.  Each column is kept twice,
-    packed as member[y] and spread as one count item per member, so the
-    items inside a ball are those of every member less the OR of the
-    spread columns that have left, one XOR per shrink and no conversion.
+    column y is one translate of every size-th byte from byte y // 8,
+    spread to width-byte items.  Each column is kept once, in that spread
+    form; the paper-cov filter is the low byte of each item of the
+    members that stayed fixed.
     """
     n = sys.n
     size = (n + 7) // 8
@@ -373,17 +370,16 @@ def _build_family(sys: RelationalSystem) -> _Family:
     family.sort(key=int.bit_count)
     # column y is every size-th byte from byte y // 8, read at bit y % 8
     matrix = _matrix(family, size, flipped=True)
-    m, every = len(family), (1 << len(family)) - 1
+    m = len(family)
     del family
     table = sys.level_table()
     width = next(w for w in _COUNT_TYPECODES if n <= 1 << 8 * w)
     # 1 in the low byte of every width-byte item, one item per member
     ones = int.from_bytes(b"\1".ljust(width, b"\0") * m, "little")
-    member, spread = [], []
+    spread = []
     item = bytearray(m * width)
     for y in range(n):
         column = matrix[y >> 3 :: size].translate(_BIT01[y & 7])
-        member.append(int(column.translate(_DIGITS01)[::-1], 2))
         if width > 1:
             item[::width] = column
             column = item
@@ -400,21 +396,21 @@ def _build_family(sys: RelationalSystem) -> _Family:
     drops = [0] * n
     paper_drops = [0] * n
     # the shrinks on the last center's path from the floor ball, the floor
-    # first: [ball, leaving points, OR of member[y] and of spread[y] over
-    # the points the ball lacks, count sum down to it, OR of member[x] over
-    # the centers whose paths take it]
-    walk = [[table[0][0], (), 0, 0, 0, 0]]
+    # first: [ball, leaving points, OR of spread[y] over the points the
+    # ball lacks, count sum down to it, OR of spread[x] over the centers
+    # whose paths take it]
+    walk = [[table[0][0], (), 0, 0, 0]]
 
     def close(shrink: list) -> None:
-        # every center that takes the shrink has passed: the positions
-        # inside it drop its leaving points, and its centers pass up
-        _, leaving, outside, _, _, centers = shrink
-        inside = every ^ outside
+        # every center that takes the shrink has passed: the items inside
+        # it drop its leaving points, and its centers pass up
+        _, leaving, outside, _, centers = shrink
+        inside = ones ^ outside
         centered = inside & centers
         for y in leaving:
             drops[y] |= inside
             paper_drops[y] |= centered
-        walk[-1][5] |= centers
+        walk[-1][4] |= centers
 
     steps = [b""] * n
     balls = ()
@@ -429,15 +425,14 @@ def _build_family(sys: RelationalSystem) -> _Family:
         while len(walk) > depth:
             close(walk.pop())
         for ball in balls[depth - 1 :]:
-            before, _, outside, outside_spread, count, _ = walk[-1]
+            before, _, outside, count, _ = walk[-1]
             leaving = list(iter_bits(before & ~ball))
             for y in leaving:
-                outside |= member[y]
-                outside_spread |= spread[y]
+                outside |= spread[y]
             # item i of the sum counts the shrinks member i stays inside
-            walk.append([ball, leaving, outside, outside_spread, count + (ones ^ outside_spread), 0])
-        walk[-1][5] |= member[x]
-        counts = walk[-1][4].to_bytes(m * width, "little")
+            walk.append([ball, leaving, outside, count + (ones ^ outside), 0])
+        walk[-1][4] |= spread[x]
+        counts = walk[-1][3].to_bytes(m * width, "little")
         if width > 1:
             counts = array(_COUNT_TYPECODES[width], counts)
             if byteorder == "big":
@@ -447,12 +442,12 @@ def _build_family(sys: RelationalSystem) -> _Family:
         close(walk.pop())
     moved = unfixed = 0
     for y in range(n):
-        moved |= every & ~(drops[y] | member[y])
-        unfixed |= every & ~(paper_drops[y] | member[y])
+        moved |= ones & ~(drops[y] | spread[y])
+        unfixed |= ones & ~(paper_drops[y] | spread[y])
     if moved:
         raise RuntimeError(f"admissible member moved under the {ARBITRARY_CENTER} hull")
-    kept = (every ^ unfixed).to_bytes((m + 7) // 8, "little")
-    paper = b"".join(map(_BYTE01.__getitem__, kept))[:m]
+    # item i is 1 when member i is fixed, its low byte every width-th byte
+    paper = (ones ^ unfixed).to_bytes(m * width, "little")[::width]
     return _Family(matrix, paper, tuple(levels), tuple(steps))
 
 
@@ -688,21 +683,22 @@ def min_distance_clique(sys: RelationalSystem) -> PointSet:
     """
     if sys.n < 2:
         raise StructuralInputError("need at least two points for a pair clique")
-    # the first pair of the largest grade, starting from the pair (0, 1)
-    best = sys.grades.entries[0][1]
-    members = [0, 1]
-    for x in range(sys.n):
-        for y in range(x + 1, sys.n):
-            g = sys.grades.entries[x][y]
-            if g > best:
-                best = g
-                members = [x, y]
-    for x in range(sys.n):
-        if x in members:
-            continue
-        if all(sys.grades.entries[x][m] == best for m in members):
-            members.append(x)
-    return PointSet.of(sys.n, sorted(members))
+    # the largest finite grade: the highest level whose relation is more
+    # than the diagonal, which the floor's full relation is
+    best = sys.window.hi
+    diagonal = sys.level_rows(best + 1)
+    while sys.level_rows(best) == diagonal:
+        best -= 1
+    rows = sys.level_rows(best)
+    # the first pair of that grade: the first point related to another,
+    # and the first other point it is related to, which lies past it
+    x = next(x for x, row in enumerate(rows) if row != 1 << x)
+    other = rows[x] ^ 1 << x
+    clique = other & -other | 1 << x
+    for x, row in enumerate(rows):
+        if clique & ~row == 0:
+            clique |= 1 << x
+    return PointSet(sys.n, clique)
 
 
 def check_compact_structure(sys: RelationalSystem) -> StructureReport:

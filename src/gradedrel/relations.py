@@ -11,8 +11,9 @@ diagonal.  A pair related at no stored level gets grade lo - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
+from operator import and_
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import ResourceLimitError, StructuralInputError, UsageError
@@ -444,53 +445,58 @@ def validate_level_list(levels: LevelList) -> tuple[AxiomReport, ...]:
 
     Separation ("r4-window") asks that the intersection of all stored levels
     be exactly the diagonal: every level contains each (x, x), and no
-    distinct pair survives every level.
+    distinct pair survives every level.  Each check reads the levels' row
+    masks, and each witness is the first failure in level order, then row
+    by row.
     """
-    reports = []
+    lo = levels.window.lo
+    per_level = [rel.rows for rel in levels.per_level]
 
-    witness = None
-    for idx, rel in enumerate(levels.per_level):
-        lvl = levels.window.lo + idx
-        for x, y in rel.pairs():
-            if not rel.contains(y, x):
-                witness = (lvl, x, y)
-                break
-        if witness:
-            break
-    reports.append(AxiomReport("r1", witness is None, witness))
+    # r1: a pair (x, y) whose row y lacks x
+    witness = next(
+        (
+            (lvl, x, y)
+            for lvl, rows in enumerate(per_level, lo)
+            for x, row in enumerate(rows)
+            for y in iter_bits(row)
+            if not rows[y] >> x & 1
+        ),
+        None,
+    )
+    reports = [AxiomReport("r1", witness is None, witness)]
 
-    witness = None
-    for idx in range(1, len(levels.per_level)):
-        cur, prev = levels.per_level[idx], levels.per_level[idx - 1]
-        lvl = levels.window.lo + idx
-        for x in range(cur.n):
-            extra = cur.rows[x] & ~prev.rows[x]
-            if extra:
-                y = next(iter_bits(extra))
-                witness = (lvl, x, y)
-                break
-        if witness:
-            break
+    # r2: a pair of a level that the level below lacks
+    witness = next(
+        (
+            (lvl, x, next(iter_bits(cur & ~prev)))
+            for lvl, (lower, rows) in enumerate(zip(per_level, per_level[1:]), lo + 1)
+            for x, (cur, prev) in enumerate(zip(rows, lower))
+            if cur & ~prev
+        ),
+        None,
+    )
     reports.append(AxiomReport("r2", witness is None, witness))
 
-    witness = None
-    for idx, rel in enumerate(levels.per_level):
-        lvl = levels.window.lo + idx
-        for x in range(rel.n):
-            if not rel.contains(x, x):
-                witness = (lvl, x, x)
-                break
-        if witness:
-            break
+    # r4-window: a level missing (x, x), else a distinct pair in every level
+    witness = next(
+        (
+            (lvl, x, x)
+            for lvl, rows in enumerate(per_level, lo)
+            for x, row in enumerate(rows)
+            if not row >> x & 1
+        ),
+        None,
+    )
     if witness is None:
-        inter = levels.per_level[0]
-        for rel in levels.per_level[1:]:
-            inter = inter.intersection(rel)
-        for x in range(inter.n):
-            off = inter.rows[x] & ~(1 << x)
-            if off:
-                witness = (x, next(iter_bits(off)))
-                break
+        inter = [reduce(and_, column) for column in zip(*per_level)]
+        witness = next(
+            (
+                (x, next(iter_bits(row ^ 1 << x)))
+                for x, row in enumerate(inter)
+                if row != 1 << x
+            ),
+            None,
+        )
     reports.append(AxiomReport("r4-window", witness is None, witness))
 
     return tuple(reports)
@@ -502,7 +508,8 @@ def compact_to_grades(
     """Collapse a validated level list into a grade matrix.
 
     The grade of a pair is the largest stored level containing it, lo - 1 if
-    none does, and TOP on the diagonal.
+    none does, and TOP on the diagonal: each level writes its grade over
+    its row masks on a grid of lo - 1, from the lowest level up.
     """
     for report in validate_level_list(levels):
         if not report.holds:
@@ -510,23 +517,15 @@ def compact_to_grades(
                 f"level list fails {report.axiom_id} (witness {report.witness})"
             )
     n = levels.n
-    lo = levels.window.lo
-    entries = []
-    for x in range(n):
-        row: list[Grade] = []
-        for y in range(n):
-            if x == y:
-                row.append(TOP)
-                continue
-            g: Grade = lo - 1
-            for idx in range(len(levels.per_level) - 1, -1, -1):
-                if levels.per_level[idx].contains(x, y):
-                    g = lo + idx
-                    break
-            row.append(g)
-        entries.append(tuple(row))
+    grid: list[list[Grade]] = [[levels.window.below] * n for _ in range(n)]
+    for lvl, rel in enumerate(levels.per_level, levels.window.lo):
+        for cells, row in zip(grid, rel.rows):
+            for y in iter_bits(row):
+                cells[y] = lvl
+    for x, cells in enumerate(grid):
+        cells[x] = TOP
     lbls = tuple(labels) if labels is not None else default_labels(n)
-    return RelationalSystem(lbls, levels.window, GradeMatrix(n, tuple(entries)))
+    return RelationalSystem(lbls, levels.window, GradeMatrix(n, tuple(map(tuple, grid))))
 
 
 def expand_level(sys: RelationalSystem, n: int) -> Relation:

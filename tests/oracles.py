@@ -17,7 +17,9 @@ from typing import Optional
 
 from gradedrel import (
     ARBITRARY_CENTER,
+    AxiomReport,
     DyadicValue,
+    GradeMatrix,
     PAPER_COV,
     PointSet,
     RelationalSystem,
@@ -28,6 +30,7 @@ from gradedrel import (
     ball,
     check_axiom,
     compose,
+    default_labels,
     delta,
     expand_level,
     hull,
@@ -45,6 +48,8 @@ __all__ = [
     "bounded_by_pair_loop",
     "walk_grade_matrix",
     "walk_window",
+    "validate_level_list_oracle",
+    "compact_to_grades_oracle",
     "_scan_row",
     "_scan_cover",
     "_scan_grade",
@@ -212,6 +217,101 @@ def _scan_grade(d, lo, hi):
         if d <= Fraction(2) ** -cand:
             return cand
     return lo - 1
+
+
+# ---------------------------------------------------------------------------
+# the level-list bridge: the pair scans validate_level_list and
+# compact_to_grades made before they read row masks
+
+
+def validate_level_list_oracle(levels):
+    """validate_level_list's body before it read row masks: symmetry per
+    level by Relation.pairs and contains, nesting, and within-window
+    separation.
+
+    Separation ("r4-window") asks that the intersection of all stored levels
+    be exactly the diagonal: every level contains each (x, x), and no
+    distinct pair survives every level.
+    """
+    reports = []
+
+    witness = None
+    for idx, rel in enumerate(levels.per_level):
+        lvl = levels.window.lo + idx
+        for x, y in rel.pairs():
+            if not rel.contains(y, x):
+                witness = (lvl, x, y)
+                break
+        if witness:
+            break
+    reports.append(AxiomReport("r1", witness is None, witness))
+
+    witness = None
+    for idx in range(1, len(levels.per_level)):
+        cur, prev = levels.per_level[idx], levels.per_level[idx - 1]
+        lvl = levels.window.lo + idx
+        for x in range(cur.n):
+            extra = cur.rows[x] & ~prev.rows[x]
+            if extra:
+                y = next(iter_bits(extra))
+                witness = (lvl, x, y)
+                break
+        if witness:
+            break
+    reports.append(AxiomReport("r2", witness is None, witness))
+
+    witness = None
+    for idx, rel in enumerate(levels.per_level):
+        lvl = levels.window.lo + idx
+        for x in range(rel.n):
+            if not rel.contains(x, x):
+                witness = (lvl, x, x)
+                break
+        if witness:
+            break
+    if witness is None:
+        inter = levels.per_level[0]
+        for rel in levels.per_level[1:]:
+            inter = inter.intersection(rel)
+        for x in range(inter.n):
+            off = inter.rows[x] & ~(1 << x)
+            if off:
+                witness = (x, next(iter_bits(off)))
+                break
+    reports.append(AxiomReport("r4-window", witness is None, witness))
+
+    return tuple(reports)
+
+
+def compact_to_grades_oracle(levels, labels=None):
+    """compact_to_grades' body before it wrote row masks: the grade of a
+    pair is the largest stored level containing it, found by scanning the
+    levels downward with contains, lo - 1 if none does, and TOP on the
+    diagonal.
+    """
+    for report in validate_level_list_oracle(levels):
+        if not report.holds:
+            raise StructuralInputError(
+                f"level list fails {report.axiom_id} (witness {report.witness})"
+            )
+    n = levels.n
+    lo = levels.window.lo
+    entries = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            if x == y:
+                row.append(TOP)
+                continue
+            g = lo - 1
+            for idx in range(len(levels.per_level) - 1, -1, -1):
+                if levels.per_level[idx].contains(x, y):
+                    g = lo + idx
+                    break
+            row.append(g)
+        entries.append(tuple(row))
+    lbls = tuple(labels) if labels is not None else default_labels(n)
+    return RelationalSystem(lbls, levels.window, GradeMatrix(n, tuple(entries)))
 
 
 # ---------------------------------------------------------------------------

@@ -1251,6 +1251,18 @@ def assert_matches_text_column_pass(sys):
     return record
 
 
+def square_system(n=257):
+    """Points 0-3 form a square, at grade 0 across it and -1 along it;
+    every other pair is at -1, the floor of the window 0 2.  Past 256
+    points its spread items take two bytes, and the paper-cov hulls of
+    {0, 1} and {2, 3} are the whole set, so the filter drops them."""
+    rows = [
+        [TOP if x == y else 0 if x < 4 and y < 4 and (x < 2) != (y < 2) else -1 for y in range(n)]
+        for x in range(n)
+    ]
+    return make_system([str(i) for i in range(n)], (0, 2), rows)
+
+
 def center_shrinks(sys):
     """Every (before, after) pair of balls where a center's balls shrink
     from one level to the next, once per center that takes it."""
@@ -1394,10 +1406,19 @@ class TestSlicedFamily:
     def test_matches_the_text_column_pass(self, sys):
         assert_matches_text_column_pass(sys)
 
-    @pytest.mark.parametrize("n", [256, 257])
-    def test_matches_the_text_column_pass_past_a_byte(self, n):
-        # the byte-spread columns take two bytes per member past 256 points
-        assert_matches_text_column_pass(star_system(n))
+    @pytest.mark.parametrize(
+        "system, dropped",
+        [(lambda: star_system(256), []), (lambda: star_system(257), []), (square_system, [3, 12])],
+        ids=["256", "257", "257-square"],
+    )
+    def test_matches_the_text_column_pass_past_a_byte(self, system, dropped):
+        # the byte-spread columns take two bytes per member past 256 points,
+        # and the paper-cov filter is read off the low byte of each; the
+        # square's filter drops {0, 1} and {2, 3}
+        sys = system()
+        record = assert_matches_text_column_pass(sys)
+        masks = row_masks(sys, record.matrix)
+        assert [bits for bits, kept in zip(masks, record.paper) if not kept] == dropped
 
     @given(small_systems(), st.integers(min_value=0, max_value=1 << 16))
     @example(CHAIN_HEAVY, 86)

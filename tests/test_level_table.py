@@ -200,30 +200,30 @@ class TestAdmissibleMemo:
     @given(small_systems())
     def test_memo_holds_masks_only(self, sys):
         # one stored form of the family: one record under the cap, holding
-        # the arbitrary-center canonical members as one byte matrix, and no
-        # AdmissibleSet, int tuple of either family or other copy of the
-        # rows anywhere in the memo
+        # the arbitrary-center canonical members as one byte matrix; beside
+        # it the memo holds only the level table, the ball index and the
+        # map analysis, so no AdmissibleSet, int tuple of either family or
+        # other copy of the rows
         enumerate_admissible(sys, PAPER_COV)
         enumerate_admissible(sys, ARBITRARY_CENTER)
         check_normal_structure(sys)
         minimal_invariant_admissible(sys, identity_map(sys.n))
         memo = sys.__dict__["_memo"]
-        records = {
-            key: value for key, value in memo.items() if isinstance(value, hulls._Family)
+        record = memo[("family", hulls.DEFAULT_SET_CAP)]
+        assert {key: type(value) for key, value in memo.items()} == {
+            "level-table": tuple,
+            "ball-index": tuple,
+            ("family", hulls.DEFAULT_SET_CAP): hulls._Family,
+            "map-analysis": list,
         }
-        assert set(records) == {("family", hulls.DEFAULT_SET_CAP)}
-        (record,) = records.values()
+        assert {type(row) for row in memo["level-table"]} == {tuple}
+        assert {type(bits) for row in memo["level-table"] for bits in row} == {int}
+        assert {type(bits) for bits in memo["ball-index"]} == {int}
+        assert [type(value) for value in memo["map-analysis"]] == [dynamics._MapAnalysis]
         size = (sys.n + 7) // 8
         closure = hulls._family(sys, ARBITRARY_CENTER)
         assert type(record.matrix) is bytes
         assert record.matrix == b"".join(bits.to_bytes(size, "little") for bits in closure)
-        paper = hulls._family(sys, PAPER_COV)
-        assert not [
-            value
-            for value in memo.values()
-            if isinstance(value, (hulls.AdmissibleSet, bytes))
-            or value in (paper, closure)
-        ]
 
     def test_one_column_pass_per_parsed_system(self, tmp_path, monkeypatch):
         # both hulls reports, structure and fixpoint on one unchanged file
@@ -305,11 +305,10 @@ def _systems_with_maps(draw):
 class TestBallIndex:
     @given(small_systems())
     @example(CHAIN_HEAVY)
-    def test_keys_are_the_distinct_balls_in_first_sighting_order(self, sys):
+    def test_the_distinct_balls_in_first_sighting_order(self, sys):
         table = sys.level_table()
         scan = list(dict.fromkeys(rows[x] for x in range(sys.n) for rows in table))
-        index = hulls._ball_index(sys)
-        assert list(index) == scan
+        assert hulls._ball_index(sys) == tuple(scan)
 
     @given(_systems_with_maps())
     @example((make_system(["0"], (0, 0), [[TOP]]), identity_map(1)))

@@ -28,8 +28,10 @@ from gradedrel.relations import _is_partition
 
 from oracles import (
     bounded_by_pair_loop,
+    compact_to_grades_oracle,
     reference_witness,
     scan_witness,
+    validate_level_list_oracle,
     walk_grade_matrix,
     walk_window,
 )
@@ -422,6 +424,32 @@ class TestLevelListRoundTrip:
         full = Relation.full(2)
         with pytest.raises(StructuralInputError):
             compact_to_grades(LevelList(w, (full, full)))
+
+
+@st.composite
+def level_lists(draw):
+    """A small system's level list and its labels; in half of the draws
+    one bit of one level is flipped, so every witness form occurs."""
+    sys = draw(small_systems())
+    per_level = list(to_level_list(sys).per_level)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(per_level) - 1))
+        x, y = draw(st.integers(0, sys.n - 1)), draw(st.integers(0, sys.n - 1))
+        rows = list(per_level[k].rows)
+        rows[x] ^= 1 << y
+        per_level[k] = Relation(sys.n, tuple(rows))
+    return LevelList(sys.window, tuple(per_level)), sys.labels
+
+
+@pytest.mark.deep
+class TestLevelListMatchesPairScans:
+    @given(level_lists())
+    def test_reports_and_compaction(self, case):
+        levels, labels = case
+        reports = validate_level_list(levels)
+        assert reports == validate_level_list_oracle(levels)
+        if all(rep.holds for rep in reports):
+            assert compact_to_grades(levels, labels) == compact_to_grades_oracle(levels, labels)
 
 
 @pytest.mark.deep
