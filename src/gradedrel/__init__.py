@@ -1,213 +1,78 @@
 """Graded families of nested symmetric relations on finite ground sets:
 exact dyadic distance geometry, admissible-hull structure, self-map
 dynamics, and a seeded claim falsifier.
+
+`import gradedrel` loads none of the package's modules.  _EXPORTS names
+each public name once, under the module that defines it, and __all__ is
+their sorted list.  The module __getattr__ (PEP 562) imports a name's
+module on its first use and binds the value here, so later reads are
+plain attribute reads; a module of the table (`gradedrel.hulls`) resolves
+the same way.  `import gradedrel.formats` loads formats and the modules it
+imports, and no others.
 """
 
-from .dyadic import DyadicValue, centered_cover_level, floor_log2
-from .dynamics import (
-    DichotomyEntry,
-    DichotomyReport,
-    InvariantBallReport,
-    MapCheck,
-    Orbit,
-    OUTCOME_FIXED,
-    OUTCOME_MINIMAL_BALL,
-    OUTCOME_NEITHER,
-    RegularFixedPointReport,
-    RegularityReport,
-    SelfMap,
-    VARIANTS,
-    fixed_points,
-    identity_map,
-    is_homomorphism,
-    is_nonexpansive,
-    ks_dichotomy,
-    minimal_invariant_admissible,
-    minimal_invariant_balls,
-    orbit,
-    regular_fixed_point,
-    regularity_report,
-)
-from .errors import (
-    GradedRelError,
-    PreconditionError,
-    ResourceLimitError,
-    StructuralInputError,
-    UsageError,
-)
-from .formats import (
-    CounterexampleBundle,
-    Diagnostic,
-    FormatError,
-    parse_bundle,
-    parse_distance_matrix,
-    parse_selfmap,
-    parse_system,
-    serialize_bundle,
-    serialize_distance_matrix,
-    serialize_selfmap,
-    serialize_system,
-)
-from .harness import (
-    CLAIMS,
-    Claim,
-    Counterexample,
-    GenParams,
-    Verdict,
-    falsify,
-    gen_self_map,
-    gen_system,
-    shrink,
-)
-from .hulls import (
-    ARBITRARY_CENTER,
-    AdmissibleSet,
-    NormalityCriteria,
-    PAPER_COV,
-    RadiiReport,
-    StructureReport,
-    admissible_family_bits,
-    ball,
-    check_compact_structure,
-    check_normal_structure,
-    check_spherical_completeness,
-    covering_level,
-    enumerate_admissible,
-    hull,
-    min_distance_clique,
-    normality_criteria,
-    radii,
-)
-from .pointset import PointSet, iter_bits
-from .relations import (
-    AxiomReport,
-    Grade,
-    GradeMatrix,
-    LevelList,
-    Relation,
-    RelationalSystem,
-    TOP,
-    Top,
-    Window,
-    check_axiom,
-    compact_to_grades,
-    compose,
-    default_labels,
-    expand_level,
-    grade_str,
-    make_system,
-    to_level_list,
-    validate_level_list,
-)
-from .semimetric import (
-    ClassificationReport,
-    TripleWitness,
-    classify,
-    delta,
-    ingest_distance_matrix,
-    metric_ball_collapse,
-    minimal_inframetric_constant,
-    mu,
-    reconstruct_level,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARBITRARY_CENTER",
-    "AdmissibleSet",
-    "AxiomReport",
-    "CLAIMS",
-    "Claim",
-    "ClassificationReport",
-    "Counterexample",
-    "CounterexampleBundle",
-    "Diagnostic",
-    "DichotomyEntry",
-    "DichotomyReport",
-    "DyadicValue",
-    "FormatError",
-    "GenParams",
-    "Grade",
-    "GradeMatrix",
-    "GradedRelError",
-    "InvariantBallReport",
-    "LevelList",
-    "MapCheck",
-    "NormalityCriteria",
-    "OUTCOME_FIXED",
-    "OUTCOME_MINIMAL_BALL",
-    "OUTCOME_NEITHER",
-    "Orbit",
-    "PAPER_COV",
-    "PointSet",
-    "PreconditionError",
-    "RadiiReport",
-    "RegularFixedPointReport",
-    "RegularityReport",
-    "Relation",
-    "RelationalSystem",
-    "ResourceLimitError",
-    "SelfMap",
-    "StructuralInputError",
-    "StructureReport",
-    "TOP",
-    "Top",
-    "TripleWitness",
-    "UsageError",
-    "VARIANTS",
-    "Verdict",
-    "Window",
-    "admissible_family_bits",
-    "ball",
-    "centered_cover_level",
-    "check_axiom",
-    "check_compact_structure",
-    "check_normal_structure",
-    "check_spherical_completeness",
-    "classify",
-    "compact_to_grades",
-    "compose",
-    "covering_level",
-    "default_labels",
-    "delta",
-    "enumerate_admissible",
-    "expand_level",
-    "falsify",
-    "fixed_points",
-    "floor_log2",
-    "gen_self_map",
-    "gen_system",
-    "grade_str",
-    "hull",
-    "identity_map",
-    "ingest_distance_matrix",
-    "is_homomorphism",
-    "is_nonexpansive",
-    "iter_bits",
-    "ks_dichotomy",
-    "make_system",
-    "metric_ball_collapse",
-    "min_distance_clique",
-    "minimal_inframetric_constant",
-    "minimal_invariant_admissible",
-    "minimal_invariant_balls",
-    "mu",
-    "normality_criteria",
-    "orbit",
-    "parse_bundle",
-    "parse_distance_matrix",
-    "parse_selfmap",
-    "parse_system",
-    "radii",
-    "reconstruct_level",
-    "regular_fixed_point",
-    "regularity_report",
-    "serialize_bundle",
-    "serialize_distance_matrix",
-    "serialize_selfmap",
-    "serialize_system",
-    "shrink",
-    "to_level_list",
-    "validate_level_list",
-]
+_EXPORTS = {
+    "dyadic": ("DyadicValue", "centered_cover_level", "floor_log2"),
+    "dynamics": (
+        "DichotomyEntry", "DichotomyReport", "InvariantBallReport", "MapCheck", "Orbit",
+        "OUTCOME_FIXED", "OUTCOME_MINIMAL_BALL", "OUTCOME_NEITHER",
+        "RegularFixedPointReport", "RegularityReport", "VARIANTS", "fixed_points",
+        "is_homomorphism", "is_nonexpansive", "ks_dichotomy",
+        "minimal_invariant_admissible", "minimal_invariant_balls", "orbit",
+        "regular_fixed_point", "regularity_report",
+    ),
+    "errors": (
+        "GradedRelError", "PreconditionError", "ResourceLimitError",
+        "StructuralInputError", "UsageError",
+    ),
+    "formats": (
+        "CounterexampleBundle", "Diagnostic", "FormatError", "parse_bundle",
+        "parse_distance_matrix", "parse_selfmap", "parse_system", "serialize_bundle",
+        "serialize_distance_matrix", "serialize_selfmap", "serialize_system",
+    ),
+    "harness": (
+        "CLAIMS", "Claim", "Counterexample", "GenParams", "Verdict", "falsify",
+        "gen_self_map", "gen_system", "shrink",
+    ),
+    "hulls": (
+        "ARBITRARY_CENTER", "AdmissibleSet", "NormalityCriteria", "PAPER_COV",
+        "RadiiReport", "StructureReport", "admissible_family_bits", "ball",
+        "check_compact_structure", "check_normal_structure",
+        "check_spherical_completeness", "covering_level", "enumerate_admissible",
+        "hull", "min_distance_clique", "normality_criteria", "radii",
+    ),
+    "pointset": ("PointSet", "SelfMap", "identity_map", "iter_bits"),
+    "relations": (
+        "AxiomReport", "Grade", "GradeMatrix", "LevelList", "Relation",
+        "RelationalSystem", "TOP", "Top", "Window", "check_axiom", "compact_to_grades",
+        "compose", "default_labels", "expand_level", "grade_str", "make_system",
+        "to_level_list", "validate_level_list",
+    ),
+    "semimetric": (
+        "ClassificationReport", "TripleWitness", "classify", "delta",
+        "ingest_distance_matrix", "metric_ball_collapse", "minimal_inframetric_constant",
+        "mu", "reconstruct_level",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it here as well
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,11 +3,12 @@
 Every subcommand builds one report dict; `--json` prints it as JSON and the
 default human view renders the same dict, so the two outputs carry identical
 data.  `main` writes either view to stdout as it is encoded, so the whole
-output is never held as one string.  Exit statuses: 0 success or claim holds, 1 violation or counterexample
-found, 2 usage, parse, precondition, or resource errors.  A reader that
-closes stdout early (`gradedrel validate FILE | head -1`) does not change
-the status: `main` sends the rest of the output to the null device and
-returns the command's own status, with nothing on stderr.
+output is never held as one string.  Exit statuses: 0 success or claim
+holds, 1 violation or counterexample found, 2 usage, parse, precondition,
+or resource errors.  A reader that closes stdout early (`gradedrel
+validate FILE | head -1`) does not change the status: `main` sends the
+rest of the output to the null device and returns the command's own
+status, with nothing on stderr.
 
 `run` builds its argument parser on the first call and reuses it for every
 later call in the process; `build_parser()` still returns a fresh parser.
@@ -56,7 +57,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from . import hulls as hulls_mod
 from .dyadic import DyadicValue
 from .dynamics import (
-    SelfMap,
     _analysis,
     is_nonexpansive,
     ks_dichotomy,
@@ -81,6 +81,7 @@ from .hulls import (
     check_normal_structure,
     check_spherical_completeness,
 )
+from .pointset import SelfMap
 from .relations import RelationalSystem, Top, check_axiom
 from .semimetric import TripleWitness, classify, ingest_distance_matrix
 

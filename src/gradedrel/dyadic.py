@@ -8,8 +8,9 @@ cheap without giving up exactness: a frozen slots class; each order
 operator compares in one frame with one shift by the exponent gap; and
 zero() and pow2() hand out shared values.  as_fraction converts directly,
 with no cache: the fast routes compare DyadicValues or plain integers, and
-its callers in the package are the falsifier's radii and the fixtures.  Comparing a DyadicValue with anything else raises TypeError,
-and == is False.
+its callers in the package are the falsifier's radii and the fixtures.
+Comparing a DyadicValue with anything else raises TypeError, and == is
+False.
 """
 
 from __future__ import annotations

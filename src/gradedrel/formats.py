@@ -302,9 +302,7 @@ def _parse_selfmap_at(lines: _Lines) -> SelfMap:
         _fail("bad-dimension", lineno, 1, f"expected {n} image indices, got {len(tokens)}")
     image = []
     for j, tok in enumerate(tokens):
-        if not _PLAIN_INT.fullmatch(tok):
-            _bad_int(lines, tok, f"image of point {j}", lineno, j, len("map:"))
-        v = int(tok)
+        v = _parse_int(lines, tok, f"image of point {j}", lineno, j, len("map:"))
         if not (0 <= v < n):
             message = f"image {v} of point {j} outside [0, {n - 1}]"
             lines.fail_at("out-of-range", lineno, j, message, len("map:"))

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .dynamics import (
-    SelfMap,
-    identity_map,
     is_homomorphism,
     is_nonexpansive,
     ks_dichotomy,
@@ -45,7 +43,7 @@ from .hulls import (
     check_normal_structure,
     normality_criteria,
 )
-from .pointset import PointSet, iter_bits
+from .pointset import PointSet, SelfMap, identity_map, iter_bits
 from .relations import (
     Grade,
     GradeMatrix,
@@ -56,7 +54,6 @@ from .relations import (
     _exact_grade_rows,
     check_axiom,
     default_labels,
-    expand_level,
 )
 from .semimetric import (
     _metric_balls,
@@ -265,8 +262,8 @@ class Claim:
 
 def _check_eq1(sys, _t):
     levels = range(sys.window.below, sys.window.above + 1)
-    for n, rel in zip(levels, _reconstruct_levels(sys, levels)):
-        if rel != expand_level(sys, n):
+    for n, rows in zip(levels, _reconstruct_levels(sys, levels)):
+        if rows != sys.level_rows(n):
             return f"level {n} disagrees between distance and grade routes"
     return None
 

@@ -81,12 +81,13 @@ def reconstruct_level(sys: RelationalSystem, n: int) -> Relation:
     Must coincide with expand_level at every level; the two routes share no
     comparison code.
     """
-    return _reconstruct_levels(sys, (n,))[0]
+    return Relation(sys.n, _reconstruct_levels(sys, (n,))[0])
 
 
-def _reconstruct_levels(sys: RelationalSystem, levels: Sequence[int]) -> list[Relation]:
-    """reconstruct_level at each of the given levels, reading each pair's
-    distance once and comparing it with every level's threshold.
+def _reconstruct_levels(sys: RelationalSystem, levels: Sequence[int]) -> list[tuple[int, ...]]:
+    """reconstruct_level's row masks at each of the given levels, as the
+    tuples RelationalSystem.level_rows gives, reading each pair's distance
+    once and comparing it with every level's threshold.
 
     The distance is symmetric, so the pair {x, y} sets bit y of row x and
     bit x of row y at every level whose threshold it is within.
@@ -100,7 +101,7 @@ def _reconstruct_levels(sys: RelationalSystem, levels: Sequence[int]) -> list[Re
                 if d <= threshold:
                     level_rows[x] |= 1 << y
                     level_rows[y] |= 1 << x
-    return [Relation(sys.n, tuple(r)) for r in rows]
+    return [tuple(r) for r in rows]
 
 
 def _as_exact_rational(value: Rational, what: str) -> Fraction:
