@@ -13,9 +13,13 @@ grade-preservation check, every orbit and regularity report, the
 map-invariant distinct balls of the system's ball index
 (hulls._ball_index), named from the level table's columns, the minimal
 invariant balls and the minimal invariant admissible sets.  A caller pays
-only for what it reads: the dichotomy walks no orbit, and orbits and
-regularity build no level table.  Invariance of a mask is one image-mask
-kernel: the OR of the image bits of its members.
+only for what it reads: the dichotomy walks no orbit, orbits and
+regularity build no level table, and _regular_unmet, the hypotheses of
+regular_fixed_point, reads no ball.  Every orbit, the analysis's and
+orbit()'s, is one _walk that reads its grade trace from the step grades.
+Invariance of a mask is one image-mask kernel: the OR of the image bits
+of its members, and a minimal invariant ball's step grades are one mask
+test against the points moving at its level.
 
 The minimal invariant admissible sets are found without the admissible
 family.  Every invariant set contains a cycle C of the map, and every
@@ -75,10 +79,11 @@ def is_homomorphism(sys: RelationalSystem, t: SelfMap) -> MapCheck:
     violating pair in index order.
     """
     _check_sizes(sys, t)
-    for x in range(sys.n):
+    entries, image = sys.grades.entries, t.image
+    for x, row in enumerate(entries):
+        row_img = entries[image[x]]
         for y in range(x + 1, sys.n):
-            g = sys.grades.entries[x][y]
-            g_img = sys.grades.entries[t.image[x]][t.image[y]]
+            g, g_img = row[y], row_img[image[y]]
             if not g_img >= g:
                 return MapCheck(False, (x, y, g, g_img))
     return MapCheck(True)
@@ -123,16 +128,24 @@ def orbit(sys: RelationalSystem, t: SelfMap, x: int) -> Orbit:
     _check_sizes(sys, t)
     if not 0 <= x < sys.n:
         raise IndexError(f"point {x} out of range for {sys.n} points")
-    seq = [x]
-    seen = {x: 0}
-    while True:
-        nxt = t.image[seq[-1]]
-        if nxt in seen:
-            start = seen[nxt]
-            break
+    return _walk(t.image, _steps(sys, t), x)
+
+
+def _steps(sys: RelationalSystem, t: SelfMap) -> tuple[Grade, ...]:
+    """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
+    return tuple(map(getitem, sys.grades.entries, t.image))
+
+
+def _walk(image: tuple[int, ...], steps: tuple[Grade, ...], x: int) -> Orbit:
+    """The orbit of x under the map with this image, its grade trace read
+    from the map's step grades."""
+    seq, seen = [x], {x: 0}
+    nxt = image[x]
+    while nxt not in seen:
         seen[nxt] = len(seq)
         seq.append(nxt)
-    trace = tuple(sys.grades.entries[p][t.image[p]] for p in seq)
+        nxt = image[nxt]
+    start, trace = seen[nxt], tuple(map(steps.__getitem__, seq))
     return Orbit(x, tuple(seq[:start]), tuple(seq[start:]), trace)
 
 
@@ -242,7 +255,7 @@ class _MapAnalysis:
     @_field
     def steps(self) -> tuple[Grade, ...]:
         """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
-        return tuple(map(getitem, self.sys.grades.entries, self.t.image))
+        return _steps(self.sys, self.t)
 
     @_field
     def fixed(self) -> int:
@@ -262,7 +275,8 @@ class _MapAnalysis:
 
     @_field
     def orbits(self) -> tuple[Orbit, ...]:
-        return tuple(orbit(self.sys, self.t, x) for x in range(self.sys.n))
+        image, steps = self.t.image, self.steps
+        return tuple(_walk(image, steps, x) for x in range(len(image)))
 
     @_field
     def regularity(self) -> tuple[RegularityReport, ...]:
@@ -305,12 +319,17 @@ class _MapAnalysis:
     @_field
     def min_balls(self) -> tuple[tuple[int, int], ...]:
         sys, steps = self.sys, self.steps
+        lo, hi = sys.window.lo, sys.window.hi
+        # moving[lev]: the points whose step grade is lev
+        moving: dict[Grade, int] = {}
+        for p, lev in enumerate(steps):
+            moving[lev] = moving.get(lev, 0) | 1 << p
         out = []
         for x, lev in enumerate(steps):
-            if not sys.window.lo <= lev <= sys.window.hi:
+            if not lo <= lev <= hi:
                 continue
             bits = sys.level_rows(lev)[x]
-            if self.invariant(bits) and all(steps[p] == lev for p in iter_bits(bits)):
+            if bits & ~moving[lev] == 0 and self.invariant(bits):
                 out.append((x, lev))
         return tuple(out)
 
@@ -487,6 +506,23 @@ class RegularFixedPointReport:
     verdict: str  # confirmed | falsified | vacuous
 
 
+def _regular_unmet(sys: RelationalSystem, t: SelfMap, variant: str) -> list[str]:
+    """The unmet hypotheses of regular_fixed_point, read without its balls:
+    transitivity, grade preservation, then the growth property at each
+    non-fixed point, in point order."""
+    if variant not in VARIANTS:
+        raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    a = _analysis(sys, t)
+    unmet = a.unmet()
+    for rep in a.regularity:
+        if rep.is_fixed:
+            continue
+        ok = rep.regular if variant == "regular" else rep.asymptotically_regular
+        if not ok:
+            unmet.append(f"{variant}@{rep.point}")
+    return unmet
+
+
 def regular_fixed_point(
     sys: RelationalSystem, t: SelfMap, variant: str = "regular"
 ) -> RegularFixedPointReport:
@@ -498,18 +534,8 @@ def regular_fixed_point(
     reported regardless.  Both variants share the analysis's orbits and
     invariant balls.
     """
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    a = _analysis(sys, t)
-    unmet = a.unmet()
-    for rep in a.regularity:
-        if rep.is_fixed:
-            continue
-        ok = rep.regular if variant == "regular" else rep.asymptotically_regular
-        if not ok:
-            unmet.append(f"{variant}@{rep.point}")
-
-    balls = a.invariant_balls
+    unmet = _regular_unmet(sys, t, variant)
+    balls = _analysis(sys, t).invariant_balls
     if unmet:
         verdict = "vacuous"
     elif all(b.contains_fixed for b in balls):

@@ -1,33 +1,43 @@
 """Seeded generation of systems and maps, plus a claim falsifier.
 
-Generation is reproducible from the seed alone, and each pair's grade is
-drawn exactly as random.Random.randint draws it.  Constrained systems are
-repaired in one pass over the level relations, from the window top down:
-level k keeps its drawn pairs and takes in the square (r9) or cube (r10)
-of the repaired level k + 1, or the transitive closure of both
-(transitive), and each pair's grade becomes the highest level it first
-appears in.  Grades only rise, and the result is the least repair above
-the drawn grades: any system obeying the constraint with grades at least
-the drawn ones holds, by induction from the top, every repaired level
-inside its own.  The transitive repair reaches the same grades by single
-linkage, in one sorted pass over the drawn pairs.  The postcondition is
-still re-verified.
+Generation is reproducible from the seed alone.  Every draw takes exactly
+the bits random.Random would take for it: the point count and window
+(randint), each image of an any-kind map (randrange) and each image the
+grade-preserving search picks (choice) through _below, and each pair's
+grade (randint) through the same loop inlined.  The search's point
+orders are shuffled by random.Random.shuffle itself.
+
+Constrained systems are repaired in one pass over the level relations,
+from the window top down: level k keeps its drawn pairs and takes in the
+square (r9) or cube (r10) of the repaired level k + 1, or the transitive
+closure of both (transitive), and each pair's grade becomes the highest
+level it first appears in.  Grades only rise, and the result is the
+least repair above the drawn grades: any system obeying the constraint
+with grades at least the drawn ones holds, by induction from the top,
+every repaired level inside its own.  The transitive repair reaches the
+same grades by single linkage, in one sorted pass over the drawn pairs.
+The postcondition is still re-verified.
 
 The hull-equivalence claim rebuilds both admissible families from metric
 balls computed from distances, not from the level table: each trial
 computes its balls in one _metric_balls call, largest radius first at
 each center, and closes them once with the same intersection closure as
 the graded route.  The eq1-roundtrip claim reads each distance once per
-trial, through _reconstruct_levels.
+trial, through _reconstruct_levels.  The two regular fixed-point claims
+settle vacuity from dynamics._regular_unmet first, so a vacuous trial
+builds no invariant ball.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .dynamics import (
+    OUTCOME_NEITHER,
+    _regular_unmet,
     is_homomorphism,
     is_nonexpansive,
     ks_dichotomy,
@@ -165,26 +175,36 @@ def _repair_transitive(entries: list[list[Grade]], lo: int) -> None:
             cls[q] = a
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) that takes the bits random.Random._randbelow
+    takes: n.bit_length() bits at a time until the value falls below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def gen_system(seed: int, params: GenParams = GenParams()) -> RelationalSystem:
     """Deterministic random system honoring the requested constraint.
 
-    Three randint calls draw the point count, the window bottom and its
-    span; each pair's grade in [lo - 1, hi] then takes the bits a
-    randint(lo - 1, hi) call would, so the stream, and every system, match
-    a randint per pair.  _repair then raises the grades to the least ones
-    obeying the constraint.
+    The point count, the window bottom and its span take the bits three
+    randint calls would, through _below; each pair's grade in [lo - 1, hi]
+    then takes the bits a randint(lo - 1, hi) call would, so the stream,
+    and every system, match randint draws.  _repair then raises the grades
+    to the least ones obeying the constraint.
     """
     rng = random.Random(seed)
-    n = rng.randint(*params.point_count)
-    lo = rng.randint(*params.window_lo)
-    hi = lo + rng.randint(*params.window_span)
+    getrandbits = rng.getrandbits
+    (n0, n1), (lo0, lo1), (s0, s1) = params.point_count, params.window_lo, params.window_span
+    n = n0 + _below(getrandbits, n1 - n0 + 1)
+    lo = lo0 + _below(getrandbits, lo1 - lo0 + 1)
+    hi = lo + s0 + _below(getrandbits, s1 - s0 + 1)
     window = Window(lo, hi)
     entries: list[list[Grade]] = [[TOP] * n for _ in range(n)]
-    # each grade as rng.randint(lo - 1, hi) draws it: k bits at a time until
-    # the draw falls below the width, without randint's per-call checks
+    # each grade as _below(getrandbits, width) draws it, with k computed once
     width = hi - lo + 2
     k = width.bit_length()
-    getrandbits = rng.getrandbits
     for x in range(n):
         row = entries[x]
         for y in range(x + 1, n):
@@ -212,7 +232,9 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     identity (always grade-preserving) is returned.  The candidates for x
     are the AND over assigned y of the level-g(x, y) row of T(y), read
     straight from the system's level table, so a system whose table would
-    pass LEVEL_TABLE_CAP raises ResourceLimitError.
+    pass LEVEL_TABLE_CAP raises ResourceLimitError.  Each image takes the
+    bits a randrange (any kind) or choice (grade-preserving kind) call
+    would, through _below; the orders are shuffled by rng.shuffle.
 
     On a transitive system no order dead-ends, so the catalog's map claims
     never restart: for the assigned y* with the highest grade to x and any
@@ -222,9 +244,10 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     if map_kind not in MAP_KINDS:
         raise UsageError(f"unknown map kind {map_kind!r}")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     n = sys.n
     if map_kind == "any":
-        return SelfMap(tuple(rng.randrange(n) for _ in range(n)))
+        return SelfMap(tuple(_below(getrandbits, n) for _ in range(n)))
 
     # off-diagonal grades lie in [below, hi], inside the table
     table, below = sys.level_table(), sys.window.below
@@ -239,7 +262,8 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
                 mask &= table[grades[y] - below][ty]
             if not mask:
                 break
-            image[x] = rng.choice([c for c in range(n) if mask >> c & 1])
+            candidates = [c for c in range(n) if mask >> c & 1]
+            image[x] = candidates[_below(getrandbits, len(candidates))]
         else:
             return SelfMap(tuple(image[x] for x in range(n)))
     return identity_map(n)
@@ -315,16 +339,17 @@ def _check_ks(sys, t):
     if not rep.hypotheses_met:
         return VACUOUS
     if rep.has_neither:
-        bad = next(e for e in rep.entries if e.outcome == "NEITHER")
+        bad = next(e for e in rep.entries if e.outcome == OUTCOME_NEITHER)
         return f"ball at ({bad.point}, level {bad.level}) has neither branch"
     return None
 
 
 def _check_regular_fp(variant):
+    # vacuity is settled before the report, so a vacuous trial scans no ball
     def check(sys, t):
-        rep = regular_fixed_point(sys, t, variant)
-        if not rep.hypotheses_met:
+        if _regular_unmet(sys, t, variant):
             return VACUOUS
+        rep = regular_fixed_point(sys, t, variant)
         if rep.verdict == "falsified":
             bad = next(b for b in rep.balls if not b.contains_fixed)
             return f"invariant ball {bad.ball.members()} holds no fixed point"
@@ -363,8 +388,6 @@ def _check_radii_translation(sys, _t):
 
 
 def _breakpoint_radii(sys, rng):
-    from fractions import Fraction
-
     radii = [
         DyadicValue.pow2(-n).as_fraction()
         for n in range(sys.window.below, sys.window.above + 1)

@@ -24,9 +24,11 @@ from gradedrel import (
     PointSet,
     RelationalSystem,
     ResourceLimitError,
+    SelfMap,
     StructuralInputError,
     StructureReport,
     TOP,
+    UsageError,
     ball,
     check_axiom,
     compose,
@@ -35,8 +37,10 @@ from gradedrel import (
     expand_level,
     hull,
     hulls,
+    identity_map,
     metric_ball_collapse,
 )
+from gradedrel.harness import MAP_KINDS
 from gradedrel.hulls import _family
 from gradedrel.pointset import iter_bits
 from gradedrel.relations import Relation, Window
@@ -76,6 +80,7 @@ __all__ = [
     "sweep_repair",
     "warshall_repair",
     "randint_draws",
+    "randrange_map_draws",
 ]
 
 
@@ -870,3 +875,32 @@ def randint_draws(seed, params):
         for y in range(x + 1, n):
             entries[x][y] = entries[y][x] = rng.randint(lo - 1, hi)
     return entries, Window(lo, hi)
+
+
+def randrange_map_draws(seed, sys, map_kind="any"):
+    """Reference for gen_self_map's draws: every image by rng.randrange
+    (any kind) or rng.choice (grade-preserving kind)."""
+    if map_kind not in MAP_KINDS:
+        raise UsageError(f"unknown map kind {map_kind!r}")
+    rng = random.Random(seed)
+    n = sys.n
+    if map_kind == "any":
+        return SelfMap(tuple(rng.randrange(n) for _ in range(n)))
+
+    # off-diagonal grades lie in [below, hi], inside the table
+    table, below = sys.level_table(), sys.window.below
+    everyone = (1 << n) - 1
+    for _ in range(64):
+        order = list(range(n))
+        rng.shuffle(order)
+        image: dict[int, int] = {}
+        for x in order:
+            grades, mask = sys.grades.entries[x], everyone
+            for y, ty in image.items():
+                mask &= table[grades[y] - below][ty]
+            if not mask:
+                break
+            image[x] = rng.choice([c for c in range(n) if mask >> c & 1])
+        else:
+            return SelfMap(tuple(image[x] for x in range(n)))
+    return identity_map(n)

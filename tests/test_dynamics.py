@@ -536,8 +536,8 @@ class TestMapAnalysis:
 
     def test_dichotomy_walks_no_orbit(self, chain, successor, monkeypatch):
         walked = []
-        real = dynamics.orbit
-        monkeypatch.setattr(dynamics, "orbit", lambda *a: walked.append(a) or real(*a))
+        real = dynamics._walk
+        monkeypatch.setattr(dynamics, "_walk", lambda *a: walked.append(a) or real(*a))
         ks_dichotomy(chain, successor)
         assert walked == []
         assert "orbits" not in vars(_analysis(chain, successor))

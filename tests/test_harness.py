@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedrel import harness, hulls
+from gradedrel import dynamics, harness, hulls
 from gradedrel import (
     ARBITRARY_CENTER,
     CLAIMS,
@@ -29,13 +29,16 @@ from gradedrel import (
     parse_selfmap,
     parse_system,
     PointSet,
+    regular_fixed_point,
     serialize_selfmap,
     serialize_system,
     TripleWitness,
 )
 from gradedrel.harness import (
     CONSTRAINTS,
+    MAP_KINDS,
     VACUOUS,
+    _below,
     _repair,
     _repair_transitive,
     _trial_seed,
@@ -43,7 +46,7 @@ from gradedrel.harness import (
 )
 from gradedrel.relations import Window
 
-from oracles import randint_draws, sweep_repair, warshall_repair
+from oracles import randint_draws, randrange_map_draws, sweep_repair, warshall_repair
 from strategies import examples
 
 CLAIM_IDS = (
@@ -59,6 +62,10 @@ CLAIM_IDS = (
     "thm-regular-fp",
     "transitive-ultrametric",
 )
+
+# 15 points, 11 levels, no constraint: at seed 170 the grade-preserving
+# map search dead-ends in all 64 of its orders
+DEAD_ENDS = GenParams(point_count=(15, 15), window_span=(10, 10))
 
 
 class TestGenParams:
@@ -141,7 +148,7 @@ class TestGeneration:
     def test_identity_after_64_dead_ends(self, shuffles):
         # an unconstrained 15-point system where each of the 64 random
         # orders reaches a point that no image can take
-        sys = gen_system(170, GenParams(point_count=(15, 15), window_span=(10, 10)))
+        sys = gen_system(170, DEAD_ENDS)
         assert (sys.n, sys.window.lo, sys.window.hi) == (15, 2, 12)
         shuffles.clear()
         assert gen_self_map(170, sys, "homomorphism") == identity_map(15)
@@ -176,6 +183,19 @@ class TestGeneration:
     def test_unknown_map_kind(self, grid):
         with pytest.raises(UsageError):
             gen_self_map(0, grid, "isometry")
+
+    @pytest.mark.parametrize("seed", [0, 1, 170, 2**63 - 1])
+    def test_below_takes_the_bits_randbelow_takes(self, seed):
+        # every draw of the generators goes through _below, so a CPython
+        # whose _randbelow spends other bits shows here by name
+        for n in range(1, 71):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _below(rng.getrandbits, n) == ref._randbelow(n), n
+            assert rng.getrandbits(64) == ref.getrandbits(64), n
+        # range(1) still spends a bit: one k = 1 draw, retried while it is 1
+        rng = random.Random(seed)
+        _below(rng.getrandbits, 1)
+        assert rng.getstate() != random.Random(seed).getstate()
 
     def test_trial_seeds_spread(self):
         seeds = {_trial_seed(7, i) for i in range(1000)}
@@ -299,6 +319,24 @@ class TestPairDraws:
     @settings(deadline=None)
     def test_same_draws_as_randint(self, params, seeds):
         assert _drawn(params, seeds) == [randint_draws(seed, params) for seed in seeds]
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @pytest.mark.parametrize("params", DRAW_SCOPES)
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_same_maps_as_randrange(self, params, kind, seeds):
+        for seed in seeds:
+            sys = gen_system(seed, params)
+            assert gen_self_map(seed, sys, kind) == randrange_map_draws(seed, sys, kind)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_same_maps_as_randrange_through_restarts(self, kind, seeds):
+        # map seed 170 takes all 64 restarts on this system
+        sys = gen_system(170, DEAD_ENDS)
+        for seed in (170, *seeds):
+            assert gen_self_map(seed, sys, kind) == randrange_map_draws(seed, sys, kind)
 
 
 @pytest.mark.deep
@@ -448,6 +486,58 @@ class TestVacuousReturns:
         assert verdict.outcome == "no-counterexample"
         points = [gen_system(_trial_seed(0, i), TINY_SCOPE).n for i in range(trials)]
         assert verdict.vacuous_trials == points.count(1) > 0
+
+
+REGULAR_CLAIMS = {"thm-regular-fp": "regular", "thm-asymptotic-fp": "asymptotic"}
+
+
+class TestRegularVacuity:
+    """The two regular fixed-point claims settle vacuity before the report,
+    so a vacuous trial builds no invariant ball."""
+
+    @pytest.mark.parametrize("claim_id", sorted(REGULAR_CLAIMS))
+    def test_only_non_vacuous_trials_scan_balls(self, claim_id, monkeypatch):
+        built, trials = [], []
+        real = vars(dynamics._MapAnalysis)["invariant_balls"]
+        spy = dynamics._field(lambda a: built.append(a) or real.build(a))
+        spy.__set_name__(dynamics._MapAnalysis, "invariant_balls")
+        monkeypatch.setattr(dynamics._MapAnalysis, "invariant_balls", spy)
+        claim = CLAIMS[claim_id]
+
+        def logged(sys, t):
+            before = len(built)
+            result = claim.check(sys, t)
+            trials.append((result, len(built) - before))
+            return result
+
+        monkeypatch.setitem(CLAIMS, claim_id, replace(claim, check=logged))
+        verdict = falsify(claim_id, 300, 0)
+        assert verdict.outcome == "no-counterexample"
+        assert len(trials) == 300
+        assert [scans for _, scans in trials] == [int(r != VACUOUS) for r, _ in trials]
+        vacuous = sum(r == VACUOUS for r, _ in trials)
+        assert 0 < vacuous == verdict.vacuous_trials < 300
+
+    @pytest.mark.parametrize("claim_id", sorted(REGULAR_CLAIMS))
+    def test_vacuous_exactly_when_the_report_is(self, claim_id):
+        claim, variant = CLAIMS[claim_id], REGULAR_CLAIMS[claim_id]
+        results = []
+        for seed in range(300):
+            sys = gen_system(seed, claim.params)
+            t = gen_self_map(seed ^ 0xA5A5, sys, claim.params.map_kind)
+            result = claim.check(sys, t)
+            # the report on a fresh copy of the system, with no analysis kept
+            rep = regular_fixed_point(gen_system(seed, claim.params), t, variant)
+            if not rep.hypotheses_met:
+                want = VACUOUS
+            elif rep.verdict == "falsified":
+                bad = next(b for b in rep.balls if not b.contains_fixed)
+                want = f"invariant ball {bad.ball.members()} holds no fixed point"
+            else:
+                want = None
+            assert result == want, seed
+            results.append(result)
+        assert 0 < results.count(VACUOUS) < 300
 
 
 def _flip_nonexpansive(real):

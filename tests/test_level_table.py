@@ -411,7 +411,7 @@ class TestParsedSystemMemo:
         for name, log in (
             ("_MapAnalysis", made),
             ("is_homomorphism", checked),
-            ("orbit", walked),
+            ("_walk", walked),
         ):
             real = getattr(dynamics, name)
             monkeypatch.setattr(
