@@ -4,10 +4,11 @@ A map is grade-preserving when no pair's grade drops under it, which for
 the induced distance is exactly nonexpansiveness; both predicates are
 implemented against their own arithmetic so they can be compared.
 
-The dichotomy, the fixed-point theorems, the invariant-set search and the
-CLI's dynamics and fixpoint reports read one analysis of the map on the
-system (_MapAnalysis), memoised on the system for the last map read and
-replaced when a map with another image is read.  Each of its fields is
+fixed_points, orbit and regularity_report, the dichotomy, the fixed-point
+theorems, the invariant-set search and the CLI's dynamics and fixpoint
+reports read one analysis of the map on the system (_MapAnalysis),
+memoised on the system for the last map read and replaced when a map
+with another image is read.  Each of its fields is
 computed on its first read: the step grades and fixed points, the
 grade-preservation check, every orbit and regularity report, the
 map-invariant distinct balls of the system's ball index
@@ -15,8 +16,9 @@ map-invariant distinct balls of the system's ball index
 invariant balls and the minimal invariant admissible sets.  A caller pays
 only for what it reads: the dichotomy walks no orbit, orbits and
 regularity build no level table, and _regular_unmet, the hypotheses of
-regular_fixed_point, reads no ball.  Every orbit, the analysis's and
-orbit()'s, is one _walk that reads its grade trace from the step grades.
+regular_fixed_point, reads no ball.  Each orbit is one _walk, made once
+per point for the analysis, that reads its grade trace from the step
+grades; orbit() and regularity_report() index the analysis's tuples.
 Invariance of a mask is one image-mask kernel: the OR of the image bits
 of its members, and a minimal invariant ball's step grades are one mask
 test against the points moving at its level.
@@ -54,7 +56,7 @@ from .hulls import (
 # SelfMap and identity_map live in pointset and stay importable from here
 from .pointset import PointSet, SelfMap, identity_map, iter_bits
 from .relations import Grade, RelationalSystem, Top, check_axiom
-from .semimetric import delta
+from .semimetric import _check_index, delta
 
 
 def _check_sizes(sys: RelationalSystem, t: SelfMap) -> None:
@@ -106,8 +108,7 @@ def is_nonexpansive(sys: RelationalSystem, t: SelfMap) -> MapCheck:
 
 
 def fixed_points(sys: RelationalSystem, t: SelfMap) -> PointSet:
-    _check_sizes(sys, t)
-    return PointSet.of(sys.n, (x for x in range(sys.n) if t.image[x] == x))
+    return PointSet(sys.n, _analysis(sys, t).fixed)
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,9 @@ class Orbit:
 
 
 def orbit(sys: RelationalSystem, t: SelfMap, x: int) -> Orbit:
-    _check_sizes(sys, t)
-    if not 0 <= x < sys.n:
-        raise IndexError(f"point {x} out of range for {sys.n} points")
-    return _walk(t.image, _steps(sys, t), x)
-
-
-def _steps(sys: RelationalSystem, t: SelfMap) -> tuple[Grade, ...]:
-    """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
-    return tuple(map(getitem, sys.grades.entries, t.image))
+    a = _analysis(sys, t)
+    _check_index(sys, x)
+    return a.orbits[x]
 
 
 def _walk(image: tuple[int, ...], steps: tuple[Grade, ...], x: int) -> Orbit:
@@ -173,7 +168,9 @@ class RegularityReport:
 
 
 def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityReport:
-    return _regularity(orbit(sys, t, x), t)
+    a = _analysis(sys, t)
+    _check_index(sys, x)
+    return a.regularity[x]
 
 
 def _regularity(orb: Orbit, t: SelfMap) -> RegularityReport:
@@ -255,7 +252,7 @@ class _MapAnalysis:
     @_field
     def steps(self) -> tuple[Grade, ...]:
         """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
-        return _steps(self.sys, self.t)
+        return tuple(map(getitem, self.sys.grades.entries, self.t.image))
 
     @_field
     def fixed(self) -> int:

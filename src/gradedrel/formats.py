@@ -363,20 +363,20 @@ def parse_distance_matrix(text: str) -> list[list[Fraction]]:
         rows.append([_parse_rational(lines, tok, first + i, j) for j, tok in enumerate(tokens)])
     lines.finish()
 
-    for i in range(n):
-        if rows[i][i] != 0:
+    # each pair once, from row i's diagonal across the upper triangle: a
+    # lower-triangle cell can fail only where its mirror already has
+    for i, row in enumerate(rows):
+        if row[i] != 0:
             lines.fail_at("bad-diagonal", first + i, i, f"diagonal entry ({i}, {i}) must be zero")
-        for j in range(n):
-            if i == j:
-                continue
-            if rows[i][j] != rows[j][i]:
+        for j in range(i + 1, n):
+            if row[j] != rows[j][i]:
                 lines.fail_at(
                     "asymmetric",
-                    first + max(i, j),
-                    min(i, j),
-                    f"entry ({i}, {j}) is {rows[i][j]} but ({j}, {i}) is {rows[j][i]}",
+                    first + j,
+                    i,
+                    f"entry ({i}, {j}) is {row[j]} but ({j}, {i}) is {rows[j][i]}",
                 )
-            if rows[i][j] <= 0:
+            if row[j] <= 0:
                 lines.fail_at(
                     "out-of-range", first + i, j, f"off-diagonal entry ({i}, {j}) must be positive"
                 )

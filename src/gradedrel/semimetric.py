@@ -7,10 +7,11 @@ highest level at which its two rows still meet, in mask arithmetic, with
 no table over pairs of levels; one walk, _raised_pairs, finds that level
 for both.  The exact dyadic and rational routes stay separate from the
 table so the two views can be played against each other:
-reconstruct_level and metric_ball_collapse compare distances directly.
-The tests hold classify and minimal_inframetric_constant against dyadic
-triple scans kept with the other oracles in tests/oracles.py.  The
-falsifier calls the batch forms, which read each distance once per trial:
+reconstruct_level and metric_ball_collapse compare distances directly,
+the latter against the library's own ball, a level-table row.  The tests
+hold classify and minimal_inframetric_constant against dyadic triple
+scans kept with the other oracles in tests/oracles.py.  The falsifier
+calls the batch forms, which read each distance once per trial:
 _reconstruct_levels compares each pair's distance with every level's
 threshold, and _metric_balls reads each radius and its graded level once
 and each center's distances once.
@@ -118,10 +119,12 @@ def _as_exact_rational(value: Rational, what: str) -> Fraction:
 def metric_ball_collapse(sys: RelationalSystem, x: int, r: Rational) -> PointSet:
     """Closed metric ball of radius r, shown to be a graded ball.
 
-    The set {y : delta(x, y) <= r} is computed directly from distances, and
-    independently as the graded ball at the largest radius 2**-g not
-    exceeding r (g clamped to the window's meaningful range).  The routes
-    must agree; their common value is returned.
+    The set {y : delta(x, y) <= r} is computed directly from distances,
+    and compared with ball(sys, x, g) for the largest radius 2**-g not
+    exceeding r (g clamped to [window.below, window.above]).  The routes
+    must agree; their common value is returned.  Like ball(), this reads
+    the level table, so a window past LEVEL_TABLE_CAP raises
+    ResourceLimitError.
     """
     _check_index(sys, x)
     return PointSet(sys.n, _metric_balls(sys, (x,), (r,))[0][0])
@@ -135,42 +138,35 @@ def _metric_balls(
     given order.
 
     Each radius is read as an exact rational, and its graded level found
-    from the window's powers of two, once; each center's n distances are
-    read once, and every (distance, radius) pair is compared exactly.
+    once: 2**-g <= r exactly when g >= -floor_log2(r).  The graded ball is
+    that level's level-table row at the center, the mask ball() serves.
+    Each center's n distances are read once, and every (distance, radius)
+    pair is compared exactly.
     """
-    # per radius: p / q, and the graded level of the largest 2**-g <= r
+    below, above = sys.window.below, sys.window.above
+    # per radius: p / q, and the table index of its graded level
     read = []
     for r in radii:
         radius = _as_exact_rational(r, "radius")
         if radius <= 0:
             raise StructuralInputError(f"radius must be positive, got {radius}")
-        p, q = radius.numerator, radius.denominator
-        level = next(
-            (
-                g
-                for g in range(sys.window.below, sys.window.above + 1)
-                if _within(DyadicValue.pow2(-g), p, q)
-            ),
-            sys.window.above,
-        )
-        read.append((radius, p, q, level))
+        level = min(max(-floor_log2(radius), below), above)
+        read.append((radius, radius.numerator, radius.denominator, level - below))
 
+    table = sys.level_table()
     out = []
     for x in centers:
         distances = [delta(sys, x, y) for y in range(sys.n)]
-        grades = sys.grades.entries[x]
         row = []
-        for radius, p, q, level in read:
-            direct = graded = 0
+        for radius, p, q, i in read:
+            direct = 0
             for y, d in enumerate(distances):
                 if _within(d, p, q):
                     direct |= 1 << y
-                if grades[y] >= level:
-                    graded |= 1 << y
-            if direct != graded:  # pragma: no cover - would expose an arithmetic bug
+            if direct != table[i][x]:  # pragma: no cover - would expose an arithmetic bug
                 raise RuntimeError(
                     f"metric ball at ({x}, {radius}) disagrees with graded ball"
-                    f" at level {level}"
+                    f" at level {i + below}"
                 )
             row.append(direct)
         out.append(row)
@@ -339,7 +335,7 @@ def ingest_distance_matrix(
 
     Each off-diagonal distance gets the largest level n in [lo - 1, hi] with
     d <= 2**-n: values at or below 2**-hi clamp to hi, values above 2**-lo
-    fall to lo - 1.
+    fall to lo - 1.  Every cell is read before any pair is checked.
     """
     win = Window(*window)
     n = len(d)
@@ -350,31 +346,24 @@ def ingest_distance_matrix(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise StructuralInputError(f"distance row {i} has length {len(row)}, not {n}")
-    for i in range(n):
-        if rows[i][i] != 0:
+    # each pair once, from row i's diagonal across the upper triangle: a
+    # lower-triangle cell can fail only where its mirror already has
+    entries: list[list[Grade]] = [[TOP] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        if row[i] != 0:
             raise StructuralInputError(f"diagonal entry ({i}, {i}) must be zero")
-        for j in range(n):
-            if i == j:
-                continue
-            if rows[i][j] != rows[j][i]:
+        for j in range(i + 1, n):
+            if row[j] != rows[j][i]:
                 raise StructuralInputError(
                     f"asymmetric distances at ({i}, {j}) and ({j}, {i})"
                 )
-            if rows[i][j] <= 0:
+            if row[j] <= 0:
                 raise StructuralInputError(
                     f"off-diagonal distance at ({i}, {j}) must be positive"
                 )
-
-    entries: list[list[Grade]] = []
-    for i in range(n):
-        row_g: list[Grade] = []
-        for j in range(n):
-            if i == j:
-                row_g.append(TOP)
-                continue
             # d <= 2**-g  iff  g <= floor_log2(1 / d)
-            row_g.append(max(win.below, min(win.hi, floor_log2(1 / rows[i][j]))))
-        entries.append(row_g)
+            g = max(win.below, min(win.hi, floor_log2(1 / row[j])))
+            entries[i][j] = entries[j][i] = g
 
     lbls = tuple(labels) if labels is not None else default_labels(n)
     return RelationalSystem(lbls, win, GradeMatrix.from_rows(entries))

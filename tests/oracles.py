@@ -35,6 +35,7 @@ from gradedrel import (
     default_labels,
     delta,
     expand_level,
+    floor_log2,
     hull,
     hulls,
     identity_map,
@@ -44,7 +45,7 @@ from gradedrel.harness import MAP_KINDS
 from gradedrel.hulls import _family
 from gradedrel.pointset import iter_bits
 from gradedrel.relations import Relation, Window
-from gradedrel.semimetric import ClassificationReport, _triple
+from gradedrel.semimetric import ClassificationReport, _as_exact_rational, _triple
 
 __all__ = [
     "reference_witness",
@@ -61,6 +62,7 @@ __all__ = [
     "_classify_dyadic",
     "reconstruct_level_oracle",
     "metric_ball_collapse_oracle",
+    "ingest_distance_matrix_oracle",
     "closure_oracle",
     "closure_full_pass",
     "family_from_metric_balls_oracle",
@@ -410,7 +412,8 @@ def _classify_dyadic(sys: RelationalSystem) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the one-read distance kernels: the per-call bodies they replaced
+# the one-read distance kernels and the one-pass matrix ingest: the bodies
+# they replaced
 
 
 def reconstruct_level_oracle(sys, n):
@@ -452,6 +455,48 @@ def metric_ball_collapse_oracle(sys, x, r):
             graded |= 1 << y
     assert direct == graded
     return direct
+
+
+def ingest_distance_matrix_oracle(d, window, labels=None):
+    """ingest_distance_matrix's body before it checked each pair once: every
+    ordered pair checked in row order, then a second full-matrix loop
+    grading every off-diagonal cell."""
+    win = Window(*window)
+    n = len(d)
+    rows = [
+        [_as_exact_rational(v, f"distance ({i}, {j})") for j, v in enumerate(row)]
+        for i, row in enumerate(d)
+    ]
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise StructuralInputError(f"distance row {i} has length {len(row)}, not {n}")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise StructuralInputError(f"diagonal entry ({i}, {i}) must be zero")
+        for j in range(n):
+            if i == j:
+                continue
+            if rows[i][j] != rows[j][i]:
+                raise StructuralInputError(
+                    f"asymmetric distances at ({i}, {j}) and ({j}, {i})"
+                )
+            if rows[i][j] <= 0:
+                raise StructuralInputError(
+                    f"off-diagonal distance at ({i}, {j}) must be positive"
+                )
+
+    entries = []
+    for i in range(n):
+        row_g = []
+        for j in range(n):
+            if i == j:
+                row_g.append(TOP)
+                continue
+            row_g.append(max(win.below, min(win.hi, floor_log2(1 / rows[i][j]))))
+        entries.append(row_g)
+
+    lbls = tuple(labels) if labels is not None else default_labels(n)
+    return RelationalSystem(lbls, win, GradeMatrix.from_rows(entries))
 
 
 # ---------------------------------------------------------------------------

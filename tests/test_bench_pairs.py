@@ -64,6 +64,34 @@ class TestStatistics:
         s = bench_pairs.summarize([10.0], [10.5], "higher")
         assert (s["parent_q1"], s["parent_q3"], s["wins"], s["verdict"]) == (10, 10, 1, "better")
 
+    def test_past_bound_is_a_loss_of_more_than_the_bound(self):
+        parent = [100, 101, 102, 103, 104]
+        # higher is better: a median of 80 is 21.6 % below 102, past a 20 % bound
+        s = bench_pairs.summarize(parent, [80, 81, 79, 78, 82], "higher", 0.2)
+        assert (s["verdict"], s["bound"], s["past_bound"]) == ("worse", 0.2, True)
+        # the same loss inside a 25 % bound: told apart, but within the bound
+        s = bench_pairs.summarize(parent, [80, 81, 79, 78, 82], "higher", 0.25)
+        assert (s["verdict"], s["past_bound"]) == ("worse", False)
+        # lower is better: 130 is past 102 * 1.25, and 120 is not
+        assert bench_pairs.summarize(parent, [130] * 5, "lower", 0.25)["past_bound"] is True
+        assert bench_pairs.summarize(parent, [120] * 5, "lower", 0.25)["past_bound"] is False
+        # a gain is never past the bound, and the bound leaves the verdict alone
+        s = bench_pairs.summarize(parent, [130] * 5, "higher", 0.25)
+        assert (s["verdict"], s["past_bound"]) == ("better", False)
+        assert s["verdict"] == bench_pairs.summarize(parent, [130] * 5, "higher")["verdict"]
+
+    def test_no_bound_records_none(self):
+        s = bench_pairs.summarize([1.0], [2.0], "lower")
+        assert (s["bound"], s["past_bound"]) == (None, None)
+        assert bench_pairs.bound_note(s) == ""
+
+    def test_bounds_from_the_benchmark(self):
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        limits = bench_pairs.bounds(bench)
+        assert limits["systems_per_s"] == 0.25 and limits["fail_frac"] == 0.25
+        # the per-layer figures declare no bound
+        assert set(limits) == {m["name"] for m in bench["end_to_end"]}
+
     def test_directions_from_the_benchmark(self):
         known = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
         assert known["systems_per_s"] == ("1/s", "higher")
@@ -120,6 +148,31 @@ class TestPairs:
         bench_pairs.clear_caches(tmp_path)
         assert not list(tmp_path.rglob("__pycache__"))
         assert (tmp_path / "src/pkg/m.py").is_file()
+
+    def test_main_records_and_prints_each_bound(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+            "end_to_end": [{"name": "speed", "unit": "1/s", "better": "higher", "bound": 0.25}],
+            "per_layer": [{"name": "layer_ms", "unit": "ms", "better": "lower"}],
+        }))
+        out = tmp_path / "BENCH.json"
+
+        def runner(tree, workload, seed, seconds, trace):
+            # the change runs at seven tenths of the parent's speed
+            return result(speed=10.0 if tree == tmp_path / "p" else 7.0, layer_ms=1.0)
+
+        for side in ("p", "c"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "c" / "BENCHMARK.json").write_text((tmp_path / "BENCHMARK.json").read_text())
+        monkeypatch.setattr(bench_pairs, "run_tree", runner)
+        argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"), "--workload",
+                "w", "--first-seed", "1", "--pairs", "1", "--seconds", "1", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+        assert (metrics["speed"]["bound"], metrics["speed"]["past_bound"]) == (0.25, True)
+        assert (metrics["layer_ms"]["bound"], metrics["layer_ms"]["past_bound"]) == (None, None)
+        printed = capsys.readouterr().out.splitlines()
+        assert "w speed: 10 -> 7 (0 of 1 better, worse, past the 25% bound)" in printed
+        assert "w layer_ms: 1 -> 1 (0 of 1 better, unresolved)" in printed
 
     def test_main_merges_workloads_into_one_file(self, tmp_path, monkeypatch):
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(

@@ -132,6 +132,16 @@ class TestOrbits:
         with pytest.raises(IndexError):
             orbit(chain, successor, 6)
 
+    def test_negative_point_out_of_range(self, chain, successor):
+        # not read from the end of the analysis's orbits
+        with pytest.raises(IndexError, match=r"point -1 out of range for 6 points"):
+            orbit(chain, successor, -1)
+
+    @pytest.mark.parametrize("read", [orbit, regularity_report])
+    def test_size_checked_before_the_point(self, twins, reflection, read):
+        with pytest.raises(StructuralInputError, match="map over 5 points against a 2-point system"):
+            read(twins, reflection, 7)
+
     @pytest.mark.parametrize("x", [6, -1])
     def test_regularity_point_out_of_range(self, chain, successor, x):
         with pytest.raises(IndexError, match=rf"point {x} out of range for 6 points"):
@@ -533,6 +543,18 @@ class TestMapAnalysis:
     def test_size_mismatch_rejected(self, twins, reflection):
         with pytest.raises(StructuralInputError):
             _analysis(twins, reflection)
+
+    def test_public_functions_walk_each_point_once(self, chain, successor, monkeypatch):
+        # orbit and regularity_report index the analysis: a loop over every
+        # point walks each orbit once, whichever function reads it first
+        walked = []
+        real = dynamics._walk
+        monkeypatch.setattr(dynamics, "_walk", lambda *a: walked.append(a[2]) or real(*a))
+        for x in range(chain.n):
+            rep = regularity_report(chain, successor, x)
+            assert orbit(chain, successor, x).start == rep.point == x
+        assert fixed_points(chain, successor).members() == (5,)
+        assert sorted(walked) == list(range(chain.n))
 
     def test_dichotomy_walks_no_orbit(self, chain, successor, monkeypatch):
         walked = []

@@ -501,6 +501,28 @@ class TestDistanceMatrix:
         d = diag(lambda: parse_distance_matrix(text))
         assert (d.code, d.line, d.column) == ("out-of-range", 3, 3)
 
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            # an asymmetric pair in row 0 before the diagonal of row 1
+            ("0 1 2\n1 5 1\n3 1 0\n", ("asymmetric", 5, 1, "entry (0, 2) is 2 but (2, 0) is 3")),
+            # the diagonal of row 1 before its nonpositive cell
+            ("0 1 1\n1 5 -1\n1 -1 0\n", ("bad-diagonal", 4, 3, "diagonal entry (1, 1) must be zero")),
+            # within one pair, asymmetry before the sign
+            ("0 -1 1\n-2 0 1\n1 1 0\n", ("asymmetric", 4, 1, "entry (0, 1) is -1 but (1, 0) is -2")),
+            # a zero pair in row 0 before the diagonal of row 2
+            ("0 1 0\n1 0 1\n0 1 4\n",
+             ("out-of-range", 3, 5, "off-diagonal entry (0, 2) must be positive")),
+            # every cell is read before any pair is checked
+            ("0 2 1\n3 0 1\n1 x 0\n", ("bad-rational", 5, 3, "cannot read rational 'x'")),
+        ],
+        ids=["asymmetry-then-diagonal", "diagonal-then-sign", "asymmetry-then-sign",
+             "sign-then-diagonal", "token-then-asymmetry"],
+    )
+    def test_first_of_two_faults(self, body, want):
+        d = diag(lambda: parse_distance_matrix("distmatrix v1\npoints: 3\n" + body))
+        assert (d.code, d.line, d.column, d.message) == want
+
     @given(st.data())
     @settings(max_examples=150)
     def test_column_is_the_token_offset(self, data):

@@ -9,9 +9,11 @@ from hypothesis import example, given, strategies as st
 
 from gradedrel import (
     DyadicValue,
+    ResourceLimitError,
     StructuralInputError,
     TOP,
     Window,
+    ball,
     classify,
     delta,
     expand_level,
@@ -29,6 +31,7 @@ from oracles import (
     _classify_dyadic,
     _minimal_inframetric_constant_dyadic,
     _scan_grade,
+    ingest_distance_matrix_oracle,
     metric_ball_collapse_oracle,
     reconstruct_level_oracle,
 )
@@ -91,6 +94,28 @@ class TestMetricBallCollapse:
     def test_rejects_nonpositive(self, grid):
         with pytest.raises(StructuralInputError):
             metric_ball_collapse(grid, 0, Fraction(0))
+
+    @pytest.mark.parametrize("name", ["grid", "chain", "triple"])
+    def test_radii_at_every_level_and_on_both_clamps(self, name, request):
+        sys = request.getfixturevalue(name)
+        below, above = sys.window.below, sys.window.above
+        # 2**-g at every level of the window, then one radius past each end:
+        # 2**-(below - 1) clamps to below, and 2**-(above + 1) to above
+        radii = [Fraction(2) ** -g for g in range(below, above + 1)]
+        radii += [Fraction(2) ** -(below - 1), Fraction(2) ** -(above + 1)]
+        levels = [*range(below, above + 1), below, above]
+        got = semimetric._metric_balls(sys, range(sys.n), radii)
+        assert got == [[ball(sys, x, g).bits for g in levels] for x in range(sys.n)]
+
+    def test_needs_the_level_table_like_ball(self):
+        # a window far too wide for a level table
+        sys = make_system(
+            ["a", "b", "c"], (0, 10**6), [[TOP, 5, 7], [5, TOP, 9], [7, 9, TOP]]
+        )
+        with pytest.raises(ResourceLimitError):
+            ball(sys, 0, 5)
+        with pytest.raises(ResourceLimitError):
+            metric_ball_collapse(sys, 0, Fraction(1, 32))
 
     @given(small_systems(), st.fractions(min_value=Fraction(1, 512), max_value=Fraction(64)))
     def test_collapse_matches_brute_force(self, sys, r):
@@ -317,6 +342,47 @@ class TestClassify:
                     assert excess <= worst
 
 
+@st.composite
+def distance_matrices(draw):
+    """Square symmetric matrices of positive distances with a zero
+    diagonal, then up to two faults: a row made longer or shorter, an
+    unreadable or a string token, a float, a nonzero diagonal, one cell
+    of a pair changed, or a zero or negative pair or cell."""
+    n = draw(st.integers(0, 5))
+    values = st.one_of(
+        st.integers(-40, 40).map(lambda e: Fraction(2) ** e),
+        st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000)),
+    )
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(values)
+    faults = ["length", "token", "float", "diagonal", "asymmetry", "sign"]
+    for kind in draw(st.lists(st.sampled_from(faults), max_size=2)) if n else ():
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = rows[i]
+        if kind == "length":
+            if draw(st.booleans()) or not row:
+                row.append(draw(values))
+            else:
+                row.pop()
+        elif j >= len(row) or (kind == "diagonal" and i >= len(row)):
+            continue  # a cell that an earlier fault removed
+        elif kind == "token":
+            row[j] = draw(st.sampled_from(["x", None, "1/0", "1/3", "2"]))
+        elif kind == "float":
+            row[j] = 0.5
+        elif kind == "diagonal":
+            row[i] = draw(values)
+        elif kind == "asymmetry":
+            row[j] = draw(values)
+        else:
+            row[j] = draw(st.sampled_from([0, -1, Fraction(-1, 2)]))
+            if draw(st.booleans()) and i < len(rows[j]):
+                rows[j][i] = row[j]
+    return rows
+
+
 class TestIngest:
     def test_known_matrix(self):
         rows = [
@@ -376,6 +442,42 @@ class TestIngest:
             StructuralInputError, match=rf"cannot read distance \(0, 1\): {value!r}"
         ):
             ingest_distance_matrix(rows, (0, 3))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # an asymmetric pair in row 0 before the diagonal of row 1
+            ([[0, 1, 2], [1, 5, 1], [3, 1, 0]], "asymmetric distances at (0, 2) and (2, 0)"),
+            # the diagonal of row 1 before its nonpositive cell
+            ([[0, 1, 1], [1, 5, -1], [1, -1, 0]], "diagonal entry (1, 1) must be zero"),
+            # within one pair, asymmetry before the sign
+            ([[0, -1], [-2, 0]], "asymmetric distances at (0, 1) and (1, 0)"),
+            # a zero pair in row 0 before the diagonal of row 2
+            ([[0, 1, 0], [1, 0, 1], [0, 1, 4]], "off-diagonal distance at (0, 2) must be positive"),
+            # every cell is read, and every row's length checked, before any pair
+            ([[0, 2, 1], [3, 0, 1], [1, "x", 0]], "cannot read distance (2, 1): 'x'"),
+            ([[0, 2], [3]], "distance row 1 has length 1, not 2"),
+        ],
+        ids=["asymmetry-then-diagonal", "diagonal-then-sign", "asymmetry-then-sign",
+             "sign-then-diagonal", "token-then-asymmetry", "length-then-asymmetry"],
+    )
+    def test_first_of_two_faults(self, rows, message):
+        with pytest.raises(StructuralInputError) as exc:
+            ingest_distance_matrix(rows, (0, 3))
+        assert str(exc.value) == message
+
+    @pytest.mark.deep
+    @given(distance_matrices(), st.integers(-3, 3), st.integers(0, 4))
+    def test_matches_the_full_scan(self, rows, lo, span):
+        # the same system, or the same first fault, as the body that
+        # checked every ordered pair and then graded in a second loop
+        def outcome(ingest):
+            try:
+                return ingest(rows, (lo, lo + span))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(ingest_distance_matrix) == outcome(ingest_distance_matrix_oracle)
 
     def test_idempotent_on_dyadic_systems(self, grid):
         # distances of a graded system grade back to the same system

@@ -17,7 +17,12 @@ parent's median and quartiles, the change's median, how many pairs the
 change won, and a verdict: "better" or "worse" when the medians differ
 by more than the parent's interquartile spread and that side won at least
 nine tenths of the pairs, ties counting for neither, else "unresolved".  The
-direction of each metric is read from the change tree's BENCHMARK.json.
+direction of each metric is read from the change tree's BENCHMARK.json,
+and so is each end-to-end metric's bound: its summary records the bound
+and past_bound, whether the change's median is worse than the parent's
+by more than the bound times the parent's median.  The bound does not
+enter the verdict, which only says whether the two sides are told apart;
+a "worse" verdict inside the bound is a real but bounded loss.
 An existing output file keeps its other workloads, so runs of different
 workloads, with different pair counts, collect in one file; traced runs
 are filed under the workload's name with "+trace" appended.
@@ -63,10 +68,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(
+    parent: list[float], change: list[float], better: str, bound: float | None = None
+) -> dict:
     """Pair values of one metric (the same pair at each index) with the
-    parent's quartiles, the change's median, the pairs the change won and
-    the verdict."""
+    parent's quartiles, the change's median, the pairs the change won, the
+    verdict, and the metric's bound, if it has one, with whether the
+    change's median is past it (else both None)."""
     q1, med, q3 = quartiles(parent)
     change_med = statistics.median(change)
     sign = 1 if better == "higher" else -1
@@ -79,6 +87,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         verdict = "worse"
     else:
         verdict = "unresolved"
+    past_bound = None if bound is None else -move > bound * abs(med)
     return {
         "parent": parent,
         "change": change,
@@ -89,6 +98,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "wins": wins,
         "pairs": len(parent),
         "verdict": verdict,
+        "bound": bound,
+        "past_bound": past_bound,
     }
 
 
@@ -108,6 +119,12 @@ def directions(bench: dict) -> dict[str, tuple[str, str]]:
         for group in ("end_to_end", "per_layer")
         for m in bench.get(group, ())
     }
+
+
+def bounds(bench: dict) -> dict[str, float]:
+    """Each end-to-end metric's bound from a BENCHMARK.json object: the
+    share of the parent's median by which the change may be worse."""
+    return {m["name"]: m["bound"] for m in bench.get("end_to_end", ()) if "bound" in m}
 
 
 def clear_caches(tree: Path) -> None:
@@ -140,9 +157,10 @@ def run_pairs(
     trace: int,
     known: dict[str, tuple[str, str]],
     runner: Callable[[Path, str, int, float, int], dict] | None = None,
+    limits: dict[str, float] | None = None,
 ) -> dict:
     """The pairs of one workload, and each metric's summary; runner, by
-    default run_tree, makes one run."""
+    default run_tree, makes one run, and limits holds the metrics' bounds."""
     runner = runner or run_tree
     values: dict[str, dict[str, list[float]]] = {}
     for pair, seed in enumerate(seeds, 1):
@@ -158,8 +176,9 @@ def run_pairs(
         if len(by_side["parent"]) != len(seeds) or len(by_side["change"]) != len(seeds):
             continue  # a metric missing from some run pairs with nothing
         unit, better = known.get(name, ("", "lower"))
+        bound = (limits or {}).get(name)
         metrics[name] = {"unit": unit, "better": better,
-                         **summarize(by_side["parent"], by_side["change"], better)}
+                         **summarize(by_side["parent"], by_side["change"], better, bound)}
     return {
         "seeds": seeds,
         "first": [order(pair)[0] for pair in range(1, len(seeds) + 1)],
@@ -167,6 +186,13 @@ def run_pairs(
         "trace": trace,
         "metrics": metrics,
     }
+
+
+def bound_note(m: dict) -> str:
+    """The printed line's note on a metric's bound, empty when it has none."""
+    if m["bound"] is None:
+        return ""
+    return f", {'past' if m['past_bound'] else 'within'} the {m['bound']:.0%} bound"
 
 
 def main(argv=None) -> int:
@@ -184,11 +210,13 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    known = directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    known, limits = directions(bench), bounds(bench)
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     # traced runs give per-layer figures and are kept apart from untraced ones
     runs = {
-        w + ("+trace" if args.trace else ""): run_pairs(trees, w, seeds, args.seconds, args.trace, known)
+        w + ("+trace" if args.trace else ""):
+            run_pairs(trees, w, seeds, args.seconds, args.trace, known, limits=limits)
         for w in args.workload
     }
     out = json.loads(args.out.read_text()) if args.out.is_file() else {}
@@ -197,7 +225,7 @@ def main(argv=None) -> int:
     for w, r in runs.items():
         for name, m in r["metrics"].items():
             print(f"{w} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g}"
-                  f" ({m['wins']} of {m['pairs']} better, {m['verdict']})")
+                  f" ({m['wins']} of {m['pairs']} better, {m['verdict']}{bound_note(m)})")
     return 0
 
 

@@ -12,8 +12,14 @@ raise it guards), or when its stripped source text is listed in ALLOWED
 for its module.  An ALLOWED text that no unrun line holds is reported too,
 so the list cannot outlive the code it names.
 
-Exit status: pytest's own when the tests fail, else 1 when a line is
-unrun and not allowed or an ALLOWED text is stale, else 0.
+The text of every package module is read before pytest starts, and the
+report compiles and reads that snapshot.  A module whose text changed
+during the run would be reported against lines that never ran, so the
+run is refused instead, naming the changed files.
+
+Exit status: 1 when a package module changed during the run, else
+pytest's own when the tests fail, else 1 when a line is unrun and not
+allowed or an ALLOWED text is stale, else 0.
 
     python tools/line_trace.py [pytest arguments]
 
@@ -113,11 +119,26 @@ def trace(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(status), {(os.path.realpath(name), line) for name, line in executed}
 
 
-def report(executed: set[tuple[str, int]]) -> int:
-    """Print the unrun lines; 1 if any is not allowed or ALLOWED is stale."""
+def snapshot() -> dict[Path, str]:
+    """The text of every package module, by path."""
+    return {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def changed(before: dict[Path, str]) -> list[str]:
+    """The package modules added, removed or edited since the snapshot."""
+    now = snapshot()
+    return sorted(
+        str(path.relative_to(ROOT))
+        for path in before.keys() | now.keys()
+        if before.get(path) != now.get(path)
+    )
+
+
+def report(executed: set[tuple[str, int]], sources: dict[Path, str]) -> int:
+    """Print the unrun lines of the snapshot's modules; 1 if any is not
+    allowed or ALLOWED is stale."""
     total = unrun_total = bad = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
+    for path, text in sources.items():
         source = text.splitlines()
         lines = body_lines(compile(text, str(path), "exec"))
         marked = pragma_lines(ast.parse(text), source)
@@ -147,7 +168,12 @@ def report(executed: set[tuple[str, int]]) -> int:
 
 
 def main(argv: list[str]) -> int:
+    sources = snapshot()
     status, executed = trace(argv)
+    edited = changed(sources)
+    if edited:
+        print(f"line trace: changed during the run, so not reported: {', '.join(edited)}")
+        return 1
     loaded = sys.modules.get("gradedrel")
     if loaded is None or Path(loaded.__file__).resolve().parent != PACKAGE:
         print(f"line trace: the tests did not import the package from {PACKAGE}")
@@ -155,7 +181,7 @@ def main(argv: list[str]) -> int:
     if status:
         print(f"line trace: pytest exited {status}")
         return status
-    return report(executed)
+    return report(executed, sources)
 
 
 if __name__ == "__main__":
