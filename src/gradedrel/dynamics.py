@@ -5,23 +5,28 @@ the induced distance is exactly nonexpansiveness; both predicates are
 implemented against their own arithmetic so they can be compared.
 
 fixed_points, orbit and regularity_report, the dichotomy, the fixed-point
-theorems, the invariant-set search and the CLI's dynamics and fixpoint
-reports read one analysis of the map on the system (_MapAnalysis),
-memoised on the system for the last map read and replaced when a map
-with another image is read.  Each of its fields is
+theorems, the invariant-set search, the falsifier's map claims and the
+CLI's dynamics and fixpoint reports read one analysis of the map on the
+system (_MapAnalysis), memoised on the system for the last map read and
+replaced when a map with another image is read.  orbit() and
+regularity_report() of a map other than the held one replace nothing:
+they walk the asked point alone.  Each of the analysis's fields is
 computed on its first read: the step grades and fixed points, the
-grade-preservation check, every orbit and regularity report, the
-map-invariant distinct balls of the system's ball index
-(hulls._ball_index), named from the level table's columns, the minimal
-invariant balls and the minimal invariant admissible sets.  A caller pays
-only for what it reads: the dichotomy walks no orbit, orbits and
-regularity build no level table, and _regular_unmet, the hypotheses of
-regular_fixed_point, reads no ball.  Each orbit is one _walk, made once
-per point for the analysis, that reads its grade trace from the step
-grades; orbit() and regularity_report() index the analysis's tuples.
-Invariance of a mask is one image-mask kernel: the OR of the image bits
-of its members, and a minimal invariant ball's step grades are one mask
-test against the points moving at its level.
+grade-preservation check, every orbit and regularity report, the masks
+of the map-invariant distinct balls of the system's ball index
+(hulls._ball_index) and their reports, named from the level table's
+columns, the minimal invariant balls, one (point, level, ball mask,
+outcome, witness) tuple of the dichotomy per moving point, and the
+minimal invariant admissible sets.  A caller pays only for what it
+reads: the dichotomy walks no orbit, orbits and regularity build no level
+table, _regular_unmet, the hypotheses of regular_fixed_point, reads no
+ball, and the falsifier reads the ball masks and dichotomy tuples without
+their reports.  Each orbit is one _walk, made once per point for the
+analysis, that reads its grade trace from the step grades; orbit() and
+regularity_report() index the analysis's tuples.  Invariance of a mask is
+one image-mask kernel: the OR of the image bits of its members, and a
+minimal invariant ball's step grades are one mask test against the
+points moving at its level.
 
 The minimal invariant admissible sets are found without the admissible
 family.  Every invariant set contains a cycle C of the map, and every
@@ -98,10 +103,12 @@ def is_nonexpansive(sys: RelationalSystem, t: SelfMap) -> MapCheck:
     Witness carries (x, y, delta(x, y), delta(Tx, Ty)).
     """
     _check_sizes(sys, t)
+    image = t.image
     for x in range(sys.n):
+        tx = image[x]
         for y in range(x + 1, sys.n):
             d = delta(sys, x, y)
-            d_img = delta(sys, t.image[x], t.image[y])
+            d_img = delta(sys, tx, image[y])
             if d_img > d:
                 return MapCheck(False, (x, y, d, d_img))
     return MapCheck(True)
@@ -126,9 +133,17 @@ class Orbit:
 
 
 def orbit(sys: RelationalSystem, t: SelfMap, x: int) -> Orbit:
-    a = _analysis(sys, t)
+    a = _held(sys, t)[0]
     _check_index(sys, x)
+    if a.t.image != t.image:
+        # another map's analysis stays in place
+        return _walk(t.image, _steps(sys, t), x)
     return a.orbits[x]
+
+
+def _steps(sys: RelationalSystem, t: SelfMap) -> tuple[Grade, ...]:
+    """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
+    return tuple(map(getitem, sys.grades.entries, t.image))
 
 
 def _walk(image: tuple[int, ...], steps: tuple[Grade, ...], x: int) -> Orbit:
@@ -168,8 +183,11 @@ class RegularityReport:
 
 
 def regularity_report(sys: RelationalSystem, t: SelfMap, x: int) -> RegularityReport:
-    a = _analysis(sys, t)
+    a = _held(sys, t)[0]
     _check_index(sys, x)
+    if a.t.image != t.image:
+        # another map's analysis stays in place
+        return _regularity(_walk(t.image, _steps(sys, t), x), t)
     return a.regularity[x]
 
 
@@ -212,6 +230,11 @@ def _regularity(orb: Orbit, t: SelfMap) -> RegularityReport:
     )
 
 
+OUTCOME_FIXED = "contains-fixed-point"
+OUTCOME_MINIMAL_BALL = "contains-minimal-invariant-ball"
+OUTCOME_NEITHER = "NEITHER"
+
+
 class _field:
     """functools.cached_property as it is from Python 3.12 on: the value is
     built on the first read and kept in the instance dict.  Before 3.12
@@ -252,7 +275,7 @@ class _MapAnalysis:
     @_field
     def steps(self) -> tuple[Grade, ...]:
         """grade(p, Tp) for every point p, TOP exactly at the fixed points."""
-        return tuple(map(getitem, self.sys.grades.entries, self.t.image))
+        return _steps(self.sys, self.t)
 
     @_field
     def fixed(self) -> int:
@@ -297,12 +320,17 @@ class _MapAnalysis:
         return self.image(bits) & ~bits == 0
 
     @_field
+    def invariant_ball_bits(self) -> tuple[int, ...]:
+        """The masks of the map-invariant distinct balls, in mask order."""
+        return tuple(filter(self.invariant, sorted(_ball_index(self.sys))))
+
+    @_field
     def invariant_balls(self) -> tuple[InvariantBallReport, ...]:
         """The map-invariant distinct balls in mask order, each with every
         (center, level) pair naming it: one pass over the level table's
         columns looks each entry up among them."""
         sys, fixed = self.sys, self.fixed
-        names = {bits: [] for bits in filter(self.invariant, sorted(_ball_index(sys)))}
+        names = {bits: [] for bits in self.invariant_ball_bits}
         for x, col in enumerate(zip(*sys.level_table())):
             for lev, bits in enumerate(col, sys.window.below):
                 if bits in names:
@@ -316,7 +344,8 @@ class _MapAnalysis:
     @_field
     def min_balls(self) -> tuple[tuple[int, int], ...]:
         sys, steps = self.sys, self.steps
-        lo, hi = sys.window.lo, sys.window.hi
+        lo, hi, below = sys.window.lo, sys.window.hi, sys.window.below
+        table = sys.level_table()
         # moving[lev]: the points whose step grade is lev
         moving: dict[Grade, int] = {}
         for p, lev in enumerate(steps):
@@ -325,9 +354,38 @@ class _MapAnalysis:
         for x, lev in enumerate(steps):
             if not lo <= lev <= hi:
                 continue
-            bits = sys.level_rows(lev)[x]
+            bits = table[lev - below][x]
             if bits & ~moving[lev] == 0 and self.invariant(bits):
                 out.append((x, lev))
+        return tuple(out)
+
+    @_field
+    def dichotomy(self) -> tuple[tuple[int, int, int, str, Optional[tuple]], ...]:
+        """(x, level, ball mask, outcome, witness) for every non-fixed x, in
+        point order: the step ball at x and the branch of the dichotomy it
+        meets (ks_dichotomy)."""
+        sys, steps, fixed = self.sys, self.steps, self.fixed
+        below = sys.window.below
+        # a moving point's step grade lies in [below, hi], inside the table
+        table = sys.level_table()
+        mib_sets = [(c, lev, table[lev - below][c]) for c, lev in self.min_balls]
+        out = []
+        for x, lev in enumerate(steps):
+            if self.t.image[x] == x:
+                continue
+            assert isinstance(lev, int)
+            bits = table[lev - below][x]
+            if bits & fixed:
+                out.append((x, lev, bits, OUTCOME_FIXED, (next(iter_bits(bits & fixed)),)))
+                continue
+            hit = next(((c, ml) for c, ml, b in mib_sets if b & ~bits == 0), None)
+            if hit is None and lev == below:
+                if all(step == lev for step in steps):
+                    hit = (x, lev)
+            if hit is not None:
+                out.append((x, lev, bits, OUTCOME_MINIMAL_BALL, hit))
+            else:
+                out.append((x, lev, bits, OUTCOME_NEITHER, None))
         return tuple(out)
 
     @_field
@@ -366,12 +424,17 @@ class _MapAnalysis:
             bits = grown
 
 
+def _held(sys: RelationalSystem, t: SelfMap) -> list[_MapAnalysis]:
+    """The system's one slot for a map analysis, given t's when empty."""
+    _check_sizes(sys, t)
+    return sys.cached("map-analysis", lambda s: [_MapAnalysis(s, t)])
+
+
 def _analysis(sys: RelationalSystem, t: SelfMap) -> _MapAnalysis:
     """The analysis of t on sys.  The system keeps one, for the last map
     read; a map with another image replaces it."""
-    _check_sizes(sys, t)
-    held = sys.cached("map-analysis", lambda s: [None])
-    if held[0] is None or held[0].t.image != t.image:
+    held = _held(sys, t)
+    if held[0].t.image != t.image:
         held[0] = _MapAnalysis(sys, t)
     return held[0]
 
@@ -414,11 +477,6 @@ def minimal_invariant_balls(
     return _analysis(sys, t).min_balls
 
 
-OUTCOME_FIXED = "contains-fixed-point"
-OUTCOME_MINIMAL_BALL = "contains-minimal-invariant-ball"
-OUTCOME_NEITHER = "NEITHER"
-
-
 @dataclass(frozen=True)
 class DichotomyEntry:
     point: int
@@ -455,29 +513,12 @@ def ks_dichotomy(sys: RelationalSystem, t: SelfMap) -> DichotomyReport:
     """
     a = _analysis(sys, t)
     unmet = a.unmet()
-    mib_sets = [(c, lev, sys.level_rows(lev)[c]) for c, lev in a.min_balls]
-
-    entries = []
-    for x, lev in enumerate(a.steps):
-        if t.image[x] == x:
-            continue
-        assert isinstance(lev, int)
-        b = PointSet(sys.n, sys.level_rows(lev)[x])
-        if b.bits & a.fixed:
-            w = next(iter_bits(b.bits & a.fixed))
-            entries.append(DichotomyEntry(x, lev, b, OUTCOME_FIXED, (w,)))
-            continue
-        hit = next(
-            ((c, ml) for c, ml, bits in mib_sets if bits & ~b.bits == 0), None
-        )
-        if hit is None and lev == sys.window.below:
-            if all(step == lev for step in a.steps):
-                hit = (x, lev)
-        if hit is not None:
-            entries.append(DichotomyEntry(x, lev, b, OUTCOME_MINIMAL_BALL, hit))
-        else:
-            entries.append(DichotomyEntry(x, lev, b, OUTCOME_NEITHER, None))
-    return DichotomyReport(not unmet, tuple(unmet), tuple(entries))
+    n = sys.n
+    entries = tuple(
+        DichotomyEntry(x, lev, PointSet(n, bits), outcome, witness)
+        for x, lev, bits, outcome, witness in a.dichotomy
+    )
+    return DichotomyReport(not unmet, tuple(unmet), entries)
 
 
 VARIANTS = ("regular", "asymptotic")

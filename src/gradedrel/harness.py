@@ -26,6 +26,14 @@ the graded route.  The eq1-roundtrip claim reads each distance once per
 trial, through _reconstruct_levels.  The two regular fixed-point claims
 settle vacuity from dynamics._regular_unmet first, so a vacuous trial
 builds no invariant ball.
+
+The map claims and the normal-structure claim decide on the masks their
+library routines compute, and a trial builds no public report: the
+regular claims read the map analysis's invariant ball masks against its
+fixed points, the KS claim its hypotheses and its dichotomy tuples, and
+the normal-structure claim the witness mask of hulls._flat_witness in
+each mode.  A failing trial words its locus from the same masks, as the
+reports would name it.
 """
 
 from __future__ import annotations
@@ -37,20 +45,19 @@ from typing import Callable, Optional
 
 from .dynamics import (
     OUTCOME_NEITHER,
+    _analysis,
     _regular_unmet,
     is_homomorphism,
     is_nonexpansive,
-    ks_dichotomy,
-    regular_fixed_point,
 )
 from .errors import UsageError
 from .hulls import (
     ARBITRARY_CENTER,
     PAPER_COV,
     _ball_index,
+    _flat_witness,
     _intersection_closure,
     admissible_family_bits,
-    check_normal_structure,
     normality_criteria,
 )
 from .pointset import PointSet, SelfMap, identity_map, iter_bits
@@ -247,7 +254,14 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
     getrandbits = rng.getrandbits
     n = sys.n
     if map_kind == "any":
-        return SelfMap(tuple(_below(getrandbits, n) for _ in range(n)))
+        # each image as _below(getrandbits, n) draws it, with k computed once
+        k, image = n.bit_length(), []
+        for _ in range(n):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            image.append(r)
+        return SelfMap(tuple(image))
 
     # off-diagonal grades lie in [below, hi], inside the table
     table, below = sys.level_table(), sys.window.below
@@ -262,7 +276,7 @@ def gen_self_map(seed: int, sys: RelationalSystem, map_kind: str = "any") -> Sel
                 mask &= table[grades[y] - below][ty]
             if not mask:
                 break
-            candidates = [c for c in range(n) if mask >> c & 1]
+            candidates = list(iter_bits(mask))
             image[x] = candidates[_below(getrandbits, len(candidates))]
         else:
             return SelfMap(tuple(image[x] for x in range(n)))
@@ -335,34 +349,39 @@ def _check_transitive_ultra(sys, _t):
 
 
 def _check_ks(sys, t):
-    rep = ks_dichotomy(sys, t)
-    if not rep.hypotheses_met:
+    # ks_dichotomy's entries as the analysis holds them, before any report
+    a = _analysis(sys, t)
+    if a.unmet():
         return VACUOUS
-    if rep.has_neither:
-        bad = next(e for e in rep.entries if e.outcome == OUTCOME_NEITHER)
-        return f"ball at ({bad.point}, level {bad.level}) has neither branch"
+    for x, lev, _bits, outcome, _witness in a.dichotomy:
+        if outcome == OUTCOME_NEITHER:
+            return f"ball at ({x}, level {lev}) has neither branch"
     return None
 
 
 def _check_regular_fp(variant):
-    # vacuity is settled before the report, so a vacuous trial scans no ball
+    # vacuity is settled before any ball is built, and the invariant balls
+    # are read as masks, so a trial builds no regular_fixed_point report
     def check(sys, t):
         if _regular_unmet(sys, t, variant):
             return VACUOUS
-        rep = regular_fixed_point(sys, t, variant)
-        if rep.verdict == "falsified":
-            bad = next(b for b in rep.balls if not b.contains_fixed)
-            return f"invariant ball {bad.ball.members()} holds no fixed point"
+        a = _analysis(sys, t)
+        fixed = a.fixed
+        for bits in a.invariant_ball_bits:
+            if not bits & fixed:
+                return f"invariant ball {tuple(iter_bits(bits))} holds no fixed point"
         return None
 
     return check
 
 
 def _check_no_normal_structure(sys, _t):
+    # check_normal_structure's witness as a mask, 0 when it reports normal
+    # structure; no hull or radii report is built
     if sys.n < 2:
         return VACUOUS
     for mode in (PAPER_COV, ARBITRARY_CENTER):
-        if check_normal_structure(sys, mode).holds:
+        if not _flat_witness(sys, mode):
             return f"normal structure reported to hold in {mode} mode"
     return None
 

@@ -74,8 +74,12 @@ level table is built with every row holding its center, so every ball does.
 Normal structure fails on the first pair the hull fixes, since a pair's
 Chebyshev radius is its diameter; with none fixed, arbitrary-center mode
 fails on the least pair hull, proved flat, and only paper-cov mode walks
-its family.  Each candidate is decided on grades by one radii walk, and
-only the witness is cross-checked by normality_criteria.
+its family.  Each candidate is decided on grades by one walk over its
+members' grade rows, and only the witness is cross-checked by
+normality_criteria.  That search (_flat_witness) gives the witness as a
+mask, which the falsifier's normal-structure claim reads directly;
+check_normal_structure builds the witness's hull and radii reports from
+it.
 """
 
 from __future__ import annotations
@@ -638,11 +642,35 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     diameter grade d, a z in M with worst grade above d would make
     B(x, d + 1) & M a smaller member), and this hull is a closure, so M is
     the hull of a pair inside it.  paper-cov mode, whose hull is not
-    monotone, walks its family.  One radii walk decides each candidate
-    (Chebyshev grade at most the diameter grade); normality_criteria
-    cross-checks the witness alone, which carries that walk's RadiiReport.
+    monotone, walks its family.  One walk over the candidate's grade rows,
+    the one radii makes, decides each candidate (Chebyshev grade at most
+    the diameter grade), and normality_criteria cross-checks the witness
+    alone.  _flat_witness makes that search and gives the witness mask;
+    its hull and RadiiReport are built from the mask, for the witness
+    only.
     """
     _check_mode(mode)
+    bits = _flat_witness(sys, mode)
+    if not bits:
+        return StructureReport(
+            "normal-structure",
+            True,
+            note="no admissible set with two or more points" if sys.n < 2 else "",
+        )
+    points = PointSet(sys.n, bits)
+    return StructureReport(
+        "normal-structure",
+        False,
+        witness=(hull(sys, points, mode), radii(sys, points)),
+        note="radius equals diameter on the witness set",
+    )
+
+
+def _flat_witness(sys: RelationalSystem, mode: str) -> int:
+    """The mask of check_normal_structure's witness in a checked mode, or
+    0 when there is none: the pair scan, then the candidate walk, each
+    candidate decided by one _worst_grades walk, and normality_criteria's
+    cross-check of the witness alone."""
     n = sys.n
     pair_hulls = []
     for p in (1 << x | 1 << y for x in range(n) for y in range(x + 1, n)):
@@ -655,23 +683,14 @@ def check_normal_structure(sys: RelationalSystem, mode: str = PAPER_COV) -> Stru
     for bits in (least,) if by_rule else _family(sys, mode):
         if bits.bit_count() < 2:
             continue
-        points = PointSet(n, bits)
-        rep = radii(sys, points)
-        if rep.cheb_grade <= rep.diam_grade:
-            normality_criteria(sys, points)  # raises if the routes disagree
-            return StructureReport(
-                "normal-structure",
-                False,
-                witness=(hull(sys, points, mode), rep),
-                note="radius equals diameter on the witness set",
-            )
+        worst = _worst_grades(sys, tuple(iter_bits(bits)))
+        # flat: the Chebyshev grade is at most the diameter grade
+        if max(worst) <= min(worst):
+            normality_criteria(sys, PointSet(n, bits))  # raises if the routes disagree
+            return bits
         if by_rule:  # pragma: no cover - would refute the pair rule
-            raise RuntimeError(f"least pair hull {points.members()} is not flat")
-    return StructureReport(
-        "normal-structure",
-        True,
-        note="no admissible set with two or more points" if sys.n < 2 else "",
-    )
+            raise RuntimeError(f"least pair hull {tuple(iter_bits(bits))} is not flat")
+    return 0
 
 
 def min_distance_clique(sys: RelationalSystem) -> PointSet:

@@ -12,9 +12,10 @@ the latter against the library's own ball, a level-table row.  The tests
 hold classify and minimal_inframetric_constant against dyadic triple
 scans kept with the other oracles in tests/oracles.py.  The falsifier
 calls the batch forms, which read each distance once per trial:
-_reconstruct_levels compares each pair's distance with every level's
-threshold, and _metric_balls reads each radius and its graded level once
-and each center's distances once.
+_reconstruct_levels compares each pair's distance with the levels'
+thresholds, largest first, up to the first it exceeds, and _metric_balls
+reads each radius and its graded level once and each center's distances
+once.
 
 delta, the entry point of every distance oracle, tests both indexes with
 one range check and returns the shared zero or a shared power of two from
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .dyadic import _ZERO, DyadicValue, _pow2, floor_log2
@@ -88,20 +90,26 @@ def reconstruct_level(sys: RelationalSystem, n: int) -> Relation:
 def _reconstruct_levels(sys: RelationalSystem, levels: Sequence[int]) -> list[tuple[int, ...]]:
     """reconstruct_level's row masks at each of the given levels, as the
     tuples RelationalSystem.level_rows gives, reading each pair's distance
-    once and comparing it with every level's threshold.
+    once and comparing it with the levels' thresholds, largest first, up
+    to the first it exceeds: it exceeds every smaller one too.
 
     The distance is symmetric, so the pair {x, y} sets bit y of row x and
     bit x of row y at every level whose threshold it is within.
     """
-    thresholds = [DyadicValue.pow2(-n) for n in levels]
-    rows = [[0] * sys.n for _ in thresholds]
+    rows = [[0] * sys.n for _ in levels]
+    # each level's threshold with its rows, lowest level (largest threshold) first
+    checks = [
+        (DyadicValue.pow2(-n), level_rows)
+        for n, level_rows in sorted(zip(levels, rows), key=itemgetter(0))
+    ]
     for x in range(sys.n):
         for y in range(x, sys.n):
             d = delta(sys, x, y)
-            for level_rows, threshold in zip(rows, thresholds):
-                if d <= threshold:
-                    level_rows[x] |= 1 << y
-                    level_rows[y] |= 1 << x
+            for threshold, level_rows in checks:
+                if d > threshold:
+                    break
+                level_rows[x] |= 1 << y
+                level_rows[y] |= 1 << x
     return [tuple(r) for r in rows]
 
 

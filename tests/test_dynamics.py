@@ -500,9 +500,24 @@ def _check_analysis(sys, t, order):
     assert [(b.ball.bits, b.names) for b in a.invariant_balls] == _brute_invariant_balls(sys, t)
     for b in a.invariant_balls:
         assert b.fixed_inside.bits == b.ball.bits & a.fixed
+    assert a.invariant_ball_bits == tuple(b.ball.bits for b in a.invariant_balls)
+    assert a.dichotomy == tuple(
+        (e.point, e.level, e.ball.bits, e.outcome, e.witness)
+        for e in ks_dichotomy(cold, t).entries
+    )
 
 
-FIELDS = ("steps", "fixed", "hom", "orbits", "regularity", "invariant_balls", "min_balls")
+FIELDS = (
+    "steps",
+    "fixed",
+    "hom",
+    "orbits",
+    "regularity",
+    "invariant_ball_bits",
+    "invariant_balls",
+    "min_balls",
+    "dichotomy",
+)
 
 
 class TestMapAnalysis:
@@ -555,6 +570,28 @@ class TestMapAnalysis:
             assert orbit(chain, successor, x).start == rep.point == x
         assert fixed_points(chain, successor).members() == (5,)
         assert sorted(walked) == list(range(chain.n))
+
+    def test_point_reads_of_another_map_keep_the_held_analysis(
+        self, chain, successor, monkeypatch
+    ):
+        # a point read of a map other than the held one walks that point
+        # alone and leaves the held analysis in place
+        walked = []
+        real = dynamics._walk
+        monkeypatch.setattr(dynamics, "_walk", lambda *a: walked.append(a[2]) or real(*a))
+        ident = identity_map(chain.n)
+        got = [(orbit(chain, t, x), t) for x in range(chain.n) for t in (successor, ident)]
+        assert len(walked) == 12
+        held = dynamics._held(chain, ident)[0]
+        assert held.t is successor
+        reports = [(regularity_report(chain, t, x), t) for x in range(chain.n) for t in (successor, ident)]
+        assert len(walked) == 12 + chain.n
+        assert dynamics._held(chain, ident)[0] is held
+        # each value as an analysis of its own map on a fresh copy gives it
+        for t in (successor, ident):
+            cold = dataclasses.replace(chain)
+            assert [o for o, m in got if m is t] == list(_analysis(cold, t).orbits)
+            assert [r for r, m in reports if m is t] == list(_analysis(cold, t).regularity)
 
     def test_dichotomy_walks_no_orbit(self, chain, successor, monkeypatch):
         walked = []

@@ -28,7 +28,8 @@ from gradedrel import (
     make_system,
     parse_selfmap,
     parse_system,
-    PointSet,
+    check_normal_structure,
+    ks_dichotomy,
     regular_fixed_point,
     serialize_selfmap,
     serialize_system,
@@ -491,17 +492,25 @@ class TestVacuousReturns:
 REGULAR_CLAIMS = {"thm-regular-fp": "regular", "thm-asymptotic-fp": "asymptotic"}
 
 
+def _spy_field(monkeypatch, name):
+    """Log every analysis that builds the named _MapAnalysis field."""
+    built = []
+    real = vars(dynamics._MapAnalysis)[name]
+    spy = dynamics._field(lambda a: built.append(a) or real.build(a))
+    spy.__set_name__(dynamics._MapAnalysis, name)
+    monkeypatch.setattr(dynamics._MapAnalysis, name, spy)
+    return built
+
+
 class TestRegularVacuity:
-    """The two regular fixed-point claims settle vacuity before the report,
-    so a vacuous trial builds no invariant ball."""
+    """The two regular fixed-point claims settle vacuity before any ball is
+    built, so a vacuous trial builds no invariant ball mask, and read the
+    invariant balls as masks, so no trial builds their reports."""
 
     @pytest.mark.parametrize("claim_id", sorted(REGULAR_CLAIMS))
     def test_only_non_vacuous_trials_scan_balls(self, claim_id, monkeypatch):
-        built, trials = [], []
-        real = vars(dynamics._MapAnalysis)["invariant_balls"]
-        spy = dynamics._field(lambda a: built.append(a) or real.build(a))
-        spy.__set_name__(dynamics._MapAnalysis, "invariant_balls")
-        monkeypatch.setattr(dynamics._MapAnalysis, "invariant_balls", spy)
+        built, trials = _spy_field(monkeypatch, "invariant_ball_bits"), []
+        reports = _spy_field(monkeypatch, "invariant_balls")
         claim = CLAIMS[claim_id]
 
         def logged(sys, t):
@@ -517,6 +526,7 @@ class TestRegularVacuity:
         assert [scans for _, scans in trials] == [int(r != VACUOUS) for r, _ in trials]
         vacuous = sum(r == VACUOUS for r, _ in trials)
         assert 0 < vacuous == verdict.vacuous_trials < 300
+        assert reports == []
 
     @pytest.mark.parametrize("claim_id", sorted(REGULAR_CLAIMS))
     def test_vacuous_exactly_when_the_report_is(self, claim_id):
@@ -538,6 +548,102 @@ class TestRegularVacuity:
             assert result == want, seed
             results.append(result)
         assert 0 < results.count(VACUOUS) < 300
+
+
+def _ks_by_report(sys, t):
+    """The KS claim's result read from the ks_dichotomy report."""
+    rep = ks_dichotomy(sys, t)
+    if not rep.hypotheses_met:
+        return VACUOUS
+    if rep.has_neither:
+        bad = next(e for e in rep.entries if e.outcome == "NEITHER")
+        return f"ball at ({bad.point}, level {bad.level}) has neither branch"
+    return None
+
+
+def _normal_by_report(sys, _t):
+    """The normal-structure claim's result read from the
+    check_normal_structure reports."""
+    if sys.n < 2:
+        return VACUOUS
+    for mode in (PAPER_COV, ARBITRARY_CENTER):
+        if check_normal_structure(sys, mode).holds:
+            return f"normal structure reported to hold in {mode} mode"
+    return None
+
+
+# each claim's check as it read the public reports; for the regular claims,
+# whose results TestRegularVacuity compares, just the report they read
+BY_REPORT = {
+    "thm-ks-dichotomy": _ks_by_report,
+    "finite-normal-structure-exists": _normal_by_report,
+    "thm-regular-fp": lambda sys, t: regular_fixed_point(sys, t, "regular"),
+    "thm-asymptotic-fp": lambda sys, t: regular_fixed_point(sys, t, "asymptotic"),
+}
+
+REPORT_CLASSES = (
+    dynamics.InvariantBallReport,
+    dynamics.DichotomyEntry,
+    hulls.RadiiReport,
+    hulls.AdmissibleSet,
+)
+
+
+class TestMaskDecisions:
+    """The KS, regular and normal-structure claims decide on the masks the
+    library computes and build no public report on a passing trial."""
+
+    @pytest.mark.parametrize("claim_id", ["finite-normal-structure-exists", "thm-ks-dichotomy"])
+    def test_results_equal_the_report_bodies(self, claim_id):
+        claim, results = CLAIMS[claim_id], []
+        # the claim's own scope, and one where every hypothesis can fail
+        for params in (claim.params, TINY_SCOPE):
+            for seed in range(300):
+                sys = gen_system(seed, params)
+                t = gen_self_map(seed ^ 0xA5A5, sys, params.map_kind) if claim.needs_map else None
+                result = claim.check(sys, t)
+                # the reports on a fresh copy of the system, with nothing kept
+                assert result == BY_REPORT[claim_id](gen_system(seed, params), t), seed
+                results.append(result)
+        assert results.count(None) > 300 and results.count(VACUOUS) > 0
+
+    def test_flat_witness_is_the_report_witness(self):
+        own, fixed_pairs = CLAIMS["finite-normal-structure-exists"].params, 0
+        for params in (own, TINY_SCOPE):
+            for seed in range(300):
+                sys = gen_system(seed, params)
+                for mode in (PAPER_COV, ARBITRARY_CENTER):
+                    bits = hulls._flat_witness(sys, mode)
+                    rep = check_normal_structure(gen_system(seed, params), mode)
+                    assert rep.holds == (bits == 0) == (sys.n < 2), (seed, mode)
+                    if bits:
+                        witness, radii = rep.witness
+                        assert witness.points.bits == radii.points.bits == bits
+                        fixed_pairs += bits.bit_count() == 2
+        assert 0 < fixed_pairs < 2 * 2 * 300
+
+    @pytest.mark.parametrize("claim_id", sorted(BY_REPORT))
+    def test_passing_calls_build_no_report(self, claim_id, monkeypatch):
+        built = []
+        for cls in REPORT_CLASSES:
+            real = cls.__init__
+            monkeypatch.setattr(
+                cls,
+                "__init__",
+                lambda self, *args, _real=real, **kw: built.append(type(self)) or _real(self, *args, **kw),
+            )
+        verdict = falsify(claim_id, 200, 0)
+        assert verdict.outcome == "no-counterexample"
+        assert verdict.vacuous_trials < 200
+        assert built == []
+        # the spies do see the reports those trials would build
+        claim = CLAIMS[claim_id]
+        for i in range(200):
+            ts = _trial_seed(0, i)
+            sys = gen_system(ts, claim.params)
+            t = gen_self_map(ts ^ 0xA5A5, sys, claim.params.map_kind) if claim.needs_map else None
+            BY_REPORT[claim_id](sys, t)
+        assert built
 
 
 def _flip_nonexpansive(real):
@@ -569,32 +675,28 @@ def _no_strong_triangle(real):
 
 
 def _every_ball_neither(real):
+    # the analysis as the KS check reads it: its hypotheses and its
+    # dichotomy entries, every outcome turned to NEITHER
     def broken(sys, t):
-        rep = real(sys, t)
-        return replace(rep, entries=tuple(replace(e, outcome="NEITHER") for e in rep.entries))
+        a = real(sys, t)
+        entries = tuple((x, lev, bits, "NEITHER", None) for x, lev, bits, _, _ in a.dichotomy)
+        return types.SimpleNamespace(unmet=a.unmet, dichotomy=entries)
 
     return broken
 
 
 def _no_fixed_point_inside(real):
-    def broken(sys, t, variant):
-        rep = real(sys, t, variant)
-        if not (rep.hypotheses_met and rep.balls):
-            return rep
-        empty = PointSet(sys.n, 0)
-        balls = tuple(replace(b, fixed_inside=empty) for b in rep.balls)
-        return replace(rep, balls=balls, verdict="falsified")
+    # the analysis as the regular checks read it, with no fixed point
+    def broken(sys, t):
+        a = real(sys, t)
+        return types.SimpleNamespace(fixed=0, invariant_ball_bits=a.invariant_ball_bits)
 
     return broken
 
 
 def _normal_in(mode):
     def breaker(real):
-        def broken(sys, m):
-            rep = real(sys, m)
-            return replace(rep, holds=True) if m == mode else rep
-
-        return broken
+        return lambda sys, m: 0 if m == mode else real(sys, m)
 
     return breaker
 
@@ -651,35 +753,35 @@ class TestFailureMessages:
             ),
             pytest.param(
                 "thm-ks-dichotomy",
-                "ks_dichotomy",
+                "_analysis",
                 _every_ball_neither,
                 r"ball at \(\d+, level -?\d+\) has neither branch",
                 id="thm-ks-dichotomy",
             ),
             pytest.param(
                 "thm-regular-fp",
-                "regular_fixed_point",
+                "_analysis",
                 _no_fixed_point_inside,
                 r"invariant ball \((\d+, )*\d+,?\) holds no fixed point",
                 id="thm-regular-fp",
             ),
             pytest.param(
                 "thm-asymptotic-fp",
-                "regular_fixed_point",
+                "_analysis",
                 _no_fixed_point_inside,
                 r"invariant ball \((\d+, )*\d+,?\) holds no fixed point",
                 id="thm-asymptotic-fp",
             ),
             pytest.param(
                 "finite-normal-structure-exists",
-                "check_normal_structure",
+                "_flat_witness",
                 _normal_in(PAPER_COV),
                 r"normal structure reported to hold in paper-cov mode",
                 id="finite-normal-structure-exists-paper",
             ),
             pytest.param(
                 "finite-normal-structure-exists",
-                "check_normal_structure",
+                "_flat_witness",
                 _normal_in(ARBITRARY_CENTER),
                 r"normal structure reported to hold in arbitrary-center mode",
                 id="finite-normal-structure-exists-closure",
